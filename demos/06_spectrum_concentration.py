@@ -25,7 +25,6 @@ print("\ntail mass outside the 0.3-ball, by k:")
 tails = report.summary["tail_mass"]
 for k in (4, 8, 12, 16, 20, 24):
     print(f"  k = {k:2d}: {tails[k - 1]:.4e}")
-print(f"tail is non-increasing from k0 = {report.summary['tail_nonincreasing_from']}")
 
 print("\nrate diagnostic (log trace + k dist^2 / 2) per diagram direction:")
 for direction in report.summary["rate_directions"]:

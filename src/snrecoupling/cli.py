@@ -2,8 +2,12 @@
 
 Partitions are written as comma-separated rows ("3,1"); where several labels
 are needed they are joined with "/" ("2,1/2,1/3").  Reports are emitted as
-JSON lines by default, CSV with --format csv.  The exit code is 0 exactly
-when every gate declared by the invoked command passes.
+JSON lines by default, CSV with --format csv.
+
+Exit codes: 0 when every gate declared by the invoked command passes, 1 when
+a gate fails (or ``validate-state`` finds the state invalid), 2 on invalid
+input (``ValidationError``), 3 when a size cap would be exceeded
+(``ResourceLimitError``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .combinatorics import check_partition, enumerate_partitions
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .experiments import (
     ExperimentReport,
     cmd_converse_probe,
@@ -28,10 +32,10 @@ from .experiments import (
 )
 from .intertwiner import cg_isometries, kronecker_coefficient
 from .quantumstates import (
-    DensityMatrix,
     SpectraTuple,
     load_state,
     sample_hs_random,
+    state_from_json,
     state_to_json,
 )
 from .recoupling import column_swap_check, column_swap_check_ag, recoupling_tensor
@@ -283,12 +287,7 @@ def _cmd_ssa_scan(args) -> int:
 def _cmd_validate_state(args) -> int:
     payload = json.loads(Path(args.state).read_text())
     try:
-        rho = DensityMatrix(
-            dims=tuple(payload["dims"]),
-            matrix=np.array(
-                [[complex(e[0], e[1]) for e in row] for row in payload["matrix"]]
-            ),
-        )
+        rho = state_from_json(payload)
     except ValidationError as exc:
         _emit(json.dumps({"valid": False, "reason": str(exc)}), args.out)
         return 1
@@ -336,6 +335,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

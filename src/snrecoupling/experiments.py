@@ -285,10 +285,9 @@ def cmd_spectrum_estimation(
     the diagrams outside it.
 
     Gates: (a) reports whether the tail mass at k_max is at most
-    ``tail_bound``, with the first k from which it never increases; it
-    promises no such bound, and for a given state the tail can exceed it at
-    every supported k (diag(0.9, 0.1) at delta 0.3 has tail 5.528e-3 at
-    k = 30);
+    ``tail_bound``; it promises no such bound, and for a given state the
+    tail can exceed it at every supported k (diag(0.9, 0.1) at delta 0.3 has
+    tail 5.528e-3 at k = 30);
     (b) along every diagram sequence obtained by growing the first row on
     fixed lower rows, the rate diagnostic log(trace) + k * dist^2 / 2 has
     non-increasing increments over the last 10 k values.
@@ -322,11 +321,6 @@ def cmd_spectrum_estimation(
                 tail += tr
         tails.append(tail)
 
-    k0 = k_max
-    for start in range(len(tails)):
-        if all(tails[i + 1] <= tails[i] + GATE_SLACK for i in range(start, len(tails) - 1)):
-            k0 = start + 1
-            break
     gate_tail = tails[-1] <= tail_bound
 
     window = range(max(1, k_max - 9), k_max + 1)
@@ -361,7 +355,6 @@ def cmd_spectrum_estimation(
         summary={
             "tail_mass": [_json_float(t) for t in tails],
             "tail_at_k_max": _json_float(tails[-1]),
-            "tail_nonincreasing_from": k0,
             "gate_tail": gate_tail,
             "rate_directions": directions,
             "gate_rate": gate_rate,

@@ -7,6 +7,12 @@ Each phi_i is then an isometric embedding of [lam] into [alpha] (x) [beta].
 Entries are convention-dependent (any orthonormal mixing of the multiplicity
 space is equally valid); only norms, Gram matrices and block unitarity are
 basis-independent.
+
+The bases come from the Gelfand-Tsetlin structure of Young's orthogonal form
+(Vershik-Okounkov): the images of the first standard tableau of [lam] span
+the joint eigenspace of the Jucys-Murphy elements on [alpha] (x) [beta] at
+that tableau's contents, a dim[alpha]*dim[beta] eigenproblem, and Young's
+step carries them to every other tableau.
 """
 
 from __future__ import annotations
@@ -22,10 +28,11 @@ from .combinatorics import (
     conjugacy_classes,
     random_permutation,
     sk_dimension,
+    tableau_positions,
 )
 from .errors import ResourceLimitError, ValidationError
-from .repsym import character, represent, young_orthogonal_rep
-from .tensorlinalg import fix_vector_sign, kron, orthonormal_nullspace
+from .repsym import _swap_entries, character, represent, young_orthogonal_rep
+from .tensorlinalg import fix_vector_sign, kron
 
 DEFAULT_PRODUCT_CAP = 2_000_000
 EQUIVARIANCE_TOL = 1e-9
@@ -68,16 +75,19 @@ _cg_lock = threading.Lock()
 def cg_isometries(alpha, beta, lam, product_cap: int = DEFAULT_PRODUCT_CAP) -> IntertwinerBasis:
     """Orthonormal intertwiner basis [lam] -> [alpha] (x) [beta].
 
-    Solves the equivariance equations for the k-1 adjacent-transposition
-    generators simultaneously (they generate S_k; a random full permutation
-    is re-checked afterwards), orthonormalizes in the Hilbert-Schmidt inner
-    product and rescales by sqrt(dim[lam]).
+    The count is checked against the Kronecker coefficient, each map gets
+    the sign of ``fix_vector_sign`` and equivariance is re-checked on a
+    random full permutation.  ``product_cap`` bounds (dim[alpha]*dim[beta])**2,
+    the entry count of the dense Jucys-Murphy operator the solver holds;
+    every pair at k <= 7 fits the default.  Larger pairs raise
+    ResourceLimitError before anything is allocated.
     """
     alpha, beta, lam = map(check_partition, (alpha, beta, lam))
-    da, db, dl = sk_dimension(alpha), sk_dimension(beta), sk_dimension(lam)
-    if da * db * dl > product_cap:
+    da, db = sk_dimension(alpha), sk_dimension(beta)
+    if (da * db) ** 2 > product_cap:
         raise ResourceLimitError(
-            f"dim product {da * db * dl} for {(alpha, beta, lam)} exceeds cap {product_cap}"
+            f"Jucys-Murphy operator size {(da * db) ** 2} for {(alpha, beta, lam)} "
+            f"exceeds cap {product_cap}"
         )
     key = (alpha, beta, lam)
     with _cg_lock:
@@ -90,6 +100,19 @@ def cg_isometries(alpha, beta, lam, product_cap: int = DEFAULT_PRODUCT_CAP) -> I
     return basis
 
 
+def _apply_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """kron(a, b) @ x for x of shape (da*db, m), without forming the kron."""
+    da, db, m = a.shape[0], b.shape[0], x.shape[1]
+    y = (a @ x.reshape(da, db * m)).reshape(da, db, m)
+    return (b @ y).reshape(da * db, m)
+
+
+def _contents(tab) -> list[int]:
+    """contents[e] = col - row of the cell holding e (1-based entries)."""
+    pos = tableau_positions(tab)
+    return [0] + [pos[e][1] - pos[e][0] for e in range(1, len(pos) + 1)]
+
+
 def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerBasis:
     k = _same_k(alpha, beta, lam)
     da, db, dl = sk_dimension(alpha), sk_dimension(beta), sk_dimension(lam)
@@ -100,29 +123,60 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerB
     rep_a = young_orthogonal_rep(alpha)
     rep_b = young_orthogonal_rep(beta)
     rep_l = young_orthogonal_rep(lam)
+    pairs = list(zip(rep_a.generators, rep_b.generators))
 
-    # Nullspace of the stacked generator constraints, restricted one
-    # generator at a time: cheaper than one big stacked system, same result.
-    basis = np.eye(da * db * dl)
-    for i in range(k - 1):
-        gen_ab = kron(rep_a.generators[i], rep_b.generators[i])
-        gen_l = rep_l.generators[i]
-        images = np.empty((da * db * dl, basis.shape[1]))
-        for col in range(basis.shape[1]):
-            x = basis[:, col].reshape(da * db, dl)
-            images[:, col] = (gen_ab @ x - x @ gen_l).reshape(-1)
-        null = orthonormal_nullspace(images)
-        if not null:
-            basis = np.zeros((da * db * dl, 0))
-            break
-        basis = basis @ np.column_stack(null)
-    count = basis.shape[1]
+    # Young's orthogonal form is Gelfand-Tsetlin adapted: v_T is the joint
+    # eigenvector of the Jucys-Murphy elements X_j = sum_{i<j} (i j) with
+    # eigenvalues the contents c_T(j).  So the images phi_i(v_T1) of the
+    # first tableau span the joint eigenspace of X_2..X_k on [alpha](x)[beta]
+    # at T1's contents, found by restricting one X_j at a time
+    # (X_{j+1} = s_j X_j s_j + s_j; the X_j commute).  X_2 = s_1 is diagonal
+    # in Young's form, since 1 and 2 share a row or a column of every
+    # tableau, so its eigenspace is spanned by unit vectors.
+    tableaux = rep_l.basis
+    contents = _contents(tableaux[0])
+    n = da * db
+    if k == 1:
+        span = np.ones((1, 1))
+    else:
+        x_j = kron(*pairs[0])
+        span = np.eye(n)[:, np.diag(x_j) == contents[2]]
+    for j in range(2, k):
+        a, b = pairs[j - 1]
+        # X is symmetric, so G X G = G (G X)^T
+        x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + kron(a, b)
+        vals, vecs = np.linalg.eigh(span.T @ x_j @ span)
+        span = span @ vecs[:, np.abs(vals - contents[j + 1]) < 0.5]
+    count = span.shape[1]
     assert count == g, f"solver found {count} intertwiners, characters say {g}"
+
+    # Young's step from T to s_i T (axial distance d = c_T(i+1) - c_T(i)):
+    # phi(v_{s_i T}) = (G_i phi(v_T) - phi(v_T) / d) / sqrt(1 - 1/d^2).
+    index = {tab: t for t, tab in enumerate(tableaux)}
+    images = np.empty((dl, n, g))
+    images[0] = span
+    queue = [tableaux[0]]
+    seen = {tableaux[0]}
+    for tab in queue:
+        cont = _contents(tab)
+        src = images[index[tab]]
+        for i in range(1, k):
+            d = cont[i + 1] - cont[i]
+            if abs(d) < 2:
+                continue
+            nxt = _swap_entries(tab, i, i + 1)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            queue.append(nxt)
+            a, b = pairs[i - 1]
+            step = _apply_pair(a, b, src) - src / d
+            images[index[nxt]] = step / math.sqrt(1.0 - 1.0 / d**2)
+    assert len(seen) == dl
 
     maps = []
     for col in range(count):
-        vec = fix_vector_sign(basis[:, col])
-        phi = math.sqrt(dl) * vec.reshape(da * db, dl)
+        phi = fix_vector_sign(images[:, :, col].T.copy().reshape(-1)).reshape(n, dl)
         phi.setflags(write=False)
         maps.append(phi)
 

@@ -38,6 +38,8 @@ class DensityMatrix:
             raise ValidationError(
                 f"matrix shape {mat.shape} does not match dims {self.dims}"
             )
+        if not np.isfinite(mat).all():
+            raise ValidationError("matrix has NaN or infinite entries")
         herm = hs_norm(mat - mat.conj().T)
         if herm > HERMITICITY_TOL:
             raise ValidationError(f"not Hermitian: residual {herm:.3e}")

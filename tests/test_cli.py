@@ -93,6 +93,15 @@ class TestStateCommands:
         assert code == 1
         assert not json.loads(out)["valid"]
 
+    def test_validate_rejects_nan_state(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims":[2],"matrix":[[[NaN,0],[0,0]],[[0,0],[0.5,0]]]}')
+        code, out = run(capsys, "validate-state", str(path))
+        assert code == 1
+        res = json.loads(out)
+        assert res["valid"] is False
+        assert "NaN" in res["reason"]
+
     def test_spectrum_estimation_csv(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
         save_state(DensityMatrix(dims=(2,), matrix=np.diag([0.9, 0.1])), path)
@@ -154,3 +163,12 @@ class TestStateCommands:
     def test_error_exit_code(self, capsys):
         code = main(["char", "--lambda", "1,2", "--type", "3"])
         assert code == 2
+
+    def test_resource_limit_exit_code(self, capsys):
+        # dim (4,3,2,1) = 768: far above the intertwiner cap, rejected unsolved
+        code = main(["cg", "--alpha", "4,3,2,1", "--beta", "4,3,2,1",
+                     "--lambda", "4,3,2,1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "exceeds cap" in captured.err

@@ -12,13 +12,15 @@ from snrecoupling.combinatorics import (
 )
 from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.intertwiner import (
+    DEFAULT_PRODUCT_CAP,
+    _cg_cache,
     bend_and_compare,
     cg_isometries,
     kronecker_coefficient,
     trivial_coupling,
 )
 from snrecoupling.repsym import represent, young_orthogonal_rep
-from snrecoupling.tensorlinalg import kron
+from snrecoupling.tensorlinalg import kron, orthonormal_nullspace
 
 
 def brute_force_kronecker(alpha, beta, lam):
@@ -35,6 +37,34 @@ def brute_force_kronecker(alpha, beta, lam):
     value = total / math.factorial(k)
     assert abs(value - round(value)) < 1e-9
     return int(round(value))
+
+
+def nullspace_oracle(alpha, beta, lam):
+    """Oracle: intertwiners as the joint nullspace of the generator equations.
+
+    Works in the dim[alpha]*dim[beta]*dim[lam] space of linear maps and
+    restricts by one adjacent transposition s_i at a time to the solutions
+    of (rho_alpha (x) rho_beta)(s_i) x = x rho_lam(s_i).
+    """
+    da, db, dl = (sk_dimension(p) for p in (alpha, beta, lam))
+    rep_a, rep_b, rep_l = (young_orthogonal_rep(p) for p in (alpha, beta, lam))
+    basis = np.eye(da * db * dl)
+    for gen_a, gen_b, gen_l in zip(rep_a.generators, rep_b.generators, rep_l.generators):
+        gen_ab = kron(gen_a, gen_b)
+        images = np.column_stack([
+            (gen_ab @ x - x @ gen_l).reshape(-1)
+            for x in basis.T.reshape(-1, da * db, dl)
+        ])
+        null = orthonormal_nullspace(images)
+        if not null:
+            return []
+        basis = basis @ np.column_stack(null)
+    return [math.sqrt(dl) * v.reshape(da * db, dl) for v in basis.T]
+
+
+def multiplicity_projector(maps):
+    """sum_i phi_i phi_i^T: independent of the basis of the multiplicity space."""
+    return sum(phi @ phi.T for phi in maps)
 
 
 class TestKroneckerCoefficient:
@@ -129,6 +159,69 @@ class TestCgIsometries:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             cg_isometries((3, 2), (3, 2), (3, 2), product_cap=10)
+
+    def test_cap_bounds_the_jucys_murphy_operator(self):
+        # dim (3,2) = 5: the operator on [alpha] (x) [beta] has 25^2 entries
+        triple = ((3, 2), (3, 2), (2, 2, 1))
+        assert len(cg_isometries(*triple, product_cap=25**2)) == 1
+        with pytest.raises(ResourceLimitError):
+            cg_isometries(*triple, product_cap=25**2 - 1)
+
+    def test_every_pair_up_to_k7_fits_the_default_cap(self):
+        widest = max(sk_dimension(p) for p in enumerate_partitions(7))
+        assert widest == 35
+        assert (widest * widest) ** 2 <= DEFAULT_PRODUCT_CAP
+
+    def test_above_cap_rejected_before_solving(self):
+        # dim (4,3,2,1) = 768: 768^4 entries would be 2.8 TB; rejection only
+        triple = ((4, 3, 2, 1),) * 3
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            cg_isometries(*triple)
+        assert triple not in _cg_cache
+
+
+class TestRoundoffOnlyConstraints:
+    @pytest.mark.parametrize(
+        "triple", [((6,), (3, 3), (3, 3)), ((2, 2, 2), (2, 2, 2), (2, 2, 2))]
+    )
+    def test_k6_triples_the_nullspace_route_misses(self, triple):
+        # nullspace_oracle finds no intertwiner here: the last generator
+        # equation leaves a single column of roundoff, which the relative
+        # cutoff of orthonormal_nullspace counts as rank
+        assert len(cg_isometries(*triple)) == kronecker_coefficient(*triple) == 1
+        u = bend_and_compare(*triple)
+        assert abs(abs(u[0, 0]) - 1.0) < 1e-10
+
+
+class TestNullspaceOracle:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_projector_matches_oracle(self, k):
+        # every triple up to k = 5, where dim products reach 6^3 = 216
+        for alpha, beta, lam in product(enumerate_partitions(k), repeat=3):
+            maps = cg_isometries(alpha, beta, lam).maps
+            expected = nullspace_oracle(alpha, beta, lam)
+            assert len(maps) == len(expected)
+            if not maps:
+                continue
+            diff = multiplicity_projector(maps) - multiplicity_projector(expected)
+            assert np.abs(diff).max() < 1e-10, (alpha, beta, lam)
+
+
+class TestReach:
+    @pytest.mark.parametrize(
+        "triple",
+        [((3, 2, 1),) * 3, ((3, 2, 1, 1), (3, 2, 1, 1), (4, 2, 1))],
+    )
+    def test_orthonormal_and_bends(self, triple):
+        basis = cg_isometries(*triple)
+        g = kronecker_coefficient(*triple)
+        assert g > 1 and len(basis) == g
+        dl = sk_dimension(triple[2])
+        stack = np.stack(basis.maps)
+        gram = np.einsum("iab,jab->ij", stack, stack)
+        assert np.abs(gram - dl * np.eye(g)).max() < 1e-9
+        u = bend_and_compare(*triple)
+        assert np.abs(u @ u.T - np.eye(g)).max() < 1e-8
 
 
 class TestTrivialCoupling:

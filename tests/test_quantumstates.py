@@ -41,6 +41,11 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(dims=(2,), matrix=np.diag([1.1, -0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            DensityMatrix(dims=(2,), matrix=np.array([[bad, 0.0], [0.0, 0.5]]))
+
     def test_clamps_numerical_noise(self):
         rho = DensityMatrix(dims=(2,), matrix=np.diag([1.0 + 5e-11, -5e-11]))
         assert rho.spectrum().min() == 0.0
