@@ -32,23 +32,27 @@ from .experiments import (
 )
 from .intertwiner import cg_isometries, kronecker_coefficient
 from .quantumstates import (
-    SpectraTuple,
+    load_json,
     load_state,
     sample_hs_random,
-    state_from_json,
+    spectra_from_json,
     state_to_json,
 )
 from .recoupling import column_swap_check, column_swap_check_ag, recoupling_tensor
 from .repsym import character
-from .schurweyl import overlap_trace, tripartite_p, tripartite_q
+from .schurweyl import overlap_trace, tripartite_projectors
 from .tensorlinalg import hs_norm
 
 
-def parse_partition(text: str):
+def parse_ints(text: str, what: str) -> list[int]:
     try:
-        return check_partition([int(p) for p in text.split(",") if p.strip()])
+        return [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise ValidationError(f"cannot parse partition {text!r}: {exc}") from exc
+        raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from exc
+
+
+def parse_partition(text: str):
+    return check_partition(parse_ints(text, "partition"))
 
 
 def parse_labels(text: str, expected: int):
@@ -75,7 +79,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="deterministic seed")
     parser.add_argument("--out", default=None, help="output file ('-' for stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,22 +230,15 @@ def _cmd_scan_recoupling(args) -> int:
 
 
 def _cmd_spectrum_estimation(args) -> int:
-    rho = load_state(args.rho)
-    report = cmd_spectrum_estimation(rho, args.k_max, args.delta)
-    if args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    else:
-        _emit(report.to_json_lines(), args.out)
-    return 0 if report.passed else 1
+    return _emit_report(cmd_spectrum_estimation(load_state(args.rho), args.k_max, args.delta), args)
 
 
 def _cmd_overlap(args) -> int:
     rho = load_state(args.rho)
     if len(rho.dims) != 3:
         raise ValidationError("overlap needs a tripartite state")
-    alpha, beta, gamma, mu, nu, lam = parse_labels(args.labels, 6)
-    p_op = tripartite_p(alpha, beta, gamma, nu, lam, rho.dims, args.k)
-    q_op = tripartite_q(alpha, beta, gamma, mu, lam, rho.dims, args.k)
+    labels = parse_labels(args.labels, 6)
+    p_op, q_op = tripartite_projectors(*([l] for l in labels), rho.dims, args.k)
     traces = overlap_trace(p_op, q_op, rho, args.k)
     payload = {
         "t_pq": [traces.t_pq.real, traces.t_pq.imag],
@@ -258,36 +254,27 @@ def _cmd_overlap_certificate(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    return _emit_report(cmd_overlap_bound_fuzz(args.n, args.seed, args.threads), args)
+    return _emit_report(cmd_overlap_bound_fuzz(args.n, args.seed), args)
 
 
 def _cmd_dimension_ratio(args) -> int:
-    ks = [int(v) for v in args.k_list.split(",") if v.strip()]
+    ks = parse_ints(args.k_list, "k list")
     return _emit_report(cmd_dimension_ratio(load_state(args.rho), ks), args)
 
 
 def _cmd_converse(args) -> int:
-    payload = json.loads(Path(args.spectra).read_text())
-    spectra = SpectraTuple(
-        r_a=np.asarray(payload["r_a"], dtype=float),
-        r_b=np.asarray(payload["r_b"], dtype=float),
-        r_c=np.asarray(payload["r_c"], dtype=float),
-        r_ab=np.asarray(payload["r_ab"], dtype=float),
-        r_bc=np.asarray(payload["r_bc"], dtype=float),
-        r_abc=np.asarray(payload["r_abc"], dtype=float),
-    )
+    spectra = spectra_from_json(load_json(args.spectra))
     ks = list(range(args.k_min, args.k_max + 1))
     return _emit_report(cmd_converse_probe(spectra, ks, args.samples, args.seed), args)
 
 
 def _cmd_ssa_scan(args) -> int:
-    return _emit_report(cmd_ssa_scan(args.n, args.seed, args.threads), args)
+    return _emit_report(cmd_ssa_scan(args.n, args.seed), args)
 
 
 def _cmd_validate_state(args) -> int:
-    payload = json.loads(Path(args.state).read_text())
     try:
-        rho = state_from_json(payload)
+        rho = load_state(args.state)
     except ValidationError as exc:
         _emit(json.dumps({"valid": False, "reason": str(exc)}), args.out)
         return 1
@@ -303,7 +290,9 @@ def _cmd_validate_state(args) -> int:
 
 
 def _cmd_sample_state(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = parse_ints(args.dims, "dimensions")
+    if not dims or min(dims) < 1:
+        raise ValidationError(f"dimensions must be positive integers: {args.dims!r}")
     rho = sample_hs_random(dims, args.seed)
     text = json.dumps(state_to_json(rho))
     _emit(text, args.out)

@@ -8,7 +8,7 @@ of ``i``; composition is ``(p * q)(i) = p(q(i))``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 from itertools import permutations as _itertools_permutations
 from typing import NamedTuple, Sequence
 
@@ -41,7 +41,7 @@ def partition_weight(lam: Sequence[int]) -> int:
     return sum(lam)
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_partitions(k: int, max_rows: int | None = None) -> tuple[Partition, ...]:
     """All partitions of k with at most max_rows rows, reverse-lexicographic."""
     if k < 1:
@@ -88,7 +88,7 @@ def sk_dimension(lam: Sequence[int]) -> int:
     return _sk_dimension(check_partition(lam))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _sk_dimension(lam: Partition) -> int:
     k = sum(lam)
     prod = 1
@@ -120,7 +120,7 @@ def weyl_dimension(lam: Sequence[int], d: int) -> int:
     return _weyl_dimension(check_partition(lam), int(d))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _weyl_dimension(lam: Partition, d: int) -> int:
     if d < 1:
         raise ValidationError("d must be >= 1")
@@ -192,7 +192,7 @@ def class_size(cycle_type: Sequence[int]) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
+@cache
 def conjugacy_classes(k: int) -> tuple[CycleType, ...]:
     """One entry per cycle type of S_k with its exact class size."""
     return tuple(CycleType(t, class_size(t)) for t in enumerate_partitions(k))
@@ -218,7 +218,7 @@ def standard_tableaux(lam: Sequence[int]) -> tuple[Tableau, ...]:
     return _standard_tableaux(check_partition(lam))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     k = sum(lam)
 

@@ -13,11 +13,10 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +39,10 @@ from .quantumstates import (
 )
 from .recoupling import recoupling_tensor
 from .schurweyl import (
-    ball_sum_projector,
+    overlap_trace,
     projected_trace,
     trace_with_tensor_power,
+    tripartite_projectors,
 )
 
 SCHEMA_VERSION = 1
@@ -109,14 +109,6 @@ def _json_float(x) -> float:
     return float(x)
 
 
-def _parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Order-preserving map, optionally over a thread pool."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _l1_distance(lam: Partition, r: np.ndarray) -> float:
     padded = normalize(lam, length=max(len(lam), r.size))
     rr = np.zeros(padded.size)
@@ -139,6 +131,14 @@ def _ball(k: int, r: np.ndarray, delta: float, max_rows: int) -> list[Partition]
         for lam in enumerate_partitions(k, max_rows)
         if _in_ball(_l1_distance(lam, r), delta)
     ]
+
+
+def _round_marginal(r, k: int) -> Partition:
+    """Diagram of k boxes nearest to a spectrum, after clipping and renormalizing."""
+    v = np.clip(np.asarray(r, dtype=float), 0.0, None)
+    if not (np.isfinite(v).all() and v.sum() > 0):
+        raise ValidationError(f"spectrum {v.tolist()} is not a finite non-zero vector")
+    return round_spectrum(v / v.sum(), k)
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +168,10 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
         "lam": _ball(k, spectra.r_abc, delta, a * b * c),
     }
 
-    s_a = ball_sum_projector(balls["alpha"], rho.dims, k, "A")
-    s_b = ball_sum_projector(balls["beta"], rho.dims, k, "B")
-    s_c = ball_sum_projector(balls["gamma"], rho.dims, k, "C")
-    s_m = ball_sum_projector(balls["mu"], rho.dims, k, "AB")
-    s_n = ball_sum_projector(balls["nu"], rho.dims, k, "BC")
-    s_l = ball_sum_projector(balls["lam"], rho.dims, k, "ABC")
-
-    abc = s_a @ s_b
-    abc = abc @ s_c
-    q_delta = abc @ s_m
-    q_delta = q_delta @ s_c
-    q_delta = q_delta @ s_l
-    p_delta = abc @ (s_a @ s_n)
-    p_delta = p_delta @ s_l
-    del abc, s_a, s_b, s_c, s_m, s_n
-
-    t_p = trace_with_tensor_power(p_delta, rho.matrix, k).real
-    t_q = trace_with_tensor_power(q_delta, rho.matrix, k).real
-    t_pq = trace_with_tensor_power(p_delta @ q_delta, rho.matrix, k)
-    del p_delta, q_delta, s_l
+    # balls is ordered alpha, beta, gamma, mu, nu, lam, as the chain expects
+    p_tilde, q_tilde = tripartite_projectors(*balls.values(), rho.dims, k)
+    t_pq, t_p, t_q = overlap_trace(p_tilde, q_tilde, rho, k)
+    del p_tilde, q_tilde
 
     items = []
     sum_hs = 0.0
@@ -232,7 +216,7 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
     return report
 
 
-def cmd_overlap_bound_fuzz(n: int, seed: int, threads: int = 1) -> ExperimentReport:
+def cmd_overlap_bound_fuzz(n: int, seed: int) -> ExperimentReport:
     """Fuzz |tr(PQ sigma)| >= tr(P sigma) - sqrt(tr((1-Q) sigma)).
 
     Random-subspace projectors P, Q and HS-random sigma on dimensions up
@@ -263,7 +247,7 @@ def cmd_overlap_bound_fuzz(n: int, seed: int, threads: int = 1) -> ExperimentRep
         return {"trial": i, "dim": d, "lhs": _json_float(lhs), "rhs": _json_float(rhs),
                 "slack": _json_float(lhs - rhs)}
 
-    items = _parallel_map(trial, range(n), threads)
+    items = [trial(i) for i in range(n)]
     min_slack = min(item["slack"] for item in items)
     violations = sum(1 for item in items if item["slack"] < -GATE_SLACK)
     return ExperimentReport(
@@ -378,19 +362,14 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
     gap = ssa_gap(rho)
     big_c = 4.0 * (a * b + b * c + b + a * b * c)
 
-    def renorm(vec):
-        v = np.asarray(vec, dtype=float)
-        return v / v.sum()
-
     items = []
     ok = True
     for k in k_values:
         if k < 2:
             raise ValidationError("k values must be >= 2")
-        mu = round_spectrum(renorm(spectra.r_ab), k)
-        nu = round_spectrum(renorm(spectra.r_bc), k)
-        beta = round_spectrum(renorm(spectra.r_b), k)
-        lam = round_spectrum(renorm(spectra.r_abc), k)
+        mu, nu, beta, lam = (
+            _round_marginal(r, k) for r in (spectra.r_ab, spectra.r_bc, spectra.r_b, spectra.r_abc)
+        )
         log2 = math.log(2.0)
         g_k = (
             log_sk_dimension(mu)
@@ -436,33 +415,18 @@ def cmd_converse_probe(
     trend diagnostic, not a proof.
     """
     a, b, c = dims
-
-    def renorm(vec):
-        v = np.clip(np.asarray(vec, dtype=float), 0.0, None)
-        return v / v.sum()
-
     items = []
     for k in k_values:
         if k > 4:
             raise ValidationError("dense-cap regime requires k <= 4")
-        alpha = round_spectrum(renorm(spectra.r_a), k)
-        beta = round_spectrum(renorm(spectra.r_b), k)
-        gamma = round_spectrum(renorm(spectra.r_c), k)
-        mu = round_spectrum(renorm(spectra.r_ab), k)
-        nu = round_spectrum(renorm(spectra.r_bc), k)
-        lam = round_spectrum(renorm(spectra.r_abc), k)
-        hs = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).hs
+        # as_dict lists the spectra in label order: alpha, beta, gamma, mu, nu, lam
+        labels = tuple(_round_marginal(r, k) for r in spectra.as_dict().values())
+        alpha, beta, gamma, mu, nu, lam = labels
+        hs = recoupling_tensor(*labels).hs
 
         surrogate = 0.0
         if samples > 0 and len(alpha) <= a and len(beta) <= b and len(gamma) <= c:
-            s_a = ball_sum_projector([alpha], dims, k, "A")
-            s_b = ball_sum_projector([beta], dims, k, "B")
-            s_c = ball_sum_projector([gamma], dims, k, "C")
-            s_l = ball_sum_projector([lam], dims, k, "ABC")
-            abc_proj = s_a @ s_b @ s_c
-            q_op = abc_proj @ ball_sum_projector([mu], dims, k, "AB") @ s_c @ s_l
-            p_op = abc_proj @ (s_a @ ball_sum_projector([nu], dims, k, "BC")) @ s_l
-            del abc_proj, s_a, s_b, s_c, s_l
+            p_op, q_op = tripartite_projectors(*([l] for l in labels), dims, k)
             rng = np.random.default_rng((seed, k))
             for _ in range(samples):
                 sigma = sample_hs_random(dims, rng)
@@ -495,7 +459,7 @@ def cmd_converse_probe(
     )
 
 
-def cmd_ssa_scan(n: int, seed: int, threads: int = 1) -> ExperimentReport:
+def cmd_ssa_scan(n: int, seed: int) -> ExperimentReport:
     """Entropy-inequality scan over HS-random tripartite states plus GHZ."""
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -509,7 +473,7 @@ def cmd_ssa_scan(n: int, seed: int, threads: int = 1) -> ExperimentReport:
             "weak_mono_gap": _json_float(weak_mono_gap(rho)),
         }
 
-    items = _parallel_map(trial, range(n), threads)
+    items = [trial(i) for i in range(n)]
     ghz = ghz_state()
     ghz_item = {
         "trial": "ghz_probe",

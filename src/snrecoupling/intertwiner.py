@@ -18,8 +18,9 @@ step carries them to every other tableau.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import cache
+
 import numpy as np
 
 from .combinatorics import (
@@ -56,8 +57,12 @@ def _same_k(*parts: Partition) -> int:
 
 
 def kronecker_coefficient(alpha, beta, lam) -> int:
-    """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer."""
-    alpha, beta, lam = map(check_partition, (alpha, beta, lam))
+    """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer (memoized)."""
+    return _kronecker_coefficient(*map(check_partition, (alpha, beta, lam)))
+
+
+@cache
+def _kronecker_coefficient(alpha: Partition, beta: Partition, lam: Partition) -> int:
     k = _same_k(alpha, beta, lam)
     total = 0
     for t, size in conjugacy_classes(k):
@@ -66,10 +71,6 @@ def kronecker_coefficient(alpha, beta, lam) -> int:
     assert rem == 0, "character sum must be divisible by k!"
     assert g >= 0
     return g
-
-
-_cg_cache: dict[tuple[Partition, Partition, Partition], IntertwinerBasis] = {}
-_cg_lock = threading.Lock()
 
 
 def cg_isometries(alpha, beta, lam, product_cap: int = DEFAULT_PRODUCT_CAP) -> IntertwinerBasis:
@@ -89,15 +90,7 @@ def cg_isometries(alpha, beta, lam, product_cap: int = DEFAULT_PRODUCT_CAP) -> I
             f"Jucys-Murphy operator size {(da * db) ** 2} for {(alpha, beta, lam)} "
             f"exceeds cap {product_cap}"
         )
-    key = (alpha, beta, lam)
-    with _cg_lock:
-        cached = _cg_cache.get(key)
-    if cached is not None:
-        return cached
-    basis = _solve_cg(alpha, beta, lam)
-    with _cg_lock:
-        _cg_cache.setdefault(key, basis)
-    return basis
+    return _solve_cg(alpha, beta, lam)
 
 
 def _apply_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -113,6 +106,7 @@ def _contents(tab) -> list[int]:
     return [0] + [pos[e][1] - pos[e][0] for e in range(1, len(pos) + 1)]
 
 
+@cache
 def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerBasis:
     k = _same_k(alpha, beta, lam)
     da, db, dl = sk_dimension(alpha), sk_dimension(beta), sk_dimension(lam)

@@ -8,7 +8,7 @@ convention of :mod:`snrecoupling.tensorlinalg`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -207,9 +207,27 @@ def state_from_json(payload: dict) -> DensityMatrix:
     return DensityMatrix(dims=dims, matrix=mat)
 
 
+def spectra_from_json(payload: dict) -> SpectraTuple:
+    """Inverse of SpectraTuple.as_dict."""
+    try:
+        return SpectraTuple(
+            **{f.name: np.asarray(payload[f.name], dtype=float) for f in fields(SpectraTuple)}
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed spectra file: {exc!r}") from exc
+
+
 def save_state(rho: DensityMatrix, path) -> None:
     Path(path).write_text(json.dumps(state_to_json(rho)))
 
 
+def load_json(path):
+    """Parsed contents of a JSON file; unreadable or malformed files raise ValidationError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def load_state(path) -> DensityMatrix:
-    return state_from_json(json.loads(Path(path).read_text()))
+    return state_from_json(load_json(path))

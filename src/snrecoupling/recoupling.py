@@ -14,8 +14,8 @@ norm, the blockwise unitarity and the column-swap ratios do not.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,10 +69,6 @@ def _composite_right(alpha, beta, gamma, nu, lam) -> list[np.ndarray]:
     return [kron(eye_a, phi_k) @ phi_l for phi_k in inner.maps for phi_l in outer.maps]
 
 
-_tensor_cache: dict = {}
-_tensor_lock = threading.Lock()
-
-
 def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     """The recoupling block for one six-tuple of labels.
 
@@ -80,17 +76,10 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     four multiplicities vanishes the tensor is empty with hs = 0.
     Results are memoized; scans revisit tuples through the swap relations.
     """
-    labels = _check_labels(alpha, beta, gamma, mu, nu, lam)
-    with _tensor_lock:
-        cached = _tensor_cache.get(labels)
-    if cached is not None:
-        return cached
-    tensor = _build_tensor(labels)
-    with _tensor_lock:
-        _tensor_cache.setdefault(labels, tensor)
-    return tensor
+    return _build_tensor(_check_labels(alpha, beta, gamma, mu, nu, lam))
 
 
+@cache
 def _build_tensor(labels) -> RecouplingTensor:
     alpha, beta, gamma, mu, nu, lam = labels
     g_in_i = kronecker_coefficient(alpha, beta, mu)

@@ -11,9 +11,8 @@ can be materialized.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -64,7 +63,7 @@ def young_orthogonal_rep(lam: Sequence[int], dim_cap: int = DEFAULT_DIMENSION_CA
     return _young_orthogonal_rep(lam)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
     k = sum(lam)
     basis = standard_tableaux(lam)
@@ -107,9 +106,6 @@ def represent(reps: RepMatrixSet, perm: Permutation) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # characters (border-strip recursion)
 
-_char_lock = threading.Lock()
-
-
 def character(lam: Sequence[int], cycle_type: Sequence[int]) -> int:
     """Exact integer character value of S_k at the given cycle type."""
     lam = check_partition(lam)
@@ -118,11 +114,10 @@ def character(lam: Sequence[int], cycle_type: Sequence[int]) -> int:
         raise ValidationError(
             f"shape {lam} and cycle type {t} refer to different symmetric groups"
         )
-    with _char_lock:
-        return _character(lam, t)
+    return _character(lam, t)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _character(lam: Partition, cycle_type: Partition) -> int:
     if not lam:
         return 1

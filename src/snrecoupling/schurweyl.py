@@ -6,12 +6,16 @@ Index convention (global): a vector on (C^{abc})^(x k) is indexed by per-copy
 digit groups, copy slowest, subsystems ordered A, B, C inside each copy.
 Projectors on subsystem groups (e.g. the AB pairs of every copy) are built by
 permuting exactly the digits of those subsystems across copies.
+
+Every dense projector comes from ball_sum_projector, a class-function sum of
+such permutations, uncached.  tripartite_projectors multiplies these sums into
+P~ and Q~; it is the one product chain, shared by the overlap certificate,
+the converse probe, hs_norm_via_schurweyl and the ``overlap`` CLI command.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -54,30 +58,15 @@ def permutation_index_map(
     """Index map y of the copy permutation acting on the active subsystems.
 
     The unitary U(perm) maps basis state x to basis state y[x]; inactive
-    subsystem digits stay with their copy.
+    subsystem digits stay with their copy.  With one tensor axis per digit
+    (copy slowest, then the subsystem order of `dims`) the map is a
+    transpose of the index array.
     """
     dims = tuple(int(d) for d in dims)
-    n_sub = len(dims)
-    total = int(np.prod(dims)) ** k
-    digits = np.empty((k, n_sub, total), dtype=np.int64)
-    rest = np.arange(total, dtype=np.int64)
-    # copy slowest, inside a copy the subsystem order of `dims`
-    for t in range(k):
-        for s in range(n_sub):
-            radix_rest = int(np.prod(dims[s + 1:])) * int(np.prod(dims)) ** (k - 1 - t)
-            digits[t, s] = rest // radix_rest
-            rest = rest % radix_rest
-    inv = perm_inverse(perm)
-    out_digits = np.empty_like(digits)
-    for t in range(k):
-        for s in range(n_sub):
-            out_digits[t, s] = digits[inv[t], s] if active[s] else digits[t, s]
-    y = np.zeros(total, dtype=np.int64)
-    for t in range(k):
-        for s in range(n_sub):
-            radix_rest = int(np.prod(dims[s + 1:])) * int(np.prod(dims)) ** (k - 1 - t)
-            y += out_digits[t, s] * radix_rest
-    return y
+    n = len(dims)
+    axes = [(perm[t] if active[s] else t) * n + s for t in range(k) for s in range(n)]
+    total = math.prod(dims) ** k
+    return np.arange(total).reshape(dims * k).transpose(axes).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -117,49 +106,7 @@ def isotypic_projector(lam, d: int, k: int) -> IsotypicProjector:
         if d**k > IMPLICIT_CAP:
             raise ResourceLimitError(f"d^k = {d**k} above implicit cap {IMPLICIT_CAP}")
         return IsotypicProjector(lam=lam, d=d, k=k, matrix=None)
-    mat = group_projector_matrix(lam, (d,), k, (True,))
-    return IsotypicProjector(lam=lam, d=d, k=k, matrix=mat)
-
-
-_proj_cache: dict = {}
-_proj_lock = threading.Lock()
-_PROJ_CACHE_DIM_LIMIT = 1024
-
-
-def group_projector_matrix(
-    lam: Partition, dims: Sequence[int], k: int, active: Sequence[bool]
-) -> np.ndarray:
-    """Dense isotypic projector acting on the active subsystems of every copy.
-
-    With dims = (d,) and active = (True,) this is the plain projector on
-    (C^d)^(x k); with dims = (a, b, c) and active = (True, True, False) it is
-    the projector of the AB pairs tensored with identity on the C digits.
-    """
-    lam = check_partition(lam)
-    dims = tuple(int(x) for x in dims)
-    active = tuple(bool(x) for x in active)
-    key = (lam, dims, k, active)
-    with _proj_lock:
-        cached = _proj_cache.get(key)
-    if cached is not None:
-        return cached
-    total = int(np.prod(dims)) ** k
-    if total > DENSE_CAP:
-        raise ResourceLimitError(f"dense projector dimension {total} above {DENSE_CAP}")
-    dim = sk_dimension(lam)
-    mat = np.zeros((total, total))
-    cols = np.arange(total)
-    for perm in all_permutations(k):
-        chi = character(lam, perm_cycle_type(perm))
-        if chi:
-            y = permutation_index_map(perm, dims, k, active)
-            np.add.at(mat, (y, cols), chi)
-    mat *= dim / math.factorial(k)
-    mat.setflags(write=False)
-    if total <= _PROJ_CACHE_DIM_LIMIT:
-        with _proj_lock:
-            _proj_cache.setdefault(key, mat)
-    return mat
+    return IsotypicProjector(lam=lam, d=d, k=k, matrix=ball_sum_projector([lam], (d,), k, "A"))
 
 
 def projected_trace(lam, rho: DensityMatrix | np.ndarray, k: int) -> float:
@@ -188,47 +135,37 @@ def projected_trace(lam, rho: DensityMatrix | np.ndarray, k: int) -> float:
 # ---------------------------------------------------------------------------
 # tripartite projectors
 
-GROUP_MASKS = {
-    "A": (True, False, False),
-    "B": (False, True, False),
-    "C": (False, False, True),
-    "AB": (True, True, False),
-    "BC": (False, True, True),
-    "ABC": (True, True, True),
-}
-
-
-def lifted_group_projector(lam, dims: tuple[int, int, int], k: int, group: str) -> np.ndarray:
-    """Isotypic projector of one subsystem group, as a dense operator on
-    (C^{abc})^(x k) in the global index convention."""
-    dims = tuple(int(d) for d in dims)
-    return group_projector_matrix(lam, dims, k, GROUP_MASKS[group])
-
-
 def ball_sum_projector(
     labels: Sequence[Partition], dims: Sequence[int], k: int, group: str
 ) -> np.ndarray:
-    """Sum of the lifted projectors of several labels, assembled in one pass.
+    """Sum of the isotypic projectors of several labels on one subsystem group.
 
-    Uses the per-cycle-type summed coefficients, so the memory footprint is a
-    single dense matrix regardless of how many labels the ball contains.
+    The subsystems of `dims` are named A, B, C in order and `group` names the
+    active ones: "AB" acts on the AB pairs of every copy and as identity on
+    the C digits.  The per-cycle-type coefficients are summed over the labels
+    first, so the result is a single dense matrix however many labels the
+    ball contains.
     """
     dims = tuple(int(d) for d in dims)
-    active = GROUP_MASKS[group]
-    total = int(np.prod(dims)) ** k
+    names = "ABC"[: len(dims)]
+    if not group or not set(group) <= set(names):
+        raise ValidationError(f"group {group!r} is not a set of the subsystems {names}")
+    active = [name in group for name in names]
+    total = math.prod(dims) ** k
     if total > DENSE_CAP:
         raise ResourceLimitError(f"dense ball projector dimension {total} above {DENSE_CAP}")
     labels = [check_partition(l) for l in labels]
-    coeff = {}
-    for t, _ in conjugacy_classes(k):
-        coeff[t] = sum(sk_dimension(l) * character(l, t) for l in labels) / math.factorial(k)
+    coeff = {
+        t: sum(sk_dimension(l) * character(l, t) for l in labels) / math.factorial(k)
+        for t, _ in conjugacy_classes(k)
+    }
     mat = np.zeros((total, total))
     cols = np.arange(total)
     for perm in all_permutations(k):
         c = coeff[perm_cycle_type(perm)]
         if c:
-            y = permutation_index_map(perm, dims, k, active)
-            np.add.at(mat, (y, cols), c)
+            # each index map is a bijection, so no (row, col) pair repeats
+            mat[permutation_index_map(perm, dims, k, active), cols] += c
     return mat
 
 
@@ -237,33 +174,34 @@ class TripartiteProjectors(NamedTuple):
     q_tilde: np.ndarray
 
 
-def tripartite_q(alpha, beta, gamma, mu, lam, dims: tuple[int, int, int], k: int) -> np.ndarray:
-    """(P_alpha (x) P_beta (x) P_gamma)(P_mu (x) P_gamma) P_lam, dense."""
-    pa = lifted_group_projector(alpha, dims, k, "A")
-    pb = lifted_group_projector(beta, dims, k, "B")
-    pc = lifted_group_projector(gamma, dims, k, "C")
-    pm = lifted_group_projector(mu, dims, k, "AB")
-    pl = lifted_group_projector(lam, dims, k, "ABC")
-    return (pa @ pb @ pc) @ (pm @ pc) @ pl
-
-
-def tripartite_p(alpha, beta, gamma, nu, lam, dims: tuple[int, int, int], k: int) -> np.ndarray:
-    """(P_alpha (x) P_beta (x) P_gamma)(P_alpha (x) P_nu) P_lam, dense."""
-    pa = lifted_group_projector(alpha, dims, k, "A")
-    pb = lifted_group_projector(beta, dims, k, "B")
-    pc = lifted_group_projector(gamma, dims, k, "C")
-    pn = lifted_group_projector(nu, dims, k, "BC")
-    pl = lifted_group_projector(lam, dims, k, "ABC")
-    return (pa @ pb @ pc) @ (pa @ pn) @ pl
-
-
 def tripartite_projectors(
-    alpha, beta, gamma, mu, nu, lam, dims: tuple[int, int, int], k: int
+    alphas, betas, gammas, mus, nus, lams, dims: tuple[int, int, int], k: int
 ) -> TripartiteProjectors:
-    return TripartiteProjectors(
-        p_tilde=tripartite_p(alpha, beta, gamma, nu, lam, dims, k),
-        q_tilde=tripartite_q(alpha, beta, gamma, mu, lam, dims, k),
-    )
+    """P~ and Q~ for balls of labels, as dense operators on (C^{abc})^(x k).
+
+    Each argument is a collection of labels (a one-element list for a single
+    tuple), summed by ball_sum_projector into S_alpha, ..., S_lam:
+
+        Q~ = (S_alpha S_beta S_gamma) S_mu S_gamma S_lam,
+        P~ = (S_alpha S_beta S_gamma) (S_alpha S_nu) S_lam.
+
+    Every S is built just before its first use and dropped after its last,
+    so at most five dense matrices are alive at once.
+    """
+    def ball(labels, group):
+        return ball_sum_projector(labels, dims, k, group)
+
+    s_a = ball(alphas, "A")
+    s_c = ball(gammas, "C")
+    abc = (s_a @ ball(betas, "B")) @ s_c
+    p_tilde = abc @ (s_a @ ball(nus, "BC"))
+    del s_a
+    q_tilde = (abc @ ball(mus, "AB")) @ s_c
+    del abc, s_c
+    s_l = ball(lams, "ABC")
+    p_tilde = p_tilde @ s_l
+    q_tilde = q_tilde @ s_l
+    return TripartiteProjectors(p_tilde=p_tilde, q_tilde=q_tilde)
 
 
 class SchurWeylNorm(NamedTuple):
@@ -289,9 +227,8 @@ def hs_norm_via_schurweyl(
         raise ValidationError(
             "row counts must fit the local dimensions for the dense route"
         )
-    pq = tripartite_p(alpha, beta, gamma, nu, lam, dims, k) @ tripartite_q(
-        alpha, beta, gamma, mu, lam, dims, k
-    )
+    p_tilde, q_tilde = tripartite_projectors(*([l] for l in labels), dims, k)
+    pq = p_tilde @ q_tilde
     raw_hs = hs_norm(pq)
     raw_op = op_norm(pq)
     factor = (

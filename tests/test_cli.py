@@ -172,3 +172,64 @@ class TestStateCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "exceeds cap" in captured.err
+
+
+class TestMalformedInput:
+    """Bad input exits 2 with an error line, never a traceback (exit 1 means a gate failed)."""
+
+    def check_rejected(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        return captured.err
+
+    def test_sample_state_bad_dims(self, capsys):
+        err = self.check_rejected(capsys, "sample-state", "--dims", "2,x")
+        assert "dimensions" in err
+
+    def test_sample_state_non_positive_dims(self, capsys):
+        self.check_rejected(capsys, "sample-state", "--dims", "2,-1")
+
+    def test_non_json_state_file(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text("not json")
+        self.check_rejected(capsys, "overlap-certificate", "--rho", str(path),
+                            "--k", "2", "--delta", "1.0")
+
+    def test_dimension_ratio_bad_k_list(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed((2, 2, 2)), path)
+        err = self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
+                                  "--k-list", "2,x")
+        assert "k list" in err
+
+    def test_non_json_spectra_file(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text("{r_a: [1.0]}")
+        self.check_rejected(capsys, "converse-probe", "--spectra", str(path))
+
+    def test_spectra_file_missing_key(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps({
+            "r_a": [0.5, 0.5], "r_c": [1.0, 0.0], "r_ab": [0.25] * 4,
+            "r_bc": [0.5, 0.5, 0.0, 0.0], "r_abc": [1.0] + [0.0] * 7,
+        }))
+        err = self.check_rejected(capsys, "converse-probe", "--spectra", str(path))
+        assert "r_b" in err
+
+    def test_spectra_file_zero_spectrum(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps({
+            "r_a": [0.0, 0.0], "r_b": [0.5, 0.5], "r_c": [1.0, 0.0], "r_ab": [0.25] * 4,
+            "r_bc": [0.5, 0.5, 0.0, 0.0], "r_abc": [1.0] + [0.0] * 7,
+        }))
+        self.check_rejected(capsys, "converse-probe", "--spectra", str(path), "--samples", "0")
+
+    def test_validate_non_json_state_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[[[1, 0]]")
+        code, out = run(capsys, "validate-state", str(path))
+        assert code == 1
+        assert json.loads(out)["valid"] is False

@@ -13,7 +13,7 @@ from snrecoupling.combinatorics import (
 from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.intertwiner import (
     DEFAULT_PRODUCT_CAP,
-    _cg_cache,
+    _solve_cg,
     bend_and_compare,
     cg_isometries,
     kronecker_coefficient,
@@ -175,9 +175,10 @@ class TestCgIsometries:
     def test_above_cap_rejected_before_solving(self):
         # dim (4,3,2,1) = 768: 768^4 entries would be 2.8 TB; rejection only
         triple = ((4, 3, 2, 1),) * 3
+        cached = _solve_cg.cache_info().currsize
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             cg_isometries(*triple)
-        assert triple not in _cg_cache
+        assert _solve_cg.cache_info().currsize == cached
 
 
 class TestRoundoffOnlyConstraints:

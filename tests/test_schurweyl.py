@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from snrecoupling.combinatorics import (
+    all_permutations,
     enumerate_partitions,
     perm_compose,
+    perm_inverse,
     random_permutation,
     sk_dimension,
     weyl_dimension,
@@ -18,19 +20,20 @@ from snrecoupling.recoupling import recoupling_tensor
 from snrecoupling.schurweyl import (
     apply_permutation,
     ball_sum_projector,
-    group_projector_matrix,
     hs_norm_via_schurweyl,
     isotypic_projector,
-    lifted_group_projector,
     overlap_trace,
     permutation_index_map,
     projected_trace,
     trace_with_tensor_power,
-    tripartite_p,
     tripartite_projectors,
-    tripartite_q,
 )
 from snrecoupling.tensorlinalg import hs_norm, op_norm
+
+
+def single(alpha, beta, gamma, mu, nu, lam, dims, k):
+    """tripartite_projectors for one label tuple."""
+    return tripartite_projectors([alpha], [beta], [gamma], [mu], [nu], [lam], dims, k)
 
 
 def lift_by_kron_and_reorder(base, dims, k, group):
@@ -170,33 +173,57 @@ class TestProjectedTrace:
                 assert projected_trace(lam, rho, k) == pytest.approx(dense, abs=1e-10)
 
 
+def digit_loop_map(perm, dims, k, active):
+    """Reference index map: output digit (t, s) is input digit (perm^-1(t), s)
+    on active subsystems, (t, s) otherwise."""
+    n = len(dims)
+    digits = np.unravel_index(np.arange(int(np.prod(dims)) ** k), dims * k)
+    inv = perm_inverse(perm)
+    out = [digits[(inv[t] if active[s] else t) * n + s] for t in range(k) for s in range(n)]
+    return np.ravel_multi_index(out, dims * k)
+
+
 class TestGroupedProjectors:
+    @pytest.mark.parametrize("dims,k", [((2, 2, 3), 3), ((3,), 4)])
+    def test_index_map_matches_digit_loop(self, dims, k):
+        masks = list(product((False, True), repeat=len(dims)))
+        for perm in all_permutations(k):
+            for active in masks:
+                got = permutation_index_map(perm, dims, k, active)
+                assert np.array_equal(got, digit_loop_map(perm, dims, k, active))
+            if len(dims) == 1:
+                # U(perm) e_x = e_y[x] is the matrix-free tensor-factor permutation
+                v = np.random.default_rng(3).standard_normal(dims[0] ** k)
+                moved = np.empty_like(v)
+                moved[permutation_index_map(perm, dims, k, (True,))] = v
+                assert np.array_equal(moved, apply_permutation(perm, v, dims[0], k))
+
     def test_fusing_order_regression(self):
         # independent construction: kron with identity, then digit reorder
         dims, k = (2, 2, 2), 2
         for group, base_dim in (("A", 2), ("B", 2), ("C", 2), ("AB", 4), ("BC", 4)):
             for lam in enumerate_partitions(k):
-                base = group_projector_matrix(lam, (base_dim,), k, (True,))
+                base = isotypic_projector(lam, base_dim, k).matrix
                 expected = lift_by_kron_and_reorder(base, dims, k, group)
-                got = lifted_group_projector(lam, dims, k, group)
+                got = ball_sum_projector([lam], dims, k, group)
                 assert np.abs(expected - got).max() < 1e-12, (group, lam)
 
     def test_ball_sum_matches_individual_sum(self):
         dims, k = (2, 2, 2), 2
         labels = list(enumerate_partitions(2))
         bs = ball_sum_projector(labels, dims, k, "BC")
-        direct = sum(lifted_group_projector(l, dims, k, "BC") for l in labels)
+        direct = sum(ball_sum_projector([l], dims, k, "BC") for l in labels)
         assert np.abs(bs - direct).max() < 1e-12
 
     def test_k1_all_trivial_gives_identity(self):
-        pair = tripartite_projectors((1,), (1,), (1,), (1,), (1,), (1,), (2, 2, 2), 1)
+        pair = single((1,), (1,), (1,), (1,), (1,), (1,), (2, 2, 2), 1)
         assert np.abs(pair.p_tilde - np.eye(8)).max() < 1e-12
         assert np.abs(pair.q_tilde - np.eye(8)).max() < 1e-12
 
     def test_q_tilde_projector_properties_k2(self):
         parts = enumerate_partitions(2)
         for alpha, beta, gamma, mu, lam in product(parts, repeat=5):
-            q = tripartite_q(alpha, beta, gamma, mu, lam, (2, 2, 2), 2)
+            q = single(alpha, beta, gamma, mu, (2,), lam, (2, 2, 2), 2).q_tilde
             assert np.abs(q @ q - q).max() < 1e-10
             assert np.abs(q - q.T).max() < 1e-10
 
@@ -204,7 +231,7 @@ class TestGroupedProjectors:
         dims = (2, 2, 2)
         parts = enumerate_partitions(2)
         for alpha, beta, gamma, mu, lam in product(parts, repeat=5):
-            q = tripartite_q(alpha, beta, gamma, mu, lam, dims, 2)
+            q = single(alpha, beta, gamma, mu, (2,), lam, dims, 2).q_tilde
             expected = (
                 sk_dimension(lam)
                 * kronecker_coefficient(mu, gamma, lam)
@@ -214,6 +241,22 @@ class TestGroupedProjectors:
                 * weyl_dimension(gamma, 2)
             )
             assert np.trace(q) == pytest.approx(expected, abs=1e-8)
+
+    def test_ball_chain_is_the_sum_of_single_tuple_chains(self):
+        # lifted projectors within one group are orthogonal and all of them
+        # commute, so the ball sums multiply out to sums over label tuples;
+        # Q~ does not depend on nu and P~ does not depend on mu
+        dims, k = (2, 2, 2), 2
+        parts = enumerate_partitions(k)
+        got = tripartite_projectors(parts, parts, parts, parts, parts, parts, dims, k)
+        p_sum = np.zeros((8**k, 8**k))
+        q_sum = np.zeros((8**k, 8**k))
+        for alpha, beta, gamma, lam in product(parts, repeat=4):
+            for middle in parts:
+                q_sum += single(alpha, beta, gamma, middle, parts[0], lam, dims, k).q_tilde
+                p_sum += single(alpha, beta, gamma, parts[0], middle, lam, dims, k).p_tilde
+        assert np.abs(got.p_tilde - p_sum).max() < 1e-12
+        assert np.abs(got.q_tilde - q_sum).max() < 1e-12
 
 
 class TestCrossRoute:
@@ -263,8 +306,7 @@ class TestOverlapTraces:
         rng_states = [sample_hs_random(dims, seed=s) for s in range(30, 36)]
         labels = ((2,), (2,), (2,), (2,), (2,), (2,))
         alpha, beta, gamma, mu, nu, lam = labels
-        p_op = tripartite_p(alpha, beta, gamma, nu, lam, dims, k)
-        q_op = tripartite_q(alpha, beta, gamma, mu, lam, dims, k)
+        p_op, q_op = single(*labels, dims, k)
         bound = op_norm(p_op @ q_op)
         for rho in rng_states:
             traces = overlap_trace(p_op, q_op, rho, k)
