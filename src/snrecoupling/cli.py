@@ -6,7 +6,8 @@ JSON lines by default, CSV with --format csv.
 
 Exit codes: 0 when every gate declared by the invoked command passes, 1 when
 a gate fails (or ``validate-state`` finds the state invalid), 2 on invalid
-input (``ValidationError``), 3 when a size cap would be exceeded
+input (``ValidationError``, or a flag value argparse rejects, such as a
+negative ``--seed``), 3 when a size cap would be exceeded
 (``ResourceLimitError``).
 """
 
@@ -40,7 +41,7 @@ from .quantumstates import (
 )
 from .recoupling import column_swap_check, column_swap_check_ag, recoupling_tensor
 from .repsym import character
-from .schurweyl import overlap_trace, tripartite_projectors
+from .schurweyl import overlap_trace, tripartite_elements
 from .tensorlinalg import hs_norm
 
 
@@ -49,6 +50,17 @@ def parse_ints(text: str, what: str) -> list[int]:
         return [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from exc
+
+
+def parse_seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy's generators need."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is not an integer") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def parse_partition(text: str):
@@ -76,7 +88,8 @@ def _emit_report(report: ExperimentReport, args) -> int:
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="deterministic seed")
+    parser.add_argument("--seed", type=parse_seed, default=0,
+                        help="deterministic seed (non-negative integer)")
     parser.add_argument("--out", default=None, help="output file ('-' for stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -238,8 +251,8 @@ def _cmd_overlap(args) -> int:
     if len(rho.dims) != 3:
         raise ValidationError("overlap needs a tripartite state")
     labels = parse_labels(args.labels, 6)
-    p_op, q_op = tripartite_projectors(*([l] for l in labels), rho.dims, args.k)
-    traces = overlap_trace(p_op, q_op, rho, args.k)
+    elements = tripartite_elements(*([l] for l in labels), rho.dims, args.k)
+    traces = overlap_trace(elements, rho, args.k)
     payload = {
         "t_pq": [traces.t_pq.real, traces.t_pq.imag],
         "t_p": traces.t_p,

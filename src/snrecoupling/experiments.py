@@ -38,12 +38,7 @@ from .quantumstates import (
     weak_mono_gap,
 )
 from .recoupling import recoupling_tensor
-from .schurweyl import (
-    overlap_trace,
-    projected_trace,
-    trace_with_tensor_power,
-    tripartite_projectors,
-)
+from .schurweyl import overlap_trace, projected_trace, tripartite_elements
 
 SCHEMA_VERSION = 1
 GATE_SLACK = 1e-9
@@ -146,14 +141,15 @@ def _round_marginal(r, k: int) -> Partition:
 def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> ExperimentReport:
     """Finite-size certificate for the projector-overlap chain.
 
-    Builds the delta-ball projector sums P~ and Q~ around the marginal
-    spectra of rho, computes their overlap traces with rho^(x k), sums the
-    recoupling norms over the ball tuples and asserts, on computed numbers,
+    Forms the delta-ball projector sums P~ and Q~ around the marginal
+    spectra of rho in the group algebra of S_k x S_k x S_k, computes their
+    overlap traces with rho^(x k), sums the recoupling norms over the ball
+    tuples and asserts, on computed numbers,
 
         sum_ball hs  >=  |tr(P~ Q~ rho^k)|  >=  tr(P~ rho^k) - sqrt(1 - tr(Q~ rho^k)).
     """
-    if delta < 0:
-        raise ValidationError("delta must be non-negative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and non-negative, got {delta}")
     if len(rho.dims) != 3:
         raise ValidationError("certificate needs a tripartite state")
     a, b, c = rho.dims
@@ -169,9 +165,8 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
     }
 
     # balls is ordered alpha, beta, gamma, mu, nu, lam, as the chain expects
-    p_tilde, q_tilde = tripartite_projectors(*balls.values(), rho.dims, k)
-    t_pq, t_p, t_q = overlap_trace(p_tilde, q_tilde, rho, k)
-    del p_tilde, q_tilde
+    elements = tripartite_elements(*balls.values(), rho.dims, k)
+    t_pq, t_p, t_q = overlap_trace(elements, rho, k)
 
     items = []
     sum_hs = 0.0
@@ -278,6 +273,8 @@ def cmd_spectrum_estimation(
     """
     if len(rho.dims) != 1:
         raise ValidationError("spectrum estimation needs a single-system state")
+    if not math.isfinite(delta):
+        raise ValidationError(f"delta must be finite, got {delta}")
     d = rho.dims[0]
     if d > 4 or k_max > 30:
         raise ValidationError("supported range is d <= 4, k_max <= 30")
@@ -418,7 +415,7 @@ def cmd_converse_probe(
     items = []
     for k in k_values:
         if k > 4:
-            raise ValidationError("dense-cap regime requires k <= 4")
+            raise ValidationError("the converse probe supports k <= 4")
         # as_dict lists the spectra in label order: alpha, beta, gamma, mu, nu, lam
         labels = tuple(_round_marginal(r, k) for r in spectra.as_dict().values())
         alpha, beta, gamma, mu, nu, lam = labels
@@ -426,16 +423,13 @@ def cmd_converse_probe(
 
         surrogate = 0.0
         if samples > 0 and len(alpha) <= a and len(beta) <= b and len(gamma) <= c:
-            p_op, q_op = tripartite_projectors(*([l] for l in labels), dims, k)
+            elements = tripartite_elements(*([l] for l in labels), dims, k)
             rng = np.random.default_rng((seed, k))
             for _ in range(samples):
-                sigma = sample_hs_random(dims, rng)
-                t_p = trace_with_tensor_power(p_op, sigma.matrix, k).real
-                t_q = trace_with_tensor_power(q_op, sigma.matrix, k).real
+                _, t_p, t_q = overlap_trace(elements, sample_hs_random(dims, rng), k)
                 surrogate = max(
                     surrogate, math.sqrt(max(t_p, 0.0) * max(t_q, 0.0))
                 )
-            del p_op, q_op
 
         items.append(
             {

@@ -1,22 +1,32 @@
 """Concrete tensor-power realization: permutation actions, isotypic projectors,
-cycle-type projected traces and the tripartite projector route to recoupling
-norms.
+cycle-type projected traces, the overlap traces of the tripartite ball
+projectors and the dense projector route to recoupling norms.
 
 Index convention (global): a vector on (C^{abc})^(x k) is indexed by per-copy
 digit groups, copy slowest, subsystems ordered A, B, C inside each copy.
 Projectors on subsystem groups (e.g. the AB pairs of every copy) are built by
 permuting exactly the digits of those subsystems across copies.
 
-Every dense projector comes from ball_sum_projector, a class-function sum of
-such permutations, uncached.  tripartite_projectors multiplies these sums into
-P~ and Q~; it is the one product chain, shared by the overlap certificate,
-the converse probe, hs_norm_via_schurweyl and the ``overlap`` CLI command.
+Every ball projector is a class-function sum of such permutations, with the
+coefficients of _ball_coefficients, so the products P~, Q~ and P~ Q~ are
+elements of the group algebra of S_k x S_k x S_k.  tripartite_elements
+forms them as (k!, k!, k!) coefficient arrays, and overlap_trace pairs them
+with tr(U(g) rho^(x k)), which permutation_traces evaluates once per orbit of
+simultaneous conjugation; the overlap certificate, the converse probe and the
+``overlap`` CLI command take this route.  No operator on (C^{abc})^(x k) is
+formed there.
+
+The dense route stays as the independent oracle: ball_sum_projector
+materializes a ball sum, uncached, and tripartite_projectors multiplies
+these into dense P~ and Q~ for hs_norm_via_schurweyl, which needs the
+operator's HS and operator norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +37,7 @@ from .combinatorics import (
     all_permutations,
     check_partition,
     conjugacy_classes,
+    perm_compose,
     perm_cycle_type,
     perm_inverse,
     sk_dimension,
@@ -135,6 +146,24 @@ def projected_trace(lam, rho: DensityMatrix | np.ndarray, k: int) -> float:
 # ---------------------------------------------------------------------------
 # tripartite projectors
 
+def _ball_coefficients(labels: Sequence[Partition], k: int) -> np.ndarray:
+    """Coefficient of each permutation, in all_permutations(k) order, in the sum
+    of the isotypic projectors of `labels`: sum_lam dim[lam] chi_lam(pi) / k!.
+
+    Characters of S_k are real and constant on conjugacy classes, so the
+    coefficient of pi equals that of its inverse.
+    """
+    labels = [check_partition(l) for l in labels]
+    for lam in labels:
+        if sum(lam) != k:
+            raise ValidationError(f"label {lam} is not a partition of k = {k}")
+    by_type = {
+        t: sum(sk_dimension(l) * character(l, t) for l in labels) / math.factorial(k)
+        for t, _ in conjugacy_classes(k)
+    }
+    return np.array([by_type[perm_cycle_type(p)] for p in all_permutations(k)])
+
+
 def ball_sum_projector(
     labels: Sequence[Partition], dims: Sequence[int], k: int, group: str
 ) -> np.ndarray:
@@ -142,9 +171,9 @@ def ball_sum_projector(
 
     The subsystems of `dims` are named A, B, C in order and `group` names the
     active ones: "AB" acts on the AB pairs of every copy and as identity on
-    the C digits.  The per-cycle-type coefficients are summed over the labels
-    first, so the result is a single dense matrix however many labels the
-    ball contains.
+    the C digits.  The per-permutation coefficients are summed over the
+    labels first, so the result is a single dense matrix however many labels
+    the ball contains.
     """
     dims = tuple(int(d) for d in dims)
     names = "ABC"[: len(dims)]
@@ -154,15 +183,10 @@ def ball_sum_projector(
     total = math.prod(dims) ** k
     if total > DENSE_CAP:
         raise ResourceLimitError(f"dense ball projector dimension {total} above {DENSE_CAP}")
-    labels = [check_partition(l) for l in labels]
-    coeff = {
-        t: sum(sk_dimension(l) * character(l, t) for l in labels) / math.factorial(k)
-        for t, _ in conjugacy_classes(k)
-    }
+    coeffs = _ball_coefficients(labels, k)
     mat = np.zeros((total, total))
     cols = np.arange(total)
-    for perm in all_permutations(k):
-        c = coeff[perm_cycle_type(perm)]
+    for perm, c in zip(all_permutations(k), coeffs):
         if c:
             # each index map is a bijection, so no (row, col) pair repeats
             mat[permutation_index_map(perm, dims, k, active), cols] += c
@@ -179,8 +203,10 @@ def tripartite_projectors(
 ) -> TripartiteProjectors:
     """P~ and Q~ for balls of labels, as dense operators on (C^{abc})^(x k).
 
-    Each argument is a collection of labels (a one-element list for a single
-    tuple), summed by ball_sum_projector into S_alpha, ..., S_lam:
+    The dense oracle behind hs_norm_via_schurweyl; tripartite_elements forms
+    the same products in the group algebra.  Each argument is a collection of
+    labels (a one-element list for a single tuple), summed by
+    ball_sum_projector into S_alpha, ..., S_lam:
 
         Q~ = (S_alpha S_beta S_gamma) S_mu S_gamma S_lam,
         P~ = (S_alpha S_beta S_gamma) (S_alpha S_nu) S_lam.
@@ -246,12 +272,6 @@ def hs_norm_via_schurweyl(
     return SchurWeylNorm(hs=raw_hs / math.sqrt(factor), op=raw_op)
 
 
-class OverlapTraces(NamedTuple):
-    t_pq: complex
-    t_p: float
-    t_q: float
-
-
 def trace_with_tensor_power(mat: np.ndarray, rho: np.ndarray, k: int) -> complex:
     """tr(M rho^(x k)) without materializing rho^(x k)."""
     d = rho.shape[0]
@@ -266,9 +286,155 @@ def trace_with_tensor_power(mat: np.ndarray, rho: np.ndarray, k: int) -> complex
     return complex(np.einsum(*operands, optimize=True))
 
 
-def overlap_trace(p_tilde: np.ndarray, q_tilde: np.ndarray, rho: DensityMatrix, k: int) -> OverlapTraces:
-    """tr(P~ Q~ rho^(x k)) plus the two marginal traces."""
-    t_pq = trace_with_tensor_power(p_tilde @ q_tilde, rho.matrix, k)
-    t_p = trace_with_tensor_power(p_tilde, rho.matrix, k).real
-    t_q = trace_with_tensor_power(q_tilde, rho.matrix, k).real
-    return OverlapTraces(t_pq=t_pq, t_p=t_p, t_q=t_q)
+# ---------------------------------------------------------------------------
+# the group algebra of S_k x S_k x S_k
+#
+# An element is a real array x of shape (k!, k!, k!) indexed by
+# (sigma_A, sigma_B, sigma_C) in all_permutations(k) order; it stands for the
+# operator sum_g x[g] U(g) with U(g) = U_A(sigma_A) U_B(sigma_B) U_C(sigma_C).
+# Under permutation_index_map's convention U(pi) U(tau) = U(pi o tau), with
+# (pi o tau)[t] = pi[tau[t]], so operator products are group-algebra products.
+
+_GROUP_AXES = {"A": (0,), "B": (1,), "C": (2,), "AB": (0, 1), "BC": (1, 2), "ABC": (0, 1, 2)}
+
+
+class _SkTables(NamedTuple):
+    perms: tuple[Permutation, ...]
+    mul: np.ndarray  # mul[i, j] = index of perms[i] o perms[j]
+    inv: np.ndarray  # inv[i] = index of perms[i]^-1
+    orbit: np.ndarray  # (k!, k!, k!): orbit number under simultaneous conjugation
+    reps: tuple[tuple[int, int, int], ...]  # one element of each orbit
+
+
+@cache
+def _sk_tables(k: int) -> _SkTables:
+    """Multiplication table of S_k and the conjugation orbits of S_k^3, on first use."""
+    perms = tuple(all_permutations(k))
+    index = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+    mul = np.array([[index[perm_compose(p, q)] for q in perms] for p in perms])
+    inv = np.array([index[perm_inverse(p)] for p in perms])
+    conj = mul[mul, inv[:, None]]  # conj[t, i] = index of tau_t sigma_i tau_t^-1
+    flat = (
+        conj[:, :, None, None] * n * n + conj[:, None, :, None] * n + conj[:, None, None, :]
+    )
+    first, orbit = np.unique(flat.min(axis=0), return_inverse=True)
+    reps = tuple(zip(*(idx.tolist() for idx in np.unravel_index(first, (n, n, n)))))
+    return _SkTables(perms, mul, inv, orbit.reshape(n, n, n), reps)
+
+
+def _check_algebra_size(dims: Sequence[int], k: int) -> None:
+    """Refuse before allocating: (k!)^3 coefficients per element and
+    prod(dims)^k iterations per einsum in permutation_traces."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    size = math.factorial(k) ** 3
+    steps = math.prod(dims) ** k
+    if max(size, steps) > IMPLICIT_CAP:
+        raise ResourceLimitError(
+            f"group-algebra route needs (k!)^3 = {size} coefficients and "
+            f"prod(dims)^k = {steps} einsum steps; cap {IMPLICIT_CAP}"
+        )
+
+
+def _times_ball(x: np.ndarray, coeffs: np.ndarray, group: str, tables: _SkTables) -> np.ndarray:
+    """x S for the ball factor S = sum_pi c(pi) U_group(pi).
+
+    (x S)[h] = sum_pi c(pi) x[h o pi^-1 on the axes of `group`]: one gather
+    through the multiplication table per permutation with c(pi) != 0.
+    """
+    axes = _GROUP_AXES[group]
+    every = np.arange(x.shape[0])
+    out = np.zeros_like(x)
+    for j in np.flatnonzero(coeffs):
+        moved = tables.mul[:, tables.inv[j]]
+        out += coeffs[j] * x[np.ix_(*(moved if ax in axes else every for ax in range(3)))]
+    return out
+
+
+class TripartiteElements(NamedTuple):
+    p_tilde: np.ndarray
+    q_tilde: np.ndarray
+    pq: np.ndarray
+
+
+def tripartite_elements(
+    alphas, betas, gammas, mus, nus, lams, dims: tuple[int, int, int], k: int
+) -> TripartiteElements:
+    """P~, Q~ and P~ Q~ for balls of labels, as group-algebra elements.
+
+    The same products as tripartite_projectors, with abc = S_alpha S_beta
+    S_gamma:
+
+        P~ = abc S_alpha S_nu S_lam,   Q~ = abc S_mu S_gamma S_lam,
+
+    and P~ Q~ is P~ right-multiplied by Q~'s six factors.  Each array has
+    (k!)^3 entries whatever the local dimensions; `dims` enters only the
+    size check, which also covers permutation_traces on a state of `dims`.
+    """
+    _check_algebra_size(dims, k)
+    tables = _sk_tables(k)
+    s_a, s_b, s_c, s_mu, s_nu, s_lam = (
+        (_ball_coefficients(labels, k), group)
+        for labels, group in zip(
+            (alphas, betas, gammas, mus, nus, lams), ("A", "B", "C", "AB", "BC", "ABC")
+        )
+    )
+
+    def times(x, *factors):
+        for coeffs, group in factors:
+            x = _times_ball(x, coeffs, group, tables)
+        return x
+
+    n = len(tables.perms)
+    identity = np.zeros((n, n, n))
+    identity[0, 0, 0] = 1.0  # all_permutations lists the identity first
+    abc = times(identity, s_a, s_b, s_c)
+    q_tail = (s_mu, s_c, s_lam)
+    p_tilde = times(abc, s_a, s_nu, s_lam)
+    return TripartiteElements(
+        p_tilde=p_tilde,
+        q_tilde=times(abc, *q_tail),
+        pq=times(p_tilde, s_a, s_b, s_c, *q_tail),
+    )
+
+
+def permutation_traces(rho: DensityMatrix, k: int) -> np.ndarray:
+    """f(g) = tr(U(g) rho^(x k)) for every g in S_k^3, as a (k!, k!, k!) array.
+
+    rho^(x k) commutes with the diagonal action of S_k, so f is constant on
+    the orbits of simultaneous conjugation; one einsum over the k copies of
+    rho, reshaped to (a, b, c, a, b, c), evaluates each orbit.  Copy t pairs
+    its row digits with the column digits of copy sigma_X^-1(t) on every
+    subsystem X.
+    """
+    if len(rho.dims) != 3:
+        raise ValidationError("permutation traces need a tripartite state")
+    _check_algebra_size(rho.dims, k)
+    tables = _sk_tables(k)
+    tens = rho.matrix.reshape(tuple(rho.dims) * 2)
+    vals = np.empty(len(tables.reps), dtype=complex)
+    for o, g in enumerate(tables.reps):
+        inverses = [perm_inverse(tables.perms[i]) for i in g]
+        operands = []
+        for t in range(k):
+            cols = [3 * inverses[s][t] + s for s in range(3)]
+            operands.extend([tens, [3 * t, 3 * t + 1, 3 * t + 2] + cols])
+        vals[o] = np.einsum(*operands, [])
+    return vals[tables.orbit]
+
+
+class OverlapTraces(NamedTuple):
+    t_pq: complex
+    t_p: float
+    t_q: float
+
+
+def overlap_trace(elements: TripartiteElements, rho: DensityMatrix, k: int) -> OverlapTraces:
+    """tr(P~ Q~ rho^(x k)) plus the two marginal traces: each is <x, f> with
+    f = permutation_traces(rho, k)."""
+    f = permutation_traces(rho, k)
+    t_pq, t_p, t_q = (
+        complex(np.sum(x * f)) for x in (elements.pq, elements.p_tilde, elements.q_tilde)
+    )
+    return OverlapTraces(t_pq=t_pq, t_p=t_p.real, t_q=t_q.real)

@@ -233,3 +233,38 @@ class TestMalformedInput:
         code, out = run(capsys, "validate-state", str(path))
         assert code == 1
         assert json.loads(out)["valid"] is False
+
+    def test_overlap_certificate_nan_delta(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed((2, 2, 2)), path)
+        err = self.check_rejected(capsys, "overlap-certificate", "--rho", str(path),
+                                  "--k", "2", "--delta", "nan")
+        assert "finite" in err
+
+    def test_spectrum_estimation_nan_delta(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed(2), path)
+        err = self.check_rejected(capsys, "spectrum-estimation", "--rho", str(path),
+                                  "--k-max", "4", "--delta", "nan")
+        assert "finite" in err
+
+    def test_overlap_label_not_a_partition_of_k(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed((2, 2, 2)), path)
+        err = self.check_rejected(capsys, "overlap", "--rho", str(path), "--k", "2",
+                                  "--labels", "2,1/2/2/2/2/2")
+        assert "not a partition of k = 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("ssa-scan", "--n", "2"),
+        ("sample-state", "--dims", "2"),
+        ("overlap-bound-fuzz", "--n", "2"),
+    ])
+    def test_negative_seed(self, capsys, argv):
+        # rejected by argparse where --seed is parsed: exit 2, usage on stderr
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be non-negative" in captured.err

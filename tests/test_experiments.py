@@ -59,6 +59,11 @@ class TestOverlapCertificate:
         with pytest.raises(ValidationError):
             cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=-0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValidationError, match="finite"):
+            cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=delta)
+
     def test_deterministic(self):
         a = cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=1.0)
         b = cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=1.0)
@@ -99,6 +104,11 @@ class TestOverlapBoundFuzz:
 
 
 class TestSpectrumEstimation:
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValidationError, match="finite"):
+            cmd_spectrum_estimation(maximally_mixed(2), k_max=2, delta=delta)
+
     def test_uniform_qubit_first_rows(self):
         rep = cmd_spectrum_estimation(maximally_mixed(2), k_max=2)
         rows = {(item["k"], tuple(item["lam"])): item["trace"] for item in rep.items}

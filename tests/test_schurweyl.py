@@ -14,18 +14,28 @@ from snrecoupling.combinatorics import (
     weyl_dimension,
 )
 from snrecoupling.errors import ResourceLimitError, ValidationError
+from snrecoupling.experiments import _ball, cmd_overlap_certificate
 from snrecoupling.intertwiner import kronecker_coefficient
-from snrecoupling.quantumstates import DensityMatrix, maximally_mixed, sample_hs_random
+from snrecoupling.quantumstates import (
+    DensityMatrix,
+    maximally_mixed,
+    pure_state,
+    sample_hs_random,
+    spectra_tuple,
+)
 from snrecoupling.recoupling import recoupling_tensor
 from snrecoupling.schurweyl import (
+    _sk_tables,
     apply_permutation,
     ball_sum_projector,
     hs_norm_via_schurweyl,
     isotypic_projector,
     overlap_trace,
     permutation_index_map,
+    permutation_traces,
     projected_trace,
     trace_with_tensor_power,
+    tripartite_elements,
     tripartite_projectors,
 )
 from snrecoupling.tensorlinalg import hs_norm, op_norm
@@ -308,8 +318,9 @@ class TestOverlapTraces:
         alpha, beta, gamma, mu, nu, lam = labels
         p_op, q_op = single(*labels, dims, k)
         bound = op_norm(p_op @ q_op)
+        elements = tripartite_elements(*([l] for l in labels), dims, k)
         for rho in rng_states:
-            traces = overlap_trace(p_op, q_op, rho, k)
+            traces = overlap_trace(elements, rho, k)
             assert abs(traces.t_pq) <= bound + 1e-9
             assert abs(traces.t_pq) <= math.sqrt(max(traces.t_p, 0)) * math.sqrt(
                 max(traces.t_q, 0)
@@ -321,3 +332,123 @@ class TestOverlapTraces:
         m = rng.standard_normal((16, 16))
         dense = float(np.trace(m @ np.kron(rho, rho)).real)
         assert trace_with_tensor_power(m, rho, 2).real == pytest.approx(dense, abs=1e-10)
+
+
+def certificate_balls(rho, k, delta):
+    """The six label balls of cmd_overlap_certificate, in chain order."""
+    a, b, c = rho.dims
+    s = spectra_tuple(rho)
+    rows = (a, b, c, a * b, b * c, a * b * c)
+    spectra = (s.r_a, s.r_b, s.r_c, s.r_ab, s.r_bc, s.r_abc)
+    return [_ball(k, r, delta, m) for r, m in zip(spectra, rows)]
+
+
+def assert_traces_match_dense_chain(balls, rho, k):
+    """overlap_trace against the dense chain and trace_with_tensor_power, to 1e-12."""
+    got = overlap_trace(tripartite_elements(*balls, rho.dims, k), rho, k)
+    p_op, q_op = tripartite_projectors(*balls, rho.dims, k)
+    want = (
+        trace_with_tensor_power(p_op @ q_op, rho.matrix, k),
+        trace_with_tensor_power(p_op, rho.matrix, k).real,
+        trace_with_tensor_power(q_op, rho.matrix, k).real,
+    )
+    for name, g, w in zip(got._fields, got, want):
+        assert abs(g - w) < 1e-12, (name, g, w)
+
+
+def index_map_of(g, dims, k):
+    """Index map of U(g) = U_A(g_A) U_B(g_B) U_C(g_C) for perms g = (g_A, g_B, g_C)."""
+    y = np.arange(math.prod(dims) ** k)
+    for s, perm in enumerate(g):
+        y = permutation_index_map(perm, dims, k, [t == s for t in range(3)])[y]
+    return y
+
+
+class TestGroupAlgebraRoute:
+    def test_group_law_matches_index_maps(self):
+        # U(pi) U(tau) = U(pi o tau): the permutation matrix of the composed
+        # index maps y_pi[y_tau] is the product of the two matrices
+        dims, k = (2, 2, 3), 3
+        tables = _sk_tables(k)
+        perms = tables.perms
+        for s in range(3):
+            active = [t == s for t in range(3)]
+            maps = [permutation_index_map(p, dims, k, active) for p in perms]
+            for i, j in product(range(len(perms)), repeat=2):
+                assert np.array_equal(maps[i][maps[j]], maps[tables.mul[i, j]])
+            for i in range(len(perms)):
+                assert np.array_equal(maps[i][maps[tables.inv[i]]], maps[0])
+        # and as dense matrices, on the AB pairs of every copy
+        dims, k = (2, 2, 3), 2
+        total = math.prod(dims) ** k
+        perms = _sk_tables(k).perms
+        mats = []
+        for p in perms:
+            m = np.zeros((total, total))
+            m[permutation_index_map(p, dims, k, (True, True, False)), np.arange(total)] = 1.0
+            mats.append(m)
+        for i, j in product(range(len(perms)), repeat=2):
+            assert np.array_equal(mats[i] @ mats[j], mats[_sk_tables(k).mul[i, j]])
+
+    @pytest.mark.parametrize(
+        "dims,k,seed,delta",
+        [((2, 2, 3), 3, 1, 1.0), ((2, 2, 3), 3, 2, 1.0), ((2, 2, 3), 3, 3, 1.0),
+         ((2, 2, 2), 2, 0, 1.0), ((2, 2, 2), 3, 0, 1.0)],
+    )
+    def test_traces_match_dense_chain(self, dims, k, seed, delta):
+        rho = sample_hs_random(dims, seed=seed)
+        assert_traces_match_dense_chain(certificate_balls(rho, k, delta), rho, k)
+
+    def test_traces_match_dense_chain_product_pure_state(self):
+        v = np.zeros(8)
+        v[0] = 1.0
+        rho = pure_state(v, (2, 2, 2))
+        assert_traces_match_dense_chain(certificate_balls(rho, 3, 0.5), rho, 3)
+
+    def test_traces_match_dense_chain_every_single_tuple(self):
+        dims, k = (2, 2, 2), 2
+        rho = sample_hs_random(dims, seed=22)
+        parts = enumerate_partitions(k)
+        for labels in product(parts, repeat=6):
+            assert_traces_match_dense_chain([[l] for l in labels], rho, k)
+
+    def test_orbit_traces_equal_per_element_traces(self):
+        # f(g) = tr(U(g) rho^(x k)) = sum_x rho^(x k)[x, y_g(x)], for every g
+        dims, k = (2, 2, 3), 3
+        rho = sample_hs_random(dims, seed=23)
+        power = rho.matrix
+        for _ in range(k - 1):
+            power = np.kron(power, rho.matrix)
+        rows = np.arange(power.shape[0])
+        f = permutation_traces(rho, k)
+        perms = _sk_tables(k).perms
+        for idx in product(range(len(perms)), repeat=3):
+            y = index_map_of([perms[i] for i in idx], dims, k)
+            assert abs(f[idx] - power[rows, y].sum()) < 1e-14, idx
+
+    def test_cap_rejects_before_building(self):
+        before = _sk_tables.cache_info().currsize
+        with pytest.raises(ResourceLimitError):
+            tripartite_elements([(5,)], [(5,)], [(5,)], [(5,)], [(5,)], [(5,)], (2, 2, 2), 5)
+        with pytest.raises(ResourceLimitError):
+            permutation_traces(maximally_mixed((2, 2, 2)), 5)
+        with pytest.raises(ResourceLimitError):
+            cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=5, delta=1.0)
+        assert _sk_tables.cache_info().currsize == before
+        # 32^4 = 1,048,576 einsum steps per orbit at k = 4: above the cap too
+        with pytest.raises(ResourceLimitError):
+            permutation_traces(maximally_mixed((2, 4, 4)), 4)
+
+    def test_labels_must_partition_k(self):
+        with pytest.raises(ValidationError, match="not a partition of k = 2"):
+            tripartite_elements([(2, 1)], [(2,)], [(2,)], [(2,)], [(2,)], [(2,)], (2, 2, 2), 2)
+        for k in (0, -1):
+            with pytest.raises(ValidationError, match="k must be >= 1"):
+                tripartite_elements([(2,)], [(2,)], [(2,)], [(2,)], [(2,)], [(2,)], (2, 2, 2), k)
+
+    def test_reach_beyond_dense_cap(self):
+        # 12^4 = 20736: five times the dense cap
+        rho = sample_hs_random((2, 2, 3), seed=1)
+        rep = cmd_overlap_certificate(rho, k=4, delta=1.0)
+        assert rep.summary["chain_first_holds"] and rep.summary["chain_second_holds"]
+        assert rep.passed
