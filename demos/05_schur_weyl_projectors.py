@@ -3,8 +3,9 @@
 On (C^d)^(x k) the isotypic projectors realize the abstract decomposition
 concretely: ranks factor as dim[lam] * dim V^d_lam, traces against product
 states follow from power sums over cycle types, and products of tripartite
-projectors reproduce recoupling norms computed in a completely different
-way by the intertwiner route.
+projectors, formed in the group algebra and read off through their Fourier
+blocks, reproduce recoupling norms computed in a completely different way by
+the intertwiner route.
 """
 
 import numpy as np
@@ -21,8 +22,7 @@ from snrecoupling.schurweyl import (
 d, k = 2, 4
 print(f"projector ranks on (C^{d})^(x {k}):")
 for lam in enumerate_partitions(k):
-    p = isotypic_projector(lam, d, k)
-    rank = round(float(np.trace(p.matrix)))
+    rank = round(float(np.trace(isotypic_projector(lam, d, k))))
     print(f"  {lam}: rank {rank} = dim[lam] {sk_dimension(lam)} x "
           f"dim V {weyl_dimension(lam, d)}")
 
@@ -42,5 +42,5 @@ for labels in tuples:
     sw = hs_norm_via_schurweyl(*labels, (2, 2, 2), 3)
     abstract = recoupling_tensor(*labels).hs
     print(f"  {labels}:")
-    print(f"    tensor-power route {sw.hs:.10f} vs intertwiner route {abstract:.10f}"
+    print(f"    Fourier-block route {sw.hs:.10f} vs intertwiner route {abstract:.10f}"
           f"   (op norm {sw.op:.6f} <= hs)")

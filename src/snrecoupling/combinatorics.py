@@ -37,10 +37,6 @@ def check_partition(rows: Sequence[int]) -> Partition:
     return lam
 
 
-def partition_weight(lam: Sequence[int]) -> int:
-    return sum(lam)
-
-
 @cache
 def enumerate_partitions(k: int, max_rows: int | None = None) -> tuple[Partition, ...]:
     """All partitions of k with at most max_rows rows, reverse-lexicographic."""

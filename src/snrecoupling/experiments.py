@@ -273,11 +273,11 @@ def cmd_spectrum_estimation(
     """
     if len(rho.dims) != 1:
         raise ValidationError("spectrum estimation needs a single-system state")
-    if not math.isfinite(delta):
-        raise ValidationError(f"delta must be finite, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and non-negative, got {delta}")
     d = rho.dims[0]
-    if d > 4 or k_max > 30:
-        raise ValidationError("supported range is d <= 4, k_max <= 30")
+    if d > 4 or not 1 <= k_max <= 30:
+        raise ValidationError("supported range is d <= 4, 1 <= k_max <= 30")
     r = rho.spectrum()
 
     items = []
@@ -411,6 +411,8 @@ def cmd_converse_probe(
     surrogate sqrt(tr(P~ sigma^k) tr(Q~ sigma^k)).  The decay sequence is a
     trend diagnostic, not a proof.
     """
+    if samples < 0:
+        raise ValidationError(f"samples must be non-negative, got {samples}")
     a, b, c = dims
     items = []
     for k in k_values:

@@ -22,7 +22,6 @@ from .combinatorics import (
     Permutation,
     adjacent_word,
     check_partition,
-    perm_cycle_type,
     sk_dimension,
     standard_tableaux,
     tableau_positions,
@@ -137,7 +136,3 @@ def _character(lam: Partition, cycle_type: Partition) -> int:
         new_lam = tuple(v for v in rows if v > 0)
         total += (-1) ** crossings * _character(new_lam, rest)
     return total
-
-
-def character_of_permutation(lam: Sequence[int], perm: Permutation) -> int:
-    return character(lam, perm_cycle_type(perm))

@@ -1,6 +1,6 @@
 """Concrete tensor-power realization: permutation actions, isotypic projectors,
-cycle-type projected traces, the overlap traces of the tripartite ball
-projectors and the dense projector route to recoupling norms.
+cycle-type projected traces, and the tripartite ball projectors in the group
+algebra, with their overlap traces and the norms of P~ Q~.
 
 Index convention (global): a vector on (C^{abc})^(x k) is indexed by per-copy
 digit groups, copy slowest, subsystems ordered A, B, C inside each copy.
@@ -9,24 +9,25 @@ permuting exactly the digits of those subsystems across copies.
 
 Every ball projector is a class-function sum of such permutations, with the
 coefficients of _ball_coefficients, so the products P~, Q~ and P~ Q~ are
-elements of the group algebra of S_k x S_k x S_k.  tripartite_elements
-forms them as (k!, k!, k!) coefficient arrays, and overlap_trace pairs them
-with tr(U(g) rho^(x k)), which permutation_traces evaluates once per orbit of
-simultaneous conjugation; the overlap certificate, the converse probe and the
-``overlap`` CLI command take this route.  No operator on (C^{abc})^(x k) is
-formed there.
+elements of the group algebra of S_k x S_k x S_k.  tripartite_elements is the
+one builder of these products, as (k!, k!, k!) coefficient arrays.
+overlap_trace pairs them with tr(U(g) rho^(x k)), which permutation_traces
+evaluates once per orbit of simultaneous conjugation; the overlap
+certificate, the converse probe and the ``overlap`` CLI command take this
+route.  hs_norm_via_schurweyl reads the HS and operator norms of P~ Q~ off
+its Fourier blocks, one small matrix per triple of S_k irreps.  No operator on
+(C^{abc})^(x k) is formed on either route.
 
-The dense route stays as the independent oracle: ball_sum_projector
-materializes a ball sum, uncached, and tripartite_projectors multiplies
-these into dense P~ and Q~ for hs_norm_via_schurweyl, which needs the
-operator's HS and operator norms.
+ball_sum_projector materializes one ball sum as a dense matrix, under
+DENSE_CAP: isotypic_projector is its single-subsystem case, and the tests
+multiply ball sums into dense P~ and Q~ as the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ from .combinatorics import (
     all_permutations,
     check_partition,
     conjugacy_classes,
+    enumerate_partitions,
     perm_compose,
     perm_cycle_type,
     perm_inverse,
@@ -45,22 +47,11 @@ from .combinatorics import (
 )
 from .errors import ResourceLimitError, ValidationError
 from .quantumstates import DensityMatrix
-from .repsym import character
+from .repsym import character, represent, young_orthogonal_rep
 from .tensorlinalg import hermitian_eigensystem, hs_norm, op_norm
 
 DENSE_CAP = 4096
 IMPLICIT_CAP = 1_000_000
-
-
-def apply_permutation(perm: Permutation, vec: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Permute the k tensor factors of a vector of length d**k, matrix-free."""
-    vec = np.asarray(vec)
-    if vec.size != d**k:
-        raise ValidationError(f"vector length {vec.size} != {d}**{k}")
-    if sorted(perm) != list(range(k)):
-        raise ValidationError(f"not a permutation of 0..{k - 1}: {perm}")
-    inv = perm_inverse(perm)
-    return vec.reshape((d,) * k).transpose(inv).reshape(-1)
 
 
 def permutation_index_map(
@@ -80,44 +71,10 @@ def permutation_index_map(
     return np.arange(total).reshape(dims * k).transpose(axes).reshape(-1)
 
 
-@dataclass(frozen=True)
-class IsotypicProjector:
-    """Projector onto the lam-isotypic component of (C^d)^(x k).
-
-    Dense matrix when d**k <= DENSE_CAP, otherwise apply-to-vector only.
-    """
-
-    lam: Partition
-    d: int
-    k: int
-    matrix: np.ndarray | None
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix @ vec
-        if self.d**self.k > IMPLICIT_CAP:
-            raise ResourceLimitError(
-                f"implicit projector refused above d^k = {IMPLICIT_CAP}"
-            )
-        dim = sk_dimension(self.lam)
-        out = np.zeros_like(np.asarray(vec, dtype=float if not np.iscomplexobj(vec) else complex))
-        for perm in all_permutations(self.k):
-            chi = character(self.lam, perm_cycle_type(perm))
-            if chi:
-                out = out + chi * apply_permutation(perm, vec, self.d, self.k)
-        return dim / math.factorial(self.k) * out
-
-
-def isotypic_projector(lam, d: int, k: int) -> IsotypicProjector:
-    """Group-average projector (dim/k!) sum_pi chi(pi) U(pi)."""
-    lam = check_partition(lam)
-    if sum(lam) != k:
-        raise ValidationError(f"{lam} is not a partition of {k}")
-    if d**k > DENSE_CAP:
-        if d**k > IMPLICIT_CAP:
-            raise ResourceLimitError(f"d^k = {d**k} above implicit cap {IMPLICIT_CAP}")
-        return IsotypicProjector(lam=lam, d=d, k=k, matrix=None)
-    return IsotypicProjector(lam=lam, d=d, k=k, matrix=ball_sum_projector([lam], (d,), k, "A"))
+def isotypic_projector(lam, d: int, k: int) -> np.ndarray:
+    """Dense group-average projector (dim/k!) sum_pi chi(pi) U(pi) on (C^d)^(x k),
+    refused above DENSE_CAP."""
+    return ball_sum_projector([lam], (d,), k, "A")
 
 
 def projected_trace(lam, rho: DensityMatrix | np.ndarray, k: int) -> float:
@@ -144,7 +101,7 @@ def projected_trace(lam, rho: DensityMatrix | np.ndarray, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tripartite projectors
+# ball sums of isotypic projectors
 
 def _ball_coefficients(labels: Sequence[Partition], k: int) -> np.ndarray:
     """Coefficient of each permutation, in all_permutations(k) order, in the sum
@@ -191,85 +148,6 @@ def ball_sum_projector(
             # each index map is a bijection, so no (row, col) pair repeats
             mat[permutation_index_map(perm, dims, k, active), cols] += c
     return mat
-
-
-class TripartiteProjectors(NamedTuple):
-    p_tilde: np.ndarray
-    q_tilde: np.ndarray
-
-
-def tripartite_projectors(
-    alphas, betas, gammas, mus, nus, lams, dims: tuple[int, int, int], k: int
-) -> TripartiteProjectors:
-    """P~ and Q~ for balls of labels, as dense operators on (C^{abc})^(x k).
-
-    The dense oracle behind hs_norm_via_schurweyl; tripartite_elements forms
-    the same products in the group algebra.  Each argument is a collection of
-    labels (a one-element list for a single tuple), summed by
-    ball_sum_projector into S_alpha, ..., S_lam:
-
-        Q~ = (S_alpha S_beta S_gamma) S_mu S_gamma S_lam,
-        P~ = (S_alpha S_beta S_gamma) (S_alpha S_nu) S_lam.
-
-    Every S is built just before its first use and dropped after its last,
-    so at most five dense matrices are alive at once.
-    """
-    def ball(labels, group):
-        return ball_sum_projector(labels, dims, k, group)
-
-    s_a = ball(alphas, "A")
-    s_c = ball(gammas, "C")
-    abc = (s_a @ ball(betas, "B")) @ s_c
-    p_tilde = abc @ (s_a @ ball(nus, "BC"))
-    del s_a
-    q_tilde = (abc @ ball(mus, "AB")) @ s_c
-    del abc, s_c
-    s_l = ball(lams, "ABC")
-    p_tilde = p_tilde @ s_l
-    q_tilde = q_tilde @ s_l
-    return TripartiteProjectors(p_tilde=p_tilde, q_tilde=q_tilde)
-
-
-class SchurWeylNorm(NamedTuple):
-    hs: float
-    op: float
-
-
-def hs_norm_via_schurweyl(
-    alpha, beta, gamma, mu, nu, lam, dims: tuple[int, int, int], k: int
-) -> SchurWeylNorm:
-    """Independent route to the recoupling HS norm through P~ Q~.
-
-    The product P~ Q~ equals an identity of dimension
-    dim[lam] * dim V^a_alpha * dim V^b_beta * dim V^c_gamma tensored with the
-    recoupling block, so dividing its HS norm by the square root of that
-    dimension recovers the block's norm.  Also returns op_norm(P~ Q~) for
-    the norm sandwich.
-    """
-    labels = tuple(map(check_partition, (alpha, beta, gamma, mu, nu, lam)))
-    alpha, beta, gamma, mu, nu, lam = labels
-    a, b, c = dims
-    if len(alpha) > a or len(beta) > b or len(gamma) > c or len(lam) > a * b * c:
-        raise ValidationError(
-            "row counts must fit the local dimensions for the dense route"
-        )
-    p_tilde, q_tilde = tripartite_projectors(*([l] for l in labels), dims, k)
-    pq = p_tilde @ q_tilde
-    raw_hs = hs_norm(pq)
-    raw_op = op_norm(pq)
-    factor = (
-        sk_dimension(lam)
-        * weyl_dimension(alpha, a)
-        * weyl_dimension(beta, b)
-        * weyl_dimension(gamma, c)
-    )
-    if factor == 0:
-        if raw_hs > 1e-9:
-            raise AssertionError(
-                f"zero identity factor but nonzero norm {raw_hs:.3e} for {labels}"
-            )
-        return SchurWeylNorm(hs=0.0, op=raw_op)
-    return SchurWeylNorm(hs=raw_hs / math.sqrt(factor), op=raw_op)
 
 
 def trace_with_tensor_power(mat: np.ndarray, rho: np.ndarray, k: int) -> complex:
@@ -363,8 +241,9 @@ def tripartite_elements(
 ) -> TripartiteElements:
     """P~, Q~ and P~ Q~ for balls of labels, as group-algebra elements.
 
-    The same products as tripartite_projectors, with abc = S_alpha S_beta
-    S_gamma:
+    Each argument is a collection of labels (a one-element list for a single
+    tuple), summed into one ball factor S_alpha, ..., S_lam on the subsystem
+    groups A, B, C, AB, BC, ABC.  With abc = S_alpha S_beta S_gamma:
 
         P~ = abc S_alpha S_nu S_lam,   Q~ = abc S_mu S_gamma S_lam,
 
@@ -438,3 +317,81 @@ def overlap_trace(elements: TripartiteElements, rho: DensityMatrix, k: int) -> O
         complex(np.sum(x * f)) for x in (elements.pq, elements.p_tilde, elements.q_tilde)
     )
     return OverlapTraces(t_pq=t_pq, t_p=t_p.real, t_q=t_q.real)
+
+
+# ---------------------------------------------------------------------------
+# norms from Fourier blocks
+#
+# By Schur-Weyl duality U_X(sigma) on (C^d)^(x k) is, in a suitable basis, the
+# direct sum over the irreps lam with at most d rows of rho_lam(sigma) (x) I,
+# the identity of dimension weyl_dimension(lam, d).  So sum_g x[g] U(g) is the
+# direct sum over irrep triples of B (x) I, with the Fourier block
+# B = sum_g x[g] rho_A(sigma_A) (x) rho_B(sigma_B) (x) rho_C(sigma_C).
+
+
+@cache
+def _irrep_stack(lam: Partition) -> np.ndarray:
+    """rho_lam(pi) for every pi in all_permutations(k) order, shape (k!, dim, dim)."""
+    rep = young_orthogonal_rep(lam)
+    return np.array([represent(rep, p) for p in all_permutations(sum(lam))])
+
+
+def _fourier_norms(x: np.ndarray, dims: Sequence[int], k: int) -> tuple[float, float]:
+    """HS and operator norms of sum_g x[g] U(g) on (C^{abc})^(x k), from the
+    Fourier blocks of x: ||.||_HS^2 sums each block's squared Frobenius norm
+    times its identity dimension, ||.||_op is the largest block op norm."""
+    irreps = [
+        [(weyl_dimension(lam, d), _irrep_stack(lam)) for lam in enumerate_partitions(k, d)]
+        for d in dims
+    ]
+    hs_sq, op = 0.0, 0.0
+    for (m_a, r_a), (m_b, r_b), (m_c, r_c) in product(*irreps):
+        # contract sigma_A, sigma_B, sigma_C in turn: axes (i, j, k, l, m, n)
+        block = np.tensordot(np.tensordot(np.tensordot(x, r_a, (0, 0)), r_b, (0, 0)), r_c, (0, 0))
+        rows = r_a.shape[1] * r_b.shape[1] * r_c.shape[1]
+        block = block.transpose(0, 2, 4, 1, 3, 5).reshape(rows, rows)
+        hs_sq += m_a * m_b * m_c * hs_norm(block) ** 2
+        op = max(op, op_norm(block))
+    return math.sqrt(hs_sq), op
+
+
+class SchurWeylNorm(NamedTuple):
+    hs: float
+    op: float
+
+
+def hs_norm_via_schurweyl(
+    alpha, beta, gamma, mu, nu, lam, dims: tuple[int, int, int], k: int
+) -> SchurWeylNorm:
+    """Independent route to the recoupling HS norm through P~ Q~.
+
+    The operator P~ Q~ equals an identity of dimension
+    dim[lam] * dim V^a_alpha * dim V^b_beta * dim V^c_gamma tensored with the
+    recoupling block, so dividing its HS norm by the square root of that
+    dimension recovers the block's norm.  Both norms of P~ Q~ come from the
+    Fourier blocks of the group-algebra element tripartite_elements returns;
+    no operator on (C^{abc})^(x k), intertwiner or Kronecker coefficient is
+    involved.  Also returns op_norm(P~ Q~) for the norm sandwich.
+    """
+    labels = tuple(map(check_partition, (alpha, beta, gamma, mu, nu, lam)))
+    alpha, beta, gamma, mu, nu, lam = labels
+    a, b, c = dims
+    if len(alpha) > a or len(beta) > b or len(gamma) > c or len(lam) > a * b * c:
+        raise ValidationError(
+            "row counts must fit the local dimensions for the tensor-power route"
+        )
+    pq = tripartite_elements(*([l] for l in labels), dims, k).pq
+    raw_hs, raw_op = _fourier_norms(pq, dims, k)
+    factor = (
+        sk_dimension(lam)
+        * weyl_dimension(alpha, a)
+        * weyl_dimension(beta, b)
+        * weyl_dimension(gamma, c)
+    )
+    if factor == 0:
+        if raw_hs > 1e-9:
+            raise AssertionError(
+                f"zero identity factor but nonzero norm {raw_hs:.3e} for {labels}"
+            )
+        return SchurWeylNorm(hs=0.0, op=raw_op)
+    return SchurWeylNorm(hs=raw_hs / math.sqrt(factor), op=raw_op)

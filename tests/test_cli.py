@@ -248,6 +248,30 @@ class TestMalformedInput:
                                   "--k-max", "4", "--delta", "nan")
         assert "finite" in err
 
+    def test_spectrum_estimation_negative_delta(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed(2), path)
+        err = self.check_rejected(capsys, "spectrum-estimation", "--rho", str(path),
+                                  "--k-max", "4", "--delta", "-1")
+        assert "non-negative" in err
+
+    def test_spectrum_estimation_zero_k_max(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed(2), path)
+        err = self.check_rejected(capsys, "spectrum-estimation", "--rho", str(path),
+                                  "--k-max", "0")
+        assert "k_max" in err
+
+    def test_converse_probe_negative_samples(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps({
+            "r_a": [0.5, 0.5], "r_b": [0.5, 0.5], "r_c": [1.0, 0.0], "r_ab": [0.25] * 4,
+            "r_bc": [0.5, 0.5, 0.0, 0.0], "r_abc": [1.0] + [0.0] * 7,
+        }))
+        err = self.check_rejected(capsys, "converse-probe", "--spectra", str(path),
+                                  "--samples", "-1")
+        assert "samples" in err
+
     def test_overlap_label_not_a_partition_of_k(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
         save_state(maximally_mixed((2, 2, 2)), path)

@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from snrecoupling.combinatorics import (
     all_permutations,
     enumerate_partitions,
-    perm_compose,
     perm_inverse,
     random_permutation,
     sk_dimension,
@@ -25,8 +25,8 @@ from snrecoupling.quantumstates import (
 )
 from snrecoupling.recoupling import recoupling_tensor
 from snrecoupling.schurweyl import (
+    _fourier_norms,
     _sk_tables,
-    apply_permutation,
     ball_sum_projector,
     hs_norm_via_schurweyl,
     isotypic_projector,
@@ -36,9 +36,38 @@ from snrecoupling.schurweyl import (
     projected_trace,
     trace_with_tensor_power,
     tripartite_elements,
-    tripartite_projectors,
 )
 from snrecoupling.tensorlinalg import hs_norm, op_norm
+
+
+class TripartiteProjectors(NamedTuple):
+    p_tilde: np.ndarray
+    q_tilde: np.ndarray
+
+
+def tripartite_projectors(alphas, betas, gammas, mus, nus, lams, dims, k):
+    """Oracle: P~ and Q~ for balls of labels as dense operators on (C^{abc})^(x k).
+
+    The products of tripartite_elements, multiplied out from the dense ball
+    sums of ball_sum_projector, with abc = S_alpha S_beta S_gamma:
+
+        Q~ = abc S_mu S_gamma S_lam,   P~ = abc S_alpha S_nu S_lam.
+
+    Every S is built just before its first use and dropped after its last,
+    so at most five dense matrices are alive at once.
+    """
+    def ball(labels, group):
+        return ball_sum_projector(labels, dims, k, group)
+
+    s_a = ball(alphas, "A")
+    s_c = ball(gammas, "C")
+    abc = (s_a @ ball(betas, "B")) @ s_c
+    p_tilde = abc @ (s_a @ ball(nus, "BC"))
+    del s_a
+    q_tilde = (abc @ ball(mus, "AB")) @ s_c
+    del abc, s_c
+    s_l = ball(lams, "ABC")
+    return TripartiteProjectors(p_tilde=p_tilde @ s_l, q_tilde=q_tilde @ s_l)
 
 
 def single(alpha, beta, gamma, mu, nu, lam, dims, k):
@@ -71,52 +100,26 @@ def lift_by_kron_and_reorder(base, dims, k, group):
     return tens.transpose(axes).reshape(total, total)
 
 
-class TestApplyPermutation:
-    def test_identity(self):
-        v = np.arange(16.0)
-        assert np.array_equal(apply_permutation((0, 1), v.reshape(-1)[:4], 2, 2), v[:4])
-
-    def test_swap_product_vector(self):
-        u = np.array([1.0, 2.0, 3.0])
-        w = np.array([5.0, 7.0, 11.0])
-        out = apply_permutation((1, 0), np.kron(u, w), 3, 2)
-        assert np.array_equal(out, np.kron(w, u))
-
-    def test_composition(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            p = random_permutation(4, rng)
-            q = random_permutation(4, rng)
-            v = rng.standard_normal(3**4)
-            lhs = apply_permutation(p, apply_permutation(q, v, 3, 4), 3, 4)
-            rhs = apply_permutation(perm_compose(p, q), v, 3, 4)
-            assert np.abs(lhs - rhs).max() < 1e-13
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValidationError):
-            apply_permutation((0, 1), np.zeros(3), 2, 2)
-
-
 class TestIsotypicProjector:
     def test_symmetric_subspace_rank(self):
         p = isotypic_projector((2,), 2, 2)
-        assert round(np.trace(p.matrix)) == 3  # C(d+k-1, k) = C(3, 2)
+        assert round(np.trace(p)) == 3  # C(d+k-1, k) = C(3, 2)
 
     def test_singlet_rank(self):
         p = isotypic_projector((1, 1), 2, 2)
-        assert round(np.trace(p.matrix)) == 1
+        assert round(np.trace(p)) == 1
 
     @pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])
     def test_rank_equals_schur_weyl_count(self, d, k):
         for lam in enumerate_partitions(k):
             p = isotypic_projector(lam, d, k)
-            rank = round(float(np.trace(p.matrix)))
+            rank = round(float(np.trace(p)))
             assert rank == sk_dimension(lam) * weyl_dimension(lam, d)
 
     def test_projector_properties_and_completeness(self):
         total = np.zeros((16, 16))
         for lam in enumerate_partitions(4):
-            p = isotypic_projector(lam, 2, 4).matrix
+            p = isotypic_projector(lam, 2, 4)
             assert np.abs(p @ p - p).max() < 1e-10
             assert np.abs(p - p.T).max() < 1e-12
             total += p
@@ -124,7 +127,7 @@ class TestIsotypicProjector:
 
     def test_commutes_with_permutations_and_diagonal_unitaries(self):
         rng = np.random.default_rng(4)
-        p = isotypic_projector((3, 1), 2, 4).matrix
+        p = isotypic_projector((3, 1), 2, 4)
         for _ in range(5):
             perm = random_permutation(4, rng)
             mat = np.zeros((16, 16))
@@ -137,17 +140,6 @@ class TestIsotypicProjector:
         for _ in range(4):
             big = np.kron(big, w)
         assert np.abs(p @ big - big @ p).max() < 1e-9
-
-    def test_implicit_projector_squares_to_itself(self):
-        # 3^8 = 6561 is above the dense cap, so this exercises the
-        # apply-to-vector path
-        p = isotypic_projector((7, 1), 3, 8)
-        assert p.matrix is None
-        rng = np.random.default_rng(6)
-        v = rng.standard_normal(3**8)
-        once = p.apply(v)
-        twice = p.apply(once)
-        assert np.abs(twice - once).max() < 1e-10 * max(1.0, np.abs(once).max())
 
     def test_resource_refusal(self):
         with pytest.raises(ResourceLimitError):
@@ -179,7 +171,7 @@ class TestProjectedTrace:
             for _ in range(k - 1):
                 rho_k = np.kron(rho_k, rho.matrix)
             for lam in enumerate_partitions(k):
-                dense = float(np.trace(isotypic_projector(lam, 2, k).matrix @ rho_k).real)
+                dense = float(np.trace(isotypic_projector(lam, 2, k) @ rho_k).real)
                 assert projected_trace(lam, rho, k) == pytest.approx(dense, abs=1e-10)
 
 
@@ -206,14 +198,15 @@ class TestGroupedProjectors:
                 v = np.random.default_rng(3).standard_normal(dims[0] ** k)
                 moved = np.empty_like(v)
                 moved[permutation_index_map(perm, dims, k, (True,))] = v
-                assert np.array_equal(moved, apply_permutation(perm, v, dims[0], k))
+                factors = v.reshape(dims * k).transpose(perm_inverse(perm)).reshape(-1)
+                assert np.array_equal(moved, factors)
 
     def test_fusing_order_regression(self):
         # independent construction: kron with identity, then digit reorder
         dims, k = (2, 2, 2), 2
         for group, base_dim in (("A", 2), ("B", 2), ("C", 2), ("AB", 4), ("BC", 4)):
             for lam in enumerate_partitions(k):
-                base = isotypic_projector(lam, base_dim, k).matrix
+                base = isotypic_projector(lam, base_dim, k)
                 expected = lift_by_kron_and_reorder(base, dims, k, group)
                 got = ball_sum_projector([lam], dims, k, group)
                 assert np.abs(expected - got).max() < 1e-12, (group, lam)
@@ -296,11 +289,83 @@ class TestCrossRoute:
             assert sw.hs == pytest.approx(abstract, abs=1e-8)
             assert sw.op <= abstract + 1e-9
 
+    def test_unequal_dims_against_abstract_route(self):
+        # (2, 2, 3): gamma may have three rows, and the Weyl multiplicities
+        # on C differ from those on A and B
+        tuples = [
+            ((2, 1), (2, 1), (1, 1, 1), (2, 1), (2, 1), (2, 1)),
+            ((2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1)),
+            ((3,), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1)),
+            ((2, 1), (3,), (1, 1, 1), (2, 1), (1, 1, 1), (2, 1)),
+            ((2, 1), (2, 1), (3,), (1, 1, 1), (2, 1), (1, 1, 1)),
+        ]
+        for labels in tuples:
+            sw = hs_norm_via_schurweyl(*labels, (2, 2, 3), 3)
+            abstract = recoupling_tensor(*labels).hs
+            assert sw.hs == pytest.approx(abstract, abs=1e-10), labels
+            assert sw.op <= abstract + 1e-10
+        assert any(recoupling_tensor(*labels).hs > 0.1 for labels in tuples)
+
+    def test_k4_sample_against_abstract_route(self):
+        # a fixed sample of k = 4 tuples with two-row alpha, beta, gamma whose
+        # four Kronecker coefficients are nonzero (most others have norm 0)
+        parts = enumerate_partitions(4)
+        two_row = enumerate_partitions(4, 2)
+        admissible = [
+            (alpha, beta, gamma, mu, nu, lam)
+            for alpha, beta, gamma in product(two_row, repeat=3)
+            for mu, nu, lam in product(parts, repeat=3)
+            if kronecker_coefficient(alpha, beta, mu) and kronecker_coefficient(mu, gamma, lam)
+            and kronecker_coefficient(beta, gamma, nu) and kronecker_coefficient(alpha, nu, lam)
+        ]
+        rng = np.random.default_rng(4)
+        for i in rng.choice(len(admissible), size=10, replace=False):
+            labels = admissible[i]
+            sw = hs_norm_via_schurweyl(*labels, (2, 2, 2), 4)
+            abstract = recoupling_tensor(*labels).hs
+            assert sw.hs == pytest.approx(abstract, abs=1e-10), labels
+            assert sw.op <= abstract + 1e-10
+
     def test_row_precondition_enforced(self):
         with pytest.raises(ValidationError):
             hs_norm_via_schurweyl(
                 (1, 1, 1), (3,), (3,), (3,), (3,), (3,), (2, 2, 2), 3
             )
+
+
+EVERY_3 = list(enumerate_partitions(3))
+
+
+class TestFourierNorms:
+    """HS and op norms of P~ Q~ from its Fourier blocks against the dense oracle."""
+
+    def assert_norms_match_dense(self, balls, dims, k):
+        got = _fourier_norms(tripartite_elements(*balls, dims, k).pq, dims, k)
+        p_op, q_op = tripartite_projectors(*balls, dims, k)
+        pq = p_op @ q_op
+        assert got[0] == pytest.approx(hs_norm(pq), abs=1e-12), balls
+        assert got[1] == pytest.approx(op_norm(pq), abs=1e-12), balls
+
+    def test_every_single_tuple_k2(self):
+        for labels in product(enumerate_partitions(2), repeat=6):
+            self.assert_norms_match_dense([[l] for l in labels], (2, 2, 2), 2)
+
+    @pytest.mark.parametrize(
+        "balls",
+        [
+            [[(2, 1)], [(2, 1)], [(2, 1)], [(3,)], [(3,)], [(2, 1)]],
+            [[(2, 1)], [(2, 1)], [(2, 1)], [(2, 1)], [(2, 1)], [(2, 1)]],
+            [[(3,)], [(2, 1)], [(2, 1)], [(2, 1)], [(2, 1)], [(1, 1, 1)]],
+            [[(2, 1)], [(3,)], [(2, 1)], [(1, 1, 1)], [(2, 1)], [(2, 1)]],
+            # several irrep triples contribute, not one tuple's block
+            [EVERY_3, [(2, 1)], EVERY_3, EVERY_3, [(3,), (2, 1)], EVERY_3],
+            # (1, 1, 1) on A has no Weyl module on C^2: the operator is 0,
+            # though the group-algebra element is not
+            [[(1, 1, 1)], [(3,), (2, 1)], EVERY_3, EVERY_3, EVERY_3, EVERY_3],
+        ],
+    )
+    def test_sample_k3(self, balls):
+        self.assert_norms_match_dense(balls, (2, 2, 2), 3)
 
 
 class TestOverlapTraces:
