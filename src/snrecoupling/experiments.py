@@ -100,10 +100,6 @@ class ExperimentReport:
         Path(path).write_text(text)
 
 
-def _json_float(x) -> float:
-    return float(x)
-
-
 def _l1_distance(lam: Partition, r: np.ndarray) -> float:
     padded = normalize(lam, length=max(len(lam), r.size))
     rr = np.zeros(padded.size)
@@ -182,7 +178,7 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
                 {
                     "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),
                     "mu": list(mu), "nu": list(nu), "lam": list(lam),
-                    "hs": _json_float(hs),
+                    "hs": float(hs),
                 }
             )
             sum_hs += hs
@@ -195,11 +191,11 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
         parameters={"k": k, "delta": delta, "dims": list(rho.dims)},
         items=items,
         summary={
-            "t_p": _json_float(t_p),
-            "t_q": _json_float(t_q),
-            "t_pq_abs": _json_float(abs(t_pq)),
-            "sum_hs": _json_float(sum_hs),
-            "rhs_lower_bound": _json_float(rhs),
+            "t_p": float(t_p),
+            "t_q": float(t_q),
+            "t_pq_abs": float(abs(t_pq)),
+            "sum_hs": float(sum_hs),
+            "rhs_lower_bound": float(rhs),
             "ball_tuple_count": tuple_count,
             "nonzero_tuple_count": len(items),
             "ball_sizes": {k_: len(v) for k_, v in balls.items()},
@@ -239,8 +235,8 @@ def cmd_overlap_bound_fuzz(n: int, seed: int) -> ExperimentReport:
         rhs = float(np.trace(p @ sigma).real) - math.sqrt(
             max(0.0, float(np.trace((np.eye(d) - q) @ sigma).real))
         )
-        return {"trial": i, "dim": d, "lhs": _json_float(lhs), "rhs": _json_float(rhs),
-                "slack": _json_float(lhs - rhs)}
+        return {"trial": i, "dim": d, "lhs": float(lhs), "rhs": float(rhs),
+                "slack": float(lhs - rhs)}
 
     items = [trial(i) for i in range(n)]
     min_slack = min(item["slack"] for item in items)
@@ -249,7 +245,7 @@ def cmd_overlap_bound_fuzz(n: int, seed: int) -> ExperimentReport:
         experiment="overlap_bound_fuzz",
         parameters={"n": n, "seed": seed},
         items=items,
-        summary={"min_slack": _json_float(min_slack), "violations": violations},
+        summary={"min_slack": float(min_slack), "violations": violations},
         passed=violations == 0,
     )
 
@@ -293,9 +289,9 @@ def cmd_spectrum_estimation(
                 {
                     "k": k,
                     "lam": list(lam),
-                    "trace": _json_float(tr),
-                    "l1_dist": _json_float(dist),
-                    "gaussian_bound": _json_float(math.exp(-k * dist**2 / 2)),
+                    "trace": float(tr),
+                    "l1_dist": float(dist),
+                    "gaussian_bound": float(math.exp(-k * dist**2 / 2)),
                 }
             )
             if not _in_ball(dist, delta):
@@ -334,8 +330,8 @@ def cmd_spectrum_estimation(
                     "tail_bound": tail_bound},
         items=items,
         summary={
-            "tail_mass": [_json_float(t) for t in tails],
-            "tail_at_k_max": _json_float(tails[-1]),
+            "tail_mass": [float(t) for t in tails],
+            "tail_at_k_max": float(tails[-1]),
             "gate_tail": gate_tail,
             "rate_directions": directions,
             "gate_rate": gate_rate,
@@ -354,6 +350,10 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
     """
     if len(rho.dims) != 3:
         raise ValidationError("dimension ratio needs a tripartite state")
+    if not k_values or min(k_values) < 2:
+        raise ValidationError(
+            f"dimension ratio needs a non-empty list of k values >= 2, got {list(k_values)}"
+        )
     a, b, c = rho.dims
     spectra = spectra_tuple(rho)
     gap = ssa_gap(rho)
@@ -362,8 +362,6 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
     items = []
     ok = True
     for k in k_values:
-        if k < 2:
-            raise ValidationError("k values must be >= 2")
         mu, nu, beta, lam = (
             _round_marginal(r, k) for r in (spectra.r_ab, spectra.r_bc, spectra.r_b, spectra.r_abc)
         )
@@ -380,10 +378,10 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
             {
                 "k": k,
                 "mu": list(mu), "nu": list(nu), "beta": list(beta), "lam": list(lam),
-                "ratio": _json_float(g_k),
-                "gap": _json_float(gap),
-                "abs_error": _json_float(err),
-                "error_bound": _json_float(bound),
+                "ratio": float(g_k),
+                "gap": float(gap),
+                "abs_error": float(err),
+                "error_bound": float(bound),
             }
         )
         if err > bound:
@@ -392,7 +390,7 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
         experiment="dimension_ratio",
         parameters={"k_values": list(k_values), "dims": list(rho.dims)},
         items=items,
-        summary={"ssa_gap": _json_float(gap), "bound_constant": _json_float(big_c)},
+        summary={"ssa_gap": float(gap), "bound_constant": float(big_c)},
         passed=ok,
     )
 
@@ -413,11 +411,13 @@ def cmd_converse_probe(
     """
     if samples < 0:
         raise ValidationError(f"samples must be non-negative, got {samples}")
+    if not k_values or not all(1 <= k <= 4 for k in k_values):
+        raise ValidationError(
+            f"the converse probe needs a non-empty list of k values in 1..4, got {list(k_values)}"
+        )
     a, b, c = dims
     items = []
     for k in k_values:
-        if k > 4:
-            raise ValidationError("the converse probe supports k <= 4")
         # as_dict lists the spectra in label order: alpha, beta, gamma, mu, nu, lam
         labels = tuple(_round_marginal(r, k) for r in spectra.as_dict().values())
         alpha, beta, gamma, mu, nu, lam = labels
@@ -438,8 +438,8 @@ def cmd_converse_probe(
                 "k": k,
                 "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),
                 "mu": list(mu), "nu": list(nu), "lam": list(lam),
-                "hs": _json_float(hs),
-                "surrogate_max": _json_float(surrogate),
+                "hs": float(hs),
+                "surrogate_max": float(surrogate),
             }
         )
 
@@ -465,16 +465,16 @@ def cmd_ssa_scan(n: int, seed: int) -> ExperimentReport:
         rho = sample_hs_random((2, 2, 2), rng)
         return {
             "trial": i,
-            "ssa_gap": _json_float(ssa_gap(rho)),
-            "weak_mono_gap": _json_float(weak_mono_gap(rho)),
+            "ssa_gap": float(ssa_gap(rho)),
+            "weak_mono_gap": float(weak_mono_gap(rho)),
         }
 
     items = [trial(i) for i in range(n)]
     ghz = ghz_state()
     ghz_item = {
         "trial": "ghz_probe",
-        "ssa_gap": _json_float(ssa_gap(ghz)),
-        "weak_mono_gap": _json_float(weak_mono_gap(ghz)),
+        "ssa_gap": float(ssa_gap(ghz)),
+        "weak_mono_gap": float(weak_mono_gap(ghz)),
     }
     items.append(ghz_item)
     min_ssa = min(item["ssa_gap"] for item in items)
@@ -489,8 +489,8 @@ def cmd_ssa_scan(n: int, seed: int) -> ExperimentReport:
         parameters={"n": n, "seed": seed},
         items=items,
         summary={
-            "min_ssa_gap": _json_float(min_ssa),
-            "min_weak_mono_gap": _json_float(min_weak),
+            "min_ssa_gap": float(min_ssa),
+            "min_weak_mono_gap": float(min_weak),
             "ghz_ssa_gap": ghz_item["ssa_gap"],
         },
         passed=passed,

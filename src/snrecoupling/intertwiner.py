@@ -33,7 +33,7 @@ from .combinatorics import (
 )
 from .errors import ResourceLimitError, ValidationError
 from .repsym import _swap_entries, character, represent, young_orthogonal_rep
-from .tensorlinalg import fix_vector_sign, kron
+from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
 EQUIVARIANCE_TOL = 1e-9
@@ -133,12 +133,12 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerB
     if k == 1:
         span = np.ones((1, 1))
     else:
-        x_j = kron(*pairs[0])
+        x_j = np.kron(*pairs[0])
         span = np.eye(n)[:, np.diag(x_j) == contents[2]]
     for j in range(2, k):
         a, b = pairs[j - 1]
         # X is symmetric, so G X G = G (G X)^T
-        x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + kron(a, b)
+        x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + np.kron(a, b)
         vals, vecs = np.linalg.eigh(span.T @ x_j @ span)
         span = span @ vecs[:, np.abs(vals - contents[j + 1]) < 0.5]
     count = span.shape[1]
@@ -183,7 +183,7 @@ def _check_full_permutation(rep_a, rep_b, rep_l, maps, k) -> None:
     # non-trivial word to catch convention bugs early.
     rng = np.random.default_rng(k)
     perm = random_permutation(k, rng)
-    big = kron(represent(rep_a, perm), represent(rep_b, perm))
+    big = np.kron(represent(rep_a, perm), represent(rep_b, perm))
     small = represent(rep_l, perm)
     for phi in maps:
         resid = np.abs(big @ phi - phi @ small).max()

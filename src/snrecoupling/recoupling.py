@@ -4,8 +4,10 @@ For six labels (alpha, beta, gamma, mu, nu, lam) the recoupling tensor maps
 the multiplicity pair (i: alpha beta -> mu, j: mu gamma -> lam) of the
 ((alpha beta) gamma) tree to the pair (k: beta gamma -> nu, l: alpha nu -> lam)
 of the (alpha (beta gamma)) tree.  Entries are normalized Hilbert-Schmidt
-overlaps of the composite isometries [lam] -> [alpha] (x) [beta] (x) [gamma];
-assembled over all (mu; nu) they form a unitary block matrix.
+overlaps of the composite isometries [lam] -> [alpha] (x) [beta] (x) [gamma],
+computed as one contraction of the four intertwiners around the tetrahedron
+whose six edges are the labels, as SU(2) 6j-symbols are; assembled over all
+(mu; nu) they form a unitary block matrix.
 
 Individual entries depend on the intertwiner convention; the Hilbert-Schmidt
 norm, the blockwise unitarity and the column-swap ratios do not.
@@ -23,7 +25,7 @@ import numpy as np
 from .combinatorics import Partition, check_partition, enumerate_partitions, sk_dimension
 from .errors import ValidationError
 from .intertwiner import cg_isometries, kronecker_coefficient
-from .tensorlinalg import hs_norm, kron
+from .tensorlinalg import hs_norm
 
 
 @dataclass(frozen=True)
@@ -51,30 +53,25 @@ def _check_labels(alpha, beta, gamma, mu, nu, lam):
     return labels
 
 
-def _composite_left(alpha, beta, gamma, mu, lam) -> list[np.ndarray]:
-    """Isometries [lam] -> [alpha][beta][gamma] through mu, all (i, j) pairs."""
-    inner = cg_isometries(alpha, beta, mu)
-    outer = cg_isometries(mu, gamma, lam)
-    dg = sk_dimension(gamma)
-    eye_g = np.eye(dg)
-    return [kron(phi_i, eye_g) @ phi_j for phi_i in inner.maps for phi_j in outer.maps]
-
-
-def _composite_right(alpha, beta, gamma, nu, lam) -> list[np.ndarray]:
-    """Isometries [lam] -> [alpha][beta][gamma] through nu, all (k, l) pairs."""
-    inner = cg_isometries(beta, gamma, nu)
-    outer = cg_isometries(alpha, nu, lam)
-    da = sk_dimension(alpha)
-    eye_a = np.eye(da)
-    return [kron(eye_a, phi_k) @ phi_l for phi_k in inner.maps for phi_l in outer.maps]
+def _stacked_maps(a, b, c) -> np.ndarray:
+    """The intertwiners [c] -> [a] (x) [b] as one (g, dim a, dim b, dim c) array."""
+    maps = cg_isometries(a, b, c).maps
+    return np.stack(maps).reshape(len(maps), *map(sk_dimension, (a, b, c)))
 
 
 def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     """The recoupling block for one six-tuple of labels.
 
-    Entry (kl, ij) is tr(right_kl^T left_ij) / dim[lam].  When any of the
-    four multiplicities vanishes the tensor is empty with hs = 0.
-    Results are memoized; scans revisit tuples through the swap relations.
+    Entry (k, l, i, j) is tr(right_kl^T left_ij) / dim[lam], the overlap of
+    the two composite isometries, contracted around the tetrahedron:
+
+        (1/dim lam) sum phi_i[a,b,m] phi_j[m,c,x] phi_k[b,c,n] phi_l[a,n,x]
+
+    for the intertwiners i: alpha beta -> mu, j: mu gamma -> lam,
+    k: beta gamma -> nu and l: alpha nu -> lam, each reshaped row-major
+    (left factor slowest).  When any of the four multiplicities vanishes
+    the tensor is empty with hs = 0.  Results are memoized; scans revisit
+    tuples through the swap relations.
     """
     return _build_tensor(_check_labels(alpha, beta, gamma, mu, nu, lam))
 
@@ -82,43 +79,20 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
 @cache
 def _build_tensor(labels) -> RecouplingTensor:
     alpha, beta, gamma, mu, nu, lam = labels
-    g_in_i = kronecker_coefficient(alpha, beta, mu)
-    g_in_j = kronecker_coefficient(mu, gamma, lam)
-    g_out_k = kronecker_coefficient(beta, gamma, nu)
-    g_out_l = kronecker_coefficient(alpha, nu, lam)
-    shape = (g_out_k, g_out_l, g_in_i, g_in_j)
+    triples = ((beta, gamma, nu), (alpha, nu, lam), (alpha, beta, mu), (mu, gamma, lam))
+    shape = tuple(kronecker_coefficient(*t) for t in triples)
     if 0 in shape:
         return RecouplingTensor(labels=labels, entries=np.zeros(shape), hs=0.0)
 
-    dl = sk_dimension(lam)
-    left = _composite_left(alpha, beta, gamma, mu, lam)
-    right = _composite_right(alpha, beta, gamma, nu, lam)
-    entries = np.empty(shape)
-    for kl, t_right in enumerate(right):
-        k_idx, l_idx = divmod(kl, g_out_l)
-        for ij, t_left in enumerate(left):
-            i_idx, j_idx = divmod(ij, g_in_j)
-            entries[k_idx, l_idx, i_idx, j_idx] = np.sum(t_right * t_left) / dl
+    phi_k, phi_l, phi_i, phi_j = (_stacked_maps(*t) for t in triples)
+    # Fixed order: the (alpha beta) gamma composites (i, a, b, j, c, x), the
+    # alpha (beta gamma) composites (k, b, c, l, a, x), then their overlap.
+    left = np.tensordot(phi_i, phi_j, axes=(3, 1))
+    right = np.tensordot(phi_k, phi_l, axes=(3, 2))
+    entries = np.tensordot(right, left, axes=((4, 1, 2, 5), (1, 2, 4, 5)))
+    entries /= sk_dimension(lam)
     entries.setflags(write=False)
     return RecouplingTensor(labels=labels, entries=entries, hs=hs_norm(entries))
-
-
-def multiplicity_dimension(alpha, beta, gamma, lam, through: str) -> int:
-    """Total multiplicity of [lam] in the triple product, summed one way."""
-    k = sum(check_partition(lam))
-    total = 0
-    for middle in enumerate_partitions(k):
-        if through == "mu":
-            total += kronecker_coefficient(alpha, beta, middle) * kronecker_coefficient(
-                middle, gamma, lam
-            )
-        elif through == "nu":
-            total += kronecker_coefficient(beta, gamma, middle) * kronecker_coefficient(
-                alpha, middle, lam
-            )
-        else:
-            raise ValidationError("through must be 'mu' or 'nu'")
-    return total
 
 
 class RecouplingUnitary(NamedTuple):
@@ -134,32 +108,23 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     reverse-lexicographic partition order.
     """
     alpha, beta, gamma, lam = map(check_partition, (alpha, beta, gamma, lam))
-    k = sum(lam)
-    dim_mu = multiplicity_dimension(alpha, beta, gamma, lam, "mu")
-    dim_nu = multiplicity_dimension(alpha, beta, gamma, lam, "nu")
-    if dim_mu != dim_nu:
-        raise AssertionError(
-            f"multiplicity bookkeeping broken: {dim_mu} != {dim_nu}"
-        )
+    parts = enumerate_partitions(sum(lam))
     mus = tuple(
-        m for m in enumerate_partitions(k)
+        m for m in parts
         if kronecker_coefficient(alpha, beta, m) * kronecker_coefficient(m, gamma, lam) > 0
     )
     nus = tuple(
-        n for n in enumerate_partitions(k)
+        n for n in parts
         if kronecker_coefficient(beta, gamma, n) * kronecker_coefficient(alpha, n, lam) > 0
     )
-    matrix = np.zeros((dim_nu, dim_mu))
-    col = 0
-    for mu in mus:
-        row = 0
-        width = None
-        for nu in nus:
-            block = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).as_matrix()
-            height, width = block.shape
-            matrix[row: row + height, col: col + width] = block
-            row += height
-        col += width if width is not None else 0
+    if not (mus or nus):
+        return RecouplingUnitary(matrix=np.zeros((0, 0)), mu_order=(), nu_order=())
+    matrix = np.block([
+        [recoupling_tensor(alpha, beta, gamma, mu, nu, lam).as_matrix() for mu in mus]
+        for nu in nus
+    ])
+    if matrix.shape[0] != matrix.shape[1]:
+        raise AssertionError(f"recoupling blocks assemble to a {matrix.shape} matrix")
     return RecouplingUnitary(matrix=matrix, mu_order=mus, nu_order=nus)
 
 
@@ -177,29 +142,30 @@ class ColumnSwapResult(NamedTuple):
         return abs(self.lhs_hs - self.predicted_ratio * self.rhs_hs) / scale
 
 
+def _column_swap(labels, p: int, q: int) -> ColumnSwapResult:
+    """HS norms before and after exchanging label p with mu and label q with nu,
+    and the predicted ratio sqrt(dim mu * dim nu / (dim[p] * dim[q]))."""
+    labels = _check_labels(*labels)
+    swapped = list(labels)
+    swapped[p], swapped[3] = labels[3], labels[p]
+    swapped[q], swapped[4] = labels[4], labels[q]
+    dims = [sk_dimension(labels[i]) for i in (3, 4, p, q)]
+    return ColumnSwapResult(
+        lhs_hs=recoupling_tensor(*labels).hs,
+        rhs_hs=recoupling_tensor(*swapped).hs,
+        predicted_ratio=math.sqrt(dims[0] * dims[1] / (dims[2] * dims[3])),
+    )
+
+
 def column_swap_check(alpha, beta, gamma, mu, nu, lam) -> ColumnSwapResult:
     """Swap of the (beta, lam) and (mu, nu) columns.
 
     Returns the two HS norms and sqrt(dim mu * dim nu / (dim beta * dim lam));
     the first norm equals the product of the other two numbers.
     """
-    labels = _check_labels(alpha, beta, gamma, mu, nu, lam)
-    alpha, beta, gamma, mu, nu, lam = labels
-    lhs = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).hs
-    rhs = recoupling_tensor(alpha, mu, gamma, beta, lam, nu).hs
-    ratio = math.sqrt(
-        sk_dimension(mu) * sk_dimension(nu) / (sk_dimension(beta) * sk_dimension(lam))
-    )
-    return ColumnSwapResult(lhs_hs=lhs, rhs_hs=rhs, predicted_ratio=ratio)
+    return _column_swap((alpha, beta, gamma, mu, nu, lam), 1, 5)
 
 
 def column_swap_check_ag(alpha, beta, gamma, mu, nu, lam) -> ColumnSwapResult:
     """Swap of the (alpha, gamma) and (mu, nu) columns."""
-    labels = _check_labels(alpha, beta, gamma, mu, nu, lam)
-    alpha, beta, gamma, mu, nu, lam = labels
-    lhs = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).hs
-    rhs = recoupling_tensor(mu, beta, nu, alpha, gamma, lam).hs
-    ratio = math.sqrt(
-        sk_dimension(mu) * sk_dimension(nu) / (sk_dimension(alpha) * sk_dimension(gamma))
-    )
-    return ColumnSwapResult(lhs_hs=lhs, rhs_hs=rhs, predicted_ratio=ratio)
+    return _column_swap((alpha, beta, gamma, mu, nu, lam), 0, 2)

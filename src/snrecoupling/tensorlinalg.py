@@ -2,9 +2,10 @@
 
 Index convention, fixed globally: subsystems are ordered A, B, C within one
 copy, copies are ordered 1..k, and the copy index is always the slowest.
-``kron`` follows the row-major convention (left factor slowest), so nested
-kron products reproduce exactly this layout.  All modules go through these
-helpers instead of hand-rolled strides.
+``np.kron`` follows the row-major convention (left factor slowest), so nested
+kron products and row-major reshapes (as in ``partial_trace``, the
+intertwiner solver and the recoupling contraction) reproduce exactly this
+layout.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_RANK_RTOL = 1e-10
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
 
 
 def hs_norm(a: np.ndarray) -> float:

@@ -205,6 +205,25 @@ class TestMalformedInput:
                                   "--k-list", "2,x")
         assert "k list" in err
 
+    def test_dimension_ratio_empty_k_list(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed((2, 2, 2)), path)
+        err = self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
+                                  "--k-list", ",")
+        assert "k values" in err
+
+    @pytest.mark.parametrize("k_min, k_max", [("3", "2"), ("0", "2")])
+    def test_converse_probe_bad_k_range(self, capsys, tmp_path, k_min, k_max):
+        # an empty range would print a passing report over no data
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps({
+            "r_a": [0.5, 0.5], "r_b": [0.5, 0.5], "r_c": [1.0, 0.0], "r_ab": [0.25] * 4,
+            "r_bc": [0.5, 0.5, 0.0, 0.0], "r_abc": [1.0] + [0.0] * 7,
+        }))
+        err = self.check_rejected(capsys, "converse-probe", "--spectra", str(path),
+                                  "--k-min", k_min, "--k-max", k_max, "--samples", "0")
+        assert "k values" in err
+
     def test_non_json_spectra_file(self, capsys, tmp_path):
         path = tmp_path / "spectra.json"
         path.write_text("{r_a: [1.0]}")

@@ -20,7 +20,7 @@ from snrecoupling.intertwiner import (
     trivial_coupling,
 )
 from snrecoupling.repsym import represent, young_orthogonal_rep
-from snrecoupling.tensorlinalg import kron, orthonormal_nullspace
+from snrecoupling.tensorlinalg import orthonormal_nullspace
 
 
 def brute_force_kronecker(alpha, beta, lam):
@@ -50,7 +50,7 @@ def nullspace_oracle(alpha, beta, lam):
     rep_a, rep_b, rep_l = (young_orthogonal_rep(p) for p in (alpha, beta, lam))
     basis = np.eye(da * db * dl)
     for gen_a, gen_b, gen_l in zip(rep_a.generators, rep_b.generators, rep_l.generators):
-        gen_ab = kron(gen_a, gen_b)
+        gen_ab = np.kron(gen_a, gen_b)
         images = np.column_stack([
             (gen_ab @ x - x @ gen_l).reshape(-1)
             for x in basis.T.reshape(-1, da * db, dl)
@@ -135,7 +135,7 @@ class TestCgIsometries:
                 rep_b = young_orthogonal_rep(beta)
                 rep_l = young_orthogonal_rep(lam)
                 perm = random_permutation(k, rng)
-                big = kron(represent(rep_a, perm), represent(rep_b, perm))
+                big = np.kron(represent(rep_a, perm), represent(rep_b, perm))
                 small = represent(rep_l, perm)
                 for phi in basis.maps:
                     assert np.abs(big @ phi - phi @ small).max() < 1e-9

@@ -4,13 +4,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snrecoupling.combinatorics import enumerate_partitions
-from snrecoupling.intertwiner import kronecker_coefficient
+from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
+from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.recoupling import (
     column_swap_check,
     column_swap_check_ag,
     full_recoupling_unitary,
-    multiplicity_dimension,
     recoupling_tensor,
 )
 from snrecoupling.tensorlinalg import op_norm
@@ -23,6 +22,34 @@ def sum_rule_expected(alpha, beta, gamma, lam):
         kronecker_coefficient(alpha, beta, mu) * kronecker_coefficient(mu, gamma, lam)
         for mu in enumerate_partitions(k)
     )
+
+
+def composite_entries(alpha, beta, gamma, mu, nu, lam):
+    """Oracle: entries[k, l, i, j] = tr(right_kl^T left_ij) / dim[lam] from the
+    composites left_ij = kron(phi_i, I) phi_j and right_kl = kron(I, phi_k) phi_l."""
+    eye_a, eye_g = np.eye(sk_dimension(alpha)), np.eye(sk_dimension(gamma))
+    left = [
+        np.kron(phi_i, eye_g) @ phi_j
+        for phi_i in cg_isometries(alpha, beta, mu).maps
+        for phi_j in cg_isometries(mu, gamma, lam).maps
+    ]
+    right = [
+        np.kron(eye_a, phi_k) @ phi_l
+        for phi_k in cg_isometries(beta, gamma, nu).maps
+        for phi_l in cg_isometries(alpha, nu, lam).maps
+    ]
+    shape = tuple(
+        kronecker_coefficient(*t)
+        for t in ((beta, gamma, nu), (alpha, nu, lam), (alpha, beta, mu), (mu, gamma, lam))
+    )
+    overlaps = np.array([[np.sum(r * l) for l in left] for r in right])
+    return overlaps.reshape(shape) / sk_dimension(lam)
+
+
+def assert_matches_composites(labels):
+    entries, expected = recoupling_tensor(*labels).entries, composite_entries(*labels)
+    assert entries.shape == expected.shape, labels
+    assert np.abs(entries - expected).max(initial=0.0) < 1e-12, labels
 
 
 class TestRecouplingTensor:
@@ -49,6 +76,18 @@ class TestRecouplingTensor:
         t = recoupling_tensor((2,), (2,), (2,), (1, 1), (2,), (2,))
         assert t.entries.size == 0
         assert t.hs == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_entries_match_composite_oracle(self, k):
+        # unitarity, the sum rule and the swap norms all survive an i <-> j or
+        # k <-> l relabelling; only an entrywise oracle sees the block layout
+        for labels in product(enumerate_partitions(k), repeat=6):
+            assert_matches_composites(labels)
+
+    def test_entries_match_composite_oracle_k6(self):
+        a = (4, 2)
+        for mu, nu in product(enumerate_partitions(6), repeat=2):
+            assert_matches_composites((a, a, a, mu, nu, (3, 3)))
 
     def test_hs_squared_equals_entry_sum(self):
         t = recoupling_tensor((2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1))
@@ -96,9 +135,8 @@ class TestSumRuleAndUnitarity:
 
     def test_associativity_count_check(self):
         a = b = g = l = (2, 1)
-        assert multiplicity_dimension(a, b, g, l, "mu") == multiplicity_dimension(
-            a, b, g, l, "nu"
-        )
+        n = sum_rule_expected(a, b, g, l)
+        assert full_recoupling_unitary(a, b, g, l).matrix.shape == (n, n)
 
     def test_trivial_gamma_unitary_is_signed_permutation(self):
         u = full_recoupling_unitary((2, 1), (2, 1), (3,), (2, 1)).matrix
