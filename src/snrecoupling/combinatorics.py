@@ -8,6 +8,7 @@ of ``i``; composition is ``(p * q)(i) = p(q(i))``.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 from itertools import permutations as _itertools_permutations
 from typing import NamedTuple, Sequence
@@ -27,14 +28,22 @@ class CycleType(NamedTuple):
 
 def check_partition(rows: Sequence[int]) -> Partition:
     """Validate and canonicalize a partition given as a sequence of rows."""
-    lam = tuple(int(r) for r in rows)
+    lam = tuple(map(int, rows))
     if not lam:
         raise ValidationError("partition must have at least one row")
-    if any(r <= 0 for r in lam):
+    if min(lam) <= 0:
         raise ValidationError(f"partition rows must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(map(operator.lt, lam, lam[1:])):
         raise ValidationError(f"partition rows must be non-increasing: {lam}")
     return lam
+
+
+def check_labels(*parts: Sequence[int]) -> tuple[Partition, ...]:
+    """Validate partitions that must all be partitions of one k."""
+    labels = tuple(map(check_partition, parts))
+    if len({sum(p) for p in labels}) != 1:
+        raise ValidationError(f"labels {labels} do not share one k")
+    return labels
 
 
 @cache
@@ -86,25 +95,16 @@ def sk_dimension(lam: Sequence[int]) -> int:
 
 @cache
 def _sk_dimension(lam: Partition) -> int:
-    k = sum(lam)
-    prod = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            prod *= h
-    dim, rem = divmod(math.factorial(k), prod)
+    prod = math.prod(h for row in hook_lengths(lam) for h in row)
+    dim, rem = divmod(math.factorial(sum(lam)), prod)
     assert rem == 0
     return dim
 
 
 def log_sk_dimension(lam: Sequence[int]) -> float:
     """Natural log of sk_dimension, overflow-free for very large k."""
-    lam = check_partition(lam)
-    k = sum(lam)
-    log_hooks = 0.0
-    for row in hook_lengths(lam):
-        for h in row:
-            log_hooks += math.log(h)
-    return math.lgamma(k + 1) - log_hooks
+    log_hooks = sum(math.log(h) for row in hook_lengths(lam) for h in row)
+    return math.lgamma(sum(lam) + 1) - log_hooks
 
 
 def weyl_dimension(lam: Sequence[int], d: int) -> int:

@@ -116,6 +116,17 @@ def _in_ball(dist: float, delta: float) -> bool:
     return dist <= delta + GATE_SLACK
 
 
+def _chain_second(t_pq_abs: float, t_p: float, t_q: float) -> tuple[bool, float]:
+    """The second chain gate |t_pq| >= t_p - sqrt(1 - t_q), and its right side.
+
+    A 1 - t_q within 8 ulp of 0 counts as 0: sqrt would turn a rounding
+    error of 7e-16 in t_q into 2.6e-8, far above GATE_SLACK.
+    """
+    gap = 1.0 - t_q
+    rhs = t_p - (math.sqrt(gap) if gap > 8 * math.ulp(1.0) else 0.0)
+    return t_pq_abs >= rhs - GATE_SLACK, rhs
+
+
 def _ball(k: int, r: np.ndarray, delta: float, max_rows: int) -> list[Partition]:
     return [
         lam
@@ -183,10 +194,9 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
             )
             sum_hs += hs
 
-    rhs = t_p - math.sqrt(max(0.0, 1.0 - t_q))
     chain_first = sum_hs >= abs(t_pq) - GATE_SLACK
-    chain_second = abs(t_pq) >= rhs - GATE_SLACK
-    report = ExperimentReport(
+    chain_second, rhs = _chain_second(abs(t_pq), t_p, t_q)
+    return ExperimentReport(
         experiment="overlap_certificate",
         parameters={"k": k, "delta": delta, "dims": list(rho.dims)},
         items=items,
@@ -204,7 +214,6 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
         },
         passed=chain_first and chain_second,
     )
-    return report
 
 
 def cmd_overlap_bound_fuzz(n: int, seed: int) -> ExperimentReport:

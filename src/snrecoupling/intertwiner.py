@@ -25,14 +25,14 @@ import numpy as np
 
 from .combinatorics import (
     Partition,
-    check_partition,
+    _sk_dimension,
+    check_labels,
     conjugacy_classes,
-    random_permutation,
     sk_dimension,
     tableau_positions,
 )
 from .errors import ResourceLimitError, ValidationError
-from .repsym import _swap_entries, character, represent, young_orthogonal_rep
+from .repsym import _character, _swap_entries, represent, young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
@@ -49,24 +49,18 @@ class IntertwinerBasis:
         return len(self.maps)
 
 
-def _same_k(*parts: Partition) -> int:
-    ks = {sum(p) for p in parts}
-    if len(ks) != 1:
-        raise ValidationError(f"partitions {parts} do not share one k")
-    return ks.pop()
-
-
 def kronecker_coefficient(alpha, beta, lam) -> int:
     """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer (memoized)."""
-    return _kronecker_coefficient(*map(check_partition, (alpha, beta, lam)))
+    return _kronecker_coefficient(*check_labels(alpha, beta, lam))
 
 
 @cache
 def _kronecker_coefficient(alpha: Partition, beta: Partition, lam: Partition) -> int:
-    k = _same_k(alpha, beta, lam)
-    total = 0
-    for t, size in conjugacy_classes(k):
-        total += size * character(alpha, t) * character(beta, t) * character(lam, t)
+    k = sum(lam)
+    total = sum(
+        size * _character(alpha, t) * _character(beta, t) * _character(lam, t)
+        for t, size in conjugacy_classes(k)
+    )
     g, rem = divmod(total, math.factorial(k))
     assert rem == 0, "character sum must be divisible by k!"
     assert g >= 0
@@ -77,14 +71,15 @@ def cg_isometries(alpha, beta, lam, product_cap: int = DEFAULT_PRODUCT_CAP) -> I
     """Orthonormal intertwiner basis [lam] -> [alpha] (x) [beta].
 
     The count is checked against the Kronecker coefficient, each map gets
-    the sign of ``fix_vector_sign`` and equivariance is re-checked on a
-    random full permutation.  ``product_cap`` bounds (dim[alpha]*dim[beta])**2,
-    the entry count of the dense Jucys-Murphy operator the solver holds;
-    every pair at k <= 7 fits the default.  Larger pairs raise
-    ResourceLimitError before anything is allocated.
+    the sign of ``fix_vector_sign`` and equivariance is re-checked on the
+    fixed k-cycle (0 1 ... k-1), which is not the identity for any k >= 2.
+    ``product_cap`` bounds (dim[alpha]*dim[beta])**2, the entry count of the
+    dense Jucys-Murphy operator the solver holds; every pair at k <= 7 fits
+    the default.  Larger pairs raise ResourceLimitError before anything is
+    allocated.
     """
-    alpha, beta, lam = map(check_partition, (alpha, beta, lam))
-    da, db = sk_dimension(alpha), sk_dimension(beta)
+    alpha, beta, lam = check_labels(alpha, beta, lam)
+    da, db = _sk_dimension(alpha), _sk_dimension(beta)
     if (da * db) ** 2 > product_cap:
         raise ResourceLimitError(
             f"Jucys-Murphy operator size {(da * db) ** 2} for {(alpha, beta, lam)} "
@@ -106,11 +101,11 @@ def _contents(tab) -> list[int]:
     return [0] + [pos[e][1] - pos[e][0] for e in range(1, len(pos) + 1)]
 
 
-@cache
+@cache  # unbounded: one basis per triple solved, at most p(k)^3 per k
 def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerBasis:
-    k = _same_k(alpha, beta, lam)
-    da, db, dl = sk_dimension(alpha), sk_dimension(beta), sk_dimension(lam)
-    g = kronecker_coefficient(alpha, beta, lam)
+    k = sum(lam)
+    da, db, dl = _sk_dimension(alpha), _sk_dimension(beta), _sk_dimension(lam)
+    g = _kronecker_coefficient(alpha, beta, lam)
     if g == 0:
         return IntertwinerBasis(source=lam, targets=(alpha, beta), maps=())
 
@@ -180,9 +175,9 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerB
 
 def _check_full_permutation(rep_a, rep_b, rep_l, maps, k) -> None:
     # generators suffice because they generate S_k; verify on one
-    # non-trivial word to catch convention bugs early.
-    rng = np.random.default_rng(k)
-    perm = random_permutation(k, rng)
+    # non-trivial word, the k-cycle (never the identity for k >= 2), to
+    # catch convention bugs early.
+    perm = tuple(range(1, k)) + (0,)
     big = np.kron(represent(rep_a, perm), represent(rep_b, perm))
     small = represent(rep_l, perm)
     for phi in maps:
@@ -193,10 +188,8 @@ def _check_full_permutation(rep_a, rep_b, rep_l, maps, k) -> None:
 
 def trivial_coupling(lam) -> np.ndarray:
     """Unit vector (1/sqrt(dim)) sum_e |e>|e> in [lam] (x) [lam]."""
-    lam = check_partition(lam)
     d = sk_dimension(lam)
-    vec = np.eye(d).reshape(-1) / math.sqrt(d)
-    return vec
+    return np.eye(d).reshape(-1) / math.sqrt(d)
 
 
 def bend_and_compare(alpha, beta, lam, tol: float = 1e-8) -> np.ndarray:
@@ -209,8 +202,8 @@ def bend_and_compare(alpha, beta, lam, tol: float = 1e-8) -> np.ndarray:
     deviates from dim[alpha] * I (an index-convention bug) or if U fails to
     be unitary within tol.
     """
-    alpha, beta, lam = map(check_partition, (alpha, beta, lam))
-    da, db, dl = sk_dimension(alpha), sk_dimension(beta), sk_dimension(lam)
+    alpha, beta, lam = check_labels(alpha, beta, lam)
+    da, db, dl = _sk_dimension(alpha), _sk_dimension(beta), _sk_dimension(lam)
     source = cg_isometries(alpha, beta, lam)
     g = len(source)
     if g < 1:

@@ -20,10 +20,10 @@ import numpy as np
 from .combinatorics import (
     Partition,
     Permutation,
+    _sk_dimension,
+    _standard_tableaux,
     adjacent_word,
     check_partition,
-    sk_dimension,
-    standard_tableaux,
     tableau_positions,
 )
 from .errors import ResourceLimitError, ValidationError
@@ -54,7 +54,7 @@ class RepMatrixSet:
 
 def young_orthogonal_rep(lam: Sequence[int], dim_cap: int = DEFAULT_DIMENSION_CAP) -> RepMatrixSet:
     lam = check_partition(lam)
-    dim = sk_dimension(lam)
+    dim = _sk_dimension(lam)
     if dim > dim_cap:
         raise ResourceLimitError(
             f"representation {lam} has dimension {dim} above the cap {dim_cap}"
@@ -65,7 +65,7 @@ def young_orthogonal_rep(lam: Sequence[int], dim_cap: int = DEFAULT_DIMENSION_CA
 @cache
 def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
     k = sum(lam)
-    basis = standard_tableaux(lam)
+    basis = _standard_tableaux(lam)
     index = {tab: t for t, tab in enumerate(basis)}
     dim = len(basis)
 

@@ -8,6 +8,8 @@ from snrecoupling.combinatorics import round_spectrum
 from snrecoupling.errors import ValidationError
 from snrecoupling.schurweyl import projected_trace
 from snrecoupling.experiments import (
+    GATE_SLACK,
+    _chain_second,
     cmd_converse_probe,
     cmd_dimension_ratio,
     cmd_overlap_bound_fuzz,
@@ -58,6 +60,22 @@ class TestOverlapCertificate:
     def test_rejects_negative_delta(self):
         with pytest.raises(ValidationError):
             cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=-0.1)
+
+    def test_chain_gate_ignores_rounding_in_t_q(self):
+        # t_q = 1 - 7e-16 is 1 up to rounding; sqrt(7e-16) = 2.6e-8 would
+        # lower the bound by far more than GATE_SLACK and pass this t_pq
+        t_p = 0.8
+        holds, rhs = _chain_second(t_p - 2e-8, t_p, 1 - 7e-16)
+        assert rhs == t_p
+        assert not holds
+
+    @pytest.mark.parametrize("offset", [-1e-3, -GATE_SLACK, 0.0, 1e-3])
+    def test_chain_gate_unchanged_away_from_t_q_one(self, offset):
+        t_p, t_q = 0.8, 0.99
+        expected_rhs = t_p - math.sqrt(1 - t_q)
+        holds, rhs = _chain_second(expected_rhs + offset, t_p, t_q)
+        assert rhs == expected_rhs
+        assert holds == (offset >= -GATE_SLACK)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_rejects_non_finite_delta(self, delta):

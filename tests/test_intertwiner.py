@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from snrecoupling.combinatorics import (
 from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.intertwiner import (
     DEFAULT_PRODUCT_CAP,
+    _check_full_permutation,
     _solve_cg,
     bend_and_compare,
     cg_isometries,
@@ -179,6 +184,44 @@ class TestCgIsometries:
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             cg_isometries(*triple)
         assert _solve_cg.cache_info().currsize == cached
+
+
+class TestSelfCheck:
+    """The solver's equivariance self-check rejects maps that do not intertwine."""
+
+    def test_k2_map_against_the_wrong_target(self):
+        # Every irrep of S_2 is one-dimensional, so a sign flip of a map is
+        # still an intertwiner; the trivial map checked against the sign
+        # rep is not, and only a non-identity permutation shows it.
+        reps = [young_orthogonal_rep(p) for p in ((2,), (2,), (1, 1))]
+        with pytest.raises(AssertionError, match="equivariance violated"):
+            _check_full_permutation(*reps, cg_isometries((2,), (2,), (2,)).maps, 2)
+
+    def test_k3_map_with_one_tableau_column_flipped(self):
+        triple = ((2, 1), (2, 1), (2, 1))
+        reps = [young_orthogonal_rep(p) for p in triple]
+        phi = cg_isometries(*triple).maps[0].copy()
+        _check_full_permutation(*reps, [phi], 3)
+        phi[:, 0] *= -1
+        with pytest.raises(AssertionError, match="equivariance violated"):
+            _check_full_permutation(*reps, [phi], 3)
+
+
+def test_solver_path_does_not_import_numpy_random():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (
+        "import sys\n"
+        "from snrecoupling.recoupling import full_recoupling_unitary\n"
+        "full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestRoundoffOnlyConstraints:

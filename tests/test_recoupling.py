@@ -7,6 +7,7 @@ import pytest
 from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
 from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.recoupling import (
+    _build_tensor,
     column_swap_check,
     column_swap_check_ag,
     full_recoupling_unitary,
@@ -190,6 +191,21 @@ class TestColumnSwaps:
                 if max(r.lhs_hs, r.rhs_hs) > 0:
                     worst = max(worst, r.residual)
         assert worst < 1e-8
+
+    def test_k4_scan_memoizes_only_non_empty_blocks(self):
+        _build_tensor.cache_clear()
+        tuples = list(product(enumerate_partitions(4), repeat=6))
+        for labels in tuples:
+            column_swap_check(*labels)
+        non_empty = sum(
+            all(
+                kronecker_coefficient(*t)
+                for t in ((b, c, n), (a, n, lam), (a, b, m), (m, c, lam))
+            )
+            for a, b, c, m, n, lam in tuples
+        )
+        assert 0 < non_empty < len(tuples)
+        assert _build_tensor.cache_info().currsize == non_empty
 
     def test_k5_grid_restricted_to_three_rows(self):
         parts = [p for p in enumerate_partitions(5) if len(p) <= 3]

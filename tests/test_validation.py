@@ -1,0 +1,45 @@
+"""Malformed labels raise ValidationError at every public entry point.
+
+The kernels below these functions do not re-validate, so each entry point
+must reject an empty partition, a zero row, increasing rows and labels of
+different k before any work is done.
+"""
+
+import pytest
+
+from snrecoupling.errors import ValidationError
+from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
+from snrecoupling.recoupling import column_swap_check, full_recoupling_unitary, recoupling_tensor
+from snrecoupling.repsym import character, young_orthogonal_rep
+
+GOOD = (2, 1)
+BAD = {"empty": (), "zero row": (2, 1, 0), "increasing": (1, 2), "other k": (2, 2)}
+ENTRY_POINTS = {
+    kronecker_coefficient: 3,
+    cg_isometries: 3,
+    character: 2,
+    young_orthogonal_rep: 1,
+    recoupling_tensor: 6,
+    full_recoupling_unitary: 4,
+    column_swap_check: 6,
+}
+CASES = [
+    pytest.param(fn, slot, bad, id=f"{fn.__name__}-{slot}-{bad}")
+    for fn, arity in ENTRY_POINTS.items()
+    for slot in range(arity)
+    for bad in BAD
+    if arity > 1 or bad != "other k"
+]
+
+
+@pytest.mark.parametrize("fn, slot, bad", CASES)
+def test_entry_point_rejects_malformed_label(fn, slot, bad):
+    args = [GOOD] * ENTRY_POINTS[fn]
+    args[slot] = BAD[bad]
+    with pytest.raises(ValidationError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn", list(ENTRY_POINTS), ids=lambda fn: fn.__name__)
+def test_entry_point_accepts_well_formed_labels(fn):
+    fn(*[GOOD] * ENTRY_POINTS[fn])
