@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,95 +86,6 @@ def _emit_report(report: ExperimentReport, args) -> int:
     text = report.to_csv() if args.format == "csv" else report.to_json_lines()
     _emit(text, args.out)
     return 0 if report.passed else 1
-
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=parse_seed, default=0,
-                        help="deterministic seed (non-negative integer)")
-    parser.add_argument("--out", default=None, help="output file ('-' for stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="snrecoupling", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("char", help="integer character value")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--type", dest="cycle_type", required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("kron", help="Kronecker coefficient")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("cg", help="intertwiner basis matrices")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("recoupling", help="one recoupling block")
-    p.add_argument("--labels", required=True,
-                   help="six partitions alpha/beta/gamma/mu/nu/lambda")
-    _common_flags(p)
-
-    p = sub.add_parser("scan-recoupling", help="norms and swap residuals per tuple")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-rows", type=int, default=None)
-    _common_flags(p)
-
-    p = sub.add_parser("spectrum-estimation", help="concentration table")
-    p.add_argument("--rho", required=True, help="state file (single system)")
-    p.add_argument("--k-max", type=int, default=30)
-    p.add_argument("--delta", type=float, default=0.3)
-    _common_flags(p)
-    p.set_defaults(format="csv")
-
-    p = sub.add_parser("overlap", help="projector overlap traces")
-    p.add_argument("--rho", required=True, help="tripartite state file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--labels", required=True,
-                   help="six partitions alpha/beta/gamma/mu/nu/lambda")
-    _common_flags(p)
-
-    p = sub.add_parser("overlap-certificate", help="projector-overlap chain certificate")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("overlap-bound-fuzz", help="projector inequality fuzz")
-    p.add_argument("--n", type=int, default=10000)
-    _common_flags(p)
-
-    p = sub.add_parser("dimension-ratio", help="dimension-ratio route to the entropy gap")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--k-list", required=True, help="comma-separated k values")
-    _common_flags(p)
-
-    p = sub.add_parser("converse-probe", help="decay probe for target spectra")
-    p.add_argument("--spectra", required=True, help="JSON file with r_a..r_abc")
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--samples", type=int, default=10)
-    _common_flags(p)
-
-    p = sub.add_parser("ssa-scan", help="entropy-inequality scan")
-    p.add_argument("--n", type=int, default=1000)
-    _common_flags(p)
-
-    p = sub.add_parser("validate-state", help="check a state file and echo residuals")
-    p.add_argument("state", help="state file")
-    _common_flags(p)
-
-    p = sub.add_parser("sample-state", help="write an HS-random state file")
-    p.add_argument("--dims", required=True, help="comma-separated dimensions")
-    _common_flags(p)
-
-    return parser
 
 
 def _cmd_char(args) -> int:
@@ -312,28 +224,101 @@ def _cmd_sample_state(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "char": _cmd_char,
-    "kron": _cmd_kron,
-    "cg": _cmd_cg,
-    "recoupling": _cmd_recoupling,
-    "scan-recoupling": _cmd_scan_recoupling,
-    "spectrum-estimation": _cmd_spectrum_estimation,
-    "overlap": _cmd_overlap,
-    "overlap-certificate": _cmd_overlap_certificate,
-    "overlap-bound-fuzz": _cmd_fuzz,
-    "dimension-ratio": _cmd_dimension_ratio,
-    "converse-probe": _cmd_converse,
-    "ssa-scan": _cmd_ssa_scan,
-    "validate-state": _cmd_validate_state,
-    "sample-state": _cmd_sample_state,
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    arguments: tuple = ()
+    format: str = "json"
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_TRIPLE = (
+    _arg("--alpha", required=True),
+    _arg("--beta", required=True),
+    _arg("--lambda", dest="lam", required=True),
+)
+_SIX_LABELS = _arg("--labels", required=True,
+                   help="six partitions alpha/beta/gamma/mu/nu/lambda")
+
+# every subcommand: its help text, its handler and its own arguments
+# (--seed, --out and --format are added to each)
+COMMANDS = {
+    "char": Command("integer character value", _cmd_char, (
+        _arg("--lambda", dest="lam", required=True),
+        _arg("--type", dest="cycle_type", required=True),
+    )),
+    "kron": Command("Kronecker coefficient", _cmd_kron, _TRIPLE),
+    "cg": Command("intertwiner basis matrices", _cmd_cg, _TRIPLE),
+    "recoupling": Command("one recoupling block", _cmd_recoupling, (_SIX_LABELS,)),
+    "scan-recoupling": Command("norms and swap residuals per tuple", _cmd_scan_recoupling, (
+        _arg("--k", type=int, required=True),
+        _arg("--max-rows", type=int, default=None),
+    )),
+    "spectrum-estimation": Command("concentration table", _cmd_spectrum_estimation, (
+        _arg("--rho", required=True, help="state file (single system)"),
+        _arg("--k-max", type=int, default=30),
+        _arg("--delta", type=float, default=0.3),
+    ), format="csv"),
+    "overlap": Command("projector overlap traces", _cmd_overlap, (
+        _arg("--rho", required=True, help="tripartite state file"),
+        _arg("--k", type=int, required=True),
+        _SIX_LABELS,
+    )),
+    "overlap-certificate": Command("projector-overlap chain certificate", _cmd_overlap_certificate, (
+        _arg("--rho", required=True),
+        _arg("--k", type=int, required=True),
+        _arg("--delta", type=float, required=True),
+    )),
+    "overlap-bound-fuzz": Command("projector inequality fuzz", _cmd_fuzz, (
+        _arg("--n", type=int, default=10000),
+    )),
+    "dimension-ratio": Command("dimension-ratio route to the entropy gap", _cmd_dimension_ratio, (
+        _arg("--rho", required=True),
+        _arg("--k-list", required=True, help="comma-separated k values"),
+    )),
+    "converse-probe": Command("decay probe for target spectra", _cmd_converse, (
+        _arg("--spectra", required=True, help="JSON file with r_a..r_abc"),
+        _arg("--k-min", type=int, default=2),
+        _arg("--k-max", type=int, default=4),
+        _arg("--samples", type=int, default=10),
+    )),
+    "ssa-scan": Command("entropy-inequality scan", _cmd_ssa_scan, (
+        _arg("--n", type=int, default=1000),
+    )),
+    "validate-state": Command("check a state file and echo residuals", _cmd_validate_state, (
+        _arg("state", help="state file"),
+    )),
+    "sample-state": Command("write an HS-random state file", _cmd_sample_state, (
+        _arg("--dims", required=True, help="comma-separated dimensions"),
+    )),
 }
 
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  For a known ``command`` only that subcommand's parser is
+    built; otherwise (``--help``, a typo) every subcommand is listed."""
+    parser = argparse.ArgumentParser(prog="snrecoupling", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        spec = COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        for flags, kwargs in spec.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument("--seed", type=parse_seed, default=0,
+                       help="deterministic seed (non-negative integer)")
+        p.add_argument("--out", default=None, help="output file ('-' for stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default=spec.format)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command].handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

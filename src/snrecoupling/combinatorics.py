@@ -243,13 +243,21 @@ def _standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     return tuple(results)
 
 
-def tableau_positions(tab: Tableau) -> dict[int, tuple[int, int]]:
-    """Map each entry of a standard tableau to its (row, col) cell."""
-    pos = {}
-    for i, row in enumerate(tab):
-        for j, entry in enumerate(row):
-            pos[entry] = (i, j)
-    return pos
+@cache
+def _tableau_contents(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """Contents of every standard tableau of lam, in ``_standard_tableaux`` order.
+
+    ``_tableau_contents(lam)[t][e]`` is col - row of the cell holding entry e
+    (1-based) in tableau t; index 0 is a 0 pad.
+    """
+    result = []
+    for tab in _standard_tableaux(lam):
+        cont = [0] * (sum(lam) + 1)
+        for i, row in enumerate(tab):
+            for j, entry in enumerate(row):
+                cont[entry] = j - i
+        result.append(tuple(cont))
+    return tuple(result)
 
 
 # ---------------------------------------------------------------------------

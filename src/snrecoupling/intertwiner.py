@@ -12,7 +12,10 @@ The bases come from the Gelfand-Tsetlin structure of Young's orthogonal form
 (Vershik-Okounkov): the images of the first standard tableau of [lam] span
 the joint eigenspace of the Jucys-Murphy elements on [alpha] (x) [beta] at
 that tableau's contents, a dim[alpha]*dim[beta] eigenproblem, and Young's
-step carries them to every other tableau.
+step carries them to every other tableau.  Each unordered pair is solved
+once: for alpha < beta the basis is that of (beta, alpha, lam) with the two
+tensor factors swapped, the S_k analogue of the permutation symmetry of
+3j-symbols.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ import numpy as np
 from .combinatorics import (
     Partition,
     _sk_dimension,
+    _tableau_contents,
     check_labels,
     conjugacy_classes,
     sk_dimension,
-    tableau_positions,
 )
 from .errors import ResourceLimitError, ValidationError
 from .repsym import _character, _swap_entries, represent, young_orthogonal_rep
@@ -76,7 +79,9 @@ def cg_isometries(alpha, beta, lam, product_cap: int = DEFAULT_PRODUCT_CAP) -> I
     ``product_cap`` bounds (dim[alpha]*dim[beta])**2, the entry count of the
     dense Jucys-Murphy operator the solver holds; every pair at k <= 7 fits
     the default.  Larger pairs raise ResourceLimitError before anything is
-    allocated.
+    allocated.  For alpha < beta the maps are those of (beta, alpha, lam)
+    with their first two axes exchanged, re-signed and re-checked; the cap is
+    the same for both orders, since the product is symmetric.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
     da, db = _sk_dimension(alpha), _sk_dimension(beta)
@@ -95,12 +100,6 @@ def _apply_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (b @ y).reshape(da * db, m)
 
 
-def _contents(tab) -> list[int]:
-    """contents[e] = col - row of the cell holding e (1-based entries)."""
-    pos = tableau_positions(tab)
-    return [0] + [pos[e][1] - pos[e][0] for e in range(1, len(pos) + 1)]
-
-
 @cache  # unbounded: one basis per triple solved, at most p(k)^3 per k
 def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerBasis:
     k = sum(lam)
@@ -112,30 +111,63 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerB
     rep_a = young_orthogonal_rep(alpha)
     rep_b = young_orthogonal_rep(beta)
     rep_l = young_orthogonal_rep(lam)
+    if alpha < beta:
+        # [alpha](x)[beta] is [beta](x)[alpha] with its tensor factors
+        # swapped, and the swap commutes with the group action, so the maps
+        # of the mirrored triple with their first two axes exchanged are an
+        # orthonormal intertwiner basis here.
+        stack = np.stack(_solve_cg(beta, alpha, lam).maps)
+        stack = stack.reshape(g, db, da, dl).transpose(0, 2, 1, 3)
+    else:
+        stack = _jucys_murphy_stack(rep_a, rep_b, rep_l, g)
+
+    maps = []
+    for flat in stack.reshape(g, da * db * dl):
+        phi = fix_vector_sign(flat).reshape(da * db, dl)
+        phi.setflags(write=False)
+        maps.append(phi)
+    _check_full_permutation(rep_a, rep_b, rep_l, maps, k)
+    return IntertwinerBasis(source=lam, targets=(alpha, beta), maps=tuple(maps))
+
+
+def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
+    """The g intertwiners [lam] -> [alpha] (x) [beta] as a (g, da*db, dl) stack."""
+    k, dl = rep_l.k, rep_l.dim
+    n = rep_a.dim * rep_b.dim
     pairs = list(zip(rep_a.generators, rep_b.generators))
+    tableaux = rep_l.basis
+    contents = _tableau_contents(rep_l.shape)
 
     # Young's orthogonal form is Gelfand-Tsetlin adapted: v_T is the joint
     # eigenvector of the Jucys-Murphy elements X_j = sum_{i<j} (i j) with
     # eigenvalues the contents c_T(j).  So the images phi_i(v_T1) of the
     # first tableau span the joint eigenspace of X_2..X_k on [alpha](x)[beta]
     # at T1's contents, found by restricting one X_j at a time
-    # (X_{j+1} = s_j X_j s_j + s_j; the X_j commute).  X_2 = s_1 is diagonal
-    # in Young's form, since 1 and 2 share a row or a column of every
-    # tableau, so its eigenspace is spanned by unit vectors.
-    tableaux = rep_l.basis
-    contents = _contents(tableaux[0])
-    n = da * db
-    if k == 1:
-        span = np.ones((1, 1))
+    # (X_{j+1} = G_j X_j G_j + G_j with G_j = s_j (x) s_j; the X_j commute).
+    # X_2 = G_1 is diagonal in Young's form, since 1 and 2 share a row or a
+    # column of every tableau, so its eigenspace is spanned by the unit
+    # vectors at `keep` and the first restriction is a selection.
+    if k <= 2:
+        span = np.ones((1, 1))  # every irrep of S_1, S_2 is one-dimensional, and g = 1
     else:
-        x_j = np.kron(*pairs[0])
-        span = np.eye(n)[:, np.diag(x_j) == contents[2]]
+        a, b = pairs[0]
+        x_diag = np.multiply.outer(np.diag(a), np.diag(b)).reshape(n)
+        keep = np.flatnonzero(x_diag == contents[0][2])
+        x_j = np.diag(x_diag)
+        span = None
     for j in range(2, k):
         a, b = pairs[j - 1]
-        # X is symmetric, so G X G = G (G X)^T
-        x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + np.kron(a, b)
-        vals, vecs = np.linalg.eigh(span.T @ x_j @ span)
-        span = span @ vecs[:, np.abs(vals - contents[j + 1]) < 0.5]
+        # X is symmetric, so G X G = G (G X)^T; G itself by one broadcast
+        gen = (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+        x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + gen
+        if span is None:
+            vals, vecs = np.linalg.eigh(x_j[np.ix_(keep, keep)])
+            span = np.zeros((n, len(keep)))
+            span[keep] = vecs
+        else:
+            vals, vecs = np.linalg.eigh(span.T @ x_j @ span)
+            span = span @ vecs
+        span = span[:, np.abs(vals - contents[0][j + 1]) < 0.5]
     count = span.shape[1]
     assert count == g, f"solver found {count} intertwiners, characters say {g}"
 
@@ -147,8 +179,7 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerB
     queue = [tableaux[0]]
     seen = {tableaux[0]}
     for tab in queue:
-        cont = _contents(tab)
-        src = images[index[tab]]
+        cont, src = contents[index[tab]], images[index[tab]]
         for i in range(1, k):
             d = cont[i + 1] - cont[i]
             if abs(d) < 2:
@@ -162,15 +193,7 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerB
             step = _apply_pair(a, b, src) - src / d
             images[index[nxt]] = step / math.sqrt(1.0 - 1.0 / d**2)
     assert len(seen) == dl
-
-    maps = []
-    for col in range(count):
-        phi = fix_vector_sign(images[:, :, col].T.copy().reshape(-1)).reshape(n, dl)
-        phi.setflags(write=False)
-        maps.append(phi)
-
-    _check_full_permutation(rep_a, rep_b, rep_l, maps, k)
-    return IntertwinerBasis(source=lam, targets=(alpha, beta), maps=tuple(maps))
+    return images.transpose(2, 1, 0)
 
 
 def _check_full_permutation(rep_a, rep_b, rep_l, maps, k) -> None:
@@ -178,10 +201,10 @@ def _check_full_permutation(rep_a, rep_b, rep_l, maps, k) -> None:
     # non-trivial word, the k-cycle (never the identity for k >= 2), to
     # catch convention bugs early.
     perm = tuple(range(1, k)) + (0,)
-    big = np.kron(represent(rep_a, perm), represent(rep_b, perm))
+    big_a, big_b = represent(rep_a, perm), represent(rep_b, perm)
     small = represent(rep_l, perm)
     for phi in maps:
-        resid = np.abs(big @ phi - phi @ small).max()
+        resid = np.abs(_apply_pair(big_a, big_b, phi) - phi @ small).max()
         if resid > EQUIVARIANCE_TOL:
             raise AssertionError(f"equivariance violated for {perm}: {resid:.3e}")
 

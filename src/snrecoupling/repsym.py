@@ -22,9 +22,9 @@ from .combinatorics import (
     Permutation,
     _sk_dimension,
     _standard_tableaux,
+    _tableau_contents,
     adjacent_word,
     check_partition,
-    tableau_positions,
 )
 from .errors import ResourceLimitError, ValidationError
 
@@ -66,6 +66,7 @@ def young_orthogonal_rep(lam: Sequence[int], dim_cap: int = DEFAULT_DIMENSION_CA
 def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
     k = sum(lam)
     basis = _standard_tableaux(lam)
+    contents = _tableau_contents(lam)
     index = {tab: t for t, tab in enumerate(basis)}
     dim = len(basis)
 
@@ -73,10 +74,8 @@ def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
     for i in range(1, k):
         mat = np.zeros((dim, dim))
         for t, tab in enumerate(basis):
-            pos = tableau_positions(tab)
-            (ri, ci), (rj, cj) = pos[i], pos[i + 1]
             # axial distance from i to i+1: content(i+1) - content(i)
-            d = (cj - rj) - (ci - ri)
+            d = contents[t][i + 1] - contents[t][i]
             mat[t, t] = 1.0 / d
             if abs(d) >= 2:
                 swapped = _swap_entries(tab, i, i + 1)

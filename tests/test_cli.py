@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from snrecoupling.cli import main, parse_labels, parse_partition
+from snrecoupling.cli import COMMANDS, build_parser, main, parse_labels, parse_partition
 from snrecoupling.errors import ValidationError
 from snrecoupling.quantumstates import (
     DensityMatrix,
@@ -32,6 +32,50 @@ class TestParsing:
         assert labels[2] == (3,)
         with pytest.raises(ValidationError):
             parse_labels("2,1/3", 6)
+
+
+class TestParserTable:
+    """Each run builds only its own subcommand's parser; help and errors are unchanged."""
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert len(COMMANDS) == 14
+        for name, spec in COMMANDS.items():
+            assert f"{name} {spec.help}" in out
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_subcommand_help_exits_0(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: snrecoupling {name}")
+        assert "--seed" in out and "--format" in out
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "1"]])
+    def test_unknown_or_missing_subcommand_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: snrecoupling" in captured.err
+
+    def test_only_the_invoked_subcommand_is_built(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser("char").parse_args(["kron", "--alpha", "1", "--beta", "1",
+                                             "--lambda", "1"])
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "kron" in err and "sample-state" not in err
+
+    def test_spectrum_estimation_defaults_to_csv(self):
+        args = build_parser("spectrum-estimation").parse_args(
+            ["spectrum-estimation", "--rho", "x.json"])
+        assert args.format == "csv"
+        assert build_parser("ssa-scan").parse_args(["ssa-scan"]).format == "json"
 
 
 class TestScalarCommands:

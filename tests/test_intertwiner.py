@@ -225,16 +225,81 @@ def test_solver_path_does_not_import_numpy_random():
 
 
 class TestRoundoffOnlyConstraints:
-    @pytest.mark.parametrize(
-        "triple", [((6,), (3, 3), (3, 3)), ((2, 2, 2), (2, 2, 2), (2, 2, 2))]
-    )
+    @pytest.mark.parametrize("triple", [
+        ((6,), (3, 3), (3, 3)),
+        ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
+        ((6,), (2, 2, 2), (2, 2, 2)),
+        ((3, 3), (2, 2, 2), (3, 3)),
+        ((3, 3), (2, 2, 2), (1, 1, 1, 1, 1, 1)),
+        ((3, 3), (1, 1, 1, 1, 1, 1), (2, 2, 2)),
+    ])
     def test_k6_triples_the_nullspace_route_misses(self, triple):
         # nullspace_oracle finds no intertwiner here: the last generator
         # equation leaves a single column of roundoff, which the relative
-        # cutoff of orthonormal_nullspace counts as rank
-        assert len(cg_isometries(*triple)) == kronecker_coefficient(*triple) == 1
-        u = bend_and_compare(*triple)
-        assert abs(abs(u[0, 0]) - 1.0) < 1e-10
+        # cutoff of orthonormal_nullspace counts as rank.  The mirrored
+        # triple is solved as the axis swap of this one.
+        alpha, beta, lam = triple
+        for t in {triple, (beta, alpha, lam)}:
+            assert len(cg_isometries(*t)) == kronecker_coefficient(*t) == 1
+            u = bend_and_compare(*t)
+            assert abs(abs(u[0, 0]) - 1.0) < 1e-10
+
+
+# the distinct cg_isometries triples of full_recoupling_unitary((4,2), (4,2), (4,2), (3,3))
+UNITARY_K6_TRIPLES = [
+    ((4, 2), (4, 2), (5, 1)),
+    ((4, 2), (5, 1), (3, 3)),
+    ((5, 1), (4, 2), (3, 3)),
+    ((4, 2), (4, 2), (4, 1, 1)),
+    ((4, 1, 1), (4, 2), (3, 3)),
+    ((4, 2), (4, 2), (3, 2, 1)),
+    ((3, 2, 1), (4, 2), (3, 3)),
+    ((4, 2), (4, 1, 1), (3, 3)),
+    ((4, 2), (3, 2, 1), (3, 3)),
+]
+
+
+def swap_factors(phi, alpha, beta):
+    """phi: [lam] -> [alpha] (x) [beta] read as a map into [beta] (x) [alpha]."""
+    da, db = sk_dimension(alpha), sk_dimension(beta)
+    return phi.reshape(da, db, -1).transpose(1, 0, 2).reshape(da * db, -1)
+
+
+class TestMirroredTriples:
+    """cg_isometries(beta, alpha, lam) is cg_isometries(alpha, beta, lam) with its factors swapped."""
+
+    @pytest.mark.parametrize(
+        "triples",
+        [pytest.param(list(product(enumerate_partitions(k), repeat=3)), id=f"k{k}")
+         for k in (2, 3, 4, 5)] + [pytest.param(UNITARY_K6_TRIPLES, id="unitary_k6")],
+    )
+    def test_maps_are_axis_swaps_up_to_sign(self, triples):
+        for alpha, beta, lam in triples:
+            if alpha == beta:
+                continue
+            straight = cg_isometries(alpha, beta, lam).maps
+            mirrored = cg_isometries(beta, alpha, lam).maps
+            assert len(straight) == len(mirrored) == kronecker_coefficient(alpha, beta, lam)
+            for phi, psi in zip(straight, mirrored):
+                swapped = swap_factors(phi, alpha, beta)
+                assert min(np.abs(psi - swapped).max(), np.abs(psi + swapped).max()) < 1e-12
+                assert not psi.flags.writeable
+            reps = [young_orthogonal_rep(p) for p in (alpha, beta, lam)]
+            _check_full_permutation(*reps, straight, sum(lam))
+            _check_full_permutation(reps[1], reps[0], reps[2], mirrored, sum(lam))
+
+    @pytest.mark.parametrize("triple", [((4, 2), (5, 1), (3, 3)), ((3, 2, 1), (4, 2), (4, 2))])
+    def test_solver_path_calls_no_kron(self, monkeypatch, triple):
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called on the solver path")
+
+        _solve_cg.cache_clear()
+        monkeypatch.setattr(np, "kron", no_kron)
+        basis = cg_isometries(*triple)
+        assert len(basis) == kronecker_coefficient(*triple) >= 1
+        mirror = (triple[1], triple[0], triple[2])
+        assert _solve_cg.cache_info().currsize == 2  # the triple and its mirror
+        assert len(cg_isometries(*mirror)) == len(basis)
 
 
 class TestNullspaceOracle:

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from snrecoupling.errors import ValidationError
 from snrecoupling.quantumstates import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    TRACE_TOL,
     DensityMatrix,
     ghz_state,
     load_state,
@@ -49,6 +53,65 @@ class TestDensityMatrix:
     def test_clamps_numerical_noise(self):
         rho = DensityMatrix(dims=(2,), matrix=np.diag([1.0 + 5e-11, -5e-11]))
         assert rho.spectrum().min() == 0.0
+
+
+# Each residual is a fraction of its tolerance, kept 1e-3 away from 1 so that
+# the rounding of a 2x2 state (a few ulp of 1, about 1e-6 of 1e-10) cannot
+# move it across.
+INSIDE = st.floats(0.0, 1.0 - 1e-3)
+OUTSIDE = st.floats(1.0 + 1e-3, 100.0)
+SPLIT = st.floats(0.2, 0.8)
+ANGLE = st.floats(0.0, 2 * math.pi)
+
+
+def with_hermiticity_residual(p, frac):
+    # a lone upper entry e gives ||M - M^H||_HS = sqrt(2) e; eigvalsh reads
+    # the lower triangle only, so the spectrum stays (p, 1 - p)
+    mat = np.diag([p, 1.0 - p]).astype(complex)
+    mat[0, 1] = frac * HERMITICITY_TOL / math.sqrt(2)
+    return mat
+
+
+def with_trace_defect(p, defect):
+    return np.diag([p + defect, 1.0 - p])
+
+
+def with_min_eigenvalue(low, angle):
+    # diag(1 - low, low) in a rotated real basis
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    return rot @ np.diag([1.0 - low, low]) @ rot.T
+
+
+class TestDensityMatrixTolerances:
+    """Residuals just inside a tolerance are accepted, just outside rejected."""
+
+    @given(SPLIT, INSIDE)
+    def test_hermiticity_inside(self, p, frac):
+        DensityMatrix(dims=(2,), matrix=with_hermiticity_residual(p, frac))
+
+    @given(SPLIT, OUTSIDE)
+    def test_hermiticity_outside(self, p, frac):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityMatrix(dims=(2,), matrix=with_hermiticity_residual(p, frac))
+
+    @given(SPLIT, INSIDE, st.sampled_from([-1.0, 1.0]))
+    def test_trace_inside(self, p, frac, sign):
+        DensityMatrix(dims=(2,), matrix=with_trace_defect(p, sign * frac * TRACE_TOL))
+
+    @given(SPLIT, OUTSIDE, st.sampled_from([-1.0, 1.0]))
+    def test_trace_outside(self, p, frac, sign):
+        with pytest.raises(ValidationError, match="trace differs"):
+            DensityMatrix(dims=(2,), matrix=with_trace_defect(p, sign * frac * TRACE_TOL))
+
+    @given(INSIDE, ANGLE)
+    def test_min_eigenvalue_inside(self, frac, angle):
+        rho = DensityMatrix(dims=(2,), matrix=with_min_eigenvalue(frac * EIGENVALUE_FLOOR, angle))
+        assert 0.0 <= rho.spectrum().min() < 1e-15  # clamped, up to rotation roundoff
+
+    @given(OUTSIDE, ANGLE)
+    def test_min_eigenvalue_outside(self, frac, angle):
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            DensityMatrix(dims=(2,), matrix=with_min_eigenvalue(frac * EIGENVALUE_FLOOR, angle))
 
 
 class TestSpectraTuple:
