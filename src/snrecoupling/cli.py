@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Partitions are written as comma-separated rows ("3,1"); where several labels
-are needed they are joined with "/" ("2,1/2,1/3").  Reports are emitted as
-JSON lines by default, CSV with --format csv.
+are needed they are joined with "/" ("2,1/2,1/3").  Every subcommand takes
+--out FILE; the four that draw random states take --seed; the six that print
+an experiment report take --format json|csv (CSV by default only for
+spectrum-estimation).
 
 Exit codes: 0 when every gate declared by the invoked command passes, 1 when
 a gate fails (or ``validate-state`` finds the state invalid), 2 on invalid
-input (``ValidationError``, or a flag value argparse rejects, such as a
-negative ``--seed``), 3 when a size cap would be exceeded
-(``ResourceLimitError``).
+input (``ValidationError``, or a flag argparse rejects, such as a negative
+``--seed`` or a flag the subcommand does not take), 3 when a size cap would
+be exceeded (``ResourceLimitError``).
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import json
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .combinatorics import check_partition, enumerate_partitions
 from .errors import ResourceLimitError, ValidationError
@@ -34,16 +34,18 @@ from .experiments import (
 )
 from .intertwiner import cg_isometries, kronecker_coefficient
 from .quantumstates import (
+    DensityMatrix,
     load_json,
     load_state,
+    matrix_from_json,
     sample_hs_random,
     spectra_from_json,
+    state_residuals,
     state_to_json,
 )
 from .recoupling import column_swap_check, column_swap_check_ag, recoupling_tensor
 from .repsym import character
 from .schurweyl import overlap_trace, tripartite_elements
-from .tensorlinalg import hs_norm
 
 
 def parse_ints(text: str, what: str) -> list[int]:
@@ -198,19 +200,14 @@ def _cmd_ssa_scan(args) -> int:
 
 
 def _cmd_validate_state(args) -> int:
+    """Residuals of the matrix as written in the file, not of the one DensityMatrix stores."""
     try:
-        rho = load_state(args.state)
+        dims, mat = matrix_from_json(load_json(args.state))
+        DensityMatrix(dims=dims, matrix=mat)
     except ValidationError as exc:
         _emit(json.dumps({"valid": False, "reason": str(exc)}), args.out)
         return 1
-    mat = rho.matrix
-    residuals = {
-        "valid": True,
-        "hermiticity": hs_norm(mat - mat.conj().T),
-        "trace_defect": abs(complex(np.trace(mat)) - 1.0),
-        "min_eigenvalue": float(np.linalg.eigvalsh(mat)[0]),
-    }
-    _emit(json.dumps(residuals, sort_keys=True), args.out)
+    _emit(json.dumps({"valid": True, **state_residuals(mat)}, sort_keys=True), args.out)
     return 0
 
 
@@ -228,7 +225,7 @@ class Command(NamedTuple):
     help: str
     handler: Callable[[argparse.Namespace], int]
     arguments: tuple = ()
-    format: str = "json"
+    format: str | None = None  # default --format of a report command; None: no --format
 
 
 def _arg(*flags, **kwargs):
@@ -242,9 +239,11 @@ _TRIPLE = (
 )
 _SIX_LABELS = _arg("--labels", required=True,
                    help="six partitions alpha/beta/gamma/mu/nu/lambda")
+_SEED = _arg("--seed", type=parse_seed, default=0,
+             help="deterministic seed (non-negative integer)")
 
 # every subcommand: its help text, its handler and its own arguments
-# (--seed, --out and --format are added to each)
+# (--out is added to each, --format to each that sets a format)
 COMMANDS = {
     "char": Command("integer character value", _cmd_char, (
         _arg("--lambda", dest="lam", required=True),
@@ -271,28 +270,32 @@ COMMANDS = {
         _arg("--rho", required=True),
         _arg("--k", type=int, required=True),
         _arg("--delta", type=float, required=True),
-    )),
+    ), format="json"),
     "overlap-bound-fuzz": Command("projector inequality fuzz", _cmd_fuzz, (
         _arg("--n", type=int, default=10000),
-    )),
+        _SEED,
+    ), format="json"),
     "dimension-ratio": Command("dimension-ratio route to the entropy gap", _cmd_dimension_ratio, (
         _arg("--rho", required=True),
         _arg("--k-list", required=True, help="comma-separated k values"),
-    )),
+    ), format="json"),
     "converse-probe": Command("decay probe for target spectra", _cmd_converse, (
         _arg("--spectra", required=True, help="JSON file with r_a..r_abc"),
         _arg("--k-min", type=int, default=2),
         _arg("--k-max", type=int, default=4),
         _arg("--samples", type=int, default=10),
-    )),
+        _SEED,
+    ), format="json"),
     "ssa-scan": Command("entropy-inequality scan", _cmd_ssa_scan, (
         _arg("--n", type=int, default=1000),
-    )),
+        _SEED,
+    ), format="json"),
     "validate-state": Command("check a state file and echo residuals", _cmd_validate_state, (
         _arg("state", help="state file"),
     )),
     "sample-state": Command("write an HS-random state file", _cmd_sample_state, (
         _arg("--dims", required=True, help="comma-separated dimensions"),
+        _SEED,
     )),
 }
 
@@ -307,10 +310,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=spec.help)
         for flags, kwargs in spec.arguments:
             p.add_argument(*flags, **kwargs)
-        p.add_argument("--seed", type=parse_seed, default=0,
-                       help="deterministic seed (non-negative integer)")
         p.add_argument("--out", default=None, help="output file ('-' for stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=spec.format)
+        if spec.format:
+            p.add_argument("--format", choices=("json", "csv"), default=spec.format)
     return parser
 
 

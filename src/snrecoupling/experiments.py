@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +41,7 @@ from .schurweyl import overlap_trace, projected_trace, tripartite_elements
 
 SCHEMA_VERSION = 1
 GATE_SLACK = 1e-9
+TAIL_BOUND = 1e-3  # the spectrum-estimation tail figure, reported met or unmet
 
 
 @dataclass
@@ -51,24 +51,13 @@ class ExperimentReport:
     items: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     passed: bool = True
-    schema_version: int = SCHEMA_VERSION
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "schema_version": self.schema_version,
-            "parameters": self.parameters,
-            "items": self.items,
-            "summary": self.summary,
-            "passed": self.passed,
-        }
 
     def to_json_lines(self) -> str:
         lines = []
         header = {
             "record": "header",
             "experiment": self.experiment,
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "parameters": self.parameters,
         }
         lines.append(json.dumps(header, sort_keys=True))
@@ -94,10 +83,6 @@ class ExperimentReport:
         for item in self.items:
             writer.writerow({k: item.get(k, "") for k in fields})
         return buf.getvalue()
-
-    def write(self, path, fmt: str = "json") -> None:
-        text = self.to_json_lines() if fmt == "json" else self.to_csv()
-        Path(path).write_text(text)
 
 
 def _l1_distance(lam: Partition, r: np.ndarray) -> float:
@@ -259,9 +244,7 @@ def cmd_overlap_bound_fuzz(n: int, seed: int) -> ExperimentReport:
     )
 
 
-def cmd_spectrum_estimation(
-    rho: DensityMatrix, k_max: int, delta: float = 0.3, tail_bound: float = 1e-3
-) -> ExperimentReport:
+def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) -> ExperimentReport:
     """Concentration of tr(P_lam rho^(x k)) around the spectrum of rho.
 
     The delta-ball is closed: a diagram whose l1 distance from the spectrum
@@ -269,7 +252,7 @@ def cmd_spectrum_estimation(
     the diagrams outside it.
 
     Gates: (a) reports whether the tail mass at k_max is at most
-    ``tail_bound``; it promises no such bound, and for a given state the
+    ``TAIL_BOUND``; it promises no such bound, and for a given state the
     tail can exceed it at every supported k (diag(0.9, 0.1) at delta 0.3 has
     tail 5.528e-3 at k = 30);
     (b) along every diagram sequence obtained by growing the first row on
@@ -307,7 +290,7 @@ def cmd_spectrum_estimation(
                 tail += tr
         tails.append(tail)
 
-    gate_tail = tails[-1] <= tail_bound
+    gate_tail = tails[-1] <= TAIL_BOUND
 
     window = range(max(1, k_max - 9), k_max + 1)
     directions = []
@@ -336,7 +319,7 @@ def cmd_spectrum_estimation(
     return ExperimentReport(
         experiment="spectrum_estimation",
         parameters={"k_max": k_max, "delta": delta, "dims": list(rho.dims),
-                    "tail_bound": tail_bound},
+                    "tail_bound": TAIL_BOUND},
         items=items,
         summary={
             "tail_mass": [float(t) for t in tails],
@@ -405,26 +388,28 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
 
 
 def cmd_converse_probe(
-    spectra: SpectraTuple,
-    k_values: Sequence[int],
-    samples: int,
-    seed: int,
-    dims: tuple[int, int, int] = (2, 2, 2),
+    spectra: SpectraTuple, k_values: Sequence[int], samples: int, seed: int
 ) -> ExperimentReport:
     """Decay probe for spectra tuples, compatible or not with a joint state.
 
     Rounds the six target spectra to diagrams at each k, computes the exact
-    recoupling norm, and samples states to maximize the Cauchy-Schwarz
-    surrogate sqrt(tr(P~ sigma^k) tr(Q~ sigma^k)).  The decay sequence is a
+    recoupling norm, and samples states on C^a (x) C^b (x) C^c to maximize
+    the Cauchy-Schwarz surrogate sqrt(tr(P~ sigma^k) tr(Q~ sigma^k)).  The
+    local dimensions (a, b, c) are the lengths of r_a, r_b and r_c; r_ab,
+    r_bc and r_abc must have lengths ab, bc and abc.  The decay sequence is a
     trend diagnostic, not a proof.
     """
+    dims = a, b, c = np.size(spectra.r_a), np.size(spectra.r_b), np.size(spectra.r_c)
+    lengths = np.size(spectra.r_ab), np.size(spectra.r_bc), np.size(spectra.r_abc)
+    if lengths != (a * b, b * c, a * b * c):
+        raise ValidationError(f"r_ab, r_bc, r_abc have lengths {lengths}, not ab, bc, abc "
+                              f"for the lengths (a, b, c) = {dims} of r_a, r_b, r_c")
     if samples < 0:
         raise ValidationError(f"samples must be non-negative, got {samples}")
     if not k_values or not all(1 <= k <= 4 for k in k_values):
         raise ValidationError(
             f"the converse probe needs a non-empty list of k values in 1..4, got {list(k_values)}"
         )
-    a, b, c = dims
     items = []
     for k in k_values:
         # as_dict lists the spectra in label order: alpha, beta, gamma, mu, nu, lam
@@ -433,7 +418,7 @@ def cmd_converse_probe(
         hs = recoupling_tensor(*labels).hs
 
         surrogate = 0.0
-        if samples > 0 and len(alpha) <= a and len(beta) <= b and len(gamma) <= c:
+        if samples > 0:
             elements = tripartite_elements(*([l] for l in labels), dims, k)
             rng = np.random.default_rng((seed, k))
             for _ in range(samples):

@@ -40,6 +40,7 @@ from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
 EQUIVARIANCE_TOL = 1e-9
+BEND_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,25 +71,26 @@ def _kronecker_coefficient(alpha: Partition, beta: Partition, lam: Partition) ->
     return g
 
 
-def cg_isometries(alpha, beta, lam, product_cap: int = DEFAULT_PRODUCT_CAP) -> IntertwinerBasis:
+def cg_isometries(alpha, beta, lam) -> IntertwinerBasis:
     """Orthonormal intertwiner basis [lam] -> [alpha] (x) [beta].
 
     The count is checked against the Kronecker coefficient, each map gets
     the sign of ``fix_vector_sign`` and equivariance is re-checked on the
     fixed k-cycle (0 1 ... k-1), which is not the identity for any k >= 2.
-    ``product_cap`` bounds (dim[alpha]*dim[beta])**2, the entry count of the
-    dense Jucys-Murphy operator the solver holds; every pair at k <= 7 fits
-    the default.  Larger pairs raise ResourceLimitError before anything is
-    allocated.  For alpha < beta the maps are those of (beta, alpha, lam)
-    with their first two axes exchanged, re-signed and re-checked; the cap is
-    the same for both orders, since the product is symmetric.
+    ``DEFAULT_PRODUCT_CAP``, read at each call, bounds (dim[alpha]*dim[beta])**2,
+    the entry count of the dense Jucys-Murphy operator the solver holds;
+    every pair at k <= 7 fits it.  Larger pairs raise ResourceLimitError
+    before anything is allocated.  For alpha < beta the maps are those of
+    (beta, alpha, lam) with their first two axes exchanged, re-signed and
+    re-checked; the cap is the same for both orders, since the product is
+    symmetric.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
     da, db = _sk_dimension(alpha), _sk_dimension(beta)
-    if (da * db) ** 2 > product_cap:
+    if (da * db) ** 2 > DEFAULT_PRODUCT_CAP:
         raise ResourceLimitError(
             f"Jucys-Murphy operator size {(da * db) ** 2} for {(alpha, beta, lam)} "
-            f"exceeds cap {product_cap}"
+            f"exceeds cap {DEFAULT_PRODUCT_CAP}"
         )
     return _solve_cg(alpha, beta, lam)
 
@@ -215,7 +217,7 @@ def trivial_coupling(lam) -> np.ndarray:
     return np.eye(d).reshape(-1) / math.sqrt(d)
 
 
-def bend_and_compare(alpha, beta, lam, tol: float = 1e-8) -> np.ndarray:
+def bend_and_compare(alpha, beta, lam) -> np.ndarray:
     """Unitary relating bent intertwiners to the straight basis.
 
     Bending turns each phi_i: [lam] -> [alpha] (x) [beta] into
@@ -223,7 +225,7 @@ def bend_and_compare(alpha, beta, lam, tol: float = 1e-8) -> np.ndarray:
     dim[alpha] delta_ij; the returned g x g matrix U expresses psi_i in the
     basis cg_isometries(lam, beta, alpha).  Raises if the Gram matrix
     deviates from dim[alpha] * I (an index-convention bug) or if U fails to
-    be unitary within tol.
+    be unitary, both within BEND_TOL.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
     da, db, dl = _sk_dimension(alpha), _sk_dimension(beta), _sk_dimension(lam)
@@ -240,7 +242,7 @@ def bend_and_compare(alpha, beta, lam, tol: float = 1e-8) -> np.ndarray:
 
     gram = np.array([[np.trace(p.T @ q) for q in psis] for p in psis])
     gram_resid = np.abs(gram - da * np.eye(g)).max()
-    if gram_resid > tol * da:
+    if gram_resid > BEND_TOL * da:
         raise AssertionError(
             f"bent Gram matrix deviates from dim[alpha]*I by {gram_resid:.3e}"
         )
@@ -251,6 +253,6 @@ def bend_and_compare(alpha, beta, lam, tol: float = 1e-8) -> np.ndarray:
         [[np.trace(tgt.T @ psi) / da for tgt in target.maps] for psi in psis]
     )
     unitary_resid = np.abs(u @ u.conj().T - np.eye(g)).max()
-    if unitary_resid > tol:
+    if unitary_resid > BEND_TOL:
         raise AssertionError(f"bend comparison not unitary: {unitary_resid:.3e}")
     return u

@@ -21,9 +21,21 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
 
+def state_residuals(mat: np.ndarray) -> dict[str, float]:
+    """The three quantities DensityMatrix checks a finite matrix against:
+    ||M - M^H||_HS, |tr M - 1| and the lowest eigenvalue of the Hermitian
+    part (M + M^H) / 2, the matrix it stores."""
+    return {
+        "hermiticity": hs_norm(mat - mat.conj().T),
+        "trace_defect": abs(complex(np.trace(mat)) - 1.0),
+        "min_eigenvalue": float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0]),
+    }
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD trace-one matrix with subsystem dimension metadata."""
+    """Hermitian PSD trace-one matrix with subsystem dimension metadata, stored
+    as the Hermitian part (M + M^H) / 2 of the matrix it was checked on."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
@@ -31,8 +43,6 @@ class DensityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         mat = np.asarray(self.matrix, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
         total = int(np.prod(self.dims))
         if mat.shape != (total, total):
             raise ValidationError(
@@ -40,19 +50,16 @@ class DensityMatrix:
             )
         if not np.isfinite(mat).all():
             raise ValidationError("matrix has NaN or infinite entries")
-        herm = hs_norm(mat - mat.conj().T)
-        if herm > HERMITICITY_TOL:
-            raise ValidationError(f"not Hermitian: residual {herm:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace differs from 1 by {abs(tr - 1.0):.3e}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < EIGENVALUE_FLOOR:
-            raise ValidationError(f"negative eigenvalue {min_eig:.3e}")
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        res = state_residuals(mat)
+        if res["hermiticity"] > HERMITICITY_TOL:
+            raise ValidationError(f"not Hermitian: residual {res['hermiticity']:.3e}")
+        if res["trace_defect"] > TRACE_TOL:
+            raise ValidationError(f"trace differs from 1 by {res['trace_defect']:.3e}")
+        if res["min_eigenvalue"] < EIGENVALUE_FLOOR:
+            raise ValidationError(f"negative eigenvalue {res['min_eigenvalue']:.3e}")
+        herm = (mat + mat.conj().T) / 2
+        herm.setflags(write=False)
+        object.__setattr__(self, "matrix", herm)
 
     def marginal(self, keep: tuple[int, ...]) -> np.ndarray:
         return partial_trace(self.matrix, self.dims, keep)
@@ -111,17 +118,9 @@ def spectra_tuple(rho: DensityMatrix) -> SpectraTuple:
     )
 
 
-def von_neumann_entropy(arg) -> float:
-    """Base-2 entropy of a probability vector or a density matrix."""
-    if isinstance(arg, DensityMatrix):
-        probs = arg.spectrum()
-    else:
-        arr = np.asarray(arg)
-        if arr.ndim == 2:
-            vals, _ = hermitian_eigensystem(arr)
-            probs = clamp_spectrum(vals)
-        else:
-            probs = clamp_spectrum(arr)
+def von_neumann_entropy(probs) -> float:
+    """Base-2 entropy of a probability vector, such as ``rho.spectrum()``."""
+    probs = clamp_spectrum(probs)
     probs = probs[probs > 0]
     return float(-np.sum(probs * np.log2(probs)))
 
@@ -159,9 +158,7 @@ def sample_hs_random(dims, seed) -> DensityMatrix:
     d = int(np.prod(dims))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
-    m = m / np.trace(m).real
-    m = (m + m.conj().T) / 2
-    return DensityMatrix(dims=dims, matrix=m)
+    return DensityMatrix(dims=dims, matrix=m / np.trace(m).real)
 
 
 def pure_state(vec: np.ndarray, dims) -> DensityMatrix:
@@ -195,16 +192,21 @@ def state_to_json(rho: DensityMatrix) -> dict:
     return {"dims": list(rho.dims), "matrix": mat}
 
 
-def state_from_json(payload: dict) -> DensityMatrix:
+def matrix_from_json(payload: dict) -> tuple[tuple[int, ...], np.ndarray]:
+    """The dims and the complex matrix of a state file, as written, unchecked."""
     try:
         dims = tuple(int(d) for d in payload["dims"])
         raw = payload["matrix"]
         mat = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in raw]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
-    return DensityMatrix(dims=dims, matrix=mat)
+    return dims, mat
+
+
+def state_from_json(payload: dict) -> DensityMatrix:
+    return DensityMatrix(*matrix_from_json(payload))
 
 
 def spectra_from_json(payload: dict) -> SpectraTuple:

@@ -52,12 +52,14 @@ class RepMatrixSet:
         return sum(self.shape)
 
 
-def young_orthogonal_rep(lam: Sequence[int], dim_cap: int = DEFAULT_DIMENSION_CAP) -> RepMatrixSet:
+def young_orthogonal_rep(lam: Sequence[int]) -> RepMatrixSet:
+    """Young's orthogonal form of [lam]; refused, before any matrix is built,
+    above ``DEFAULT_DIMENSION_CAP`` (read at each call)."""
     lam = check_partition(lam)
     dim = _sk_dimension(lam)
-    if dim > dim_cap:
+    if dim > DEFAULT_DIMENSION_CAP:
         raise ResourceLimitError(
-            f"representation {lam} has dimension {dim} above the cap {dim_cap}"
+            f"representation {lam} has dimension {dim} above the cap {DEFAULT_DIMENSION_CAP}"
         )
     return _young_orthogonal_rep(lam)
 

@@ -77,7 +77,7 @@ def isotypic_projector(lam, d: int, k: int) -> np.ndarray:
     return ball_sum_projector([lam], (d,), k, "A")
 
 
-def projected_trace(lam, rho: DensityMatrix | np.ndarray, k: int) -> float:
+def projected_trace(lam, rho: DensityMatrix, k: int) -> float:
     """tr(P_lam rho^(x k)) via cycle types: one term per partition of k.
 
     Needs only the power traces tr(rho^j), so it scales to k ~ 30 where no
@@ -86,8 +86,7 @@ def projected_trace(lam, rho: DensityMatrix | np.ndarray, k: int) -> float:
     lam = check_partition(lam)
     if sum(lam) != k:
         raise ValidationError(f"{lam} is not a partition of {k}")
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    vals, _ = hermitian_eigensystem(mat)
+    vals, _ = hermitian_eigensystem(rho.matrix)
     power_traces = [float(np.sum(vals**j)) for j in range(k + 1)]
     total = 0.0
     for t, size in conjugacy_classes(k):

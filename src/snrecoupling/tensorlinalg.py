@@ -34,8 +34,10 @@ def op_norm(a: np.ndarray) -> float:
 
 
 def fix_vector_sign(v: np.ndarray) -> np.ndarray:
-    """Deterministic phase: first entry of largest magnitude made positive real."""
-    idx = int(np.argmax(np.abs(v)))
+    """Deterministic phase: the first entry within a relative 1e-12 of the largest
+    magnitude is made positive real, so a roundoff tie cannot flip the sign."""
+    mag = np.abs(v)
+    idx = int(np.argmax(mag >= (1.0 - 1e-12) * mag.max()))
     pivot = v[idx]
     if pivot == 0:
         return v

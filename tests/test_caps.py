@@ -1,0 +1,109 @@
+"""Every size cap at its limit and one below it.
+
+At the cap the call succeeds; one below, it raises ResourceLimitError before
+anything is built: the memo the call would fill stays empty, and the dense
+projector is never allocated.  Each cap is a module constant read at call
+time, so the tests set it with monkeypatch.
+"""
+
+import math
+import tracemalloc
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from snrecoupling import intertwiner, repsym, schurweyl
+from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
+from snrecoupling.errors import ResourceLimitError
+from snrecoupling.intertwiner import _solve_cg, cg_isometries, kronecker_coefficient
+from snrecoupling.repsym import _young_orthogonal_rep, young_orthogonal_rep
+from snrecoupling.schurweyl import _sk_tables, ball_sum_projector, tripartite_elements
+
+CAP_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def labels(k_max, count):
+    """`count` partitions of one common k in 1..k_max."""
+    return st.integers(1, k_max).flatmap(
+        lambda k: st.tuples(*[st.sampled_from(enumerate_partitions(k))] * count)
+    )
+
+
+# (dims, k) at k <= 5 whose dense projector has 256..1024 rows: large enough
+# that its allocation (0.5..8 MB) stands far above what a refusal allocates
+DENSE_SIZES = [
+    (dims, k)
+    for k in range(2, 6)
+    for n in (1, 2, 3)
+    for dims in product(range(1, 5), repeat=n)
+    if 256 <= math.prod(dims) ** k <= 1024
+]
+
+
+@CAP_SETTINGS
+@given(labels(5, 3))
+def test_product_cap(triple):
+    need = (sk_dimension(triple[0]) * sk_dimension(triple[1])) ** 2
+    _solve_cg.cache_clear()
+    _young_orthogonal_rep.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intertwiner, "DEFAULT_PRODUCT_CAP", need - 1)
+        with pytest.raises(ResourceLimitError):
+            cg_isometries(*triple)
+        assert _solve_cg.cache_info().currsize == 0
+        assert _young_orthogonal_rep.cache_info().currsize == 0
+        mp.setattr(intertwiner, "DEFAULT_PRODUCT_CAP", need)
+        assert len(cg_isometries(*triple)) == kronecker_coefficient(*triple)
+
+
+@CAP_SETTINGS
+@given(labels(5, 1))
+def test_dimension_cap(label):
+    (lam,) = label
+    _young_orthogonal_rep.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repsym, "DEFAULT_DIMENSION_CAP", sk_dimension(lam) - 1)
+        with pytest.raises(ResourceLimitError):
+            young_orthogonal_rep(lam)
+        assert _young_orthogonal_rep.cache_info().currsize == 0
+        mp.setattr(repsym, "DEFAULT_DIMENSION_CAP", sk_dimension(lam))
+        assert young_orthogonal_rep(lam).dim == sk_dimension(lam)
+
+
+@CAP_SETTINGS
+@given(st.sampled_from(DENSE_SIZES), st.data())
+def test_dense_cap(size, data):
+    dims, k = size
+    lam = data.draw(st.sampled_from(enumerate_partitions(k)))
+    total = math.prod(dims) ** k
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schurweyl, "DENSE_CAP", total - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                ball_sum_projector([lam], dims, k, "ABC"[: len(dims)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < total * total * 8 // 4
+        mp.setattr(schurweyl, "DENSE_CAP", total)
+        mat = ball_sum_projector([lam], dims, k, "ABC"[: len(dims)])
+        assert mat.shape == (total, total)
+
+
+@CAP_SETTINGS
+@given(labels(4, 6), st.tuples(*[st.integers(1, 3)] * 3))
+def test_implicit_cap(six, dims):
+    # the (k!)^3 arrays at k = 5 take seconds to multiply, so draws stop at 4
+    k = sum(six[0])
+    need = max(math.factorial(k) ** 3, math.prod(dims) ** k)
+    _sk_tables.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schurweyl, "IMPLICIT_CAP", need - 1)
+        with pytest.raises(ResourceLimitError):
+            tripartite_elements(*([l] for l in six), dims, k)
+        assert _sk_tables.cache_info().currsize == 0
+        mp.setattr(schurweyl, "IMPLICIT_CAP", need)
+        pq = tripartite_elements(*([l] for l in six), dims, k).pq
+        assert pq.shape == (math.factorial(k),) * 3

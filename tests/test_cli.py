@@ -13,10 +13,25 @@ from snrecoupling.quantumstates import (
 )
 
 
+# the subcommands that draw random states, and those that print a report
+SEEDED = {"overlap-bound-fuzz", "converse-probe", "ssa-scan", "sample-state"}
+REPORTS = {"spectrum-estimation", "overlap-certificate", "overlap-bound-fuzz",
+           "dimension-ratio", "converse-probe", "ssa-scan"}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def skewed_mixed_state(path):
+    """The maximally mixed (2,2,2) state with i 4.24e-11 added at entry (0, 1):
+    a Hermiticity residual of 6e-11, inside HERMITICITY_TOL = 1e-10."""
+    payload = state_to_json(maximally_mixed((2, 2, 2)))
+    payload["matrix"][0][1] = [0.0, 4.24e-11]
+    path.write_text(json.dumps(payload))
+    return path
 
 
 class TestParsing:
@@ -53,7 +68,10 @@ class TestParserTable:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith(f"usage: snrecoupling {name}")
-        assert "--seed" in out and "--format" in out
+        # each flag is offered exactly where the subcommand reads it
+        assert ("--seed" in out) == (name in SEEDED)
+        assert ("--format" in out) == (name in REPORTS)
+        assert "--out" in out
 
     @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "1"]])
     def test_unknown_or_missing_subcommand_exits_2(self, capsys, argv):
@@ -70,6 +88,20 @@ class TestParserTable:
                                              "--lambda", "1"])
         err = capsys.readouterr().err
         assert "invalid choice" in err and "kron" in err and "sample-state" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["char", "--lambda", "2,1", "--type", "3", "--seed", "1"],
+        ["cg", "--alpha", "2,1", "--beta", "2,1", "--lambda", "3", "--format", "csv"],
+        ["validate-state", "x.json", "--format", "json"],
+        ["overlap-certificate", "--rho", "x.json", "--k", "2", "--delta", "1", "--seed", "1"],
+    ])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_spectrum_estimation_defaults_to_csv(self):
         args = build_parser("spectrum-estimation").parse_args(
@@ -182,6 +214,18 @@ class TestStateCommands:
         code, out = run(capsys, "overlap-bound-fuzz", "--n", "20", "--seed", "1")
         assert code == 0
 
+    def test_report_written_with_out_in_both_formats(self, capsys, tmp_path):
+        argv = ("overlap-bound-fuzz", "--n", "5", "--seed", "0")
+        code, out = run(capsys, *argv, "--out", str(tmp_path / "r.jsonl"))
+        assert code == 0 and out == ""
+        lines = (tmp_path / "r.jsonl").read_text().splitlines()
+        assert json.loads(lines[0])["record"] == "header"
+        assert len(lines) == 5 + 2
+        code, out = run(capsys, *argv, "--format", "csv", "--out", str(tmp_path / "r.csv"))
+        assert code == 0 and out == ""
+        rows = (tmp_path / "r.csv").read_text().splitlines()
+        assert "slack" in rows[0].split(",") and len(rows) == 5 + 1
+
     def test_dimension_ratio(self, capsys, tmp_path):
         path = tmp_path / "ghz.json"
         v = np.zeros(8)
@@ -190,6 +234,32 @@ class TestStateCommands:
         code, out = run(capsys, "dimension-ratio", "--rho", str(path),
                         "--k-list", "500,2000")
         assert code == 0
+
+    def test_validate_reports_the_residual_in_the_file(self, capsys, tmp_path):
+        code, out = run(capsys, "validate-state", str(skewed_mixed_state(tmp_path / "s.json")))
+        assert code == 0
+        res = json.loads(out)
+        assert res["valid"] and res["hermiticity"] == pytest.approx(6e-11, rel=1e-3)
+
+    def test_state_inside_the_hermiticity_tolerance_is_usable(self, capsys, tmp_path):
+        # accepted by DensityMatrix, so every command downstream must run on it
+        path = str(skewed_mixed_state(tmp_path / "s.json"))
+        code, out = run(capsys, "overlap-certificate", "--rho", path, "--k", "2",
+                        "--delta", "1.0")
+        assert code == 0 and json.loads(out.splitlines()[-1])["passed"]
+        code, out = run(capsys, "dimension-ratio", "--rho", path, "--k-list", "250")
+        assert code == 0 and json.loads(out.splitlines()[-1])["passed"]
+
+    def test_validate_checks_the_eigenvalues_of_the_stored_matrix(self, capsys, tmp_path):
+        # eigvalsh of the lower triangle reads -0.9e-10, inside the floor, but
+        # the Hermitian part that would be stored has -1.25e-10, outside it
+        mat = np.diag([1 + 1.8e-10, -0.9e-10, -0.9e-10]).astype(complex)
+        mat[1, 2] = 7e-11j
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dims": [3], "matrix": [
+            [[z.real, z.imag] for z in row] for row in mat]}))
+        code, out = run(capsys, "validate-state", str(path))
+        assert code == 1 and "negative eigenvalue" in json.loads(out)["reason"]
 
     def test_converse_probe(self, capsys, tmp_path):
         path = tmp_path / "spectra.json"
@@ -290,6 +360,19 @@ class TestMalformedInput:
         }))
         self.check_rejected(capsys, "converse-probe", "--spectra", str(path), "--samples", "0")
 
+    @pytest.mark.parametrize("payload", [
+        {"dims": ["x"], "matrix": [[[1, 0]]]},
+        {"dims": [2], "matrix": [[[1, 0]], [[0, 0], [0.5, 0]]]},  # ragged rows
+    ])
+    def test_malformed_state_file(self, capsys, tmp_path, payload):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(payload))
+        code, out = run(capsys, "validate-state", str(path))
+        assert code == 1
+        assert json.loads(out)["reason"].startswith("malformed state file")
+        self.check_rejected(capsys, "overlap-certificate", "--rho", str(path),
+                            "--k", "2", "--delta", "1.0")
+
     def test_validate_non_json_state_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[[[1, 0]]")
@@ -324,6 +407,24 @@ class TestMalformedInput:
         err = self.check_rejected(capsys, "spectrum-estimation", "--rho", str(path),
                                   "--k-max", "0")
         assert "k_max" in err
+
+    def test_converse_probe_inconsistent_spectrum_lengths(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps({
+            "r_a": [0.5, 0.5], "r_b": [0.5, 0.5], "r_c": [1.0, 0.0], "r_ab": [0.25] * 4,
+            "r_bc": [0.5, 0.5, 0.0], "r_abc": [1.0] + [0.0] * 7,
+        }))
+        err = self.check_rejected(capsys, "converse-probe", "--spectra", str(path))
+        assert "r_ab, r_bc, r_abc" in err
+
+    def test_spectra_file_scalar_spectrum(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps({
+            "r_a": 1.0, "r_b": [0.5, 0.5], "r_c": [1.0, 0.0], "r_ab": [0.5, 0.5],
+            "r_bc": [0.5, 0.5, 0.0, 0.0], "r_abc": [1.0] + [0.0] * 3,
+        }))
+        err = self.check_rejected(capsys, "converse-probe", "--spectra", str(path))
+        assert "non-empty vector" in err
 
     def test_converse_probe_negative_samples(self, capsys, tmp_path):
         path = tmp_path / "spectra.json"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from snrecoupling import experiments
 from snrecoupling.combinatorics import round_spectrum
 from snrecoupling.errors import ValidationError
 from snrecoupling.schurweyl import projected_trace
@@ -244,6 +245,30 @@ class TestConverseProbe:
         rep = cmd_converse_probe(perturbed, [2, 3], samples=0, seed=0)
         assert rep.summary["hs_sequence"][0] == 0.0
 
+    def test_dims_come_from_the_spectra(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        spectra = spectra_tuple(pure_state(v, (2, 2, 3)))
+        sampled = []
+
+        def recording(dims, seed):
+            sampled.append(tuple(dims))
+            return sample_hs_random(dims, seed)
+
+        monkeypatch.setattr(experiments, "sample_hs_random", recording)
+        rep = cmd_converse_probe(spectra, [2, 3], samples=2, seed=0)
+        assert rep.parameters["dims"] == [2, 2, 3]
+        assert sampled == [(2, 2, 3)] * 4
+        assert all(0.0 < item["surrogate_max"] <= 1.0 + 1e-9 for item in rep.items)
+
+    @pytest.mark.parametrize("field, length", [("r_ab", 3), ("r_bc", 6), ("r_abc", 4)])
+    def test_rejects_inconsistent_spectrum_lengths(self, field, length):
+        spectra = spectra_tuple(maximally_mixed((2, 2, 2))).as_dict()
+        spectra[field] = [1.0 / length] * length
+        with pytest.raises(ValidationError, match="r_ab, r_bc, r_abc"):
+            cmd_converse_probe(SpectraTuple(**{f: np.array(r) for f, r in spectra.items()}),
+                               [2], samples=0, seed=0)
+
     def test_rejects_large_k(self):
         spectra = spectra_tuple(maximally_mixed((2, 2, 2)))
         with pytest.raises(ValidationError):
@@ -283,10 +308,3 @@ class TestReportFormats:
         csv_text = rep.to_csv()
         head = csv_text.splitlines()[0]
         assert "ssa_gap" in head and "weak_mono_gap" in head
-
-    def test_write_both_formats(self, tmp_path):
-        rep = cmd_overlap_bound_fuzz(5, seed=0)
-        rep.write(tmp_path / "r.jsonl", "json")
-        rep.write(tmp_path / "r.csv", "csv")
-        assert (tmp_path / "r.jsonl").read_text().startswith("{")
-        assert "slack" in (tmp_path / "r.csv").read_text()

@@ -14,6 +14,7 @@ from snrecoupling.combinatorics import (
     random_permutation,
     sk_dimension,
 )
+from snrecoupling import intertwiner
 from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.intertwiner import (
     DEFAULT_PRODUCT_CAP,
@@ -161,16 +162,19 @@ class TestCgIsometries:
                             acc += phi @ phi.T
                     assert np.abs(acc - np.eye(da * db)).max() < 1e-8
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(intertwiner, "DEFAULT_PRODUCT_CAP", 10)
         with pytest.raises(ResourceLimitError):
-            cg_isometries((3, 2), (3, 2), (3, 2), product_cap=10)
+            cg_isometries((3, 2), (3, 2), (3, 2))
 
-    def test_cap_bounds_the_jucys_murphy_operator(self):
+    def test_cap_bounds_the_jucys_murphy_operator(self, monkeypatch):
         # dim (3,2) = 5: the operator on [alpha] (x) [beta] has 25^2 entries
         triple = ((3, 2), (3, 2), (2, 2, 1))
-        assert len(cg_isometries(*triple, product_cap=25**2)) == 1
+        monkeypatch.setattr(intertwiner, "DEFAULT_PRODUCT_CAP", 25**2)
+        assert len(cg_isometries(*triple)) == 1
+        monkeypatch.setattr(intertwiner, "DEFAULT_PRODUCT_CAP", 25**2 - 1)
         with pytest.raises(ResourceLimitError):
-            cg_isometries(*triple, product_cap=25**2 - 1)
+            cg_isometries(*triple)
 
     def test_every_pair_up_to_k7_fits_the_default_cap(self):
         widest = max(sk_dimension(p) for p in enumerate_partitions(7))

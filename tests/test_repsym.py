@@ -14,6 +14,7 @@ from snrecoupling.combinatorics import (
     random_permutation,
     sk_dimension,
 )
+from snrecoupling import repsym
 from snrecoupling.errors import ResourceLimitError
 from snrecoupling.repsym import (
     character,
@@ -64,9 +65,10 @@ class TestYoungOrthogonalForm:
                     comm = gens[i] @ gens[j] - gens[j] @ gens[i]
                     assert np.abs(comm).max() < 1e-12
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(repsym, "DEFAULT_DIMENSION_CAP", 100)
         with pytest.raises(ResourceLimitError):
-            young_orthogonal_rep((10, 9, 8, 7, 6), dim_cap=100)
+            young_orthogonal_rep((10, 9, 8, 7, 6))
 
 
 class TestRepresent:

@@ -167,3 +167,12 @@ class TestShapeAndSign:
         w = np.array([0.1 + 0.0j, 0.0 + 0.9j])
         fixed = fix_vector_sign(w)
         assert abs(fixed[1].imag) < 1e-15 and fixed[1].real > 0
+
+    @pytest.mark.parametrize("x", [0.5, 1 / 3, 0.7071067811865476])
+    def test_fix_vector_sign_ignores_one_ulp(self, x):
+        # two opposite-sign entries equal to 1 ulp: the first is the pivot
+        # whichever of the two is larger, so roundoff cannot flip the sign
+        up = np.nextafter(x, 1.0)
+        for v in (np.array([0.1, x, -up]), np.array([0.1, up, -x])):
+            assert fix_vector_sign(v)[1] > 0
+            assert fix_vector_sign(-v)[1] > 0
