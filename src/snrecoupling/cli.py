@@ -212,10 +212,7 @@ def _cmd_validate_state(args) -> int:
 
 
 def _cmd_sample_state(args) -> int:
-    dims = parse_ints(args.dims, "dimensions")
-    if not dims or min(dims) < 1:
-        raise ValidationError(f"dimensions must be positive integers: {args.dims!r}")
-    rho = sample_hs_random(dims, args.seed)
+    rho = sample_hs_random(parse_ints(args.dims, "dimensions"), args.seed)
     text = json.dumps(state_to_json(rho))
     _emit(text, args.out)
     return 0

@@ -20,6 +20,8 @@ from .errors import ValidationError
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
 
+ROUND_K_MAX = 10**11  # largest k round_spectrum accepts; see its docstring
+
 
 class CycleType(NamedTuple):
     parts: Partition
@@ -102,9 +104,16 @@ def _sk_dimension(lam: Partition) -> int:
 
 
 def log_sk_dimension(lam: Sequence[int]) -> float:
-    """Natural log of sk_dimension, overflow-free for very large k."""
-    log_hooks = sum(math.log(h) for row in hook_lengths(lam) for h in row)
-    return math.lgamma(sum(lam) + 1) - log_hooks
+    """Natural log of sk_dimension, overflow-free for very large k.
+
+    Frobenius formula, O(rows^2) whatever k: with l_i = lam_i + m - 1 - i for
+    the m rows, dim = k! prod_{i<j} (l_i - l_j) / prod_i l_i!.
+    """
+    lam = check_partition(lam)
+    m = len(lam)
+    ell = [row + m - 1 - i for i, row in enumerate(lam)]
+    log_gaps = sum(math.log(ell[i] - ell[j]) for i in range(m) for j in range(i + 1, m))
+    return math.lgamma(sum(lam) + 1) + log_gaps - sum(math.lgamma(l + 1) for l in ell)
 
 
 def weyl_dimension(lam: Sequence[int], d: int) -> int:
@@ -153,7 +162,14 @@ def round_spectrum(r: Sequence[float], k: int) -> Partition:
     Largest-remainder apportionment of k*r; ties prefer the larger
     remainder, then the earlier row.  The result is re-sorted so it is a
     valid partition even if apportionment breaks monotonicity.
+
+    k must lie in 1..ROUND_K_MAX.  The floors leave a deficit between 0 and
+    the number of rows exactly when the float products k*r_i sum to within
+    1 of k, which holds while k (1e-12 + 2^-53) < 1: 1e-12 is the tolerance
+    of the sum check, 2^-53 the rounding of each product.
     """
+    if not 1 <= k <= ROUND_K_MAX:
+        raise ValidationError(f"k must be in 1..{ROUND_K_MAX}, got {k}")
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ValidationError("spectrum must be a non-empty vector")

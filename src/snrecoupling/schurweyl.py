@@ -107,9 +107,12 @@ def _ball_coefficients(labels: Sequence[Partition], k: int) -> np.ndarray:
     of the isotypic projectors of `labels`: sum_lam dim[lam] chi_lam(pi) / k!.
 
     Characters of S_k are real and constant on conjugacy classes, so the
-    coefficient of pi equals that of its inverse.
+    coefficient of pi equals that of its inverse.  The labels must be
+    distinct, so that the sum is an idempotent.
     """
     labels = [check_partition(l) for l in labels]
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"ball labels repeat: {labels}")
     for lam in labels:
         if sum(lam) != k:
             raise ValidationError(f"label {lam} is not a partition of k = {k}")
@@ -172,7 +175,7 @@ def trace_with_tensor_power(mat: np.ndarray, rho: np.ndarray, k: int) -> complex
 # Under permutation_index_map's convention U(pi) U(tau) = U(pi o tau), with
 # (pi o tau)[t] = pi[tau[t]], so operator products are group-algebra products.
 
-_GROUP_AXES = {"A": (0,), "B": (1,), "C": (2,), "AB": (0, 1), "BC": (1, 2), "ABC": (0, 1, 2)}
+_GROUP_AXES = {"AB": (0, 1), "BC": (1, 2), "ABC": (0, 1, 2)}
 
 
 class _SkTables(NamedTuple):
@@ -240,40 +243,35 @@ def tripartite_elements(
 ) -> TripartiteElements:
     """P~, Q~ and P~ Q~ for balls of labels, as group-algebra elements.
 
-    Each argument is a collection of labels (a one-element list for a single
-    tuple), summed into one ball factor S_alpha, ..., S_lam on the subsystem
-    groups A, B, C, AB, BC, ABC.  With abc = S_alpha S_beta S_gamma:
+    Each argument is a collection of distinct labels (a one-element list for
+    a single tuple), summed into one ball factor S_alpha, ..., S_lam on the
+    subsystem groups A, B, C, AB, BC, ABC.  With abc = S_alpha S_beta S_gamma,
+    P~ = abc S_alpha S_nu S_lam, Q~ = abc S_mu S_gamma S_lam, and P~ Q~ is
+    P~ times both chains of Q~.  Two identities leave four passes:
 
-        P~ = abc S_alpha S_nu S_lam,   Q~ = abc S_mu S_gamma S_lam,
+    - S_alpha, S_beta, S_gamma are class functions of one factor, so sums of
+      distinct central primitive idempotents: abc commutes with every U(g),
+      absorbs a repeated S_alpha or S_gamma, and is the outer product of the
+      three coefficient vectors;
+    - S_mu and S_nu are invariant under simultaneous conjugation, so they
+      commute with S_lam; S_lam and S_mu are idempotent.
 
-    and P~ Q~ is P~ right-multiplied by Q~'s six factors.  Each array has
-    (k!)^3 entries whatever the local dimensions; `dims` enters only the
-    size check, which also covers permutation_traces on a state of `dims`.
+    Hence P~ = abc S_lam S_nu, Q~ = abc S_lam S_mu and P~ Q~ = P~ S_mu.  Each
+    array has (k!)^3 entries whatever the local dimensions; `dims` enters
+    only the size check, which also covers permutation_traces on `dims`.
     """
     _check_algebra_size(dims, k)
     tables = _sk_tables(k)
-    s_a, s_b, s_c, s_mu, s_nu, s_lam = (
-        (_ball_coefficients(labels, k), group)
-        for labels, group in zip(
-            (alphas, betas, gammas, mus, nus, lams), ("A", "B", "C", "AB", "BC", "ABC")
-        )
+    c_a, c_b, c_c, c_mu, c_nu, c_lam = (
+        _ball_coefficients(labels, k) for labels in (alphas, betas, gammas, mus, nus, lams)
     )
-
-    def times(x, *factors):
-        for coeffs, group in factors:
-            x = _times_ball(x, coeffs, group, tables)
-        return x
-
-    n = len(tables.perms)
-    identity = np.zeros((n, n, n))
-    identity[0, 0, 0] = 1.0  # all_permutations lists the identity first
-    abc = times(identity, s_a, s_b, s_c)
-    q_tail = (s_mu, s_c, s_lam)
-    p_tilde = times(abc, s_a, s_nu, s_lam)
+    abc = c_a[:, None, None] * c_b[None, :, None] * c_c[None, None, :]
+    x = _times_ball(abc, c_lam, "ABC", tables)
+    p_tilde = _times_ball(x, c_nu, "BC", tables)
     return TripartiteElements(
         p_tilde=p_tilde,
-        q_tilde=times(abc, *q_tail),
-        pq=times(p_tilde, s_a, s_b, s_c, *q_tail),
+        q_tilde=_times_ball(x, c_mu, "AB", tables),
+        pq=_times_ball(p_tilde, c_mu, "AB", tables),
     )
 
 

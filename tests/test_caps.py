@@ -1,22 +1,24 @@
 """Every size cap at its limit and one below it.
 
 At the cap the call succeeds; one below, it raises ResourceLimitError before
-anything is built: the memo the call would fill stays empty, and the dense
-projector is never allocated.  Each cap is a module constant read at call
-time, so the tests set it with monkeypatch.
+anything is built: the memo the call would fill stays empty, the dense
+projector is never allocated, and no random state is drawn.  Each cap is a
+module constant read at call time, so the tests set it with monkeypatch.
 """
 
 import math
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snrecoupling import intertwiner, repsym, schurweyl
+from snrecoupling import intertwiner, quantumstates, repsym, schurweyl
 from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
 from snrecoupling.errors import ResourceLimitError
 from snrecoupling.intertwiner import _solve_cg, cg_isometries, kronecker_coefficient
+from snrecoupling.quantumstates import SAMPLE_DIM_CAP, sample_hs_random
 from snrecoupling.repsym import _young_orthogonal_rep, young_orthogonal_rep
 from snrecoupling.schurweyl import _sk_tables, ball_sum_projector, tripartite_elements
 
@@ -107,3 +109,29 @@ def test_implicit_cap(six, dims):
         mp.setattr(schurweyl, "IMPLICIT_CAP", need)
         pq = tripartite_elements(*([l] for l in six), dims, k).pq
         assert pq.shape == (math.factorial(k),) * 3
+
+
+@CAP_SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 2**32))
+def test_sample_cap(dims, seed):
+    need = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantumstates, "SAMPLE_DIM_CAP", need - 1)
+        before = rng.bit_generator.state
+        with pytest.raises(ResourceLimitError):
+            sample_hs_random(dims, rng)
+        assert rng.bit_generator.state == before
+        mp.setattr(quantumstates, "SAMPLE_DIM_CAP", need)
+        assert sample_hs_random(dims, rng).matrix.shape == (need, need)
+        assert rng.bit_generator.state != before
+
+
+def test_sample_cap_at_its_value():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ResourceLimitError):
+        sample_hs_random((SAMPLE_DIM_CAP + 1,), rng)
+    assert rng.bit_generator.state == before
+    rho = sample_hs_random((2, SAMPLE_DIM_CAP // 2), rng)
+    assert rho.matrix.shape == (SAMPLE_DIM_CAP, SAMPLE_DIM_CAP)

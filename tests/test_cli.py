@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from snrecoupling.cli import COMMANDS, build_parser, main, parse_labels, parse_partition
 from snrecoupling.errors import ValidationError
 from snrecoupling.quantumstates import (
+    SAMPLE_DIM_CAP,
     DensityMatrix,
     maximally_mixed,
     save_state,
@@ -235,6 +238,17 @@ class TestStateCommands:
                         "--k-list", "500,2000")
         assert code == 0
 
+    def test_dimension_ratio_at_the_largest_k(self, capsys, tmp_path):
+        # O(rows^2) per diagram: k = 1e11 costs what k = 500 does
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed((2, 2, 2)), path)
+        start = time.perf_counter()
+        code, out = run(capsys, "dimension-ratio", "--rho", str(path),
+                        "--k-list", "100000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code in (0, 1)
+        assert math.isfinite(json.loads(out.splitlines()[1])["ratio"])
+
     def test_validate_reports_the_residual_in_the_file(self, capsys, tmp_path):
         code, out = run(capsys, "validate-state", str(skewed_mixed_state(tmp_path / "s.json")))
         assert code == 0
@@ -305,6 +319,32 @@ class TestMalformedInput:
 
     def test_sample_state_non_positive_dims(self, capsys):
         self.check_rejected(capsys, "sample-state", "--dims", "2,-1")
+
+    def test_sample_state_above_the_cap_exits_3(self, capsys):
+        code = main(["sample-state", "--dims", str(SAMPLE_DIM_CAP + 1)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and f"above {SAMPLE_DIM_CAP}" in captured.err
+
+    def test_state_with_negative_dims(self, capsys, tmp_path):
+        # -2 * -2 * 2 = 8 matches the 8 x 8 matrix, but no command can use it
+        path = tmp_path / "rho.json"
+        payload = state_to_json(maximally_mixed((2, 2, 2)))
+        payload["dims"] = [-2, -2, 2]
+        path.write_text(json.dumps(payload))
+        code, out = run(capsys, "validate-state", str(path))
+        assert code == 1 and "tensor factors" in json.loads(out)["reason"]
+        self.check_rejected(capsys, "overlap-certificate", "--rho", str(path),
+                            "--k", "2", "--delta", "1.0")
+        self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
+                            "--k-list", "2,3")
+
+    def test_dimension_ratio_k_above_the_rounding_bound(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(maximally_mixed((2, 2, 2)), path)
+        err = self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
+                                  "--k-list", "1000000000000")
+        assert "k must be in" in err
 
     def test_non_json_state_file(self, capsys, tmp_path):
         path = tmp_path / "rho.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snrecoupling.combinatorics import (
+    ROUND_K_MAX,
     adjacent_transposition,
     adjacent_word,
     all_permutations,
@@ -143,10 +144,11 @@ class TestDimensions:
             assert total == math.factorial(k)
 
     def test_log_dimension(self):
-        for lam in enumerate_partitions(6):
-            assert log_sk_dimension(lam) == pytest.approx(
-                math.log(sk_dimension(lam)), abs=1e-10
-            )
+        for k in range(1, 31):
+            for lam in enumerate_partitions(k):
+                assert log_sk_dimension(lam) == pytest.approx(
+                    math.log(sk_dimension(lam)), abs=1e-10
+                ), lam
         # far beyond exact-float territory, still finite and sane
         big = (1000, 1000)
         assert 0 < log_sk_dimension(big) < 2000 * math.log(2)
@@ -194,6 +196,18 @@ class TestNormalizeAndRound:
     def test_round_largest_remainder_tie_break(self):
         # 3*(0.5, 0.5) = (1.5, 1.5): equal remainders, earlier row wins
         assert round_spectrum((0.5, 0.5), 3) == (2, 1)
+        # 5*(0.9, 0.1) rounds to (4.5, 0.5) in floats, a tie; exact rationals
+        # would give (4, 1)
+        assert round_spectrum((0.9, 0.1), 5) == (5,)
+
+    @pytest.mark.parametrize("r", [(0.5, 0.5), (0.7, 0.2, 0.1), (0.5 + 5e-13, 0.5)])
+    def test_round_k_range(self, r):
+        for k in (0, -1, ROUND_K_MAX + 1, 10**13, 10**17):
+            with pytest.raises(ValidationError, match="k must be in"):
+                round_spectrum(r, k)
+        for k in (1, ROUND_K_MAX):
+            lam = round_spectrum(r, k)
+            assert sum(lam) == k and lam == tuple(sorted(lam, reverse=True))
 
     def test_round_rejects_bad_input(self):
         with pytest.raises(ValidationError):

@@ -50,6 +50,12 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError, match="NaN or infinite"):
             DensityMatrix(dims=(2,), matrix=np.array([[bad, 0.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("dims", [(-2, -2, 2), (-2, -4), (), (0,), (8, 0)])
+    def test_rejects_dims_that_are_not_positive(self, dims):
+        # (-2, -2, 2) multiplies to 8, so I/8 matched its shape
+        with pytest.raises(ValidationError, match="tensor factors"):
+            DensityMatrix(dims=dims, matrix=np.eye(8) / 8)
+
     def test_clamps_numerical_noise(self):
         rho = DensityMatrix(dims=(2,), matrix=np.diag([1.0 + 5e-11, -5e-11]))
         assert rho.spectrum().min() == 0.0
@@ -198,6 +204,11 @@ class TestSampling:
         a = sample_hs_random(4, seed=123)
         b = sample_hs_random(4, seed=123)
         assert np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("dims", [(-2, -2), 0, (2, 0), (), -3])
+    def test_rejects_dims_that_are_not_positive(self, dims):
+        with pytest.raises(ValidationError, match="tensor factors"):
+            sample_hs_random(dims, 1)
 
     def test_mean_approaches_maximally_mixed(self):
         rng = np.random.default_rng(99)

@@ -25,8 +25,10 @@ from snrecoupling.quantumstates import (
 )
 from snrecoupling.recoupling import recoupling_tensor
 from snrecoupling.schurweyl import (
+    _ball_coefficients,
     _fourier_norms,
     _sk_tables,
+    _times_ball,
     ball_sum_projector,
     hs_norm_via_schurweyl,
     isotypic_projector,
@@ -421,6 +423,41 @@ def assert_traces_match_dense_chain(balls, rho, k):
         assert abs(g - w) < 1e-12, (name, g, w)
 
 
+def literal_chain(balls, k):
+    """Oracle: P~, Q~ and P~ Q~ multiplied out factor by factor, 15 passes:
+
+        abc = 1 S_alpha S_beta S_gamma,   P~ = abc S_alpha S_nu S_lam,
+        Q~ = abc S_mu S_gamma S_lam,      P~ Q~ = P~ S_alpha S_beta S_gamma S_mu S_gamma S_lam.
+
+    A factor on one subsystem moves that axis through the multiplication
+    table with np.take; the AB, BC and ABC factors go through _times_ball.
+    """
+    tables = _sk_tables(k)
+    s_a, s_b, s_c, s_mu, s_nu, s_lam = (
+        (_ball_coefficients(labels, k), group)
+        for labels, group in zip(balls, (0, 1, 2, "AB", "BC", "ABC"))
+    )
+
+    def times(x, *factors):
+        for coeffs, group in factors:
+            if isinstance(group, str):
+                x = _times_ball(x, coeffs, group, tables)
+                continue
+            out = np.zeros_like(x)
+            for j in np.flatnonzero(coeffs):
+                out += coeffs[j] * np.take(x, tables.mul[:, tables.inv[j]], axis=group)
+            x = out
+        return x
+
+    n = len(tables.perms)
+    identity = np.zeros((n, n, n))
+    identity[0, 0, 0] = 1.0  # all_permutations lists the identity first
+    abc = times(identity, s_a, s_b, s_c)
+    p_tilde = times(abc, s_a, s_nu, s_lam)
+    q_tilde = times(abc, s_mu, s_c, s_lam)
+    return p_tilde, q_tilde, times(p_tilde, s_a, s_b, s_c, s_mu, s_c, s_lam)
+
+
 def index_map_of(g, dims, k):
     """Index map of U(g) = U_A(g_A) U_B(g_B) U_C(g_C) for perms g = (g_A, g_B, g_C)."""
     y = np.arange(math.prod(dims) ** k)
@@ -463,6 +500,20 @@ class TestGroupAlgebraRoute:
     def test_traces_match_dense_chain(self, dims, k, seed, delta):
         rho = sample_hs_random(dims, seed=seed)
         assert_traces_match_dense_chain(certificate_balls(rho, k, delta), rho, k)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_elements_match_literal_chain_k4(self, seed):
+        # k = 4 is beyond the dense oracle; the chain is multiplied out here
+        rho = sample_hs_random((2, 2, 2), seed=seed)
+        balls = certificate_balls(rho, 4, 1.0)
+        got = tripartite_elements(*balls, rho.dims, 4)
+        for name, g, w in zip(got._fields, got, literal_chain(balls, 4)):
+            assert np.abs(g - w).max() <= 1e-15, name
+
+    def test_repeated_ball_labels_rejected(self):
+        # a repeated label makes the ball factor twice a projector, not an idempotent
+        with pytest.raises(ValidationError, match="repeat"):
+            tripartite_elements([(2,), (2,)], [(2,)], [(2,)], [(2,)], [(2,)], [(2,)], (2, 2, 2), 2)
 
     def test_traces_match_dense_chain_product_pure_state(self):
         v = np.zeros(8)
