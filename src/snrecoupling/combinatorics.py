@@ -163,11 +163,18 @@ def round_spectrum(r: Sequence[float], k: int) -> Partition:
     remainder, then the earlier row.  The result is re-sorted so it is a
     valid partition even if apportionment breaks monotonicity.
 
-    k must lie in 1..ROUND_K_MAX.  The floors leave a deficit between 0 and
+    k must be an integer (numpy integers are accepted, bools are not) in
+    1..ROUND_K_MAX.  The floors leave a deficit between 0 and
     the number of rows exactly when the float products k*r_i sum to within
     1 of k, which holds while k (1e-12 + 2^-53) < 1: 1e-12 is the tolerance
     of the sum check, 2^-53 the rounding of each product.
     """
+    if isinstance(k, bool):
+        raise ValidationError(f"k must be an integer, got {k!r}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValidationError(f"k must be an integer, got {k!r}") from None
     if not 1 <= k <= ROUND_K_MAX:
         raise ValidationError(f"k must be in 1..{ROUND_K_MAX}, got {k}")
     r = np.asarray(r, dtype=float)
@@ -274,6 +281,40 @@ def _tableau_contents(lam: Partition) -> tuple[tuple[int, ...], ...]:
                 cont[entry] = j - i
         result.append(tuple(cont))
     return tuple(result)
+
+
+@cache
+def _tableau_moves(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """Where each adjacent transposition takes each standard tableau of lam.
+
+    ``_tableau_moves(lam)[t][i]`` is the ``_standard_tableaux`` index of
+    s_i T_t, tableau t with the entries i and i+1 exchanged, or -1 when the
+    two share a row or a column (axial distance +-1), so that s_i T_t is not
+    standard; index 0 is a -1 pad.  A standard tableau is determined by its
+    contents, so s_i T_t is looked up by exchanging two contents.
+    """
+    contents = _tableau_contents(lam)
+    index = {cont: t for t, cont in enumerate(contents)}
+    moves = []
+    for cont in contents:
+        row = [-1] * (len(cont) - 1)
+        for i in range(1, len(row)):
+            if abs(cont[i + 1] - cont[i]) >= 2:
+                swapped = cont[:i] + (cont[i + 1], cont[i]) + cont[i + 2:]
+                row[i] = index[swapped]
+        moves.append(tuple(row))
+    return tuple(moves)
+
+
+def _addable_contents(mu: Sequence[int]) -> tuple[int, ...]:
+    """Contents col - row of the cells that can be added to the diagram mu.
+
+    They differ pairwise by at least 2: one per row whose predecessor is
+    longer, plus the first cell of a new row.
+    """
+    return tuple(
+        row - i for i, row in enumerate(mu) if i == 0 or mu[i - 1] > row
+    ) + (-len(mu),)
 
 
 # ---------------------------------------------------------------------------

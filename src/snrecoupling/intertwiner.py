@@ -9,13 +9,16 @@ space is equally valid); only norms, Gram matrices and block unitarity are
 basis-independent.
 
 The bases come from the Gelfand-Tsetlin structure of Young's orthogonal form
-(Vershik-Okounkov): the images of the first standard tableau of [lam] span
-the joint eigenspace of the Jucys-Murphy elements on [alpha] (x) [beta] at
-that tableau's contents, a dim[alpha]*dim[beta] eigenproblem, and Young's
-step carries them to every other tableau.  Each unordered pair is solved
-once: for alpha < beta the basis is that of (beta, alpha, lam) with the two
-tensor factors swapped, the S_k analogue of the permutation symmetry of
-3j-symbols.
+(Vershik-Okounkov): the images of the first standard tableau T1 of [lam]
+span the joint eigenspace of the Jucys-Murphy elements on [alpha] (x) [beta]
+at T1's contents, and Young's step carries them to every other tableau.
+That eigenspace is cut out by polynomial projectors, since on it each X_{j+1}
+can only take the contents of the cells addable to the shape of T1's entries
+1..j.  Each unordered label set is solved once, in the orientation with the
+smallest pair product dim[alpha]*dim[beta]: the label of largest dimension is
+the target.  Every other orientation, the tensor-factor swap included, is an
+axis permutation of that invariant tensor, the S_k analogue of the
+permutation symmetry of 3j-symbols.
 """
 
 from __future__ import annotations
@@ -23,19 +26,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import permutations
 
 import numpy as np
 
 from .combinatorics import (
     Partition,
+    _addable_contents,
     _sk_dimension,
     _tableau_contents,
+    _tableau_moves,
     check_labels,
     conjugacy_classes,
     sk_dimension,
 )
 from .errors import ResourceLimitError, ValidationError
-from .repsym import _character, _swap_entries, represent, young_orthogonal_rep
+from .repsym import _character, _cycle_matrix, young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
@@ -74,16 +80,19 @@ def _kronecker_coefficient(alpha: Partition, beta: Partition, lam: Partition) ->
 def cg_isometries(alpha, beta, lam) -> IntertwinerBasis:
     """Orthonormal intertwiner basis [lam] -> [alpha] (x) [beta].
 
-    The count is checked against the Kronecker coefficient, each map gets
-    the sign of ``fix_vector_sign`` and equivariance is re-checked on the
-    fixed k-cycle (0 1 ... k-1), which is not the identity for any k >= 2.
-    ``DEFAULT_PRODUCT_CAP``, read at each call, bounds (dim[alpha]*dim[beta])**2,
+    The label set is solved once, in its canonical orientation: the label
+    of largest dimension (then the larger partition) as target, the other
+    two larger partition first.  Any other orientation gets the canonical
+    maps with their axes permuted and scaled by sqrt(dim[lam] / dim[target]).
+    The solve checks that the trace of its exact-content projector is the
+    Kronecker coefficient; each returned map gets the sign of
+    ``fix_vector_sign`` and equivariance is re-checked on the fixed k-cycle
+    (0 1 ... k-1), which is not the identity for any k >= 2.
+    ``DEFAULT_PRODUCT_CAP``, read at each call, bounds (dim[alpha]*dim[beta])**2
+    of the orientation asked for, which is never below the canonical one's,
     the entry count of the dense Jucys-Murphy operator the solver holds;
     every pair at k <= 7 fits it.  Larger pairs raise ResourceLimitError
-    before anything is allocated.  For alpha < beta the maps are those of
-    (beta, alpha, lam) with their first two axes exchanged, re-signed and
-    re-checked; the cap is the same for both orders, since the product is
-    symmetric.
+    before anything is allocated.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
     da, db = _sk_dimension(alpha), _sk_dimension(beta)
@@ -102,6 +111,16 @@ def _apply_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (b @ y).reshape(da * db, m)
 
 
+def _canonical_orientation(labels) -> tuple[Partition, Partition, Partition]:
+    """The orientation in which a label set is solved: the label of largest
+    dimension (then the larger partition) is the target, the other two form
+    the pair, larger partition first.  Its pair product is the smallest."""
+    target = max(labels, key=lambda p: (_sk_dimension(p), p))
+    rest = list(labels)
+    rest.remove(target)
+    return (*sorted(rest, reverse=True), target)
+
+
 @cache  # unbounded: one basis per triple solved, at most p(k)^3 per k
 def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerBasis:
     k = sum(lam)
@@ -113,15 +132,23 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerB
     rep_a = young_orthogonal_rep(alpha)
     rep_b = young_orthogonal_rep(beta)
     rep_l = young_orthogonal_rep(lam)
-    if alpha < beta:
-        # [alpha](x)[beta] is [beta](x)[alpha] with its tensor factors
-        # swapped, and the swap commutes with the group action, so the maps
-        # of the mirrored triple with their first two axes exchanged are an
-        # orthonormal intertwiner basis here.
-        stack = np.stack(_solve_cg(beta, alpha, lam).maps)
-        stack = stack.reshape(g, db, da, dl).transpose(0, 2, 1, 3)
-    else:
+    canon = _canonical_orientation((alpha, beta, lam))
+    if canon == (alpha, beta, lam):
         stack = _jucys_murphy_stack(rep_a, rep_b, rep_l, g)
+    else:
+        # The real orthogonal irreps make T[a, b, l] = phi[(a, b), l] an
+        # invariant of [alpha] (x) [beta] (x) [lam], and so is any permutation
+        # of its axes: read with another axis as target and scaled by
+        # sqrt(dim lam / dim of the canonical target), the canonical maps are
+        # an orthonormal intertwiner basis here (the bending of
+        # bend_and_compare).
+        axes = next(
+            p for p in permutations(range(3))
+            if all(canon[i] == label for i, label in zip(p, (alpha, beta, lam)))
+        )
+        dims = tuple(map(_sk_dimension, canon))
+        cube = np.stack(_solve_cg(*canon).maps).reshape(g, *dims)
+        stack = cube.transpose(0, *(1 + a for a in axes)) * math.sqrt(dl / dims[2])
 
     maps = []
     for flat in stack.reshape(g, da * db * dl):
@@ -137,18 +164,21 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
     k, dl = rep_l.k, rep_l.dim
     n = rep_a.dim * rep_b.dim
     pairs = list(zip(rep_a.generators, rep_b.generators))
-    tableaux = rep_l.basis
+    first = rep_l.basis[0]
     contents = _tableau_contents(rep_l.shape)
 
     # Young's orthogonal form is Gelfand-Tsetlin adapted: v_T is the joint
     # eigenvector of the Jucys-Murphy elements X_j = sum_{i<j} (i j) with
     # eigenvalues the contents c_T(j).  So the images phi_i(v_T1) of the
     # first tableau span the joint eigenspace of X_2..X_k on [alpha](x)[beta]
-    # at T1's contents, found by restricting one X_j at a time
-    # (X_{j+1} = G_j X_j G_j + G_j with G_j = s_j (x) s_j; the X_j commute).
-    # X_2 = G_1 is diagonal in Young's form, since 1 and 2 share a row or a
-    # column of every tableau, so its eigenspace is spanned by the unit
-    # vectors at `keep` and the first restriction is a selection.
+    # at T1's contents (X_{j+1} = G_j X_j G_j + G_j with G_j = s_j (x) s_j;
+    # the X_j commute).  X_2 = G_1 is diagonal in Young's form, since 1 and
+    # 2 share a row or a column of every tableau, so its eigenspace is
+    # spanned by the unit vectors at `keep`, which every X_j preserves.  On
+    # the joint eigenspace of X_2..X_j at T1's contents, X_{j+1} has as its
+    # only eigenvalues the contents of the cells addable to the shape of
+    # T1's entries 1..j (Vershik-Okounkov), so the polynomial
+    # prod_{c' != c} (X_{j+1} - c') / (c - c') projects onto content c.
     if k <= 2:
         span = np.ones((1, 1))  # every irrep of S_1, S_2 is one-dimensional, and g = 1
     else:
@@ -156,59 +186,71 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
         x_diag = np.multiply.outer(np.diag(a), np.diag(b)).reshape(n)
         keep = np.flatnonzero(x_diag == contents[0][2])
         x_j = np.diag(x_diag)
-        span = None
-    for j in range(2, k):
-        a, b = pairs[j - 1]
-        # X is symmetric, so G X G = G (G X)^T; G itself by one broadcast
-        gen = (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
-        x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + gen
-        if span is None:
-            vals, vecs = np.linalg.eigh(x_j[np.ix_(keep, keep)])
-            span = np.zeros((n, len(keep)))
-            span[keep] = vecs
-        else:
-            vals, vecs = np.linalg.eigh(span.T @ x_j @ span)
-            span = span @ vecs
-        span = span[:, np.abs(vals - contents[0][j + 1]) < 0.5]
-    count = span.shape[1]
-    assert count == g, f"solver found {count} intertwiners, characters say {g}"
+        q = np.eye(len(keep))
+        for j in range(2, k):
+            a, b = pairs[j - 1]
+            # X is symmetric, so G X G = G (G X)^T; G itself by one broadcast
+            gen = (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+            x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + gen
+            x_keep = x_j[np.ix_(keep, keep)]
+            prefix = [m for m in (sum(e <= j for e in row) for row in first) if m]
+            c = contents[0][j + 1]
+            for other in _addable_contents(prefix):
+                if other != c:
+                    q = (q @ x_keep - other * q) / (c - other)
+        trace = np.trace(q)
+        assert abs(trace - g) < 1e-8, f"projector has trace {trace}, characters say {g}"
+        span = np.zeros((n, g))
+        span[keep] = _projector_columns(q, g)
 
     # Young's step from T to s_i T (axial distance d = c_T(i+1) - c_T(i)):
     # phi(v_{s_i T}) = (G_i phi(v_T) - phi(v_T) / d) / sqrt(1 - 1/d^2).
-    index = {tab: t for t, tab in enumerate(tableaux)}
+    moves = _tableau_moves(rep_l.shape)
     images = np.empty((dl, n, g))
     images[0] = span
-    queue = [tableaux[0]]
-    seen = {tableaux[0]}
-    for tab in queue:
-        cont, src = contents[index[tab]], images[index[tab]]
-        for i in range(1, k):
-            d = cont[i + 1] - cont[i]
-            if abs(d) < 2:
+    queue = [0]
+    seen = [True] + [False] * (dl - 1)
+    for t in queue:
+        cont, src = contents[t], images[t]
+        for i, nxt in enumerate(moves[t]):
+            if nxt < 0 or seen[nxt]:
                 continue
-            nxt = _swap_entries(tab, i, i + 1)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
+            seen[nxt] = True
             queue.append(nxt)
+            d = cont[i + 1] - cont[i]
             a, b = pairs[i - 1]
             step = _apply_pair(a, b, src) - src / d
-            images[index[nxt]] = step / math.sqrt(1.0 - 1.0 / d**2)
-    assert len(seen) == dl
+            images[nxt] = step / math.sqrt(1.0 - 1.0 / d**2)
+    assert len(queue) == dl
     return images.transpose(2, 1, 0)
+
+
+def _projector_columns(q: np.ndarray, g: int) -> np.ndarray:
+    """g orthonormal columns spanning the range of the rank-g projector q.
+
+    g steps of pivoted Cholesky give q = L L^T with L of g columns; q^2 = q
+    then makes L^T L the identity.
+    """
+    cols = np.zeros((q.shape[0], g))
+    resid = np.diag(q).copy()
+    for t in range(g):
+        p = int(np.argmax(resid))
+        col = (q[:, p] - cols[:, :t] @ cols[p, :t]) / math.sqrt(resid[p])
+        cols[:, t] = col
+        resid -= col**2
+    assert np.abs(resid).max() < 1e-8, f"projector residual {np.abs(resid).max():.3e}"
+    return cols
 
 
 def _check_full_permutation(rep_a, rep_b, rep_l, maps, k) -> None:
     # generators suffice because they generate S_k; verify on one
     # non-trivial word, the k-cycle (never the identity for k >= 2), to
     # catch convention bugs early.
-    perm = tuple(range(1, k)) + (0,)
-    big_a, big_b = represent(rep_a, perm), represent(rep_b, perm)
-    small = represent(rep_l, perm)
+    big_a, big_b, small = (_cycle_matrix(rep.shape) for rep in (rep_a, rep_b, rep_l))
     for phi in maps:
         resid = np.abs(_apply_pair(big_a, big_b, phi) - phi @ small).max()
         if resid > EQUIVARIANCE_TOL:
-            raise AssertionError(f"equivariance violated for {perm}: {resid:.3e}")
+            raise AssertionError(f"equivariance violated for the {k}-cycle: {resid:.3e}")
 
 
 def trivial_coupling(lam) -> np.ndarray:

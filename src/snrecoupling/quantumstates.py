@@ -151,6 +151,16 @@ def weak_mono_gap(rho: DensityMatrix) -> float:
     )
 
 
+def _capped_dims(dims) -> tuple[tuple[int, ...], int]:
+    """Canonical tensor factors and their total dimension, refused above
+    SAMPLE_DIM_CAP (read at each call)."""
+    dims = tensor_shape((dims,) if isinstance(dims, int) else dims)
+    d = math.prod(dims)
+    if d > SAMPLE_DIM_CAP:
+        raise ResourceLimitError(f"state dimension {d} above {SAMPLE_DIM_CAP}")
+    return dims, d
+
+
 def sample_hs_random(dims, seed) -> DensityMatrix:
     """Hilbert-Schmidt random state: rho = G G^dag / tr, Ginibre G.
 
@@ -158,10 +168,7 @@ def sample_hs_random(dims, seed) -> DensityMatrix:
     bit-identical matrices.  A total dimension above SAMPLE_DIM_CAP is
     refused before anything is drawn.
     """
-    dims = tensor_shape((dims,) if isinstance(dims, int) else dims)
-    d = math.prod(dims)
-    if d > SAMPLE_DIM_CAP:
-        raise ResourceLimitError(f"state dimension {d} above {SAMPLE_DIM_CAP}")
+    dims, d = _capped_dims(dims)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
@@ -183,8 +190,9 @@ def ghz_state() -> DensityMatrix:
 
 
 def maximally_mixed(dims) -> DensityMatrix:
-    dims = (dims,) if isinstance(dims, int) else tuple(int(d) for d in dims)
-    d = int(np.prod(dims))
+    """I / d on the given factors; a total dimension above SAMPLE_DIM_CAP is
+    refused before the identity is allocated."""
+    dims, d = _capped_dims(dims)
     return DensityMatrix(dims=dims, matrix=np.eye(d) / d)
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import Partition, _sk_dimension, check_labels, enumerate_partitions
-from .intertwiner import cg_isometries, kronecker_coefficient
+from .intertwiner import _kronecker_coefficient, cg_isometries
 from .tensorlinalg import hs_norm
 
 
@@ -74,7 +74,7 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     k = 6).
     """
     labels = check_labels(alpha, beta, gamma, mu, nu, lam)
-    shape = tuple(kronecker_coefficient(*t) for t in _triples(labels))
+    shape = tuple(_kronecker_coefficient(*t) for t in _triples(labels))
     if 0 in shape:
         return RecouplingTensor(labels=labels, entries=np.zeros(shape), hs=0.0)
     return _build_tensor(labels)
@@ -109,11 +109,11 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     parts = enumerate_partitions(sum(lam))
     mus = tuple(
         m for m in parts
-        if kronecker_coefficient(alpha, beta, m) * kronecker_coefficient(m, gamma, lam) > 0
+        if _kronecker_coefficient(alpha, beta, m) * _kronecker_coefficient(m, gamma, lam) > 0
     )
     nus = tuple(
         n for n in parts
-        if kronecker_coefficient(beta, gamma, n) * kronecker_coefficient(alpha, n, lam) > 0
+        if _kronecker_coefficient(beta, gamma, n) * _kronecker_coefficient(alpha, n, lam) > 0
     )
     if not (mus or nus):
         return RecouplingUnitary(matrix=np.zeros((0, 0)), mu_order=(), nu_order=())

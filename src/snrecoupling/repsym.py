@@ -23,6 +23,7 @@ from .combinatorics import (
     _sk_dimension,
     _standard_tableaux,
     _tableau_contents,
+    _tableau_moves,
     adjacent_word,
     check_partition,
 )
@@ -69,28 +70,31 @@ def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
     k = sum(lam)
     basis = _standard_tableaux(lam)
     contents = _tableau_contents(lam)
-    index = {tab: t for t, tab in enumerate(basis)}
+    moves = _tableau_moves(lam)
     dim = len(basis)
 
     generators = []
     for i in range(1, k):
         mat = np.zeros((dim, dim))
-        for t, tab in enumerate(basis):
+        for t in range(dim):
             # axial distance from i to i+1: content(i+1) - content(i)
             d = contents[t][i + 1] - contents[t][i]
             mat[t, t] = 1.0 / d
-            if abs(d) >= 2:
-                swapped = _swap_entries(tab, i, i + 1)
-                mat[index[swapped], t] = math.sqrt(1.0 - 1.0 / d**2)
+            if moves[t][i] >= 0:
+                mat[moves[t][i], t] = math.sqrt(1.0 - 1.0 / d**2)
         mat.setflags(write=False)
         generators.append(mat)
     return RepMatrixSet(shape=lam, generators=tuple(generators), basis=basis)
 
 
-def _swap_entries(tab, a, b):
-    return tuple(
-        tuple(b if e == a else a if e == b else e for e in row) for row in tab
-    )
+@cache
+def _cycle_matrix(lam: Partition) -> np.ndarray:
+    """Read-only matrix of the k-cycle (0 1 ... k-1) on [lam], memoized; it
+    is the identity for no k >= 2."""
+    k = sum(lam)
+    mat = represent(_young_orthogonal_rep(lam), tuple(range(1, k)) + (0,))
+    mat.setflags(write=False)
+    return mat
 
 
 def represent(reps: RepMatrixSet, perm: Permutation) -> np.ndarray:

@@ -18,7 +18,7 @@ from snrecoupling import intertwiner, quantumstates, repsym, schurweyl
 from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
 from snrecoupling.errors import ResourceLimitError
 from snrecoupling.intertwiner import _solve_cg, cg_isometries, kronecker_coefficient
-from snrecoupling.quantumstates import SAMPLE_DIM_CAP, sample_hs_random
+from snrecoupling.quantumstates import SAMPLE_DIM_CAP, maximally_mixed, sample_hs_random
 from snrecoupling.repsym import _young_orthogonal_rep, young_orthogonal_rep
 from snrecoupling.schurweyl import _sk_tables, ball_sum_projector, tripartite_elements
 
@@ -134,4 +134,25 @@ def test_sample_cap_at_its_value():
         sample_hs_random((SAMPLE_DIM_CAP + 1,), rng)
     assert rng.bit_generator.state == before
     rho = sample_hs_random((2, SAMPLE_DIM_CAP // 2), rng)
+    assert rho.matrix.shape == (SAMPLE_DIM_CAP, SAMPLE_DIM_CAP)
+
+
+@CAP_SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_maximally_mixed_cap(dims):
+    need = math.prod(dims)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantumstates, "SAMPLE_DIM_CAP", need - 1)
+        with pytest.raises(ResourceLimitError):
+            maximally_mixed(dims)
+        mp.setattr(quantumstates, "SAMPLE_DIM_CAP", need)
+        assert np.array_equal(maximally_mixed(dims).matrix, np.eye(need) / need)
+
+
+def test_maximally_mixed_cap_at_its_value():
+    # 10^6 x 10^6 floats would be 7.3 TiB; refused before np.eye is called
+    for dims in ((SAMPLE_DIM_CAP + 1,), (1000, 1000)):
+        with pytest.raises(ResourceLimitError):
+            maximally_mixed(dims)
+    rho = maximally_mixed((2, SAMPLE_DIM_CAP // 2))
     assert rho.matrix.shape == (SAMPLE_DIM_CAP, SAMPLE_DIM_CAP)

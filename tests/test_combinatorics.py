@@ -24,6 +24,8 @@ from snrecoupling.combinatorics import (
     sk_dimension,
     standard_tableaux,
     weyl_dimension,
+    _addable_contents,
+    _tableau_moves,
 )
 from snrecoupling.errors import ValidationError
 
@@ -209,6 +211,15 @@ class TestNormalizeAndRound:
             lam = round_spectrum(r, k)
             assert sum(lam) == k and lam == tuple(sorted(lam, reverse=True))
 
+    @pytest.mark.parametrize("k", [2.5, 4.0, True, False, "4", None])
+    def test_round_rejects_a_k_that_is_not_an_integer(self, k):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            round_spectrum((0.5, 0.5), k)
+
+    def test_round_accepts_numpy_integers(self):
+        assert round_spectrum((0.5, 0.5), np.int64(4)) == (2, 2)
+        assert round_spectrum((0.6, 0.4), np.uint8(5)) == (3, 2)
+
     def test_round_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             round_spectrum((0.5, 0.6), 4)  # not non-increasing
@@ -269,6 +280,33 @@ class TestTableaux:
                 if i:
                     for j in range(len(row)):
                         assert tab[i - 1][j] < row[j]
+
+    def test_moves_match_swapping_entries(self):
+        # s_i T is T with the entries i and i+1 exchanged; it is standard
+        # exactly when they share neither a row nor a column
+        for k in range(1, 7):
+            for lam in enumerate_partitions(k):
+                tableaux = standard_tableaux(lam)
+                for t, tab in enumerate(tableaux):
+                    moves = _tableau_moves(lam)[t]
+                    assert len(moves) == k and moves[0] == -1
+                    for i in range(1, k):
+                        swapped = tuple(
+                            tuple(i + 1 if e == i else i if e == i + 1 else e for e in row)
+                            for row in tab
+                        )
+                        expected = tableaux.index(swapped) if swapped in tableaux else -1
+                        assert moves[i] == expected, (lam, tab, i)
+
+    @pytest.mark.parametrize("mu, contents", [
+        ((), (0,)),
+        ((1,), (1, -1)),
+        ((3, 1), (3, 0, -2)),
+        ((2, 2), (2, -2)),
+        ((4, 2, 2, 1), (4, 1, -2, -4)),
+    ])
+    def test_addable_contents(self, mu, contents):
+        assert _addable_contents(mu) == contents
 
 
 class TestPermutations:

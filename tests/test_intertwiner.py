@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from snrecoupling.combinatorics import (
     sk_dimension,
 )
 from snrecoupling import intertwiner
+from snrecoupling.recoupling import _build_tensor, full_recoupling_unitary
 from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.intertwiner import (
     DEFAULT_PRODUCT_CAP,
@@ -66,6 +67,47 @@ def nullspace_oracle(alpha, beta, lam):
             return []
         basis = basis @ np.column_stack(null)
     return [math.sqrt(dl) * v.reshape(da * db, dl) for v in basis.T]
+
+
+def eigh_oracle(alpha, beta, lam):
+    """Oracle for k = 6-7, where the nullspace route fails: an eigensolver
+    route with no exact-content projector and no change of orientation.
+
+    In the orientation asked for, it restricts X_2, ..., X_k on
+    [alpha] (x) [beta] (X_{j+1} = G_j X_j G_j + G_j with G_j = s_j (x) s_j)
+    to the eigenvalue c_T1(j) one eigh at a time, then carries the images of
+    the first tableau T1 to every other tableau by Young's step, swapping
+    tableau entries directly.
+    """
+    rep_a, rep_b, rep_l = (young_orthogonal_rep(p) for p in (alpha, beta, lam))
+    k, n = sum(lam), rep_a.dim * rep_b.dim
+    gens = [np.kron(a, b) for a, b in zip(rep_a.generators, rep_b.generators)]
+    tableaux = rep_l.basis
+
+    def contents(tab):
+        return {e: j - i for i, row in enumerate(tab) for j, e in enumerate(row)}
+
+    first = contents(tableaux[0])
+    span, x = np.eye(n), np.zeros((n, n))
+    for j in range(1, k):
+        x = gens[j - 1] @ x @ gens[j - 1] + gens[j - 1]
+        vals, vecs = np.linalg.eigh(span.T @ x @ span)
+        span = (span @ vecs)[:, np.abs(vals - first[j + 1]) < 0.5]
+
+    images = {tableaux[0]: span}
+    queue = [tableaux[0]]
+    for tab in queue:
+        cont = contents(tab)
+        for i in range(1, k):
+            d = cont[i + 1] - cont[i]
+            nxt = tuple(
+                tuple(i + 1 if e == i else i if e == i + 1 else e for e in row) for row in tab
+            )
+            if abs(d) < 2 or nxt in images:
+                continue
+            images[nxt] = (gens[i - 1] @ images[tab] - images[tab] / d) / math.sqrt(1 - 1 / d**2)
+            queue.append(nxt)
+    return [np.column_stack([images[t][:, m] for t in tableaux]) for m in range(span.shape[1])]
 
 
 def multiplicity_projector(maps):
@@ -240,8 +282,8 @@ class TestRoundoffOnlyConstraints:
     def test_k6_triples_the_nullspace_route_misses(self, triple):
         # nullspace_oracle finds no intertwiner here: the last generator
         # equation leaves a single column of roundoff, which the relative
-        # cutoff of orthonormal_nullspace counts as rank.  The mirrored
-        # triple is solved as the axis swap of this one.
+        # cutoff of orthonormal_nullspace counts as rank.  Both orders are
+        # axis permutations of one canonical solve.
         alpha, beta, lam = triple
         for t in {triple, (beta, alpha, lam)}:
             assert len(cg_isometries(*t)) == kronecker_coefficient(*t) == 1
@@ -302,8 +344,95 @@ class TestMirroredTriples:
         basis = cg_isometries(*triple)
         assert len(basis) == kronecker_coefficient(*triple) >= 1
         mirror = (triple[1], triple[0], triple[2])
-        assert _solve_cg.cache_info().currsize == 2  # the triple and its mirror
+        assert _solve_cg.cache_info().currsize == 2  # the triple and its canonical orientation
         assert len(cg_isometries(*mirror)) == len(basis)
+
+
+def count_solves(monkeypatch):
+    """Clear the memo and record the labels of every Jucys-Murphy solve."""
+    calls = []
+    solve = intertwiner._jucys_murphy_stack
+
+    def counting(rep_a, rep_b, rep_l, g):
+        calls.append((rep_a.shape, rep_b.shape, rep_l.shape))
+        return solve(rep_a, rep_b, rep_l, g)
+
+    monkeypatch.setattr(intertwiner, "_jucys_murphy_stack", counting)
+    _solve_cg.cache_clear()
+    return calls
+
+
+def smallest_pair_product(triple):
+    dims = sorted(map(sk_dimension, triple))
+    return dims[0] * dims[1]
+
+
+class TestCanonicalOrientation:
+    """One Jucys-Murphy solve per label set, in the orientation with the
+    smallest pair product; every other orientation permutes its axes."""
+
+    def test_unitary_k6_makes_six_solves(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        _build_tensor.cache_clear()
+        full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))
+        assert len(calls) == 6
+        assert len({tuple(sorted(c)) for c in calls}) == 6
+        products = [sk_dimension(a) * sk_dimension(b) for a, b, _ in calls]
+        assert products == [smallest_pair_product(c) for c in calls]
+        assert sorted(products) == [25, 45, 45, 45, 81, 81]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_solve_per_label_multiset(self, monkeypatch, k):
+        calls = count_solves(monkeypatch)
+        triples = list(product(enumerate_partitions(k), repeat=3))
+        for triple in triples:
+            cg_isometries(*triple)
+        nonempty = {tuple(sorted(t)) for t in triples if kronecker_coefficient(*t) > 0}
+        assert len(calls) == len(nonempty)
+        assert {tuple(sorted(c)) for c in calls} == nonempty
+        for call in calls:
+            assert sk_dimension(call[0]) * sk_dimension(call[1]) == smallest_pair_product(call)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_orientation_passes_the_self_check(self, k):
+        for triple in product(enumerate_partitions(k), repeat=3):
+            g = kronecker_coefficient(*triple)
+            for t in set(permutations(triple)):
+                maps = cg_isometries(*t).maps
+                assert len(maps) == g
+                _check_full_permutation(*(young_orthogonal_rep(p) for p in t), maps, k)
+
+    def test_solver_path_calls_no_eigh(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called on the solver path")
+
+        _solve_cg.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for triple in UNITARY_K6_TRIPLES + [((3, 2, 1),) * 3]:
+            assert len(cg_isometries(*triple)) == kronecker_coefficient(*triple)
+
+
+class TestEighOracle:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_oracle_matches_nullspace_oracle(self, k):
+        for triple in product(enumerate_partitions(k), repeat=3):
+            expected = nullspace_oracle(*triple)
+            maps = eigh_oracle(*triple)
+            assert len(maps) == len(expected)
+            if maps:
+                diff = multiplicity_projector(maps) - multiplicity_projector(expected)
+                assert np.abs(diff).max() < 1e-10, triple
+
+    @pytest.mark.parametrize(
+        "triple",
+        UNITARY_K6_TRIPLES + [((3, 2, 1),) * 3, ((3, 2, 1, 1), (3, 2, 1, 1), (4, 2, 1))],
+    )
+    def test_projector_matches_oracle(self, triple):
+        maps = cg_isometries(*triple).maps
+        expected = eigh_oracle(*triple)
+        assert len(maps) == len(expected) == kronecker_coefficient(*triple)
+        diff = multiplicity_projector(maps) - multiplicity_projector(expected)
+        assert np.abs(diff).max() < 1e-12, triple
 
 
 class TestNullspaceOracle:
