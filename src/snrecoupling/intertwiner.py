@@ -89,10 +89,11 @@ def cg_isometries(alpha, beta, lam) -> IntertwinerBasis:
     ``fix_vector_sign`` and equivariance is re-checked on the fixed k-cycle
     (0 1 ... k-1), which is not the identity for any k >= 2.
     ``DEFAULT_PRODUCT_CAP``, read at each call, bounds (dim[alpha]*dim[beta])**2
-    of the orientation asked for, which is never below the canonical one's,
-    the entry count of the dense Jucys-Murphy operator the solver holds;
-    every pair at k <= 7 fits it.  Larger pairs raise ResourceLimitError
-    before anything is allocated.
+    of the orientation asked for.  The dense Jucys-Murphy operator the
+    solver holds has the canonical pair product squared as its entry count,
+    which is never larger, so a triple whose solve would fit may still be
+    refused; every pair at k <= 7 fits it.  Larger pairs raise
+    ResourceLimitError before anything is allocated.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
     da, db = _sk_dimension(alpha), _sk_dimension(beta)
@@ -123,18 +124,15 @@ def _canonical_orientation(labels) -> tuple[Partition, Partition, Partition]:
 
 @cache  # unbounded: one basis per triple solved, at most p(k)^3 per k
 def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerBasis:
-    k = sum(lam)
     da, db, dl = _sk_dimension(alpha), _sk_dimension(beta), _sk_dimension(lam)
     g = _kronecker_coefficient(alpha, beta, lam)
     if g == 0:
         return IntertwinerBasis(source=lam, targets=(alpha, beta), maps=())
 
-    rep_a = young_orthogonal_rep(alpha)
-    rep_b = young_orthogonal_rep(beta)
-    rep_l = young_orthogonal_rep(lam)
     canon = _canonical_orientation((alpha, beta, lam))
     if canon == (alpha, beta, lam):
-        stack = _jucys_murphy_stack(rep_a, rep_b, rep_l, g)
+        reps = (young_orthogonal_rep(p) for p in canon)
+        stack = _jucys_murphy_stack(*reps, g)
     else:
         # The real orthogonal irreps make T[a, b, l] = phi[(a, b), l] an
         # invariant of [alpha] (x) [beta] (x) [lam], and so is any permutation
@@ -155,7 +153,7 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerB
         phi = fix_vector_sign(flat).reshape(da * db, dl)
         phi.setflags(write=False)
         maps.append(phi)
-    _check_full_permutation(rep_a, rep_b, rep_l, maps, k)
+    _check_full_permutation(alpha, beta, lam, maps)
     return IntertwinerBasis(source=lam, targets=(alpha, beta), maps=tuple(maps))
 
 
@@ -242,11 +240,13 @@ def _projector_columns(q: np.ndarray, g: int) -> np.ndarray:
     return cols
 
 
-def _check_full_permutation(rep_a, rep_b, rep_l, maps, k) -> None:
+def _check_full_permutation(alpha: Partition, beta: Partition, lam: Partition,
+                            maps) -> None:
     # generators suffice because they generate S_k; verify on one
     # non-trivial word, the k-cycle (never the identity for k >= 2), to
     # catch convention bugs early.
-    big_a, big_b, small = (_cycle_matrix(rep.shape) for rep in (rep_a, rep_b, rep_l))
+    k = sum(lam)
+    big_a, big_b, small = (_cycle_matrix(p) for p in (alpha, beta, lam))
     for phi in maps:
         resid = np.abs(_apply_pair(big_a, big_b, phi) - phi @ small).max()
         if resid > EQUIVARIANCE_TOL:

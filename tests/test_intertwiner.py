@@ -239,18 +239,16 @@ class TestSelfCheck:
         # Every irrep of S_2 is one-dimensional, so a sign flip of a map is
         # still an intertwiner; the trivial map checked against the sign
         # rep is not, and only a non-identity permutation shows it.
-        reps = [young_orthogonal_rep(p) for p in ((2,), (2,), (1, 1))]
         with pytest.raises(AssertionError, match="equivariance violated"):
-            _check_full_permutation(*reps, cg_isometries((2,), (2,), (2,)).maps, 2)
+            _check_full_permutation((2,), (2,), (1, 1), cg_isometries((2,), (2,), (2,)).maps)
 
     def test_k3_map_with_one_tableau_column_flipped(self):
         triple = ((2, 1), (2, 1), (2, 1))
-        reps = [young_orthogonal_rep(p) for p in triple]
         phi = cg_isometries(*triple).maps[0].copy()
-        _check_full_permutation(*reps, [phi], 3)
+        _check_full_permutation(*triple, [phi])
         phi[:, 0] *= -1
         with pytest.raises(AssertionError, match="equivariance violated"):
-            _check_full_permutation(*reps, [phi], 3)
+            _check_full_permutation(*triple, [phi])
 
 
 def test_solver_path_does_not_import_numpy_random():
@@ -330,9 +328,8 @@ class TestMirroredTriples:
                 swapped = swap_factors(phi, alpha, beta)
                 assert min(np.abs(psi - swapped).max(), np.abs(psi + swapped).max()) < 1e-12
                 assert not psi.flags.writeable
-            reps = [young_orthogonal_rep(p) for p in (alpha, beta, lam)]
-            _check_full_permutation(*reps, straight, sum(lam))
-            _check_full_permutation(reps[1], reps[0], reps[2], mirrored, sum(lam))
+            _check_full_permutation(alpha, beta, lam, straight)
+            _check_full_permutation(beta, alpha, lam, mirrored)
 
     @pytest.mark.parametrize("triple", [((4, 2), (5, 1), (3, 3)), ((3, 2, 1), (4, 2), (4, 2))])
     def test_solver_path_calls_no_kron(self, monkeypatch, triple):
@@ -400,7 +397,7 @@ class TestCanonicalOrientation:
             for t in set(permutations(triple)):
                 maps = cg_isometries(*t).maps
                 assert len(maps) == g
-                _check_full_permutation(*(young_orthogonal_rep(p) for p in t), maps, k)
+                _check_full_permutation(*t, maps)
 
     def test_solver_path_calls_no_eigh(self, monkeypatch):
         def no_eigh(*args, **kwargs):
@@ -425,7 +422,12 @@ class TestEighOracle:
 
     @pytest.mark.parametrize(
         "triple",
-        UNITARY_K6_TRIPLES + [((3, 2, 1),) * 3, ((3, 2, 1, 1), (3, 2, 1, 1), (4, 2, 1))],
+        UNITARY_K6_TRIPLES + [
+            ((3, 2, 1),) * 3,
+            ((3, 2, 1, 1), (3, 2, 1, 1), (4, 2, 1)),
+            # k = 8, g = 4, n = 1,400: n^2 is 98% of DEFAULT_PRODUCT_CAP
+            ((6, 2), (4, 3, 1), (4, 3, 1)),
+        ],
     )
     def test_projector_matches_oracle(self, triple):
         maps = cg_isometries(*triple).maps

@@ -1,12 +1,12 @@
 """Record one point of the benchmark trajectory as BENCH_<date>_<label>.json.
 
-    python3 tools/bench_trajectory.py --label LABEL [--seeds N] [--seconds S]
+    python3 tools/bench_trajectory.py --label LABEL [--seeds N]
 
 Run from anywhere; it measures the checkout it lives in.  For each workload
 in BENCHMARK.json it runs the unchanged ``bench/run.py`` once untraced for
 each seed 1..N and once traced (``--trace 1``, seed 1), one after another,
-each for S seconds (default: the ``run_seconds`` of BENCHMARK.json).  The
-file it writes at the root of the checkout holds, per workload:
+each for the ``run_seconds`` of BENCHMARK.json, so that every point is taken
+at the benchmark's own run length.  The file it writes at the root of the checkout holds, per workload:
 
     end_to_end  each end-to-end metric over the N seeds: its unit, the
                 values, their median and quartiles
@@ -56,16 +56,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="tag in the output file name")
     parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
 
+    seconds = spec["run_seconds"]
     provenance, workloads, correct = None, {}, True
     for workload in (w["name"] for w in spec["workloads"]):
         series: dict[str, list[float]] = {}
         units: dict[str, str] = {}
         ok = True
         for seed in range(1, args.seeds + 1):
-            prov, result = run_once(spec["command"], workload, seed, args.seconds, 0)
+            prov, result = run_once(spec["command"], workload, seed, seconds, 0)
             provenance = provenance or prov
             ok &= result["correct"]
             for name, metric in result["metrics"].items():
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
                 units[name] = metric["unit"]
             print(f"{workload} seed {seed}: run_s {result['metrics']['run_s']['value']:.4g}",
                   file=sys.stderr)
-        _, traced = run_once(spec["command"], workload, 1, args.seconds, 1)
+        _, traced = run_once(spec["command"], workload, 1, seconds, 1)
         ok &= traced["correct"]
         workloads[workload] = {
             "end_to_end": {name: {"unit": units[name], **summarize(v)}
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     date = datetime.date.today().isoformat()
     out = ROOT / f"BENCH_{date}_{args.label}.json"
     out.write_text(json.dumps({
-        "date": date, "label": args.label, "seconds": args.seconds,
+        "date": date, "label": args.label, "seconds": seconds,
         "seeds": list(range(1, args.seeds + 1)), "traced_seed": 1,
         "provenance": provenance, "workloads": workloads,
     }, indent=1) + "\n")
