@@ -6,9 +6,10 @@ computed numbers:
 
     sum hs  >=  |tr(P~ Q~ rho^k)|  >=  tr(P~ rho^k) - sqrt(1 - tr(Q~ rho^k)).
 
-The converse probe rounds target spectra to diagrams and reports the
-recoupling norm sequence; tuples with vanishing multiplicities die
-immediately, compatible pure-state tuples stay at norm one.
+The converse probe rounds target spectra to diagrams at each k up to 7 and
+reports the exact recoupling norm sequence; tuples with vanishing
+multiplicities die immediately, compatible pure-state tuples stay at norm
+one.
 """
 
 import numpy as np
@@ -44,8 +45,8 @@ rng = np.random.default_rng(1)
 vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
 compatible = spectra_tuple(pure_state(vec, (2, 2, 2)))
 print("\nconverse probe, compatible tuple (random pure state):")
-report = cmd_converse_probe(compatible, [2, 3, 4], samples=3, seed=0)
-print(f"  hs sequence: {report.summary['hs_sequence']}")
+report = cmd_converse_probe(compatible, range(2, 8))
+print(f"  hs sequence: {[round(h, 6) for h in report.summary['hs_sequence']]}")
 
 incompatible = SpectraTuple(
     r_a=np.array([0.5, 0.5]), r_b=np.array([0.5, 0.5]), r_c=np.array([1.0, 0.0]),
@@ -53,5 +54,5 @@ incompatible = SpectraTuple(
     r_abc=np.array([1.0] + [0.0] * 7),
 )
 print("converse probe, tuple with no joint state (multiplicities vanish):")
-report = cmd_converse_probe(incompatible, [2, 3, 4], samples=0, seed=0)
-print(f"  hs sequence: {report.summary['hs_sequence']}")
+report = cmd_converse_probe(incompatible, range(2, 8))
+print(f"  hs sequence: {[round(h, 6) for h in report.summary['hs_sequence']]}")

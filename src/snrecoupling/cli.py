@@ -2,7 +2,7 @@
 
 Partitions are written as comma-separated rows ("3,1"); where several labels
 are needed they are joined with "/" ("2,1/2,1/3").  Every subcommand takes
---out FILE; the four that draw random states take --seed; the six that print
+--out FILE; the three that draw random states take --seed; the six that print
 an experiment report take --format json|csv (CSV by default only for
 spectrum-estimation).
 
@@ -192,7 +192,7 @@ def _cmd_dimension_ratio(args) -> int:
 def _cmd_converse(args) -> int:
     spectra = spectra_from_json(load_json(args.spectra))
     ks = list(range(args.k_min, args.k_max + 1))
-    return _emit_report(cmd_converse_probe(spectra, ks, args.samples, args.seed), args)
+    return _emit_report(cmd_converse_probe(spectra, ks), args)
 
 
 def _cmd_ssa_scan(args) -> int:
@@ -280,8 +280,6 @@ COMMANDS = {
         _arg("--spectra", required=True, help="JSON file with r_a..r_abc"),
         _arg("--k-min", type=int, default=2),
         _arg("--k-max", type=int, default=4),
-        _arg("--samples", type=int, default=10),
-        _SEED,
     ), format="json"),
     "ssa-scan": Command("entropy-inequality scan", _cmd_ssa_scan, (
         _arg("--n", type=int, default=1000),

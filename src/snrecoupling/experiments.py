@@ -387,61 +387,43 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
     )
 
 
-def cmd_converse_probe(
-    spectra: SpectraTuple, k_values: Sequence[int], samples: int, seed: int
-) -> ExperimentReport:
+def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> ExperimentReport:
     """Decay probe for spectra tuples, compatible or not with a joint state.
 
-    Rounds the six target spectra to diagrams at each k, computes the exact
-    recoupling norm, and samples states on C^a (x) C^b (x) C^c to maximize
-    the Cauchy-Schwarz surrogate sqrt(tr(P~ sigma^k) tr(Q~ sigma^k)).  The
-    local dimensions (a, b, c) are the lengths of r_a, r_b and r_c; r_ab,
-    r_bc and r_abc must have lengths ab, bc and abc.  The decay sequence is a
-    trend diagnostic, not a proof.
+    Rounds the six target spectra to diagrams at each k and reports the
+    exact recoupling norm of the rounded tuple.  The local dimensions
+    (a, b, c) are the lengths of r_a, r_b and r_c; r_ab, r_bc and r_abc must
+    have lengths ab, bc and abc.  k runs over 1..7, where every label set
+    fits ``DEFAULT_PRODUCT_CAP``.  The decay sequence is a trend diagnostic,
+    not a proof.
     """
     dims = a, b, c = np.size(spectra.r_a), np.size(spectra.r_b), np.size(spectra.r_c)
     lengths = np.size(spectra.r_ab), np.size(spectra.r_bc), np.size(spectra.r_abc)
     if lengths != (a * b, b * c, a * b * c):
         raise ValidationError(f"r_ab, r_bc, r_abc have lengths {lengths}, not ab, bc, abc "
                               f"for the lengths (a, b, c) = {dims} of r_a, r_b, r_c")
-    if samples < 0:
-        raise ValidationError(f"samples must be non-negative, got {samples}")
-    if not k_values or not all(1 <= k <= 4 for k in k_values):
+    if not k_values or not all(1 <= k <= 7 for k in k_values):
         raise ValidationError(
-            f"the converse probe needs a non-empty list of k values in 1..4, got {list(k_values)}"
+            f"the converse probe needs a non-empty list of k values in 1..7, got {list(k_values)}"
         )
     items = []
     for k in k_values:
         # as_dict lists the spectra in label order: alpha, beta, gamma, mu, nu, lam
         labels = tuple(_round_marginal(r, k) for r in spectra.as_dict().values())
         alpha, beta, gamma, mu, nu, lam = labels
-        hs = recoupling_tensor(*labels).hs
-
-        surrogate = 0.0
-        if samples > 0:
-            elements = tripartite_elements(*([l] for l in labels), dims, k)
-            rng = np.random.default_rng((seed, k))
-            for _ in range(samples):
-                _, t_p, t_q = overlap_trace(elements, sample_hs_random(dims, rng), k)
-                surrogate = max(
-                    surrogate, math.sqrt(max(t_p, 0.0) * max(t_q, 0.0))
-                )
-
         items.append(
             {
                 "k": k,
                 "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),
                 "mu": list(mu), "nu": list(nu), "lam": list(lam),
-                "hs": float(hs),
-                "surrogate_max": float(surrogate),
+                "hs": float(recoupling_tensor(*labels).hs),
             }
         )
 
     return ExperimentReport(
         experiment="converse_probe",
         parameters={
-            "k_values": list(k_values), "samples": samples, "seed": seed,
-            "dims": list(dims), "spectra": spectra.as_dict(),
+            "k_values": list(k_values), "dims": list(dims), "spectra": spectra.as_dict(),
         },
         items=items,
         summary={"hs_sequence": [item["hs"] for item in items]},

@@ -88,18 +88,19 @@ def cg_isometries(alpha, beta, lam) -> IntertwinerBasis:
     Kronecker coefficient; each returned map gets the sign of
     ``fix_vector_sign`` and equivariance is re-checked on the fixed k-cycle
     (0 1 ... k-1), which is not the identity for any k >= 2.
-    ``DEFAULT_PRODUCT_CAP``, read at each call, bounds (dim[alpha]*dim[beta])**2
-    of the orientation asked for.  The dense Jucys-Murphy operator the
-    solver holds has the canonical pair product squared as its entry count,
-    which is never larger, so a triple whose solve would fit may still be
-    refused; every pair at k <= 7 fits it.  Larger pairs raise
-    ResourceLimitError before anything is allocated.
+    ``DEFAULT_PRODUCT_CAP``, read at each call, bounds n**2 for the pair
+    product n of the canonical orientation: the entry count of the dense
+    Jucys-Murphy operator the solver holds.  Since g * dim[target] <= n
+    there, it also bounds the g * dim[alpha] * dim[beta] * dim[lam] floats
+    of the returned maps.  Every label set at k <= 7 fits it.  Larger ones
+    raise ResourceLimitError before any character sum or allocation.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
-    da, db = _sk_dimension(alpha), _sk_dimension(beta)
-    if (da * db) ** 2 > DEFAULT_PRODUCT_CAP:
+    ca, cb, _ = _canonical_orientation((alpha, beta, lam))
+    size = (_sk_dimension(ca) * _sk_dimension(cb)) ** 2
+    if size > DEFAULT_PRODUCT_CAP:
         raise ResourceLimitError(
-            f"Jucys-Murphy operator size {(da * db) ** 2} for {(alpha, beta, lam)} "
+            f"Jucys-Murphy operator size {size} for {(alpha, beta, lam)} "
             f"exceeds cap {DEFAULT_PRODUCT_CAP}"
         )
     return _solve_cg(alpha, beta, lam)

@@ -13,9 +13,9 @@ elements of the group algebra of S_k x S_k x S_k.  tripartite_elements is the
 one builder of these products, as (k!, k!, k!) coefficient arrays.
 overlap_trace pairs them with tr(U(g) rho^(x k)), which permutation_traces
 evaluates once per orbit of simultaneous conjugation; the overlap
-certificate, the converse probe and the ``overlap`` CLI command take this
-route.  hs_norm_via_schurweyl reads the HS and operator norms of P~ Q~ off
-its Fourier blocks, one small matrix per triple of S_k irreps.  No operator on
+certificate and the ``overlap`` CLI command take this route.
+hs_norm_via_schurweyl reads the HS and operator norms of P~ Q~ off its
+Fourier blocks, one small matrix per triple of S_k irreps.  No operator on
 (C^{abc})^(x k) is formed on either route.
 
 ball_sum_projector materializes one ball sum as a dense matrix, under

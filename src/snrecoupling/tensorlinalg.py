@@ -51,6 +51,10 @@ def orthonormal_nullspace(a: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> lis
 
     Singular values at or below rtol * sigma_max count as zero.  Each basis
     vector gets the deterministic sign convention of ``fix_vector_sign``.
+    The cutoff is only relative: when every singular value is roundoff the
+    nullspace comes back empty.  Nothing in the package calls this; it stays
+    because the benchmark's tracer rebinds it by name, and the tests use it
+    as a nullspace oracle.
     """
     if rtol <= 0:
         raise ValidationError("rtol must be positive")

@@ -17,7 +17,13 @@ from hypothesis import given, settings, strategies as st
 from snrecoupling import intertwiner, quantumstates, repsym, schurweyl
 from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
 from snrecoupling.errors import ResourceLimitError
-from snrecoupling.intertwiner import _solve_cg, cg_isometries, kronecker_coefficient
+from snrecoupling.intertwiner import (
+    _canonical_orientation,
+    _check_full_permutation,
+    _solve_cg,
+    cg_isometries,
+    kronecker_coefficient,
+)
 from snrecoupling.quantumstates import SAMPLE_DIM_CAP, maximally_mixed, sample_hs_random
 from snrecoupling.repsym import _young_orthogonal_rep, young_orthogonal_rep
 from snrecoupling.schurweyl import _sk_tables, ball_sum_projector, tripartite_elements
@@ -46,7 +52,9 @@ DENSE_SIZES = [
 @CAP_SETTINGS
 @given(labels(5, 3))
 def test_product_cap(triple):
-    need = (sk_dimension(triple[0]) * sk_dimension(triple[1])) ** 2
+    # the cap bounds the pair the solver builds, whatever the orientation asked for
+    left, right, _ = _canonical_orientation(triple)
+    need = (sk_dimension(left) * sk_dimension(right)) ** 2
     _solve_cg.cache_clear()
     _young_orthogonal_rep.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
@@ -57,6 +65,16 @@ def test_product_cap(triple):
         assert _young_orthogonal_rep.cache_info().currsize == 0
         mp.setattr(intertwiner, "DEFAULT_PRODUCT_CAP", need)
         assert len(cg_isometries(*triple)) == kronecker_coefficient(*triple)
+
+
+def test_product_cap_admits_a_pair_above_it_with_a_small_solve():
+    # (dim (3,3,2))^2 = 1764^2 is 3.1M, above the cap, but the solve is
+    # ((8,), (3,3,2)) -> (3,3,2), with pair product 42
+    triple = ((3, 3, 2), (3, 3, 2), (8,))
+    assert (sk_dimension(triple[0]) ** 2) ** 2 > intertwiner.DEFAULT_PRODUCT_CAP
+    basis = cg_isometries(*triple)
+    assert len(basis) == kronecker_coefficient(*triple) == 1
+    _check_full_permutation(*triple, basis.maps)
 
 
 @CAP_SETTINGS

@@ -17,7 +17,7 @@ from snrecoupling.quantumstates import (
 
 
 # the subcommands that draw random states, and those that print a report
-SEEDED = {"overlap-bound-fuzz", "converse-probe", "ssa-scan", "sample-state"}
+SEEDED = {"overlap-bound-fuzz", "ssa-scan", "sample-state"}
 REPORTS = {"spectrum-estimation", "overlap-certificate", "overlap-bound-fuzz",
            "dimension-ratio", "converse-probe", "ssa-scan"}
 
@@ -283,10 +283,23 @@ class TestStateCommands:
             "r_abc": [1.0, 0, 0, 0, 0, 0, 0, 0],
         }))
         code, out = run(capsys, "converse-probe", "--spectra", str(path),
-                        "--k-min", "2", "--k-max", "3", "--samples", "0")
+                        "--k-min", "2", "--k-max", "3")
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["hs_sequence"] == [0.0, 0.0]
+
+    def test_converse_probe_reaches_k7(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps({
+            "r_a": [0.5, 0.5], "r_b": [0.5, 0.5], "r_c": [0.5, 0.5],
+            "r_ab": [0.25] * 4, "r_bc": [0.25] * 4, "r_abc": [0.125] * 8,
+        }))
+        code, out = run(capsys, "converse-probe", "--spectra", str(path),
+                        "--k-min", "1", "--k-max", "7")
+        assert code == 0
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert [line["k"] for line in lines if line["record"] == "item"] == list(range(1, 8))
+        assert "surrogate_max" not in lines[1]
 
     def test_error_exit_code(self, capsys):
         code = main(["char", "--lambda", "1,2", "--type", "3"])
@@ -366,7 +379,7 @@ class TestMalformedInput:
                                   "--k-list", ",")
         assert "k values" in err
 
-    @pytest.mark.parametrize("k_min, k_max", [("3", "2"), ("0", "2")])
+    @pytest.mark.parametrize("k_min, k_max", [("3", "2"), ("0", "2"), ("2", "8")])
     def test_converse_probe_bad_k_range(self, capsys, tmp_path, k_min, k_max):
         # an empty range would print a passing report over no data
         path = tmp_path / "spectra.json"
@@ -375,7 +388,7 @@ class TestMalformedInput:
             "r_bc": [0.5, 0.5, 0.0, 0.0], "r_abc": [1.0] + [0.0] * 7,
         }))
         err = self.check_rejected(capsys, "converse-probe", "--spectra", str(path),
-                                  "--k-min", k_min, "--k-max", k_max, "--samples", "0")
+                                  "--k-min", k_min, "--k-max", k_max)
         assert "k values" in err
 
     def test_non_json_spectra_file(self, capsys, tmp_path):
@@ -398,7 +411,7 @@ class TestMalformedInput:
             "r_a": [0.0, 0.0], "r_b": [0.5, 0.5], "r_c": [1.0, 0.0], "r_ab": [0.25] * 4,
             "r_bc": [0.5, 0.5, 0.0, 0.0], "r_abc": [1.0] + [0.0] * 7,
         }))
-        self.check_rejected(capsys, "converse-probe", "--spectra", str(path), "--samples", "0")
+        self.check_rejected(capsys, "converse-probe", "--spectra", str(path))
 
     @pytest.mark.parametrize("payload", [
         {"dims": ["x"], "matrix": [[[1, 0]]]},
@@ -466,15 +479,20 @@ class TestMalformedInput:
         err = self.check_rejected(capsys, "converse-probe", "--spectra", str(path))
         assert "non-empty vector" in err
 
-    def test_converse_probe_negative_samples(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_converse_probe_takes_no_sampling_flags(self, capsys, tmp_path, flag):
+        # the probe computes exact norms only: it draws no states
         path = tmp_path / "spectra.json"
         path.write_text(json.dumps({
             "r_a": [0.5, 0.5], "r_b": [0.5, 0.5], "r_c": [1.0, 0.0], "r_ab": [0.25] * 4,
             "r_bc": [0.5, 0.5, 0.0, 0.0], "r_abc": [1.0] + [0.0] * 7,
         }))
-        err = self.check_rejected(capsys, "converse-probe", "--spectra", str(path),
-                                  "--samples", "-1")
-        assert "samples" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["converse-probe", "--spectra", str(path), flag, "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 0" in captured.err
 
     def test_overlap_label_not_a_partition_of_k(self, capsys, tmp_path):
         path = tmp_path / "rho.json"

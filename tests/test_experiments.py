@@ -7,6 +7,7 @@ import pytest
 from snrecoupling import experiments
 from snrecoupling.combinatorics import round_spectrum
 from snrecoupling.errors import ValidationError
+from snrecoupling.recoupling import recoupling_tensor
 from snrecoupling.schurweyl import projected_trace
 from snrecoupling.experiments import (
     GATE_SLACK,
@@ -210,6 +211,13 @@ class TestDimensionRatio:
         assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
+def demo_pure_tuple():
+    """The compatible tuple of demo 08: a random pure (2,2,2) state."""
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    return spectra_tuple(pure_state(v, (2, 2, 2)))
+
+
 class TestConverseProbe:
     def test_vanishing_multiplicity_tuple_gives_zero(self):
         spectra = SpectraTuple(
@@ -220,46 +228,47 @@ class TestConverseProbe:
             r_bc=np.array([0.5, 0.5, 0.0, 0.0]),
             r_abc=np.array([1.0] + [0.0] * 7),
         )
-        rep = cmd_converse_probe(spectra, [2, 3, 4], samples=0, seed=0)
+        rep = cmd_converse_probe(spectra, [2, 3, 4])
         assert rep.summary["hs_sequence"] == [0.0, 0.0, 0.0]
 
     def test_compatible_pure_state_tuple_stays_bounded(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        spectra = spectra_tuple(pure_state(v, (2, 2, 2)))
-        rep = cmd_converse_probe(spectra, [2, 3, 4], samples=2, seed=0)
+        rep = cmd_converse_probe(demo_pure_tuple(), [2, 3, 4])
         assert all(h >= 0.99 for h in rep.summary["hs_sequence"])
-        # the Cauchy-Schwarz surrogate is a genuine upper-bound witness
-        for item in rep.items:
-            assert item["surrogate_max"] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("spectra, expected", [
+        (demo_pure_tuple(), [1.0] * 7),
+        (spectra_tuple(sample_hs_random((2, 2, 2), 1)),
+         [1.0, 0.0, 0.0, 0.5, 0.6124, 0.7778, 0.9345]),
+    ], ids=["pure", "hs_random_seed_1"])
+    def test_hs_sequence_is_the_exact_norm_up_to_k7(self, spectra, expected):
+        ks = list(range(1, 8))
+        rep = cmd_converse_probe(spectra, ks)
+        exact = [
+            recoupling_tensor(*(experiments._round_marginal(r, k)
+                                for r in spectra.as_dict().values())).hs
+            for k in ks
+        ]
+        assert rep.summary["hs_sequence"] == pytest.approx(exact, abs=1e-12)
+        assert rep.summary["hs_sequence"] == pytest.approx(expected, abs=1e-4)
+        assert [item["k"] for item in rep.items] == ks
 
     def test_perturbed_tuple_loses_compatibility_at_small_k(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        s = spectra_tuple(pure_state(v, (2, 2, 2)))
+        s = demo_pure_tuple()
         r_b = np.sort(np.clip(s.r_b + np.array([0.2, -0.2]), 0, 1))[::-1]
         perturbed = SpectraTuple(
             r_a=s.r_a, r_b=r_b / r_b.sum(), r_c=s.r_c,
             r_ab=s.r_ab, r_bc=s.r_bc, r_abc=s.r_abc,
         )
-        rep = cmd_converse_probe(perturbed, [2, 3], samples=0, seed=0)
+        rep = cmd_converse_probe(perturbed, [2, 3])
         assert rep.summary["hs_sequence"][0] == 0.0
 
-    def test_dims_come_from_the_spectra(self, monkeypatch):
+    def test_dims_come_from_the_spectra(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         spectra = spectra_tuple(pure_state(v, (2, 2, 3)))
-        sampled = []
-
-        def recording(dims, seed):
-            sampled.append(tuple(dims))
-            return sample_hs_random(dims, seed)
-
-        monkeypatch.setattr(experiments, "sample_hs_random", recording)
-        rep = cmd_converse_probe(spectra, [2, 3], samples=2, seed=0)
+        rep = cmd_converse_probe(spectra, [2, 3])
         assert rep.parameters["dims"] == [2, 2, 3]
-        assert sampled == [(2, 2, 3)] * 4
-        assert all(0.0 < item["surrogate_max"] <= 1.0 + 1e-9 for item in rep.items)
+        assert set(rep.parameters) == {"k_values", "dims", "spectra"}
 
     @pytest.mark.parametrize("field, length", [("r_ab", 3), ("r_bc", 6), ("r_abc", 4)])
     def test_rejects_inconsistent_spectrum_lengths(self, field, length):
@@ -267,12 +276,12 @@ class TestConverseProbe:
         spectra[field] = [1.0 / length] * length
         with pytest.raises(ValidationError, match="r_ab, r_bc, r_abc"):
             cmd_converse_probe(SpectraTuple(**{f: np.array(r) for f, r in spectra.items()}),
-                               [2], samples=0, seed=0)
+                               [2])
 
     def test_rejects_large_k(self):
         spectra = spectra_tuple(maximally_mixed((2, 2, 2)))
-        with pytest.raises(ValidationError):
-            cmd_converse_probe(spectra, [5], samples=0, seed=0)
+        with pytest.raises(ValidationError, match="1..7"):
+            cmd_converse_probe(spectra, [8])
 
 
 class TestSsaScan:

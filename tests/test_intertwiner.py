@@ -20,6 +20,7 @@ from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.intertwiner import (
     DEFAULT_PRODUCT_CAP,
     _check_full_permutation,
+    _kronecker_coefficient,
     _solve_cg,
     bend_and_compare,
     cg_isometries,
@@ -224,12 +225,16 @@ class TestCgIsometries:
         assert (widest * widest) ** 2 <= DEFAULT_PRODUCT_CAP
 
     def test_above_cap_rejected_before_solving(self):
-        # dim (4,3,2,1) = 768: 768^4 entries would be 2.8 TB; rejection only
-        triple = ((4, 3, 2, 1),) * 3
-        cached = _solve_cg.cache_info().currsize
-        with pytest.raises(ResourceLimitError, match="exceeds cap"):
-            cg_isometries(*triple)
-        assert _solve_cg.cache_info().currsize == cached
+        # dim (4,3,2,1) = 768: 768^4 entries would be 2.8 TB; rejection only.
+        # At k = 70 even the Kronecker coefficient is out of reach (one at
+        # k = 50 takes seconds), so the refusal precedes every character sum.
+        for triple in (((4, 3, 2, 1),) * 3, ((35, 35), (35, 35), (70,))):
+            cached = _solve_cg.cache_info().currsize
+            misses = _kronecker_coefficient.cache_info().misses
+            with pytest.raises(ResourceLimitError, match="exceeds cap"):
+                cg_isometries(*triple)
+            assert _solve_cg.cache_info().currsize == cached
+            assert _kronecker_coefficient.cache_info().misses == misses
 
 
 class TestSelfCheck:
