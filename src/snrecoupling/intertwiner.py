@@ -96,8 +96,9 @@ def cg_isometries(alpha, beta, lam) -> IntertwinerBasis:
     raise ResourceLimitError before any character sum or allocation.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
-    ca, cb, _ = _canonical_orientation((alpha, beta, lam))
-    size = (_sk_dimension(ca) * _sk_dimension(cb)) ** 2
+    # the canonical pair holds the two smallest dimensions
+    small, second, _ = sorted(map(_sk_dimension, (alpha, beta, lam)))
+    size = (small * second) ** 2
     if size > DEFAULT_PRODUCT_CAP:
         raise ResourceLimitError(
             f"Jucys-Murphy operator size {size} for {(alpha, beta, lam)} "
