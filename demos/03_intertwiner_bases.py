@@ -28,7 +28,7 @@ for alpha in parts:
 
 print("\nthe solved basis for ((2,1), (2,1), (2,1)):")
 basis = cg_isometries((2, 1), (2, 1), (2, 1))
-phi = basis.maps[0]
+phi = basis[0]
 print(f"  one map of shape {phi.shape}; tr(phi^T phi) = {np.trace(phi.T @ phi):.6f}"
       f" = dim[(2,1)] = {sk_dimension((2, 1))}")
 print(f"  phi^T phi =\n{np.round(phi.T @ phi, 10)}  (an isometry)")

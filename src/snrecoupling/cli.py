@@ -71,7 +71,7 @@ def parse_partition(text: str):
 
 
 def parse_labels(text: str, expected: int):
-    pieces = [p for p in text.replace(";", "/").split("/") if p.strip()]
+    pieces = [p for p in text.split("/") if p.strip()]
     if len(pieces) != expected:
         raise ValidationError(f"expected {expected} labels, got {len(pieces)} in {text!r}")
     return tuple(parse_partition(p) for p in pieces)
@@ -105,15 +105,14 @@ def _cmd_kron(args) -> int:
 
 
 def _cmd_cg(args) -> int:
-    basis = cg_isometries(
-        parse_partition(args.alpha), parse_partition(args.beta), parse_partition(args.lam)
-    )
+    alpha, beta, lam = map(parse_partition, (args.alpha, args.beta, args.lam))
+    maps = cg_isometries(alpha, beta, lam)
     payload = {
-        "alpha": list(basis.targets[0]),
-        "beta": list(basis.targets[1]),
-        "lambda": list(basis.source),
-        "count": len(basis),
-        "maps": [m.tolist() for m in basis.maps],
+        "alpha": list(alpha),
+        "beta": list(beta),
+        "lambda": list(lam),
+        "count": len(maps),
+        "maps": maps.tolist(),
     }
     _emit(json.dumps(payload, sort_keys=True), args.out)
     return 0

@@ -129,16 +129,10 @@ def weyl_dimension(lam: Sequence[int], d: int) -> int:
 def _weyl_dimension(lam: Partition, d: int) -> int:
     if d < 1:
         raise ValidationError("d must be >= 1")
-    if len(lam) > d:
-        return 0
-    num = 1
-    den = 1
-    conj = conjugate_partition(lam)
-    for i in range(len(lam)):
-        for j in range(lam[i]):
-            num *= d + j - i
-            den *= lam[i] - j + conj[j] - i - 1
-    dim, rem = divmod(num, den)
+    # hook-content formula, with prod(hooks) = k! / dim; the cell (d, 0) of a
+    # lam with more than d rows makes the product 0
+    num = math.prod(d + j - i for i, row in enumerate(lam) for j in range(row))
+    dim, rem = divmod(num * _sk_dimension(lam), math.factorial(sum(lam)))
     assert rem == 0
     return dim
 
@@ -223,71 +217,55 @@ def conjugacy_classes(k: int) -> tuple[CycleType, ...]:
 Tableau = tuple[tuple[int, ...], ...]
 
 
-def _tableau_row_word(tab: Tableau) -> tuple[int, ...]:
-    k = sum(len(row) for row in tab)
-    word = [0] * k
-    for i, row in enumerate(tab):
-        for entry in row:
-            word[entry - 1] = i
-    return tuple(word)
-
-
 def standard_tableaux(lam: Sequence[int]) -> tuple[Tableau, ...]:
     """All standard tableaux of shape lam, sorted by their row word."""
-    return _standard_tableaux(check_partition(lam))
+    return _tableaux_and_contents(check_partition(lam))[0]
 
 
-@cache
-def _standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
-    k = sum(lam)
-
-    results: list[Tableau] = []
-
-    def rec(shape: list[int], cells: dict[tuple[int, int], int], n: int) -> None:
-        if n == 0:
-            tab = tuple(
-                tuple(cells[(i, j)] for j in range(lam[i]))
-                for i in range(len(lam))
-            )
-            results.append(tab)
-            return
-        # remove n from any outer corner of the current shape
-        for i in range(len(shape)):
-            if shape[i] > 0 and (i == len(shape) - 1 or shape[i] > shape[i + 1]):
-                j = shape[i] - 1
-                shape[i] -= 1
-                cells[(i, j)] = n
-                rec(shape, cells, n - 1)
-                shape[i] += 1
-                del cells[(i, j)]
-
-    rec(list(lam), {}, k)
-    results.sort(key=_tableau_row_word)
-    return tuple(results)
-
-
-@cache
 def _tableau_contents(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    """Contents of every standard tableau of lam, in ``_standard_tableaux`` order.
+    """Contents of every standard tableau of lam, in ``standard_tableaux`` order.
 
     ``_tableau_contents(lam)[t][e]`` is col - row of the cell holding entry e
     (1-based) in tableau t; index 0 is a 0 pad.
     """
-    result = []
-    for tab in _standard_tableaux(lam):
-        cont = [0] * (sum(lam) + 1)
-        for i, row in enumerate(tab):
-            for j, entry in enumerate(row):
-                cont[entry] = j - i
-        result.append(tuple(cont))
-    return tuple(result)
+    return _tableaux_and_contents(lam)[1]
+
+
+@cache
+def _tableaux_and_contents(
+    lam: Partition,
+) -> tuple[tuple[Tableau, ...], tuple[tuple[int, ...], ...]]:
+    """The standard tableaux of lam and their contents, by one depth-first
+    search over row words (entry e sits in row word[e - 1]): entry e goes into
+    each row that can take another cell, smallest row first, so the tableaux
+    come out in increasing row word."""
+    k = sum(lam)
+    tableaux, contents = [], []
+    rows: list[list[int]] = [[] for _ in lam]
+    cont = [0]
+
+    def rec(e: int) -> None:
+        if e > k:
+            tableaux.append(tuple(map(tuple, rows)))
+            contents.append(tuple(cont))
+            return
+        for i, row in enumerate(rows):
+            if len(row) < lam[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                cont.append(len(row) - i)
+                row.append(e)
+                rec(e + 1)
+                row.pop()
+                cont.pop()
+
+    rec(1)
+    return tuple(tableaux), tuple(contents)
 
 
 @cache
 def _tableau_moves(lam: Partition) -> tuple[tuple[int, ...], ...]:
     """Where each adjacent transposition takes each standard tableau of lam.
 
-    ``_tableau_moves(lam)[t][i]`` is the ``_standard_tableaux`` index of
+    ``_tableau_moves(lam)[t][i]`` is the ``standard_tableaux`` index of
     s_i T_t, tableau t with the entries i and i+1 exchanged, or -1 when the
     two share a row or a column (axial distance +-1), so that s_i T_t is not
     standard; index 0 is a -1 pad.  A standard tableau is determined by its

@@ -1,8 +1,9 @@
 """Kronecker coefficients and explicit orthonormal intertwiner bases.
 
-An intertwiner basis for the triple (alpha, beta, lam) is a list of real
-matrices phi_i of shape (dim[alpha]*dim[beta], dim[lam]) commuting with the
-group action and normalized so tr(phi_j^T phi_i) = dim[lam] * delta_ij.
+An intertwiner basis for the triple (alpha, beta, lam) is one read-only real
+array of shape (g, dim[alpha]*dim[beta], dim[lam]): its g rows phi_i commute
+with the group action and are normalized so tr(phi_j^T phi_i) = dim[lam] *
+delta_ij.
 Each phi_i is then an isometric embedding of [lam] into [alpha] (x) [beta].
 Entries are convention-dependent (any orthonormal mixing of the multiplicity
 space is equally valid); only norms, Gram matrices and block unitarity are
@@ -24,7 +25,6 @@ permutation symmetry of 3j-symbols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
@@ -49,16 +49,6 @@ EQUIVARIANCE_TOL = 1e-9
 BEND_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class IntertwinerBasis:
-    source: Partition
-    targets: tuple[Partition, Partition]
-    maps: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-
 def kronecker_coefficient(alpha, beta, lam) -> int:
     """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer (memoized)."""
     return _kronecker_coefficient(*check_labels(alpha, beta, lam))
@@ -77,8 +67,13 @@ def _kronecker_coefficient(alpha: Partition, beta: Partition, lam: Partition) ->
     return g
 
 
-def cg_isometries(alpha, beta, lam) -> IntertwinerBasis:
+def cg_isometries(alpha, beta, lam) -> np.ndarray:
     """Orthonormal intertwiner basis [lam] -> [alpha] (x) [beta].
+
+    Returns the g = kronecker_coefficient(alpha, beta, lam) maps as one
+    read-only C-contiguous array of shape (g, dim[alpha]*dim[beta],
+    dim[lam]); iterating over it yields the maps, and when g = 0 it is
+    empty, so test it with ``len()``, not truthiness.
 
     The label set is solved once, in its canonical orientation: the label
     of largest dimension (then the larger partition) as target, the other
@@ -125,38 +120,35 @@ def _canonical_orientation(labels) -> tuple[Partition, Partition, Partition]:
 
 
 @cache  # unbounded: one basis per triple solved, at most p(k)^3 per k
-def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> IntertwinerBasis:
+def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> np.ndarray:
     da, db, dl = _sk_dimension(alpha), _sk_dimension(beta), _sk_dimension(lam)
     g = _kronecker_coefficient(alpha, beta, lam)
     if g == 0:
-        return IntertwinerBasis(source=lam, targets=(alpha, beta), maps=())
-
-    canon = _canonical_orientation((alpha, beta, lam))
-    if canon == (alpha, beta, lam):
-        reps = (young_orthogonal_rep(p) for p in canon)
-        stack = _jucys_murphy_stack(*reps, g)
+        maps = np.zeros((0, da * db, dl))
     else:
-        # The real orthogonal irreps make T[a, b, l] = phi[(a, b), l] an
-        # invariant of [alpha] (x) [beta] (x) [lam], and so is any permutation
-        # of its axes: read with another axis as target and scaled by
-        # sqrt(dim lam / dim of the canonical target), the canonical maps are
-        # an orthonormal intertwiner basis here (the bending of
-        # bend_and_compare).
-        axes = next(
-            p for p in permutations(range(3))
-            if all(canon[i] == label for i, label in zip(p, (alpha, beta, lam)))
-        )
-        dims = tuple(map(_sk_dimension, canon))
-        cube = np.stack(_solve_cg(*canon).maps).reshape(g, *dims)
-        stack = cube.transpose(0, *(1 + a for a in axes)) * math.sqrt(dl / dims[2])
-
-    maps = []
-    for flat in stack.reshape(g, da * db * dl):
-        phi = fix_vector_sign(flat).reshape(da * db, dl)
-        phi.setflags(write=False)
-        maps.append(phi)
-    _check_full_permutation(alpha, beta, lam, maps)
-    return IntertwinerBasis(source=lam, targets=(alpha, beta), maps=tuple(maps))
+        canon = _canonical_orientation((alpha, beta, lam))
+        if canon == (alpha, beta, lam):
+            reps = (young_orthogonal_rep(p) for p in canon)
+            stack = _jucys_murphy_stack(*reps, g)
+        else:
+            # The real orthogonal irreps make T[a, b, l] = phi[(a, b), l] an
+            # invariant of [alpha] (x) [beta] (x) [lam], and so is any
+            # permutation of its axes: read with another axis as target and
+            # scaled by sqrt(dim lam / dim of the canonical target), the
+            # canonical maps are an orthonormal intertwiner basis here (the
+            # bending of bend_and_compare).
+            axes = next(
+                p for p in permutations(range(3))
+                if all(canon[i] == label for i, label in zip(p, (alpha, beta, lam)))
+            )
+            dims = tuple(map(_sk_dimension, canon))
+            cube = _solve_cg(*canon).reshape(g, *dims)
+            stack = cube.transpose(0, *(1 + a for a in axes)) * math.sqrt(dl / dims[2])
+        maps = np.stack([fix_vector_sign(flat) for flat in stack.reshape(g, da * db * dl)])
+        maps = maps.reshape(g, da * db, dl)
+        _check_full_permutation(alpha, beta, lam, maps)
+    maps.setflags(write=False)
+    return maps
 
 
 def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
@@ -278,13 +270,10 @@ def bend_and_compare(alpha, beta, lam) -> np.ndarray:
     if g < 1:
         raise ValidationError(f"no intertwiners for {(alpha, beta, lam)}")
 
-    psis = []
-    for phi in source.maps:
-        cube = phi.reshape(da, db, dl)
-        psi = math.sqrt(da / dl) * cube.transpose(2, 1, 0).reshape(dl * db, da)
-        psis.append(psi)
+    cube = source.reshape(g, da, db, dl)
+    psis = math.sqrt(da / dl) * cube.transpose(0, 3, 2, 1).reshape(g, dl * db, da)
 
-    gram = np.array([[np.trace(p.T @ q) for q in psis] for p in psis])
+    gram = np.tensordot(psis, psis, axes=((1, 2), (1, 2)))
     gram_resid = np.abs(gram - da * np.eye(g)).max()
     if gram_resid > BEND_TOL * da:
         raise AssertionError(
@@ -293,9 +282,7 @@ def bend_and_compare(alpha, beta, lam) -> np.ndarray:
 
     target = cg_isometries(lam, beta, alpha)
     assert len(target) == g
-    u = np.array(
-        [[np.trace(tgt.T @ psi) / da for tgt in target.maps] for psi in psis]
-    )
+    u = np.tensordot(psis, target, axes=((1, 2), (1, 2))) / da
     unitary_resid = np.abs(u @ u.conj().T - np.eye(g)).max()
     if unitary_resid > BEND_TOL:
         raise AssertionError(f"bend comparison not unitary: {unitary_resid:.3e}")

@@ -46,8 +46,8 @@ class RecouplingTensor:
 
 def _stacked_maps(a, b, c) -> np.ndarray:
     """The intertwiners [c] -> [a] (x) [b] as one (g, dim a, dim b, dim c) array."""
-    maps = cg_isometries(a, b, c).maps
-    return np.stack(maps).reshape(len(maps), *map(_sk_dimension, (a, b, c)))
+    maps = cg_isometries(a, b, c)
+    return maps.reshape(len(maps), *map(_sk_dimension, (a, b, c)))
 
 
 def _triples(labels):

@@ -21,9 +21,8 @@ from .combinatorics import (
     Partition,
     Permutation,
     _sk_dimension,
-    _standard_tableaux,
-    _tableau_contents,
     _tableau_moves,
+    _tableaux_and_contents,
     adjacent_word,
     check_partition,
 )
@@ -68,8 +67,7 @@ def young_orthogonal_rep(lam: Sequence[int]) -> RepMatrixSet:
 @cache
 def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
     k = sum(lam)
-    basis = _standard_tableaux(lam)
-    contents = _tableau_contents(lam)
+    basis, contents = _tableaux_and_contents(lam)
     moves = _tableau_moves(lam)
     dim = len(basis)
 

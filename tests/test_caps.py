@@ -74,7 +74,7 @@ def test_product_cap_admits_a_pair_above_it_with_a_small_solve():
     assert (sk_dimension(triple[0]) ** 2) ** 2 > intertwiner.DEFAULT_PRODUCT_CAP
     basis = cg_isometries(*triple)
     assert len(basis) == kronecker_coefficient(*triple) == 1
-    _check_full_permutation(*triple, basis.maps)
+    _check_full_permutation(*triple, basis)
 
 
 @CAP_SETTINGS

@@ -326,6 +326,9 @@ class TestMalformedInput:
         assert captured.err.startswith("error: ")
         return captured.err
 
+    def test_semicolon_is_not_a_label_separator(self, capsys):
+        self.check_rejected(capsys, "recoupling", "--labels", "3;3;3;3;3;3")
+
     def test_sample_state_bad_dims(self, capsys):
         err = self.check_rejected(capsys, "sample-state", "--dims", "2,x")
         assert "dimensions" in err

@@ -25,6 +25,7 @@ from snrecoupling.combinatorics import (
     standard_tableaux,
     weyl_dimension,
     _addable_contents,
+    _tableau_contents,
     _tableau_moves,
 )
 from snrecoupling.errors import ValidationError
@@ -280,6 +281,22 @@ class TestTableaux:
                 if i:
                     for j in range(len(row)):
                         assert tab[i - 1][j] < row[j]
+
+    def test_sorted_by_row_word_with_contents(self):
+        # every Young matrix indexes its basis by this order
+        for k in range(1, 9):
+            for lam in enumerate_partitions(k):
+                words = []
+                for tab, cont in zip(standard_tableaux(lam), _tableau_contents(lam)):
+                    word = [0] * k
+                    expected = [0] * (k + 1)
+                    for i, row in enumerate(tab):
+                        for j, entry in enumerate(row):
+                            word[entry - 1] = i
+                            expected[entry] = j - i
+                    words.append(word)
+                    assert list(cont) == expected, (lam, tab)
+                assert all(a < b for a, b in zip(words, words[1:])), lam
 
     def test_moves_match_swapping_entries(self):
         # s_i T is T with the entries i and i+1 exchanged; it is standard

@@ -147,7 +147,19 @@ class TestCgIsometries:
     def test_one_dimensional_case(self):
         basis = cg_isometries((1, 1), (1, 1), (2,))
         assert len(basis) == 1
-        assert np.allclose(np.abs(basis.maps[0]), [[1.0]])
+        assert np.allclose(np.abs(basis[0]), [[1.0]])
+
+    def test_returns_one_read_only_array(self):
+        for k in (1, 2, 3, 4):
+            for triple in product(enumerate_partitions(k), repeat=3):
+                alpha, beta, lam = triple
+                maps = cg_isometries(*triple)
+                shape = (kronecker_coefficient(*triple),
+                         sk_dimension(alpha) * sk_dimension(beta), sk_dimension(lam))
+                assert isinstance(maps, np.ndarray) and maps.shape == shape, triple
+                assert maps.flags.c_contiguous and not maps.flags.writeable
+                with pytest.raises(ValueError):
+                    maps[...] = 0.0
 
     def test_count_matches_kronecker(self):
         for k in (2, 3, 4, 5):
@@ -160,8 +172,8 @@ class TestCgIsometries:
             for alpha, beta, lam in product(enumerate_partitions(k), repeat=3):
                 basis = cg_isometries(alpha, beta, lam)
                 dl = sk_dimension(lam)
-                for i, phi_i in enumerate(basis.maps):
-                    for j, phi_j in enumerate(basis.maps):
+                for i, phi_i in enumerate(basis):
+                    for j, phi_j in enumerate(basis):
                         inner = np.trace(phi_j.T @ phi_i)
                         assert inner == pytest.approx(
                             dl if i == j else 0.0, abs=1e-9
@@ -169,7 +181,7 @@ class TestCgIsometries:
 
     def test_each_map_is_an_isometry(self):
         for alpha, beta, lam in product(enumerate_partitions(3), repeat=3):
-            for phi in cg_isometries(alpha, beta, lam).maps:
+            for phi in cg_isometries(alpha, beta, lam):
                 eye = np.eye(sk_dimension(lam))
                 assert np.abs(phi.T @ phi - eye).max() < 1e-9
 
@@ -178,7 +190,7 @@ class TestCgIsometries:
         for k in (3, 4):
             for alpha, beta, lam in product(enumerate_partitions(k), repeat=3):
                 basis = cg_isometries(alpha, beta, lam)
-                if not basis.maps:
+                if not len(basis):
                     continue
                 rep_a = young_orthogonal_rep(alpha)
                 rep_b = young_orthogonal_rep(beta)
@@ -186,7 +198,7 @@ class TestCgIsometries:
                 perm = random_permutation(k, rng)
                 big = np.kron(represent(rep_a, perm), represent(rep_b, perm))
                 small = represent(rep_l, perm)
-                for phi in basis.maps:
+                for phi in basis:
                     assert np.abs(big @ phi - phi @ small).max() < 1e-9
 
     def test_completeness_resolution_of_identity(self):
@@ -201,7 +213,7 @@ class TestCgIsometries:
                     acc = np.zeros((da * db, da * db))
                     for lam in enumerate_partitions(k):
                         basis = cg_isometries(alpha, beta, lam)
-                        for phi in basis.maps:
+                        for phi in basis:
                             acc += phi @ phi.T
                     assert np.abs(acc - np.eye(da * db)).max() < 1e-8
 
@@ -245,11 +257,11 @@ class TestSelfCheck:
         # still an intertwiner; the trivial map checked against the sign
         # rep is not, and only a non-identity permutation shows it.
         with pytest.raises(AssertionError, match="equivariance violated"):
-            _check_full_permutation((2,), (2,), (1, 1), cg_isometries((2,), (2,), (2,)).maps)
+            _check_full_permutation((2,), (2,), (1, 1), cg_isometries((2,), (2,), (2,)))
 
     def test_k3_map_with_one_tableau_column_flipped(self):
         triple = ((2, 1), (2, 1), (2, 1))
-        phi = cg_isometries(*triple).maps[0].copy()
+        phi = cg_isometries(*triple)[0].copy()
         _check_full_permutation(*triple, [phi])
         phi[:, 0] *= -1
         with pytest.raises(AssertionError, match="equivariance violated"):
@@ -326,8 +338,8 @@ class TestMirroredTriples:
         for alpha, beta, lam in triples:
             if alpha == beta:
                 continue
-            straight = cg_isometries(alpha, beta, lam).maps
-            mirrored = cg_isometries(beta, alpha, lam).maps
+            straight = cg_isometries(alpha, beta, lam)
+            mirrored = cg_isometries(beta, alpha, lam)
             assert len(straight) == len(mirrored) == kronecker_coefficient(alpha, beta, lam)
             for phi, psi in zip(straight, mirrored):
                 swapped = swap_factors(phi, alpha, beta)
@@ -400,7 +412,7 @@ class TestCanonicalOrientation:
         for triple in product(enumerate_partitions(k), repeat=3):
             g = kronecker_coefficient(*triple)
             for t in set(permutations(triple)):
-                maps = cg_isometries(*t).maps
+                maps = cg_isometries(*t)
                 assert len(maps) == g
                 _check_full_permutation(*t, maps)
 
@@ -435,7 +447,7 @@ class TestEighOracle:
         ],
     )
     def test_projector_matches_oracle(self, triple):
-        maps = cg_isometries(*triple).maps
+        maps = cg_isometries(*triple)
         expected = eigh_oracle(*triple)
         assert len(maps) == len(expected) == kronecker_coefficient(*triple)
         diff = multiplicity_projector(maps) - multiplicity_projector(expected)
@@ -447,10 +459,10 @@ class TestNullspaceOracle:
     def test_projector_matches_oracle(self, k):
         # every triple up to k = 5, where dim products reach 6^3 = 216
         for alpha, beta, lam in product(enumerate_partitions(k), repeat=3):
-            maps = cg_isometries(alpha, beta, lam).maps
+            maps = cg_isometries(alpha, beta, lam)
             expected = nullspace_oracle(alpha, beta, lam)
             assert len(maps) == len(expected)
-            if not maps:
+            if not len(maps):
                 continue
             diff = multiplicity_projector(maps) - multiplicity_projector(expected)
             assert np.abs(diff).max() < 1e-10, (alpha, beta, lam)
@@ -466,8 +478,7 @@ class TestReach:
         g = kronecker_coefficient(*triple)
         assert g > 1 and len(basis) == g
         dl = sk_dimension(triple[2])
-        stack = np.stack(basis.maps)
-        gram = np.einsum("iab,jab->ij", stack, stack)
+        gram = np.einsum("iab,jab->ij", basis, basis)
         assert np.abs(gram - dl * np.eye(g)).max() < 1e-9
         u = bend_and_compare(*triple)
         assert np.abs(u @ u.T - np.eye(g)).max() < 1e-8
@@ -484,7 +495,7 @@ class TestTrivialCoupling:
     def test_matches_cg_up_to_sign(self):
         for k in (2, 3, 4):
             for lam in enumerate_partitions(k):
-                vec = cg_isometries(lam, lam, (k,)).maps[0].reshape(-1)
+                vec = cg_isometries(lam, lam, (k,))[0].reshape(-1)
                 ref = trivial_coupling(lam)
                 assert min(
                     np.abs(vec - ref).max(), np.abs(vec + ref).max()
@@ -520,6 +531,21 @@ class TestBendAndCompare:
             g = u.shape[0]
             assert np.abs(u @ u.T.conj() - np.eye(g)).max() < 1e-8
 
-    def test_gram_check_is_enforced(self):
+    def test_triple_without_intertwiners_is_rejected(self):
         with pytest.raises(ValidationError):
             bend_and_compare((2,), (2,), (1, 1))  # no intertwiners at all
+
+    @pytest.mark.parametrize("scaled, match", [
+        (((2, 1), (2, 1), (3,)), "bent Gram matrix deviates"),
+        (((3,), (2, 1), (2, 1)), "not unitary"),
+    ])
+    def test_scaled_basis_is_caught(self, monkeypatch, scaled, match):
+        # doubling the source maps breaks the bent Gram matrix; doubling the
+        # maps of the bent orientation leaves it intact but doubles U
+        real = intertwiner.cg_isometries
+        monkeypatch.setattr(
+            intertwiner, "cg_isometries",
+            lambda *t: real(*t) * (2.0 if t == scaled else 1.0),
+        )
+        with pytest.raises(AssertionError, match=match):
+            bend_and_compare((2, 1), (2, 1), (3,))

@@ -31,13 +31,13 @@ def composite_entries(alpha, beta, gamma, mu, nu, lam):
     eye_a, eye_g = np.eye(sk_dimension(alpha)), np.eye(sk_dimension(gamma))
     left = [
         np.kron(phi_i, eye_g) @ phi_j
-        for phi_i in cg_isometries(alpha, beta, mu).maps
-        for phi_j in cg_isometries(mu, gamma, lam).maps
+        for phi_i in cg_isometries(alpha, beta, mu)
+        for phi_j in cg_isometries(mu, gamma, lam)
     ]
     right = [
         np.kron(eye_a, phi_k) @ phi_l
-        for phi_k in cg_isometries(beta, gamma, nu).maps
-        for phi_l in cg_isometries(alpha, nu, lam).maps
+        for phi_k in cg_isometries(beta, gamma, nu)
+        for phi_l in cg_isometries(alpha, nu, lam)
     ]
     shape = tuple(
         kronecker_coefficient(*t)
