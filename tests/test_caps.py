@@ -8,24 +8,31 @@ module constant read at call time, so the tests set it with monkeypatch.
 
 import math
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from snrecoupling import intertwiner, quantumstates, repsym, schurweyl
-from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
+from snrecoupling.combinatorics import (
+    conjugacy_classes,
+    enumerate_partitions,
+    partition_counts,
+    sk_dimension,
+)
 from snrecoupling.errors import ResourceLimitError
 from snrecoupling.intertwiner import (
     _canonical_orientation,
     _check_full_permutation,
+    _kronecker_coefficient,
     _solve_cg,
     cg_isometries,
     kronecker_coefficient,
 )
 from snrecoupling.quantumstates import SAMPLE_DIM_CAP, maximally_mixed, sample_hs_random
-from snrecoupling.repsym import _young_orthogonal_rep, young_orthogonal_rep
+from snrecoupling.recoupling import full_recoupling_unitary, recoupling_tensor
+from snrecoupling.repsym import _character_row, _young_orthogonal_rep, young_orthogonal_rep
 from snrecoupling.schurweyl import _sk_tables, ball_sum_projector, tripartite_elements
 
 CAP_SETTINGS = settings(max_examples=25, deadline=None)
@@ -75,6 +82,47 @@ def test_product_cap_admits_a_pair_above_it_with_a_small_solve():
     basis = cg_isometries(*triple)
     assert len(basis) == kronecker_coefficient(*triple) == 1
     _check_full_permutation(*triple, basis)
+
+
+@CAP_SETTINGS
+@given(labels(6, 3))
+def test_class_count_cap(triple):
+    # every entry point that reaches a Kronecker character sum refuses a k
+    # with more classes than the cap before it computes any character
+    need = len(conjugacy_classes(sum(triple[0])))
+    refused = (
+        (kronecker_coefficient, triple),
+        (cg_isometries, triple),
+        (recoupling_tensor, triple * 2),
+        (full_recoupling_unitary, triple + triple[:1]),
+    )
+    _character_row.cache_clear()
+    _kronecker_coefficient.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intertwiner, "CLASS_COUNT_CAP", need - 1)
+        for fn, args in refused:
+            with pytest.raises(ResourceLimitError):
+                fn(*args)
+        assert _character_row.cache_info().currsize == 0
+        mp.setattr(intertwiner, "CLASS_COUNT_CAP", need)
+        assert kronecker_coefficient(*triple) >= 0
+
+
+def test_class_count_cap_at_its_value():
+    # p(30) = 5,604 classes are admitted and p(31) = 6,842 are not.  A k = 60
+    # sum took 50 s at 1.1 GB; its refusal allocates next to nothing.
+    p30, p31 = islice(partition_counts(), 30, 32)
+    assert p30 <= intertwiner.CLASS_COUNT_CAP < p31
+    assert kronecker_coefficient((29, 1), (29, 1), (30,)) == 1
+    tracemalloc.start()
+    try:
+        for fn in (kronecker_coefficient, cg_isometries):
+            with pytest.raises(ResourceLimitError):
+                fn((59, 1), (59, 1), (60,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @CAP_SETTINGS

@@ -314,6 +314,17 @@ class TestStateCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "exceeds cap" in captured.err
 
+    @pytest.mark.parametrize("command", ["kron", "cg"])
+    def test_class_count_cap_exits_3_at_once(self, capsys, command):
+        # S_60 has 966,467 classes; the sum took 50 s at 1.1 GB before the cap
+        start = time.perf_counter()
+        code = main([command, "--alpha", "59,1", "--beta", "59,1", "--lambda", "60"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "conjugacy classes" in captured.err
+        assert elapsed < 0.2
+
 
 class TestMalformedInput:
     """Bad input exits 2 with an error line, never a traceback (exit 1 means a gate failed)."""

@@ -71,7 +71,7 @@ def nullspace_oracle(alpha, beta, lam):
 
 
 def eigh_oracle(alpha, beta, lam):
-    """Oracle for k = 6-7, where the nullspace route fails: an eigensolver
+    """Oracle for k = 6-8, where the nullspace route is too slow: an eigensolver
     route with no exact-content projector and no change of orientation.
 
     In the orientation asked for, it restricts X_2, ..., X_k on
@@ -285,20 +285,23 @@ def test_solver_path_does_not_import_numpy_random():
     assert result.stdout.strip() == "False"
 
 
+# k = 6 triples where the last generator equation of nullspace_oracle leaves
+# a single column of roundoff: a cutoff relative to sigma_max alone counts it
+# as rank and finds no intertwiner
+ROUNDOFF_ONLY_K6 = [
+    ((6,), (3, 3), (3, 3)),
+    ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
+    ((6,), (2, 2, 2), (2, 2, 2)),
+    ((3, 3), (2, 2, 2), (3, 3)),
+    ((3, 3), (2, 2, 2), (1, 1, 1, 1, 1, 1)),
+    ((3, 3), (1, 1, 1, 1, 1, 1), (2, 2, 2)),
+]
+
+
 class TestRoundoffOnlyConstraints:
-    @pytest.mark.parametrize("triple", [
-        ((6,), (3, 3), (3, 3)),
-        ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
-        ((6,), (2, 2, 2), (2, 2, 2)),
-        ((3, 3), (2, 2, 2), (3, 3)),
-        ((3, 3), (2, 2, 2), (1, 1, 1, 1, 1, 1)),
-        ((3, 3), (1, 1, 1, 1, 1, 1), (2, 2, 2)),
-    ])
+    @pytest.mark.parametrize("triple", ROUNDOFF_ONLY_K6)
     def test_k6_triples_the_nullspace_route_misses(self, triple):
-        # nullspace_oracle finds no intertwiner here: the last generator
-        # equation leaves a single column of roundoff, which the relative
-        # cutoff of orthonormal_nullspace counts as rank.  Both orders are
-        # axis permutations of one canonical solve.
+        # Both orders are axis permutations of one canonical solve.
         alpha, beta, lam = triple
         for t in {triple, (beta, alpha, lam)}:
             assert len(cg_isometries(*t)) == kronecker_coefficient(*t) == 1
@@ -466,6 +469,14 @@ class TestNullspaceOracle:
                 continue
             diff = multiplicity_projector(maps) - multiplicity_projector(expected)
             assert np.abs(diff).max() < 1e-10, (alpha, beta, lam)
+
+    @pytest.mark.parametrize("triple", ROUNDOFF_ONLY_K6)
+    def test_roundoff_only_constraints(self, triple):
+        maps = cg_isometries(*triple)
+        expected = nullspace_oracle(*triple)
+        assert len(maps) == len(expected) == 1
+        diff = multiplicity_projector(maps) - multiplicity_projector(expected)
+        assert np.abs(diff).max() < 1e-10
 
 
 class TestReach:

@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from snrecoupling.combinatorics import (
     all_permutations,
     class_size,
+    conjugate_partition,
     conjugacy_classes,
     enumerate_partitions,
     identity_permutation,
@@ -17,10 +19,37 @@ from snrecoupling.combinatorics import (
 from snrecoupling import repsym
 from snrecoupling.errors import ResourceLimitError
 from snrecoupling.repsym import (
+    _character_row,
     character,
     represent,
     young_orthogonal_rep,
 )
+from snrecoupling.schurweyl import _ball_coefficients
+
+@cache
+def beta_set_character(lam, cycle_type):
+    """Oracle: the Murnaghan-Nakayama rule on beta-sets held as lists.
+
+    Each border strip of length r = cycle_type[0] is a beta number b with
+    b - r free; its sign counts the beta numbers strictly between them.
+    """
+    if not lam:
+        return 1
+    strip, rest = cycle_type[0], cycle_type[1:]
+    m = len(lam)
+    beta = [lam[i] + (m - 1 - i) for i in range(m)]
+    total = 0
+    for i, b in enumerate(beta):
+        target = b - strip
+        if target < 0 or target in beta:
+            continue
+        crossings = sum(1 for c in beta if target < c < b)
+        new_beta = sorted(beta[:i] + beta[i + 1:] + [target], reverse=True)
+        rows = [new_beta[j] - (m - 1 - j) for j in range(m)]
+        new_lam = tuple(v for v in rows if v > 0)
+        total += (-1) ** crossings * beta_set_character(new_lam, rest)
+    return total
+
 
 # character table of S_3, classes ordered (1,1,1), (2,1), (3)
 S3_TABLE = {
@@ -142,3 +171,41 @@ class TestCharacters:
                     assert total == math.factorial(k) // class_size(t1)
                 else:
                     assert total == 0
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_bead_recursion_matches_beta_set_lists(self, k):
+        classes = [t for t, _ in conjugacy_classes(k)]
+        for lam in enumerate_partitions(k):
+            expected = [beta_set_character(lam, t) for t in classes]
+            assert list(_character_row(lam)) == expected, lam
+            assert [character(lam, t) for t in classes] == expected, lam
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_row_orthogonality(self, k):
+        rows = {lam: _character_row(lam) for lam in enumerate_partitions(k)}
+        sizes = [size for _, size in conjugacy_classes(k)]
+        for lam, row in rows.items():
+            for mu, other in rows.items():
+                total = sum(c * a * b for c, a, b in zip(sizes, row, other))
+                assert total == (math.factorial(k) if lam == mu else 0), (lam, mu)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_conjugate_label_twists_by_the_sign(self, k):
+        for lam in enumerate_partitions(k):
+            twisted = _character_row(conjugate_partition(lam))
+            for (t, _), chi, chi_conj in zip(conjugacy_classes(k), _character_row(lam), twisted):
+                assert chi_conj == (-1) ** (k - len(t)) * chi
+
+
+class TestBallCoefficients:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_empty_ball_is_zero(self, k):
+        coeffs = _ball_coefficients([], k)
+        assert coeffs.shape == (math.factorial(k),)
+        assert not coeffs.any()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_label_sums_to_the_identity(self, k):
+        # sum_lam dim[lam] chi_lam = k! delta_e: the ball of all labels is 1
+        coeffs = _ball_coefficients(enumerate_partitions(k), k)
+        assert coeffs[0] == 1.0 and not coeffs[1:].any()

@@ -23,6 +23,13 @@ class TestNullspace:
         mat = np.column_stack(basis)
         assert np.abs(mat.conj().T @ mat - np.eye(3)).max() < 1e-14
 
+    def test_roundoff_matrix_has_a_full_nullspace(self):
+        # every singular value is ~1e-16: a cutoff relative to sigma_max alone
+        # would count them all as rank
+        a = np.full((4, 1), 1e-16)
+        basis = orthonormal_nullspace(a)
+        assert len(basis) == 1 and basis[0][0] == 1.0
+
     def test_rank_one_projector_complement(self):
         # analytic 2x2 case: null(|v><v|) is spanned by the orthogonal vector
         v = np.array([3.0, 4.0]) / 5.0
