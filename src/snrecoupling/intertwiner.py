@@ -38,15 +38,13 @@ from .combinatorics import (
     _tableau_moves,
     check_labels,
     conjugacy_classes,
-    partition_counts,
     sk_dimension,
 )
 from .errors import ResourceLimitError, ValidationError
-from .repsym import _character_row, _cycle_matrix, young_orthogonal_rep
+from .repsym import _character_row, _check_class_count, _cycle_matrix, young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
-CLASS_COUNT_CAP = 6_000  # admits k <= 30: p(30) = 5,604, p(31) = 6,842
 EQUIVARIANCE_TOL = 1e-9
 BEND_TOL = 1e-8
 
@@ -55,34 +53,12 @@ def kronecker_coefficient(alpha, beta, lam) -> int:
     """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer (memoized).
 
     Its character sum has one term per conjugacy class of S_k: above
-    ``CLASS_COUNT_CAP`` classes it raises ResourceLimitError before any
+    ``repsym.CLASS_COUNT_CAP`` classes it raises ResourceLimitError before any
     character is computed.
     """
     labels = check_labels(alpha, beta, lam)
     _check_class_count(sum(labels[2]))
     return _kronecker_coefficient(*labels)
-
-
-@cache
-def _class_counts(cap: int) -> tuple[int, ...]:
-    """p(0), p(1), ... through the first value above cap."""
-    counts = []
-    for p in partition_counts():
-        counts.append(p)
-        if p > cap:
-            return tuple(counts)
-
-
-def _check_class_count(k: int) -> None:
-    """Refuse a k whose S_k has more than ``CLASS_COUNT_CAP`` (read at each
-    call) conjugacy classes.  p(k) never decreases in k, so the recurrence
-    stops at the first value above the cap, however large k is."""
-    counts = _class_counts(CLASS_COUNT_CAP)
-    if k >= len(counts) - 1:
-        raise ResourceLimitError(
-            f"S_{k} has p({k}) >= {counts[-1]} conjugacy classes, "
-            f"above the cap {CLASS_COUNT_CAP}"
-        )
 
 
 @cache
@@ -119,7 +95,7 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
     Jucys-Murphy operator the solver holds.  Since g * dim[target] <= n
     there, it also bounds the g * dim[alpha] * dim[beta] * dim[lam] floats
     of the returned maps.  Every label set at k <= 7 fits it.  Larger ones,
-    and every k above ``CLASS_COUNT_CAP`` classes, raise ResourceLimitError
+    and every k above ``repsym.CLASS_COUNT_CAP`` classes, raise ResourceLimitError
     before any character sum or allocation.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
@@ -177,8 +153,7 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> np.ndarray:
             dims = tuple(map(_sk_dimension, canon))
             cube = _solve_cg(*canon).reshape(g, *dims)
             stack = cube.transpose(0, *(1 + a for a in axes)) * math.sqrt(dl / dims[2])
-        maps = np.stack([fix_vector_sign(flat) for flat in stack.reshape(g, da * db * dl)])
-        maps = maps.reshape(g, da * db, dl)
+        maps = fix_vector_sign(stack.reshape(g, da * db * dl)).reshape(g, da * db, dl)
         _check_full_permutation(alpha, beta, lam, maps)
     maps.setflags(write=False)
     return maps
@@ -208,7 +183,7 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
         span = np.ones((1, 1))  # every irrep of S_1, S_2 is one-dimensional, and g = 1
     else:
         a, b = pairs[0]
-        x_diag = np.multiply.outer(np.diag(a), np.diag(b)).reshape(n)
+        x_diag = (a.diagonal()[:, None] * b.diagonal()).reshape(n)
         keep = np.flatnonzero(x_diag == contents[0][2])
         x_j = np.diag(x_diag)
         q = np.eye(len(keep))
@@ -217,13 +192,13 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
             # X is symmetric, so G X G = G (G X)^T; G itself by one broadcast
             gen = (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
             x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + gen
-            x_keep = x_j[np.ix_(keep, keep)]
+            x_keep = x_j[keep[:, None], keep]
             prefix = [m for m in (sum(e <= j for e in row) for row in first) if m]
             c = contents[0][j + 1]
             for other in _addable_contents(prefix):
                 if other != c:
                     q = (q @ x_keep - other * q) / (c - other)
-        trace = np.trace(q)
+        trace = q.trace()
         assert abs(trace - g) < 1e-8, f"projector has trace {trace}, characters say {g}"
         span = np.zeros((n, g))
         span[keep] = _projector_columns(q, g)

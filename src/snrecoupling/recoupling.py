@@ -9,6 +9,12 @@ computed as one contraction of the four intertwiners around the tetrahedron
 whose six edges are the labels, as SU(2) 6j-symbols are; assembled over all
 (mu; nu) they form a unitary block matrix.
 
+Both composites intertwine the irreducible [lam], so by Schur's lemma their
+overlap right_kl^T left_ij is a scalar times the identity of [lam].  The
+contraction therefore reads it at one basis vector x0 of [lam], the first
+standard tableau, instead of tracing the lam edge and dividing by dim[lam]:
+every intermediate is dim[lam] times smaller.
+
 Individual entries depend on the intertwiner convention; the Hilbert-Schmidt
 norm, the blockwise unitarity and the column-swap ratios do not.
 """
@@ -23,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import Partition, _sk_dimension, check_labels, enumerate_partitions
-from .intertwiner import _check_class_count, _kronecker_coefficient, cg_isometries
+from .intertwiner import _kronecker_coefficient, cg_isometries
+from .repsym import _check_class_count
 from .tensorlinalg import hs_norm
 
 
@@ -60,9 +67,12 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     """The recoupling block for one six-tuple of labels.
 
     Entry (k, l, i, j) is tr(right_kl^T left_ij) / dim[lam], the overlap of
-    the two composite isometries, contracted around the tetrahedron:
+    the two composite isometries.  Both intertwine the irreducible [lam], so
+    right_kl^T left_ij is that overlap times the identity (Schur's lemma),
+    and the entry is its diagonal element at x0, the first standard tableau
+    of [lam], contracted around the tetrahedron with no division:
 
-        (1/dim lam) sum phi_i[a,b,m] phi_j[m,c,x] phi_k[b,c,n] phi_l[a,n,x]
+        sum phi_i[a,b,m] phi_j[m,c,x0] phi_k[b,c,n] phi_l[a,n,x0]
 
     for the intertwiners i: alpha beta -> mu, j: mu gamma -> lam,
     k: beta gamma -> nu and l: alpha nu -> lam, each reshaped row-major
@@ -71,7 +81,7 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     are, since scans revisit tuples through the swap relations: the memo
     holds at most one block per six-tuple with four non-zero Kronecker
     coefficients (23,003 of the 290,521 tuples with at most three rows at
-    k = 6).  A k above ``intertwiner.CLASS_COUNT_CAP`` classes raises
+    k = 6).  A k above ``repsym.CLASS_COUNT_CAP`` classes raises
     ResourceLimitError before any Kronecker coefficient is computed, here
     and in ``full_recoupling_unitary``.
     """
@@ -86,12 +96,17 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
 @cache
 def _build_tensor(labels) -> RecouplingTensor:
     phi_k, phi_l, phi_i, phi_j = (_stacked_maps(*t) for t in _triples(labels))
-    # Fixed order: the (alpha beta) gamma composites (i, a, b, j, c, x), the
-    # alpha (beta gamma) composites (k, b, c, l, a, x), then their overlap.
-    left = np.tensordot(phi_i, phi_j, axes=(3, 1))
-    right = np.tensordot(phi_k, phi_l, axes=(3, 2))
-    entries = np.tensordot(right, left, axes=((4, 1, 2, 5), (1, 2, 4, 5)))
-    entries /= _sk_dimension(labels[5])
+    gk, b, c, n = phi_k.shape
+    gl, a = phi_l.shape[:2]
+    gi, gj, m = len(phi_i), len(phi_j), phi_j.shape[1]
+    # Fixed order, all at x0: the (alpha beta) gamma composites (i, a, b, j, c)
+    # and the alpha (beta gamma) composites (l, a, k, b, c), each reordered to
+    # (multiplicity pair, abc), then their overlap.
+    left = phi_i.reshape(-1, m) @ phi_j[..., 0].transpose(1, 0, 2).reshape(m, gj * c)
+    right = phi_l[..., 0].reshape(gl * a, n) @ phi_k.reshape(-1, n).T
+    left = left.reshape(gi, a * b, gj, c).transpose(0, 2, 1, 3).reshape(gi * gj, -1)
+    right = right.reshape(gl, a, gk, b * c).transpose(2, 0, 1, 3).reshape(gk * gl, -1)
+    entries = (right @ left.T).reshape(gk, gl, gi, gj)
     entries.setflags(write=False)
     return RecouplingTensor(labels=labels, entries=entries, hs=hs_norm(entries))
 
@@ -121,8 +136,11 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     )
     if not (mus or nus):
         return RecouplingUnitary(matrix=np.zeros((0, 0)), mu_order=(), nu_order=())
-    matrix = np.block([
-        [recoupling_tensor(alpha, beta, gamma, mu, nu, lam).as_matrix() for mu in mus]
+    matrix = np.concatenate([
+        np.concatenate(
+            [recoupling_tensor(alpha, beta, gamma, mu, nu, lam).as_matrix() for mu in mus],
+            axis=1,
+        )
         for nu in nus
     ])
     if matrix.shape[0] != matrix.shape[1]:

@@ -28,10 +28,12 @@ from .combinatorics import (
     adjacent_word,
     check_partition,
     conjugacy_classes,
+    partition_counts,
 )
 from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_DIMENSION_CAP = 5000
+CLASS_COUNT_CAP = 6_000  # admits k <= 30: p(30) = 5,604, p(31) = 6,842
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,42 @@ def represent(reps: RepMatrixSet, perm: Permutation) -> np.ndarray:
 # characters (Murnaghan-Nakayama rule on the abacus)
 
 def character(lam: Sequence[int], cycle_type: Sequence[int]) -> int:
-    """Exact integer character value of S_k at the given cycle type."""
+    """Exact integer character value of S_k at the given cycle type.
+
+    Refused, before any recursion, for a k above ``CLASS_COUNT_CAP`` classes:
+    the memo grows with the partitions inside lam that the rim-hook
+    recursion reaches, about binom(2n, n) for an n x n box at 1^(n^2).
+    """
     lam = check_partition(lam)
     t = check_partition(cycle_type)
     if sum(lam) != sum(t):
         raise ValidationError(
             f"shape {lam} and cycle type {t} refer to different symmetric groups"
         )
+    _check_class_count(sum(t))
     return _bead_character(_beads(lam), t)
+
+
+@cache
+def _class_counts(cap: int) -> tuple[int, ...]:
+    """p(0), p(1), ... through the first value above cap."""
+    counts = []
+    for p in partition_counts():
+        counts.append(p)
+        if p > cap:
+            return tuple(counts)
+
+
+def _check_class_count(k: int) -> None:
+    """Refuse a k whose S_k has more than ``CLASS_COUNT_CAP`` (read at each
+    call) conjugacy classes.  p(k) never decreases in k, so the recurrence
+    stops at the first value above the cap, however large k is."""
+    counts = _class_counts(CLASS_COUNT_CAP)
+    if k >= len(counts) - 1:
+        raise ResourceLimitError(
+            f"S_{k} has p({k}) >= {counts[-1]} conjugacy classes, "
+            f"above the cap {CLASS_COUNT_CAP}"
+        )
 
 
 @cache

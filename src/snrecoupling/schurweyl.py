@@ -48,7 +48,7 @@ from .combinatorics import (
 )
 from .errors import ResourceLimitError, ValidationError
 from .quantumstates import DensityMatrix
-from .repsym import _character_row, character, represent, young_orthogonal_rep
+from .repsym import _character_row, _check_class_count, character, represent, young_orthogonal_rep
 from .tensorlinalg import hermitian_eigensystem, hs_norm, op_norm
 
 DENSE_CAP = 4096
@@ -82,11 +82,13 @@ def projected_trace(lam, rho: DensityMatrix, k: int) -> float:
     """tr(P_lam rho^(x k)) via cycle types: one term per partition of k.
 
     Needs only the power traces tr(rho^j), so it scales to k ~ 30 where no
-    projector could ever be materialized.
+    projector could ever be materialized; a k above ``repsym.CLASS_COUNT_CAP``
+    classes raises ResourceLimitError before any character.
     """
     lam = check_partition(lam)
     if sum(lam) != k:
         raise ValidationError(f"{lam} is not a partition of {k}")
+    _check_class_count(k)
     vals, _ = hermitian_eigensystem(rho.matrix)
     power_traces = [float(np.sum(vals**j)) for j in range(k + 1)]
     total = 0.0

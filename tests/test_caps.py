@@ -31,9 +31,20 @@ from snrecoupling.intertwiner import (
     kronecker_coefficient,
 )
 from snrecoupling.quantumstates import SAMPLE_DIM_CAP, maximally_mixed, sample_hs_random
-from snrecoupling.recoupling import full_recoupling_unitary, recoupling_tensor
-from snrecoupling.repsym import _character_row, _young_orthogonal_rep, young_orthogonal_rep
-from snrecoupling.schurweyl import _sk_tables, ball_sum_projector, tripartite_elements
+from snrecoupling.recoupling import _build_tensor, full_recoupling_unitary, recoupling_tensor
+from snrecoupling.repsym import (
+    _bead_character,
+    _character_row,
+    _young_orthogonal_rep,
+    character,
+    young_orthogonal_rep,
+)
+from snrecoupling.schurweyl import (
+    _sk_tables,
+    ball_sum_projector,
+    projected_trace,
+    tripartite_elements,
+)
 
 CAP_SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -87,42 +98,66 @@ def test_product_cap_admits_a_pair_above_it_with_a_small_solve():
 @CAP_SETTINGS
 @given(labels(6, 3))
 def test_class_count_cap(triple):
-    # every entry point that reaches a Kronecker character sum refuses a k
-    # with more classes than the cap before it computes any character
-    need = len(conjugacy_classes(sum(triple[0])))
+    # every entry point that reaches a character sum or recursion refuses a
+    # k with more classes than the cap before it computes any character
+    k = sum(triple[0])
+    need = len(conjugacy_classes(k))
     refused = (
         (kronecker_coefficient, triple),
         (cg_isometries, triple),
         (recoupling_tensor, triple * 2),
         (full_recoupling_unitary, triple + triple[:1]),
+        (character, (triple[0], (1,) * k)),
+        (projected_trace, (triple[0], maximally_mixed((2,)), k)),
     )
     _character_row.cache_clear()
+    _bead_character.cache_clear()
     _kronecker_coefficient.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intertwiner, "CLASS_COUNT_CAP", need - 1)
+        mp.setattr(repsym, "CLASS_COUNT_CAP", need - 1)
         for fn, args in refused:
             with pytest.raises(ResourceLimitError):
                 fn(*args)
         assert _character_row.cache_info().currsize == 0
-        mp.setattr(intertwiner, "CLASS_COUNT_CAP", need)
+        assert _bead_character.cache_info().currsize == 0
+        mp.setattr(repsym, "CLASS_COUNT_CAP", need)
         assert kronecker_coefficient(*triple) >= 0
+        assert character(triple[0], (1,) * k) == sk_dimension(triple[0])
 
 
 def test_class_count_cap_at_its_value():
     # p(30) = 5,604 classes are admitted and p(31) = 6,842 are not.  A k = 60
     # sum took 50 s at 1.1 GB; its refusal allocates next to nothing.
     p30, p31 = islice(partition_counts(), 30, 32)
-    assert p30 <= intertwiner.CLASS_COUNT_CAP < p31
+    assert p30 <= repsym.CLASS_COUNT_CAP < p31
     assert kronecker_coefficient((29, 1), (29, 1), (30,)) == 1
     tracemalloc.start()
     try:
         for fn in (kronecker_coefficient, cg_isometries):
             with pytest.raises(ResourceLimitError):
                 fn((59, 1), (59, 1), (60,))
+        with pytest.raises(ResourceLimitError):
+            character((10,) * 10, (1,) * 100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_recoupling_block_holds_no_lam_edge():
+    # ((6,6)^3, (12), (12), (6,6)): read at one basis vector of [lam], each
+    # composite holds 132^3 floats (18 MB); contracted along the whole lam
+    # edge they held 132 times more, 7.0 GB of peak RSS
+    _build_tensor.cache_clear()
+    _solve_cg.cache_clear()
+    tracemalloc.start()
+    try:
+        block = recoupling_tensor((6, 6), (6, 6), (6, 6), (12,), (12,), (6, 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.hs == pytest.approx(1 / 132, abs=1e-12)
+    assert peak < 100 * 1024**2
 
 
 @CAP_SETTINGS

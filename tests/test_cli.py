@@ -326,6 +326,18 @@ class TestStateCommands:
         assert elapsed < 0.2
 
 
+    def test_character_cap_exits_3_at_once(self, capsys):
+        # a 10 x 10 box at cycle type 1^100: 1.94 s at 122 MB before the cap
+        start = time.perf_counter()
+        code = main(["char", "--lambda", ",".join(["10"] * 10),
+                     "--type", ",".join(["1"] * 100)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "conjugacy classes" in captured.err
+        assert elapsed < 0.2
+
+
 class TestMalformedInput:
     """Bad input exits 2 with an error line, never a traceback (exit 1 means a gate failed)."""
 

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
+from snrecoupling.combinatorics import conjugate_partition, enumerate_partitions, sk_dimension
 from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.recoupling import (
     _build_tensor,
@@ -47,6 +47,14 @@ def composite_entries(alpha, beta, gamma, mu, nu, lam):
     return overlaps.reshape(shape) / sk_dimension(lam)
 
 
+def is_non_empty(labels):
+    """All four Kronecker coefficients of the block are non-zero."""
+    a, b, c, m, n, lam = labels
+    return all(
+        kronecker_coefficient(*t) for t in ((b, c, n), (a, n, lam), (a, b, m), (m, c, lam))
+    )
+
+
 def assert_matches_composites(labels):
     entries, expected = recoupling_tensor(*labels).entries, composite_entries(*labels)
     assert entries.shape == expected.shape, labels
@@ -85,6 +93,13 @@ class TestRecouplingTensor:
         for labels in product(enumerate_partitions(k), repeat=6):
             assert_matches_composites(labels)
 
+    def test_entries_match_composite_oracle_k5_three_rows(self):
+        parts = [p for p in enumerate_partitions(5) if len(p) <= 3]
+        blocks = [labels for labels in product(parts, repeat=6) if is_non_empty(labels)]
+        assert len(blocks) == 3830
+        for labels in blocks:
+            assert_matches_composites(labels)
+
     def test_entries_match_composite_oracle_k6(self):
         a = (4, 2)
         for mu, nu in product(enumerate_partitions(6), repeat=2):
@@ -109,6 +124,34 @@ class TestRecouplingTensor:
             rank = np.linalg.matrix_rank(mat)
             assert op_norm(mat) <= t.hs + 1e-9
             assert t.hs <= math.sqrt(rank) * op_norm(mat) + 1e-9
+
+
+# every alpha of k <= 8 with at most 3 rows, and (k/2, k/2) for even k <= 12
+EXACT_FAMILY_SHAPES = [
+    p for k in range(1, 9) for p in enumerate_partitions(k) if len(p) <= 3
+] + [(5, 5), (6, 6)]
+
+
+class TestExactFamilies:
+    """Two families of 1x1 blocks whose norm is 1/dim alpha exactly.
+
+    Their spectra tuple has r_A = r_B = r_C = r_ABC = alpha/k and pure r_AB,
+    r_BC, so -ln(hs)/k tends to the entropy of alpha/k.
+    """
+
+    @pytest.mark.parametrize("alpha", EXACT_FAMILY_SHAPES, ids=str)
+    def test_trivial_edges(self, alpha):
+        triv = (sum(alpha),)
+        t = recoupling_tensor(alpha, alpha, alpha, triv, triv, alpha)
+        assert t.block_shape == (1, 1, 1, 1)
+        assert abs(t.hs - 1 / sk_dimension(alpha)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", EXACT_FAMILY_SHAPES, ids=str)
+    def test_sign_edges(self, alpha):
+        sign, conj = (1,) * sum(alpha), conjugate_partition(alpha)
+        t = recoupling_tensor(alpha, conj, alpha, sign, sign, conj)
+        assert t.block_shape == (1, 1, 1, 1)
+        assert abs(t.hs - 1 / sk_dimension(alpha)) < 1e-12
 
 
 class TestSumRuleAndUnitarity:
@@ -197,13 +240,7 @@ class TestColumnSwaps:
         tuples = list(product(enumerate_partitions(4), repeat=6))
         for labels in tuples:
             column_swap_check(*labels)
-        non_empty = sum(
-            all(
-                kronecker_coefficient(*t)
-                for t in ((b, c, n), (a, n, lam), (a, b, m), (m, c, lam))
-            )
-            for a, b, c, m, n, lam in tuples
-        )
+        non_empty = sum(map(is_non_empty, tuples))
         assert 0 < non_empty < len(tuples)
         assert _build_tensor.cache_info().currsize == non_empty
 

@@ -175,6 +175,18 @@ class TestShapeAndSign:
         fixed = fix_vector_sign(w)
         assert abs(fixed[1].imag) < 1e-15 and fixed[1].real > 0
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_fix_vector_sign_row_wise(self, dtype):
+        rows = np.array([[0.1, -0.9, 0.3], [0.0, 0.0, 0.0], [0.5, 0.2, -0.5],
+                         [-0.3, 0.1, 0.2]], dtype=dtype)
+        if dtype is complex:
+            rows[0] *= 1j
+        fixed = fix_vector_sign(rows)
+        assert fixed.shape == rows.shape
+        for row, got in zip(rows, fixed):
+            assert np.array_equal(got, fix_vector_sign(row))
+        assert np.array_equal(fixed[1], rows[1])
+
     @pytest.mark.parametrize("x", [0.5, 1 / 3, 0.7071067811865476])
     def test_fix_vector_sign_ignores_one_ulp(self, x):
         # two opposite-sign entries equal to 1 ulp: the first is the pivot
