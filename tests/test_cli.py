@@ -314,23 +314,16 @@ class TestStateCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "exceeds cap" in captured.err
 
-    @pytest.mark.parametrize("command", ["kron", "cg"])
-    def test_class_count_cap_exits_3_at_once(self, capsys, command):
+    @pytest.mark.parametrize("argv", [
         # S_60 has 966,467 classes; the sum took 50 s at 1.1 GB before the cap
-        start = time.perf_counter()
-        code = main([command, "--alpha", "59,1", "--beta", "59,1", "--lambda", "60"])
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert "conjugacy classes" in captured.err
-        assert elapsed < 0.2
-
-
-    def test_character_cap_exits_3_at_once(self, capsys):
+        ["kron", "--alpha", "59,1", "--beta", "59,1", "--lambda", "60"],
+        ["cg", "--alpha", "59,1", "--beta", "59,1", "--lambda", "60"],
         # a 10 x 10 box at cycle type 1^100: 1.94 s at 122 MB before the cap
+        ["char", "--lambda", ",".join(["10"] * 10), "--type", ",".join(["1"] * 100)],
+    ], ids=["kron", "cg", "char"])
+    def test_class_count_cap_exits_3_at_once(self, capsys, argv):
         start = time.perf_counter()
-        code = main(["char", "--lambda", ",".join(["10"] * 10),
-                     "--type", ",".join(["1"] * 100)])
+        code = main(argv)
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
