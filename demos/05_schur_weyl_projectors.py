@@ -22,14 +22,14 @@ from snrecoupling.schurweyl import (
 d, k = 2, 4
 print(f"projector ranks on (C^{d})^(x {k}):")
 for lam in enumerate_partitions(k):
-    rank = round(float(np.trace(isotypic_projector(lam, d, k))))
+    rank = round(float(np.trace(isotypic_projector(lam, d))))
     print(f"  {lam}: rank {rank} = dim[lam] {sk_dimension(lam)} x "
           f"dim V {weyl_dimension(lam, d)}")
 
 rho = DensityMatrix(dims=(2,), matrix=np.diag([2 / 3, 1 / 3]))
 print("\nprojected traces via cycle types (no projector materialized):")
 for lam in enumerate_partitions(2):
-    print(f"  tr(P_{lam} rho^(x2)) = {projected_trace(lam, rho, 2):.6f}")
+    print(f"  tr(P_{lam} rho^(x2)) = {projected_trace(lam, rho):.6f}")
 print("  (7/9 and 2/9 exactly)")
 
 print("\ncross-route check at k = 3, local dimensions (2, 2, 2):")
@@ -39,7 +39,7 @@ tuples = [
     ((2, 1), (2, 1), (3,), (2, 1), (2, 1), (2, 1)),
 ]
 for labels in tuples:
-    sw = hs_norm_via_schurweyl(*labels, (2, 2, 2), 3)
+    sw = hs_norm_via_schurweyl(*labels, (2, 2, 2))
     abstract = recoupling_tensor(*labels).hs
     print(f"  {labels}:")
     print(f"    Fourier-block route {sw.hs:.10f} vs intertwiner route {abstract:.10f}"

@@ -23,7 +23,7 @@ print("GHZ marginal spectra:")
 print(f"  r_A   = {np.round(s.r_a, 6)}")
 print(f"  r_AB  = {np.round(s.r_ab, 6)}")
 print(f"  r_ABC = {np.round(s.r_abc, 6)}")
-print(f"  ssa gap = {ssa_gap(ghz):.6f}, weak-mono gap = {weak_mono_gap(ghz):.6f}")
+print(f"  ssa gap = {ssa_gap(s):.6f}, weak-mono gap = {weak_mono_gap(s):.6f}")
 
 print("\nscan over 300 HS-random two-qubit-cubed states:")
 report = cmd_ssa_scan(300, seed=5)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Partitions are written as comma-separated rows ("3,1"); where several labels
-are needed they are joined with "/" ("2,1/2,1/3").  Every subcommand takes
---out FILE; the three that draw random states take --seed; the six that print
-an experiment report take --format json|csv (CSV by default only for
+are needed they are joined with "/" ("2,1/2,1/3").  The labels of one command
+must all be partitions of one k, which they fix: only ``scan-recoupling`` and
+``overlap-certificate``, which take no labels, take --k.  Every subcommand
+takes --out FILE; the three that draw random states take --seed; the six that
+print an experiment report take --format json|csv (CSV by default only for
 spectrum-estimation).
 
 Exit codes: 0 when every gate declared by the invoked command passes, 1 when
@@ -21,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .combinatorics import check_partition, enumerate_partitions
+from .combinatorics import check_labels, check_partition, enumerate_partitions
 from .errors import ResourceLimitError, ValidationError
 from .experiments import (
     ExperimentReport,
@@ -163,9 +165,10 @@ def _cmd_overlap(args) -> int:
     rho = load_state(args.rho)
     if len(rho.dims) != 3:
         raise ValidationError("overlap needs a tripartite state")
-    labels = parse_labels(args.labels, 6)
-    elements = tripartite_elements(*([l] for l in labels), rho.dims, args.k)
-    traces = overlap_trace(elements, rho, args.k)
+    labels = check_labels(*parse_labels(args.labels, 6))
+    k = sum(labels[0])
+    elements = tripartite_elements(*([l] for l in labels), rho.dims, k)
+    traces = overlap_trace(elements, rho, k)
     payload = {
         "t_pq": [traces.t_pq.real, traces.t_pq.imag],
         "t_p": traces.t_p,
@@ -259,7 +262,6 @@ COMMANDS = {
     ), format="csv"),
     "overlap": Command("projector overlap traces", _cmd_overlap, (
         _arg("--rho", required=True, help="tripartite state file"),
-        _arg("--k", type=int, required=True),
         _SIX_LABELS,
     )),
     "overlap-certificate": Command("projector-overlap chain certificate", _cmd_overlap_certificate, (

@@ -10,18 +10,19 @@ from __future__ import annotations
 import math
 import operator
 from functools import cache
-from itertools import count
+from itertools import combinations, count
 from itertools import permutations as _itertools_permutations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
 
 ROUND_K_MAX = 10**11  # largest k round_spectrum accepts; see its docstring
+CLASS_COUNT_CAP = 6_000  # admits k <= 30: p(30) = 5,604, p(31) = 6,842
 
 
 class CycleType(NamedTuple):
@@ -42,10 +43,20 @@ def check_partition(rows: Sequence[int]) -> Partition:
 
 
 def check_labels(*parts: Sequence[int]) -> tuple[Partition, ...]:
-    """Validate partitions that must all be partitions of one k."""
+    """Validate partitions that must all be partitions of one k, and refuse a
+    k whose S_k has more than ``CLASS_COUNT_CAP`` (read at each call)
+    conjugacy classes.  p(k) never decreases in k, so the recurrence stops at
+    the first value above the cap, however large k is."""
     labels = tuple(map(check_partition, parts))
-    if len({sum(p) for p in labels}) != 1:
+    if len(set(map(sum, labels))) != 1:
         raise ValidationError(f"labels {labels} do not share one k")
+    k = sum(labels[0])
+    counts = _class_counts(CLASS_COUNT_CAP)
+    if k >= len(counts) - 1:
+        raise ResourceLimitError(
+            f"S_{k} has p({k}) >= {counts[-1]} conjugacy classes, "
+            f"exceeds cap {CLASS_COUNT_CAP}"
+        )
     return labels
 
 
@@ -78,14 +89,11 @@ def conjugate_partition(lam: Sequence[int]) -> Partition:
     return tuple(sum(1 for r in lam if r > j) for j in range(lam[0]))
 
 
-def hook_lengths(lam: Sequence[int]) -> list[list[int]]:
-    """Hook length of every cell, as a list of rows."""
-    lam = check_partition(lam)
-    conj = conjugate_partition(lam)
-    return [
-        [lam[i] - j + conj[j] - i - 1 for j in range(lam[i])]
-        for i in range(len(lam))
-    ]
+def _beta_numbers(lam: Partition) -> list[int]:
+    """The beta-set of lam: l_i = lam_i + m - 1 - i for its m rows, strictly
+    decreasing and all positive."""
+    m = len(lam)
+    return [row + m - 1 - i for i, row in enumerate(lam)]
 
 
 def sk_dimension(lam: Sequence[int]) -> int:
@@ -98,8 +106,11 @@ def sk_dimension(lam: Sequence[int]) -> int:
 
 @cache
 def _sk_dimension(lam: Partition) -> int:
-    prod = math.prod(h for row in hook_lengths(lam) for h in row)
-    dim, rem = divmod(math.factorial(sum(lam)), prod)
+    """Frobenius formula dim = k! prod_{i<j} (l_i - l_j) / prod_i l_i! on the
+    beta numbers l_i of ``_beta_numbers``, in exact integers."""
+    ell = _beta_numbers(lam)
+    gaps = math.prod(a - b for a, b in combinations(ell, 2))
+    dim, rem = divmod(math.factorial(sum(lam)) * gaps, math.prod(map(math.factorial, ell)))
     assert rem == 0
     return dim
 
@@ -107,13 +118,11 @@ def _sk_dimension(lam: Partition) -> int:
 def log_sk_dimension(lam: Sequence[int]) -> float:
     """Natural log of sk_dimension, overflow-free for very large k.
 
-    Frobenius formula, O(rows^2) whatever k: with l_i = lam_i + m - 1 - i for
-    the m rows, dim = k! prod_{i<j} (l_i - l_j) / prod_i l_i!.
+    The Frobenius formula of ``_sk_dimension`` in logs, O(rows^2) whatever k.
     """
     lam = check_partition(lam)
-    m = len(lam)
-    ell = [row + m - 1 - i for i, row in enumerate(lam)]
-    log_gaps = sum(math.log(ell[i] - ell[j]) for i in range(m) for j in range(i + 1, m))
+    ell = _beta_numbers(lam)
+    log_gaps = sum(math.log(a - b) for a, b in combinations(ell, 2))
     return math.lgamma(sum(lam) + 1) + log_gaps - sum(math.lgamma(l + 1) for l in ell)
 
 
@@ -195,7 +204,10 @@ def round_spectrum(r: Sequence[float], k: int) -> Partition:
 
 def class_size(cycle_type: Sequence[int]) -> int:
     """Number of permutations in S_k with the given cycle type (exact)."""
-    parts = check_partition(cycle_type)
+    return _class_size(check_partition(cycle_type))
+
+
+def _class_size(parts: Partition) -> int:
     k = sum(parts)
     centralizer = 1
     for j in set(parts):
@@ -225,9 +237,19 @@ def partition_counts():
 
 
 @cache
+def _class_counts(cap: int) -> tuple[int, ...]:
+    """p(0), p(1), ... through the first value above cap."""
+    counts = []
+    for p in partition_counts():
+        counts.append(p)
+        if p > cap:
+            return tuple(counts)
+
+
+@cache
 def conjugacy_classes(k: int) -> tuple[CycleType, ...]:
     """One entry per cycle type of S_k with its exact class size."""
-    return tuple(CycleType(t, class_size(t)) for t in enumerate_partitions(k))
+    return tuple(CycleType(t, _class_size(t)) for t in enumerate_partitions(k))
 
 
 # ---------------------------------------------------------------------------

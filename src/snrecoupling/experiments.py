@@ -274,7 +274,7 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
     for k in range(1, k_max + 1):
         tail = 0.0
         for lam in enumerate_partitions(k, d):
-            tr = projected_trace(lam, rho, k)
+            tr = projected_trace(lam, rho)
             dist = _l1_distance(lam, r)
             traces[(k, lam)] = tr
             items.append(
@@ -348,7 +348,7 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
         )
     a, b, c = rho.dims
     spectra = spectra_tuple(rho)
-    gap = ssa_gap(rho)
+    gap = ssa_gap(spectra)
     big_c = 4.0 * (a * b + b * c + b + a * b * c)
 
     items = []
@@ -436,22 +436,19 @@ def cmd_ssa_scan(n: int, seed: int) -> ExperimentReport:
     if n < 1:
         raise ValidationError("n must be >= 1")
 
-    def trial(i: int) -> dict:
-        rng = np.random.default_rng((seed, i))
-        rho = sample_hs_random((2, 2, 2), rng)
+    def gaps(trial, rho: DensityMatrix) -> dict:
+        spectra = spectra_tuple(rho)
         return {
-            "trial": i,
-            "ssa_gap": float(ssa_gap(rho)),
-            "weak_mono_gap": float(weak_mono_gap(rho)),
+            "trial": trial,
+            "ssa_gap": float(ssa_gap(spectra)),
+            "weak_mono_gap": float(weak_mono_gap(spectra)),
         }
 
-    items = [trial(i) for i in range(n)]
-    ghz = ghz_state()
-    ghz_item = {
-        "trial": "ghz_probe",
-        "ssa_gap": float(ssa_gap(ghz)),
-        "weak_mono_gap": float(weak_mono_gap(ghz)),
-    }
+    items = [
+        gaps(i, sample_hs_random((2, 2, 2), np.random.default_rng((seed, i))))
+        for i in range(n)
+    ]
+    ghz_item = gaps("ghz_probe", ghz_state())
     items.append(ghz_item)
     min_ssa = min(item["ssa_gap"] for item in items)
     min_weak = min(item["weak_mono_gap"] for item in items)

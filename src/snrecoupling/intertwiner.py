@@ -41,7 +41,7 @@ from .combinatorics import (
     sk_dimension,
 )
 from .errors import ResourceLimitError, ValidationError
-from .repsym import _character_row, _check_class_count, _cycle_matrix, young_orthogonal_rep
+from .repsym import _character_row, _cycle_matrix, young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
@@ -53,12 +53,10 @@ def kronecker_coefficient(alpha, beta, lam) -> int:
     """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer (memoized).
 
     Its character sum has one term per conjugacy class of S_k: above
-    ``repsym.CLASS_COUNT_CAP`` classes it raises ResourceLimitError before any
-    character is computed.
+    ``combinatorics.CLASS_COUNT_CAP`` classes ``check_labels`` raises
+    ResourceLimitError before any character is computed.
     """
-    labels = check_labels(alpha, beta, lam)
-    _check_class_count(sum(labels[2]))
-    return _kronecker_coefficient(*labels)
+    return _kronecker_coefficient(*check_labels(alpha, beta, lam))
 
 
 @cache
@@ -95,8 +93,8 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
     Jucys-Murphy operator the solver holds.  Since g * dim[target] <= n
     there, it also bounds the g * dim[alpha] * dim[beta] * dim[lam] floats
     of the returned maps.  Every label set at k <= 7 fits it.  Larger ones,
-    and every k above ``repsym.CLASS_COUNT_CAP`` classes, raise ResourceLimitError
-    before any character sum or allocation.
+    and every k above ``combinatorics.CLASS_COUNT_CAP`` classes, raise
+    ResourceLimitError before any character sum or allocation.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
     # the canonical pair holds the two smallest dimensions
@@ -107,7 +105,6 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
             f"Jucys-Murphy operator size {size} for {(alpha, beta, lam)} "
             f"exceeds cap {DEFAULT_PRODUCT_CAP}"
         )
-    _check_class_count(sum(lam))
     return _solve_cg(alpha, beta, lam)
 
 

@@ -129,9 +129,8 @@ def von_neumann_entropy(probs) -> float:
     return float(-np.sum(probs * np.log2(probs)))
 
 
-def ssa_gap(rho: DensityMatrix) -> float:
-    """H(AB) + H(BC) - H(B) - H(ABC)."""
-    s = spectra_tuple(rho)
+def ssa_gap(s: SpectraTuple) -> float:
+    """H(AB) + H(BC) - H(B) - H(ABC), from the spectra of ``spectra_tuple``."""
     return (
         von_neumann_entropy(s.r_ab)
         + von_neumann_entropy(s.r_bc)
@@ -140,9 +139,8 @@ def ssa_gap(rho: DensityMatrix) -> float:
     )
 
 
-def weak_mono_gap(rho: DensityMatrix) -> float:
-    """H(AB) + H(BC) - H(A) - H(C)."""
-    s = spectra_tuple(rho)
+def weak_mono_gap(s: SpectraTuple) -> float:
+    """H(AB) + H(BC) - H(A) - H(C), from the spectra of ``spectra_tuple``."""
     return (
         von_neumann_entropy(s.r_ab)
         + von_neumann_entropy(s.r_bc)

@@ -30,7 +30,6 @@ import numpy as np
 
 from .combinatorics import Partition, _sk_dimension, check_labels, enumerate_partitions
 from .intertwiner import _kronecker_coefficient, cg_isometries
-from .repsym import _check_class_count
 from .tensorlinalg import hs_norm
 
 
@@ -81,12 +80,11 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     are, since scans revisit tuples through the swap relations: the memo
     holds at most one block per six-tuple with four non-zero Kronecker
     coefficients (23,003 of the 290,521 tuples with at most three rows at
-    k = 6).  A k above ``repsym.CLASS_COUNT_CAP`` classes raises
+    k = 6).  A k above ``combinatorics.CLASS_COUNT_CAP`` classes raises
     ResourceLimitError before any Kronecker coefficient is computed, here
     and in ``full_recoupling_unitary``.
     """
     labels = check_labels(alpha, beta, gamma, mu, nu, lam)
-    _check_class_count(sum(labels[5]))
     shape = tuple(_kronecker_coefficient(*t) for t in _triples(labels))
     if 0 in shape:
         return RecouplingTensor(labels=labels, entries=np.zeros(shape), hs=0.0)
@@ -124,7 +122,6 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     reverse-lexicographic partition order.
     """
     alpha, beta, gamma, lam = check_labels(alpha, beta, gamma, lam)
-    _check_class_count(sum(lam))
     parts = enumerate_partitions(sum(lam))
     mus = tuple(
         m for m in parts

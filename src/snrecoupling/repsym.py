@@ -22,18 +22,18 @@ import numpy as np
 from .combinatorics import (
     Partition,
     Permutation,
+    _beta_numbers,
     _sk_dimension,
     _tableau_moves,
     _tableaux_and_contents,
     adjacent_word,
+    check_labels,
     check_partition,
     conjugacy_classes,
-    partition_counts,
 )
 from .errors import ResourceLimitError, ValidationError
 
-DEFAULT_DIMENSION_CAP = 5000
-CLASS_COUNT_CAP = 6_000  # admits k <= 30: p(30) = 5,604, p(31) = 6,842
+GENERATOR_FLOAT_CAP = 2**26  # (k - 1) * dim^2 floats of the generators: 512 MiB
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,14 @@ class RepMatrixSet:
 
 def young_orthogonal_rep(lam: Sequence[int]) -> RepMatrixSet:
     """Young's orthogonal form of [lam]; refused, before any matrix is built,
-    above ``DEFAULT_DIMENSION_CAP`` (read at each call)."""
+    when its k - 1 generators would hold more than ``GENERATOR_FLOAT_CAP``
+    (read at each call) floats."""
     lam = check_partition(lam)
-    dim = _sk_dimension(lam)
-    if dim > DEFAULT_DIMENSION_CAP:
+    size = (sum(lam) - 1) * _sk_dimension(lam) ** 2
+    if size > GENERATOR_FLOAT_CAP:
         raise ResourceLimitError(
-            f"representation {lam} has dimension {dim} above the cap {DEFAULT_DIMENSION_CAP}"
+            f"generators of {lam} hold (k - 1) * dim^2 = {size} floats, "
+            f"exceeds cap {GENERATOR_FLOAT_CAP}"
         )
     return _young_orthogonal_rep(lam)
 
@@ -116,40 +118,13 @@ def represent(reps: RepMatrixSet, perm: Permutation) -> np.ndarray:
 def character(lam: Sequence[int], cycle_type: Sequence[int]) -> int:
     """Exact integer character value of S_k at the given cycle type.
 
-    Refused, before any recursion, for a k above ``CLASS_COUNT_CAP`` classes:
-    the memo grows with the partitions inside lam that the rim-hook
-    recursion reaches, about binom(2n, n) for an n x n box at 1^(n^2).
+    Refused by ``check_labels``, before any recursion, for a k above
+    ``combinatorics.CLASS_COUNT_CAP`` classes: the memo grows with the
+    partitions inside lam that the rim-hook recursion reaches, about
+    binom(2n, n) for an n x n box at 1^(n^2).
     """
-    lam = check_partition(lam)
-    t = check_partition(cycle_type)
-    if sum(lam) != sum(t):
-        raise ValidationError(
-            f"shape {lam} and cycle type {t} refer to different symmetric groups"
-        )
-    _check_class_count(sum(t))
+    lam, t = check_labels(lam, cycle_type)
     return _bead_character(_beads(lam), t)
-
-
-@cache
-def _class_counts(cap: int) -> tuple[int, ...]:
-    """p(0), p(1), ... through the first value above cap."""
-    counts = []
-    for p in partition_counts():
-        counts.append(p)
-        if p > cap:
-            return tuple(counts)
-
-
-def _check_class_count(k: int) -> None:
-    """Refuse a k whose S_k has more than ``CLASS_COUNT_CAP`` (read at each
-    call) conjugacy classes.  p(k) never decreases in k, so the recurrence
-    stops at the first value above the cap, however large k is."""
-    counts = _class_counts(CLASS_COUNT_CAP)
-    if k >= len(counts) - 1:
-        raise ResourceLimitError(
-            f"S_{k} has p({k}) >= {counts[-1]} conjugacy classes, "
-            f"above the cap {CLASS_COUNT_CAP}"
-        )
 
 
 @cache
@@ -159,11 +134,11 @@ def _character_row(lam: Partition) -> tuple[int, ...]:
     return tuple(_bead_character(beads, t) for t, _ in conjugacy_classes(sum(lam)))
 
 
+@cache
 def _beads(lam: Partition) -> int:
-    """The beta-set of lam as a bitmask: row i of its m rows puts a bead at
-    lam_i + m - 1 - i.  Position 0 is empty, as every row is positive."""
-    m = len(lam)
-    return sum(1 << (row + m - 1 - i) for i, row in enumerate(lam))
+    """The beta-set of lam as a bitmask: one bead at each of its beta
+    numbers.  Position 0 is empty, as every row is positive."""
+    return sum(1 << ell for ell in _beta_numbers(lam))
 
 
 @cache

@@ -37,18 +37,18 @@ from .combinatorics import (
     Permutation,
     _sk_dimension,
     all_permutations,
+    check_labels,
     check_partition,
     conjugacy_classes,
     enumerate_partitions,
     perm_compose,
     perm_cycle_type,
     perm_inverse,
-    sk_dimension,
     weyl_dimension,
 )
 from .errors import ResourceLimitError, ValidationError
 from .quantumstates import DensityMatrix
-from .repsym import _character_row, _check_class_count, character, represent, young_orthogonal_rep
+from .repsym import _character_row, _young_orthogonal_rep, character, represent
 from .tensorlinalg import hermitian_eigensystem, hs_norm, op_norm
 
 DENSE_CAP = 4096
@@ -72,23 +72,23 @@ def permutation_index_map(
     return np.arange(total).reshape(dims * k).transpose(axes).reshape(-1)
 
 
-def isotypic_projector(lam, d: int, k: int) -> np.ndarray:
+def isotypic_projector(lam, d: int) -> np.ndarray:
     """Dense group-average projector (dim/k!) sum_pi chi(pi) U(pi) on (C^d)^(x k),
-    refused above DENSE_CAP."""
-    return ball_sum_projector([lam], (d,), k, "A")
+    k = |lam|, refused above DENSE_CAP."""
+    (lam,) = check_labels(lam)
+    return ball_sum_projector([lam], (d,), sum(lam), "A")
 
 
-def projected_trace(lam, rho: DensityMatrix, k: int) -> float:
-    """tr(P_lam rho^(x k)) via cycle types: one term per partition of k.
+def projected_trace(lam, rho: DensityMatrix) -> float:
+    """tr(P_lam rho^(x k)) via cycle types, k = |lam|: one term per partition of k.
 
     Needs only the power traces tr(rho^j), so it scales to k ~ 30 where no
-    projector could ever be materialized; a k above ``repsym.CLASS_COUNT_CAP``
-    classes raises ResourceLimitError before any character.
+    projector could ever be materialized; a k above
+    ``combinatorics.CLASS_COUNT_CAP`` classes raises ResourceLimitError
+    before any character.
     """
-    lam = check_partition(lam)
-    if sum(lam) != k:
-        raise ValidationError(f"{lam} is not a partition of {k}")
-    _check_class_count(k)
+    (lam,) = check_labels(lam)
+    k = sum(lam)
     vals, _ = hermitian_eigensystem(rho.matrix)
     power_traces = [float(np.sum(vals**j)) for j in range(k + 1)]
     total = 0.0
@@ -99,7 +99,7 @@ def projected_trace(lam, rho: DensityMatrix, k: int) -> float:
             for part in t:
                 prod *= power_traces[part]
             total += size * chi * prod
-    return sk_dimension(lam) / math.factorial(k) * total
+    return _sk_dimension(lam) / math.factorial(k) * total
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +332,9 @@ def overlap_trace(elements: TripartiteElements, rho: DensityMatrix, k: int) -> O
 
 @cache
 def _irrep_stack(lam: Partition) -> np.ndarray:
-    """rho_lam(pi) for every pi in all_permutations(k) order, shape (k!, dim, dim)."""
-    rep = young_orthogonal_rep(lam)
+    """rho_lam(pi) for every pi in all_permutations(k) order, shape (k!, dim, dim).
+    Its k fits IMPLICIT_CAP (k <= 4), far inside ``young_orthogonal_rep``'s cap."""
+    rep = _young_orthogonal_rep(lam)
     return np.array([represent(rep, p) for p in all_permutations(sum(lam))])
 
 
@@ -362,7 +363,7 @@ class SchurWeylNorm(NamedTuple):
 
 
 def hs_norm_via_schurweyl(
-    alpha, beta, gamma, mu, nu, lam, dims: tuple[int, int, int], k: int
+    alpha, beta, gamma, mu, nu, lam, dims: tuple[int, int, int]
 ) -> SchurWeylNorm:
     """Independent route to the recoupling HS norm through P~ Q~.
 
@@ -374,8 +375,9 @@ def hs_norm_via_schurweyl(
     no operator on (C^{abc})^(x k), intertwiner or Kronecker coefficient is
     involved.  Also returns op_norm(P~ Q~) for the norm sandwich.
     """
-    labels = tuple(map(check_partition, (alpha, beta, gamma, mu, nu, lam)))
+    labels = check_labels(alpha, beta, gamma, mu, nu, lam)
     alpha, beta, gamma, mu, nu, lam = labels
+    k = sum(lam)
     a, b, c = dims
     if len(alpha) > a or len(beta) > b or len(gamma) > c or len(lam) > a * b * c:
         raise ValidationError(
@@ -385,7 +387,7 @@ def hs_norm_via_schurweyl(
     raw_hs, raw_op = _fourier_norms(pq, dims, k)
     # positive: the row counts fit, so no Weyl dimension vanishes
     factor = (
-        sk_dimension(lam)
+        _sk_dimension(lam)
         * weyl_dimension(alpha, a)
         * weyl_dimension(beta, b)
         * weyl_dimension(gamma, c)

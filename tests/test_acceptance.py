@@ -126,7 +126,7 @@ def test_criterion_4_cross_route_oracle():
         two_row = [p for p in parts if len(p) <= 2]
         for alpha, beta, gamma in product(two_row, repeat=3):
             for mu, nu, lam in product(parts, repeat=3):
-                sw = hs_norm_via_schurweyl(alpha, beta, gamma, mu, nu, lam, (2, 2, 2), k)
+                sw = hs_norm_via_schurweyl(alpha, beta, gamma, mu, nu, lam, (2, 2, 2))
                 abstract = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).hs
                 worst = max(worst, abs(sw.hs - abstract))
                 if sw.op > abstract + 1e-8:

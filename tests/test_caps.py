@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snrecoupling import intertwiner, quantumstates, repsym, schurweyl
+from snrecoupling import combinatorics, intertwiner, quantumstates, repsym, schurweyl
 from snrecoupling.combinatorics import (
     conjugacy_classes,
     enumerate_partitions,
@@ -27,11 +27,17 @@ from snrecoupling.intertwiner import (
     _check_full_permutation,
     _kronecker_coefficient,
     _solve_cg,
+    bend_and_compare,
     cg_isometries,
     kronecker_coefficient,
 )
 from snrecoupling.quantumstates import SAMPLE_DIM_CAP, maximally_mixed, sample_hs_random
-from snrecoupling.recoupling import _build_tensor, full_recoupling_unitary, recoupling_tensor
+from snrecoupling.recoupling import (
+    _build_tensor,
+    column_swap_check,
+    full_recoupling_unitary,
+    recoupling_tensor,
+)
 from snrecoupling.repsym import (
     _bead_character,
     _character_row,
@@ -105,22 +111,24 @@ def test_class_count_cap(triple):
     refused = (
         (kronecker_coefficient, triple),
         (cg_isometries, triple),
+        (bend_and_compare, triple),
         (recoupling_tensor, triple * 2),
+        (column_swap_check, triple * 2),
         (full_recoupling_unitary, triple + triple[:1]),
         (character, (triple[0], (1,) * k)),
-        (projected_trace, (triple[0], maximally_mixed((2,)), k)),
+        (projected_trace, (triple[0], maximally_mixed((2,)))),
     )
     _character_row.cache_clear()
     _bead_character.cache_clear()
     _kronecker_coefficient.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(repsym, "CLASS_COUNT_CAP", need - 1)
+        mp.setattr(combinatorics, "CLASS_COUNT_CAP", need - 1)
         for fn, args in refused:
             with pytest.raises(ResourceLimitError):
                 fn(*args)
         assert _character_row.cache_info().currsize == 0
         assert _bead_character.cache_info().currsize == 0
-        mp.setattr(repsym, "CLASS_COUNT_CAP", need)
+        mp.setattr(combinatorics, "CLASS_COUNT_CAP", need)
         assert kronecker_coefficient(*triple) >= 0
         assert character(triple[0], (1,) * k) == sk_dimension(triple[0])
 
@@ -129,7 +137,7 @@ def test_class_count_cap_at_its_value():
     # p(30) = 5,604 classes are admitted and p(31) = 6,842 are not.  A k = 60
     # sum took 50 s at 1.1 GB; its refusal allocates next to nothing.
     p30, p31 = islice(partition_counts(), 30, 32)
-    assert p30 <= repsym.CLASS_COUNT_CAP < p31
+    assert p30 <= combinatorics.CLASS_COUNT_CAP < p31
     assert kronecker_coefficient((29, 1), (29, 1), (30,)) == 1
     tracemalloc.start()
     try:
@@ -163,15 +171,35 @@ def test_recoupling_block_holds_no_lam_edge():
 @CAP_SETTINGS
 @given(labels(5, 1))
 def test_dimension_cap(label):
+    # the cap bounds the floats of the k - 1 generators, (k - 1) * dim^2
     (lam,) = label
+    need = (sum(lam) - 1) * sk_dimension(lam) ** 2
     _young_orthogonal_rep.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(repsym, "DEFAULT_DIMENSION_CAP", sk_dimension(lam) - 1)
+        mp.setattr(repsym, "GENERATOR_FLOAT_CAP", need - 1)
         with pytest.raises(ResourceLimitError):
             young_orthogonal_rep(lam)
         assert _young_orthogonal_rep.cache_info().currsize == 0
-        mp.setattr(repsym, "DEFAULT_DIMENSION_CAP", sk_dimension(lam))
-        assert young_orthogonal_rep(lam).dim == sk_dimension(lam)
+        mp.setattr(repsym, "GENERATOR_FLOAT_CAP", need)
+        rep = young_orthogonal_rep(lam)
+        assert sum(g.size for g in rep.generators) == need
+
+
+def test_dimension_cap_at_its_value():
+    # Every representation cg_isometries can request fits: its product cap
+    # keeps dim <= 1,414, at k <= 30.  So does (5,3,2,1), 53.4M floats.
+    # (30,3), dim 4,928 with 32 generators, would hold 777M floats (6.2 GB).
+    cap = repsym.GENERATOR_FLOAT_CAP
+    assert 29 * math.isqrt(intertwiner.DEFAULT_PRODUCT_CAP) ** 2 <= cap
+    assert 10 * sk_dimension((5, 3, 2, 1)) ** 2 <= cap < 32 * sk_dimension((30, 3)) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            young_orthogonal_rep((30, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @CAP_SETTINGS

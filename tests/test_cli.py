@@ -193,8 +193,7 @@ class TestStateCommands:
     def test_overlap(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
         save_state(maximally_mixed((2, 2, 2)), path)
-        code, out = run(capsys, "overlap", "--rho", str(path), "--k", "2",
-                        "--labels", "2/2/2/2/2/2")
+        code, out = run(capsys, "overlap", "--rho", str(path), "--labels", "2/2/2/2/2/2")
         assert code == 0
         payload = json.loads(out)
         assert 0 <= payload["t_p"] <= 1 and 0 <= payload["t_q"] <= 1
@@ -516,9 +515,10 @@ class TestMalformedInput:
     def test_overlap_label_not_a_partition_of_k(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
         save_state(maximally_mixed((2, 2, 2)), path)
-        err = self.check_rejected(capsys, "overlap", "--rho", str(path), "--k", "2",
+        # the labels fix k, so labels of two sizes are rejected
+        err = self.check_rejected(capsys, "overlap", "--rho", str(path),
                                   "--labels", "2,1/2/2/2/2/2")
-        assert "not a partition of k = 2" in err
+        assert "do not share one k" in err
 
     @pytest.mark.parametrize("argv", [
         ("ssa-scan", "--n", "2"),

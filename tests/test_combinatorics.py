@@ -13,6 +13,7 @@ from snrecoupling.combinatorics import (
     check_partition,
     class_size,
     conjugacy_classes,
+    conjugate_partition,
     enumerate_partitions,
     identity_permutation,
     log_sk_dimension,
@@ -149,6 +150,17 @@ class TestDimensions:
     def test_matches_brute_force_k5(self):
         for lam in enumerate_partitions(5):
             assert sk_dimension(lam) == brute_force_syt_count(lam)
+
+    def test_matches_hook_length_formula(self):
+        # oracle for the Frobenius formula: k! over the product of the hook
+        # lengths lam_i - j + lam'_j - i - 1 of the cells (i, j)
+        for k in range(1, 21):
+            for lam in enumerate_partitions(k):
+                conj = conjugate_partition(lam)
+                hooks = math.prod(
+                    row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)
+                )
+                assert sk_dimension(lam) * hooks == math.factorial(k), lam
 
     def test_sum_of_squares_is_factorial(self):
         for k in range(1, 9):

@@ -178,7 +178,7 @@ class TestSpectrumEstimation:
         k = 30
         lam = round_spectrum((0.5, 0.5), k)
         assert lam == (15, 15)
-        tr = projected_trace(lam, rho, k)
+        tr = projected_trace(lam, rho)
         assert tr <= math.exp(-k * 0.8**2 / 2) * (k + 1) ** 6
 
 

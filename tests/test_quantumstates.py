@@ -178,20 +178,20 @@ class TestEntropyInequalities:
         v = np.zeros(8)
         v[0] = 1.0
         rho = pure_state(v, (2, 2, 2))
-        assert ssa_gap(rho) == pytest.approx(0.0, abs=1e-9)
-        assert weak_mono_gap(rho) == pytest.approx(0.0, abs=1e-9)
+        assert ssa_gap(spectra_tuple(rho)) == pytest.approx(0.0, abs=1e-9)
+        assert weak_mono_gap(spectra_tuple(rho)) == pytest.approx(0.0, abs=1e-9)
 
     def test_ghz_gap(self):
-        assert ssa_gap(ghz_state()) == pytest.approx(1.0, abs=1e-9)
+        assert ssa_gap(spectra_tuple(ghz_state())) == pytest.approx(1.0, abs=1e-9)
 
     def test_maximally_mixed_additivity(self):
-        assert ssa_gap(maximally_mixed((2, 2, 2))) == pytest.approx(0.0, abs=1e-9)
+        assert ssa_gap(spectra_tuple(maximally_mixed((2, 2, 2)))) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_states_nonnegative(self, seed):
         rho = sample_hs_random((2, 2, 2), seed=seed)
-        assert ssa_gap(rho) >= -1e-9
-        assert weak_mono_gap(rho) >= -1e-9
+        assert ssa_gap(spectra_tuple(rho)) >= -1e-9
+        assert weak_mono_gap(spectra_tuple(rho)) >= -1e-9
 
 
 class TestSampling:

@@ -95,9 +95,12 @@ class TestYoungOrthogonalForm:
                     assert np.abs(comm).max() < 1e-12
 
     def test_dimension_cap(self, monkeypatch):
-        monkeypatch.setattr(repsym, "DEFAULT_DIMENSION_CAP", 100)
-        with pytest.raises(ResourceLimitError):
-            young_orthogonal_rep((10, 9, 8, 7, 6))
+        # the cap counts the (k - 1) * dim^2 floats of the generators
+        monkeypatch.setattr(repsym, "GENERATOR_FLOAT_CAP", 4 * 5**2)
+        assert young_orthogonal_rep((3, 2)).dim == 5
+        for lam in ((3, 2, 1), (10, 9, 8, 7, 6)):
+            with pytest.raises(ResourceLimitError):
+                young_orthogonal_rep(lam)
 
 
 class TestRepresent:

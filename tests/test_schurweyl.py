@@ -104,24 +104,24 @@ def lift_by_kron_and_reorder(base, dims, k, group):
 
 class TestIsotypicProjector:
     def test_symmetric_subspace_rank(self):
-        p = isotypic_projector((2,), 2, 2)
+        p = isotypic_projector((2,), 2)
         assert round(np.trace(p)) == 3  # C(d+k-1, k) = C(3, 2)
 
     def test_singlet_rank(self):
-        p = isotypic_projector((1, 1), 2, 2)
+        p = isotypic_projector((1, 1), 2)
         assert round(np.trace(p)) == 1
 
     @pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])
     def test_rank_equals_schur_weyl_count(self, d, k):
         for lam in enumerate_partitions(k):
-            p = isotypic_projector(lam, d, k)
+            p = isotypic_projector(lam, d)
             rank = round(float(np.trace(p)))
             assert rank == sk_dimension(lam) * weyl_dimension(lam, d)
 
     def test_projector_properties_and_completeness(self):
         total = np.zeros((16, 16))
         for lam in enumerate_partitions(4):
-            p = isotypic_projector(lam, 2, 4)
+            p = isotypic_projector(lam, 2)
             assert np.abs(p @ p - p).max() < 1e-10
             assert np.abs(p - p.T).max() < 1e-12
             total += p
@@ -129,7 +129,7 @@ class TestIsotypicProjector:
 
     def test_commutes_with_permutations_and_diagonal_unitaries(self):
         rng = np.random.default_rng(4)
-        p = isotypic_projector((3, 1), 2, 4)
+        p = isotypic_projector((3, 1), 2)
         for _ in range(5):
             perm = random_permutation(4, rng)
             mat = np.zeros((16, 16))
@@ -145,25 +145,25 @@ class TestIsotypicProjector:
 
     def test_resource_refusal(self):
         with pytest.raises(ResourceLimitError):
-            isotypic_projector((13,), 3, 13)
+            isotypic_projector((13,), 3)
 
 
 class TestProjectedTrace:
     def test_maximally_mixed_qubit(self):
         rho = maximally_mixed(2)
-        assert projected_trace((2,), rho, 2) == pytest.approx(3 / 4)
-        assert projected_trace((1, 1), rho, 2) == pytest.approx(1 / 4)
+        assert projected_trace((2,), rho) == pytest.approx(3 / 4)
+        assert projected_trace((1, 1), rho) == pytest.approx(1 / 4)
 
     def test_hand_computed_biased_qubit(self):
         rho = DensityMatrix(dims=(2,), matrix=np.diag([2 / 3, 1 / 3]))
         # cycle-type formula by hand: ((tr rho)^2 + tr(rho^2)) / 2 etc.
-        assert projected_trace((2,), rho, 2) == pytest.approx(7 / 9)
-        assert projected_trace((1, 1), rho, 2) == pytest.approx(2 / 9)
+        assert projected_trace((2,), rho) == pytest.approx(7 / 9)
+        assert projected_trace((1, 1), rho) == pytest.approx(2 / 9)
 
     @pytest.mark.parametrize("k", [2, 5, 10])
     def test_completeness(self, k):
         rho = sample_hs_random(2, seed=13)
-        total = sum(projected_trace(lam, rho, k) for lam in enumerate_partitions(k))
+        total = sum(projected_trace(lam, rho) for lam in enumerate_partitions(k))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_route(self):
@@ -173,8 +173,8 @@ class TestProjectedTrace:
             for _ in range(k - 1):
                 rho_k = np.kron(rho_k, rho.matrix)
             for lam in enumerate_partitions(k):
-                dense = float(np.trace(isotypic_projector(lam, 2, k) @ rho_k).real)
-                assert projected_trace(lam, rho, k) == pytest.approx(dense, abs=1e-10)
+                dense = float(np.trace(isotypic_projector(lam, 2) @ rho_k).real)
+                assert projected_trace(lam, rho) == pytest.approx(dense, abs=1e-10)
 
 
 def digit_loop_map(perm, dims, k, active):
@@ -208,7 +208,7 @@ class TestGroupedProjectors:
         dims, k = (2, 2, 2), 2
         for group, base_dim in (("A", 2), ("B", 2), ("C", 2), ("AB", 4), ("BC", 4)):
             for lam in enumerate_partitions(k):
-                base = isotypic_projector(lam, base_dim, k)
+                base = isotypic_projector(lam, base_dim)
                 expected = lift_by_kron_and_reorder(base, dims, k, group)
                 got = ball_sum_projector([lam], dims, k, group)
                 assert np.abs(expected - got).max() < 1e-12, (group, lam)
@@ -266,14 +266,14 @@ class TestGroupedProjectors:
 
 class TestCrossRoute:
     def test_all_trivial(self):
-        result = hs_norm_via_schurweyl((2,), (2,), (2,), (2,), (2,), (2,), (2, 2, 2), 2)
+        result = hs_norm_via_schurweyl((2,), (2,), (2,), (2,), (2,), (2,), (2, 2, 2))
         assert result.hs == pytest.approx(1.0, abs=1e-10)
 
     def test_trivial_gamma_gives_sqrt_kronecker(self):
         for alpha, beta in product([p for p in enumerate_partitions(3) if len(p) <= 2], repeat=2):
             for lam in enumerate_partitions(3):
                 got = hs_norm_via_schurweyl(
-                    alpha, beta, (3,), lam, beta, lam, (2, 2, 2), 3
+                    alpha, beta, (3,), lam, beta, lam, (2, 2, 2)
                 )
                 expected = math.sqrt(kronecker_coefficient(alpha, beta, lam))
                 assert got.hs == pytest.approx(expected, abs=1e-8)
@@ -286,7 +286,7 @@ class TestCrossRoute:
             ((2, 1), (2, 1), (3,), (2, 1), (2, 1), (2, 1)),
         ]
         for labels in tuples:
-            sw = hs_norm_via_schurweyl(*labels, (2, 2, 2), 3)
+            sw = hs_norm_via_schurweyl(*labels, (2, 2, 2))
             abstract = recoupling_tensor(*labels).hs
             assert sw.hs == pytest.approx(abstract, abs=1e-8)
             assert sw.op <= abstract + 1e-9
@@ -302,7 +302,7 @@ class TestCrossRoute:
             ((2, 1), (2, 1), (3,), (1, 1, 1), (2, 1), (1, 1, 1)),
         ]
         for labels in tuples:
-            sw = hs_norm_via_schurweyl(*labels, (2, 2, 3), 3)
+            sw = hs_norm_via_schurweyl(*labels, (2, 2, 3))
             abstract = recoupling_tensor(*labels).hs
             assert sw.hs == pytest.approx(abstract, abs=1e-10), labels
             assert sw.op <= abstract + 1e-10
@@ -323,7 +323,7 @@ class TestCrossRoute:
         rng = np.random.default_rng(4)
         for i in rng.choice(len(admissible), size=10, replace=False):
             labels = admissible[i]
-            sw = hs_norm_via_schurweyl(*labels, (2, 2, 2), 4)
+            sw = hs_norm_via_schurweyl(*labels, (2, 2, 2))
             abstract = recoupling_tensor(*labels).hs
             assert sw.hs == pytest.approx(abstract, abs=1e-10), labels
             assert sw.op <= abstract + 1e-10
@@ -331,7 +331,7 @@ class TestCrossRoute:
     def test_row_precondition_enforced(self):
         with pytest.raises(ValidationError):
             hs_norm_via_schurweyl(
-                (1, 1, 1), (3,), (3,), (3,), (3,), (3,), (2, 2, 2), 3
+                (1, 1, 1), (3,), (3,), (3,), (3,), (3,), (2, 2, 2)
             )
 
 

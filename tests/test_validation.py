@@ -5,8 +5,13 @@ must reject an empty partition, a zero row, increasing rows and labels of
 different k before any work is done.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
+import snrecoupling
+from snrecoupling import combinatorics
 from snrecoupling.errors import ValidationError
 from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.recoupling import column_swap_check, full_recoupling_unitary, recoupling_tensor
@@ -43,3 +48,28 @@ def test_entry_point_rejects_malformed_label(fn, slot, bad):
 @pytest.mark.parametrize("fn", list(ENTRY_POINTS), ids=lambda fn: fn.__name__)
 def test_entry_point_accepts_well_formed_labels(fn):
     fn(*[GOOD] * ENTRY_POINTS[fn])
+
+
+def test_labels_are_validated_where_they_enter(monkeypatch):
+    # A cold full_recoupling_unitary((4,2), (4,2), (4,2), (3,3)) validates
+    # each label set once, in check_labels: 4 labels, 9 blocks of 6 and 36
+    # cg_isometries calls of 3.  The only other caller is young_orthogonal_rep,
+    # three times in each of the 6 canonical solves; no memoized kernel below
+    # the entry points re-validates.
+    modules = [m for name, m in sys.modules.items() if name.startswith("snrecoupling.")]
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    original = combinatorics.check_partition
+    callers = Counter()
+
+    def counted(rows):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return original(rows)
+
+    for module in modules:
+        if vars(module).get("check_partition") is original:
+            monkeypatch.setattr(module, "check_partition", counted)
+    snrecoupling.full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))
+    assert callers == {"check_labels": 4 + 9 * 6 + 36 * 3, "young_orthogonal_rep": 18}
