@@ -27,6 +27,7 @@ from .combinatorics import (
     round_spectrum,
 )
 from .errors import ValidationError
+from .intertwiner import _kronecker_coefficient
 from .quantumstates import (
     DensityMatrix,
     SpectraTuple,
@@ -120,6 +121,26 @@ def _ball(k: int, r: np.ndarray, delta: float, max_rows: int) -> list[Partition]
     ]
 
 
+def _admissible_tuples(balls: dict[str, list[Partition]]):
+    """The ball tuples (alpha, beta, gamma, mu, nu, lam) with four non-zero
+    Kronecker coefficients, in the order of their product.
+
+    Every other tuple has an empty recoupling block (hs = 0).  The ball
+    labels come from enumerate_partitions, so they are canonical already.
+    """
+    for alpha, beta, gamma in product(balls["alpha"], balls["beta"], balls["gamma"]):
+        for mu in balls["mu"]:
+            if not _kronecker_coefficient(alpha, beta, mu):
+                continue
+            for nu in balls["nu"]:
+                if not _kronecker_coefficient(beta, gamma, nu):
+                    continue
+                for lam in balls["lam"]:
+                    if (_kronecker_coefficient(mu, gamma, lam)
+                            and _kronecker_coefficient(alpha, nu, lam)):
+                        yield alpha, beta, gamma, mu, nu, lam
+
+
 def _round_marginal(r, k: int) -> Partition:
     """Diagram of k boxes nearest to a spectrum, after clipping and renormalizing."""
     v = np.clip(np.asarray(r, dtype=float), 0.0, None)
@@ -162,12 +183,7 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
 
     items = []
     sum_hs = 0.0
-    tuple_count = 0
-    for alpha, beta, gamma, mu, nu, lam in product(
-        balls["alpha"], balls["beta"], balls["gamma"],
-        balls["mu"], balls["nu"], balls["lam"],
-    ):
-        tuple_count += 1
+    for alpha, beta, gamma, mu, nu, lam in _admissible_tuples(balls):
         hs = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).hs
         if hs > 0:
             items.append(
@@ -191,7 +207,7 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
             "t_pq_abs": float(abs(t_pq)),
             "sum_hs": float(sum_hs),
             "rhs_lower_bound": float(rhs),
-            "ball_tuple_count": tuple_count,
+            "ball_tuple_count": math.prod(map(len, balls.values())),
             "nonzero_tuple_count": len(items),
             "ball_sizes": {k_: len(v) for k_, v in balls.items()},
             "chain_first_holds": chain_first,

@@ -47,6 +47,7 @@ from .tensorlinalg import fix_vector_sign
 DEFAULT_PRODUCT_CAP = 2_000_000
 EQUIVARIANCE_TOL = 1e-9
 BEND_TOL = 1e-8
+PIVOT_TIE_RTOL = 1e-10
 
 
 def kronecker_coefficient(alpha, beta, lam) -> int:
@@ -176,6 +177,12 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
     # only eigenvalues the contents of the cells addable to the shape of
     # T1's entries 1..j (Vershik-Okounkov), so the polynomial
     # prod_{c' != c} (X_{j+1} - c') / (c - c') projects onto content c.
+    # Each G_j is a symmetric involution and each X_j symmetric, so
+    # G X G + G = G (X G + I) with X G = (G X)^T: a step is two applications
+    # of the pair and one on the diagonal, and G_j is never formed.  The
+    # range of the projector is read off by pivoted Cholesky, whose pivot is
+    # the first index within PIVOT_TIE_RTOL of the largest residual: the
+    # diagonal repeats values, and roundoff must not choose among them.
     if k <= 2:
         span = np.ones((1, 1))  # every irrep of S_1, S_2 is one-dimensional, and g = 1
     else:
@@ -186,10 +193,10 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
         q = np.eye(len(keep))
         for j in range(2, k):
             a, b = pairs[j - 1]
-            # X is symmetric, so G X G = G (G X)^T; G itself by one broadcast
-            gen = (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
-            x_j = _apply_pair(a, b, _apply_pair(a, b, x_j).T) + gen
-            x_keep = x_j[keep[:, None], keep]
+            y = _apply_pair(a, b, x_j)
+            y.flat[:: n + 1] += 1.0  # (G X)^T has the diagonal of G X
+            x_j = _apply_pair(a, b, y.T)
+            x_keep = x_j.take(keep, 0).take(keep, 1)
             prefix = [m for m in (sum(e <= j for e in row) for row in first) if m]
             c = contents[0][j + 1]
             for other in _addable_contents(prefix):
@@ -226,12 +233,15 @@ def _projector_columns(q: np.ndarray, g: int) -> np.ndarray:
     """g orthonormal columns spanning the range of the rank-g projector q.
 
     g steps of pivoted Cholesky give q = L L^T with L of g columns; q^2 = q
-    then makes L^T L the identity.
+    then makes L^T L the identity.  Each pivot is the first index whose
+    residual is within a relative PIVOT_TIE_RTOL of the largest, so a
+    roundoff tie (the diagonal of q often repeats one value) cannot change
+    the basis.
     """
     cols = np.zeros((q.shape[0], g))
     resid = np.diag(q).copy()
     for t in range(g):
-        p = int(np.argmax(resid))
+        p = int(np.argmax(resid >= (1.0 - PIVOT_TIE_RTOL) * resid.max()))
         col = (q[:, p] - cols[:, :t] @ cols[p, :t]) / math.sqrt(resid[p])
         cols[:, t] = col
         resid -= col**2
@@ -243,13 +253,17 @@ def _check_full_permutation(alpha: Partition, beta: Partition, lam: Partition,
                             maps) -> None:
     # generators suffice because they generate S_k; verify on one
     # non-trivial word, the k-cycle (never the identity for k >= 2), to
-    # catch convention bugs early.
+    # catch convention bugs early.  The g maps sit side by side as the
+    # columns of one (n, g * dl) matrix, so both sides are one product each.
     k = sum(lam)
     big_a, big_b, small = (_cycle_matrix(p) for p in (alpha, beta, lam))
-    for phi in maps:
-        resid = np.abs(_apply_pair(big_a, big_b, phi) - phi @ small).max()
-        if resid > EQUIVARIANCE_TOL:
-            raise AssertionError(f"equivariance violated for the {k}-cycle: {resid:.3e}")
+    stack = np.asarray(maps)
+    g, n, dl = stack.shape
+    cols = stack.transpose(1, 0, 2).reshape(n, g * dl)
+    right = (cols.reshape(n * g, dl) @ small).reshape(n, g * dl)
+    resid = np.abs(_apply_pair(big_a, big_b, cols) - right).max(initial=0.0)
+    if resid > EQUIVARIANCE_TOL:
+        raise AssertionError(f"equivariance violated for the {k}-cycle: {resid:.3e}")
 
 
 def trivial_coupling(lam) -> np.ndarray:

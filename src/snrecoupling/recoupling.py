@@ -125,11 +125,11 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     parts = enumerate_partitions(sum(lam))
     mus = tuple(
         m for m in parts
-        if _kronecker_coefficient(alpha, beta, m) * _kronecker_coefficient(m, gamma, lam) > 0
+        if _kronecker_coefficient(alpha, beta, m) and _kronecker_coefficient(m, gamma, lam)
     )
     nus = tuple(
         n for n in parts
-        if _kronecker_coefficient(beta, gamma, n) * _kronecker_coefficient(alpha, n, lam) > 0
+        if _kronecker_coefficient(beta, gamma, n) and _kronecker_coefficient(alpha, n, lam)
     )
     if not (mus or nus):
         return RecouplingUnitary(matrix=np.zeros((0, 0)), mu_order=(), nu_order=())

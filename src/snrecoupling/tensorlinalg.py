@@ -37,16 +37,18 @@ def fix_vector_sign(v: np.ndarray) -> np.ndarray:
     """Deterministic phase: the first entry within a relative 1e-12 of the largest
     magnitude is made positive real, so a roundoff tie cannot flip the sign.
 
-    Works row-wise: a 2-D array has each row fixed on its own, exactly as
-    that row alone would be.  A zero vector is returned unchanged."""
+    Works row-wise: an array of more than one axis has each row (along the
+    last axis) fixed on its own, exactly as that row alone would be.  A zero
+    vector is returned unchanged."""
     mag = np.abs(v)
     first = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=-1, keepdims=True), axis=-1)
-    pivot = np.take_along_axis(v, first[..., None], axis=-1)
+    rows = v.reshape(-1, v.shape[-1])
+    pivot = rows[np.arange(len(rows)), first.ravel()].reshape(*first.shape, 1)
     if np.iscomplexobj(v):
         size = np.abs(pivot)
         phase = np.conj(pivot) / np.where(size > 0, size, 1.0)
         return v * np.where(size > 0, phase, 1.0)
-    return np.where(pivot < 0, -v, v)
+    return v * np.where(pivot < 0, -1.0, 1.0)
 
 
 def orthonormal_nullspace(a: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:

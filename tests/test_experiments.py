@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -83,6 +84,30 @@ class TestOverlapCertificate:
     def test_rejects_non_finite_delta(self, delta):
         with pytest.raises(ValidationError, match="finite"):
             cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=delta)
+
+    @pytest.mark.parametrize(
+        "seed,k,delta", [(1, 3, 1.0), (2, 3, 1.0), (3, 3, 1.0), (1, 4, 1.0), (1, 4, 2.0)]
+    )
+    def test_admissible_tuples_match_the_product_loop(self, seed, k, delta):
+        # oracle: every tuple of the six balls, in product order
+        rho = sample_hs_random((2, 2, 3), seed)
+        rep = cmd_overlap_certificate(rho, k=k, delta=delta)
+        spectra = spectra_tuple(rho)
+        radii = (spectra.r_a, spectra.r_b, spectra.r_c, spectra.r_ab, spectra.r_bc,
+                 spectra.r_abc)
+        rows = (2, 2, 3, 4, 6, 12)
+        balls = [experiments._ball(k, r, delta, m) for r, m in zip(radii, rows)]
+        names = ("alpha", "beta", "gamma", "mu", "nu", "lam")
+        items = []
+        for labels in product(*balls):
+            hs = recoupling_tensor(*labels).hs
+            if hs > 0:
+                items.append({**{n: list(p) for n, p in zip(names, labels)}, "hs": float(hs)})
+        assert rep.items == items
+        assert rep.summary["sum_hs"] == sum(item["hs"] for item in items)
+        assert rep.summary["nonzero_tuple_count"] == len(items)
+        assert rep.summary["ball_tuple_count"] == math.prod(map(len, balls))
+        assert list(rep.summary["ball_sizes"].values()) == list(map(len, balls))
 
     def test_deterministic(self):
         a = cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=1.0)

@@ -267,6 +267,37 @@ class TestSelfCheck:
         with pytest.raises(AssertionError, match="equivariance violated"):
             _check_full_permutation(*triple, [phi])
 
+    def test_k6_stack_with_only_the_second_map_flipped(self):
+        triple = ((4, 2), (4, 2), (3, 2, 1))
+        maps = cg_isometries(*triple).copy()
+        assert len(maps) == 2
+        _check_full_permutation(*triple, maps)
+        maps[1, :, 3] *= -1
+        with pytest.raises(AssertionError, match="equivariance violated for the 6-cycle"):
+            _check_full_permutation(*triple, maps)
+
+
+def test_projector_pivot_ignores_roundoff_ties():
+    # At ((3,2,1),)*3 (g = 5) eight diagonal entries of the exact-content
+    # projector tie up to roundoff, so the first pivot must not depend on
+    # which of them rounding makes largest.
+    triple = ((3, 2, 1),) * 3
+    maps = cg_isometries(*triple)
+    g = len(maps)
+    # the coordinates where X_2 = s_1 (x) s_1 takes T1's content of 2, i.e. +1
+    a, b = (young_orthogonal_rep(p).generators[0] for p in triple[:2])
+    keep = np.flatnonzero(np.kron(np.diag(a), np.diag(b)) == 1)
+    images = maps[:, keep, 0].T  # orthonormal columns spanning the projector
+    q = images @ images.T
+    cols = intertwiner._projector_columns(q, g)
+    diag = np.diag(q)
+    tied = np.flatnonzero(diag > diag.max() - 1e-12)
+    assert len(tied) == 8
+    noise = np.random.default_rng(0).standard_normal(q.shape)
+    bumps = [1e-14 * np.diag(np.arange(len(q)) == i) for i in tied]
+    for bump in bumps + [1e-14 * (noise + noise.T)]:
+        assert np.abs(intertwiner._projector_columns(q + bump, g) - cols).max() < 1e-12
+
 
 def test_solver_path_does_not_import_numpy_random():
     root = Path(__file__).resolve().parent.parent

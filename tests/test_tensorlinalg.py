@@ -186,6 +186,11 @@ class TestShapeAndSign:
         for row, got in zip(rows, fixed):
             assert np.array_equal(got, fix_vector_sign(row))
         assert np.array_equal(fixed[1], rows[1])
+        stack = np.stack([rows, -rows[::-1]])  # (2, 4, 3): every row alone
+        fixed = fix_vector_sign(stack)
+        assert fixed.shape == stack.shape
+        for row, got in zip(stack.reshape(-1, 3), fixed.reshape(-1, 3)):
+            assert np.array_equal(got, fix_vector_sign(row))
 
     @pytest.mark.parametrize("x", [0.5, 1 / 3, 0.7071067811865476])
     def test_fix_vector_sign_ignores_one_ulp(self, x):
