@@ -15,11 +15,14 @@ span the joint eigenspace of the Jucys-Murphy elements on [alpha] (x) [beta]
 at T1's contents, and Young's step carries them to every other tableau.
 That eigenspace is cut out by polynomial projectors, since on it each X_{j+1}
 can only take the contents of the cells addable to the shape of T1's entries
-1..j.  Each unordered label set is solved once, in the orientation with the
-smallest pair product dim[alpha]*dim[beta]: the label of largest dimension is
-the target.  Every other orientation, the tensor-factor swap included, is an
-axis permutation of that invariant tensor, the S_k analogue of the
-permutation symmetry of 3j-symbols.
+1..j; those contents, and the order of Young's steps, are planned once per
+shape.  Each unordered label set is solved and signed once, in the
+orientation with the smallest pair product dim[alpha]*dim[beta]: the label
+of largest dimension is the target.  Every other orientation, the
+tensor-factor swap included, is an exact axis permutation of that one signed
+invariant tensor, the S_k analogue of the permutation symmetry of
+3j-symbols.  So with a repeated label, swapping the two equal axes can give
+-1 times a map (or, for g >= 2, mix the maps).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .combinatorics import (
     _sk_dimension,
     _tableau_contents,
     _tableau_moves,
+    _tableaux_and_contents,
     check_labels,
     conjugacy_classes,
     sk_dimension,
@@ -83,11 +87,16 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
 
     The label set is solved once, in its canonical orientation: the label
     of largest dimension (then the larger partition) as target, the other
-    two larger partition first.  Any other orientation gets the canonical
-    maps with their axes permuted and scaled by sqrt(dim[lam] / dim[target]).
-    The solve checks that the trace of its exact-content projector is the
-    Kronecker coefficient; each returned map gets the sign of
-    ``fix_vector_sign`` and equivariance is re-checked on the fixed k-cycle
+    two larger partition first.  The solve checks that the trace of its
+    exact-content projector is the Kronecker coefficient, and only its maps
+    get the sign of ``fix_vector_sign``.  Any other orientation gets exactly
+    the signed canonical maps with their axes permuted and scaled by
+    sqrt(dim[lam] / dim[target]), not re-signed, so all orientations read
+    one tensor.  With a repeated label, two orientations that differ by
+    swapping the equal axes can then differ by a sign (for g >= 2, by an
+    orthogonal involution of the maps); ``bend_and_compare`` returns the
+    identity for three distinct labels and can return -I otherwise.  Every
+    orientation's equivariance is re-checked on the fixed k-cycle
     (0 1 ... k-1), which is not the identity for any k >= 2.
     ``DEFAULT_PRODUCT_CAP``, read at each call, bounds n**2 for the pair
     product n of the canonical orientation: the entry count of the dense
@@ -137,33 +146,67 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> np.ndarray:
         if canon == (alpha, beta, lam):
             reps = (young_orthogonal_rep(p) for p in canon)
             stack = _jucys_murphy_stack(*reps, g)
+            maps = fix_vector_sign(stack.reshape(g, da * db * dl)).reshape(g, da * db, dl)
         else:
             # The real orthogonal irreps make T[a, b, l] = phi[(a, b), l] an
             # invariant of [alpha] (x) [beta] (x) [lam], and so is any
             # permutation of its axes: read with another axis as target and
             # scaled by sqrt(dim lam / dim of the canonical target), the
-            # canonical maps are an orthonormal intertwiner basis here (the
-            # bending of bend_and_compare).
+            # signed canonical maps are an orthonormal intertwiner basis here
+            # (the bending of bend_and_compare), and they are not re-signed.
             axes = next(
                 p for p in permutations(range(3))
                 if all(canon[i] == label for i, label in zip(p, (alpha, beta, lam)))
             )
             dims = tuple(map(_sk_dimension, canon))
-            cube = _solve_cg(*canon).reshape(g, *dims)
-            stack = cube.transpose(0, *(1 + a for a in axes)) * math.sqrt(dl / dims[2])
-        maps = fix_vector_sign(stack.reshape(g, da * db * dl)).reshape(g, da * db, dl)
+            cube = _solve_cg(*canon).reshape(g, *dims).transpose(0, *(1 + a for a in axes))
+            maps = np.multiply(cube, math.sqrt(dl / dims[2]), order="C").reshape(g, da * db, dl)
         _check_full_permutation(alpha, beta, lam, maps)
     maps.setflags(write=False)
     return maps
 
 
+@cache  # one plan per shape, built on the first solve onto it
+def _shape_plan(lam: Partition) -> tuple[tuple, tuple]:
+    """What a Jucys-Murphy solve onto [lam] needs of lam alone: (factors, steps).
+
+    ``factors[j - 2]`` is (c, others) for X_{j+1}, j = 2..k-1: T1's content
+    of j+1 and the other contents addable to the shape of T1's entries
+    1..j.  ``steps`` are Young's steps from T1 in breadth-first order,
+    (src, dst, i, d, sqrt(1 - 1/d^2)): tableau dst is s_{i+1} applied to
+    tableau src, at axial distance d; they reach every other tableau once.
+    """
+    tableaux, contents = _tableaux_and_contents(lam)
+    first, c1 = tableaux[0], contents[0]
+    factors = []
+    for j in range(2, sum(lam)):
+        prefix = [m for m in (sum(e <= j for e in row) for row in first) if m]
+        factors.append(
+            (c1[j + 1], tuple(c for c in _addable_contents(prefix) if c != c1[j + 1]))
+        )
+    moves = _tableau_moves(lam)
+    steps = []
+    order = [0]
+    seen = [True] + [False] * (len(contents) - 1)
+    for t in order:
+        cont = contents[t]
+        for i, nxt in enumerate(moves[t]):
+            if nxt < 0 or seen[nxt]:
+                continue
+            seen[nxt] = True
+            order.append(nxt)
+            d = cont[i + 1] - cont[i]
+            steps.append((t, nxt, i - 1, d, math.sqrt(1.0 - 1.0 / d**2)))
+    assert len(order) == len(contents)
+    return tuple(factors), tuple(steps)
+
+
 def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
     """The g intertwiners [lam] -> [alpha] (x) [beta] as a (g, da*db, dl) stack."""
-    k, dl = rep_l.k, rep_l.dim
+    dl = rep_l.dim
     n = rep_a.dim * rep_b.dim
     pairs = list(zip(rep_a.generators, rep_b.generators))
-    first = rep_l.basis[0]
-    contents = _tableau_contents(rep_l.shape)
+    factors, steps = _shape_plan(rep_l.shape)
 
     # Young's orthogonal form is Gelfand-Tsetlin adapted: v_T is the joint
     # eigenvector of the Jucys-Murphy elements X_j = sum_{i<j} (i j) with
@@ -177,30 +220,36 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
     # only eigenvalues the contents of the cells addable to the shape of
     # T1's entries 1..j (Vershik-Okounkov), so the polynomial
     # prod_{c' != c} (X_{j+1} - c') / (c - c') projects onto content c.
+    # Those contents depend on lam alone and come from its memoized plan.
+    # The product starts at its first factor (X_3 has one for every lam),
+    # so no identity is formed or multiplied.
     # Each G_j is a symmetric involution and each X_j symmetric, so
     # G X G + G = G (X G + I) with X G = (G X)^T: a step is two applications
     # of the pair and one on the diagonal, and G_j is never formed.  The
     # range of the projector is read off by pivoted Cholesky, whose pivot is
     # the first index within PIVOT_TIE_RTOL of the largest residual: the
     # diagonal repeats values, and roundoff must not choose among them.
-    if k <= 2:
+    if not factors:
         span = np.ones((1, 1))  # every irrep of S_1, S_2 is one-dimensional, and g = 1
     else:
         a, b = pairs[0]
         x_diag = (a.diagonal()[:, None] * b.diagonal()).reshape(n)
-        keep = np.flatnonzero(x_diag == contents[0][2])
+        keep = np.flatnonzero(x_diag == _tableau_contents(rep_l.shape)[0][2])
+        m = len(keep)
         x_j = np.diag(x_diag)
-        q = np.eye(len(keep))
-        for j in range(2, k):
+        q = None
+        for j, (c, others) in enumerate(factors, start=2):
             a, b = pairs[j - 1]
             y = _apply_pair(a, b, x_j)
             y.flat[:: n + 1] += 1.0  # (G X)^T has the diagonal of G X
             x_j = _apply_pair(a, b, y.T)
             x_keep = x_j.take(keep, 0).take(keep, 1)
-            prefix = [m for m in (sum(e <= j for e in row) for row in first) if m]
-            c = contents[0][j + 1]
-            for other in _addable_contents(prefix):
-                if other != c:
+            for other in others:
+                if q is None:
+                    q = x_keep.copy()
+                    q.flat[:: m + 1] -= other
+                    q /= c - other
+                else:
                     q = (q @ x_keep - other * q) / (c - other)
         trace = q.trace()
         assert abs(trace - g) < 1e-8, f"projector has trace {trace}, characters say {g}"
@@ -209,23 +258,11 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
 
     # Young's step from T to s_i T (axial distance d = c_T(i+1) - c_T(i)):
     # phi(v_{s_i T}) = (G_i phi(v_T) - phi(v_T) / d) / sqrt(1 - 1/d^2).
-    moves = _tableau_moves(rep_l.shape)
     images = np.empty((dl, n, g))
     images[0] = span
-    queue = [0]
-    seen = [True] + [False] * (dl - 1)
-    for t in queue:
-        cont, src = contents[t], images[t]
-        for i, nxt in enumerate(moves[t]):
-            if nxt < 0 or seen[nxt]:
-                continue
-            seen[nxt] = True
-            queue.append(nxt)
-            d = cont[i + 1] - cont[i]
-            a, b = pairs[i - 1]
-            step = _apply_pair(a, b, src) - src / d
-            images[nxt] = step / math.sqrt(1.0 - 1.0 / d**2)
-    assert len(queue) == dl
+    for src, dst, i, d, norm in steps:
+        a, b = pairs[i]
+        images[dst] = (_apply_pair(a, b, images[src]) - images[src] / d) / norm
     return images.transpose(2, 1, 0)
 
 
@@ -278,9 +315,12 @@ def bend_and_compare(alpha, beta, lam) -> np.ndarray:
     Bending turns each phi_i: [lam] -> [alpha] (x) [beta] into
     psi_i: [alpha] -> [lam] (x) [beta] with tr(psi_j^T psi_i) =
     dim[alpha] delta_ij; the returned g x g matrix U expresses psi_i in the
-    basis cg_isometries(lam, beta, alpha).  Raises if the Gram matrix
-    deviates from dim[alpha] * I (an index-convention bug) or if U fails to
-    be unitary, both within BEND_TOL.
+    basis cg_isometries(lam, beta, alpha).  Both bases read one signed
+    tensor, so U is the identity for three distinct labels; with a repeated
+    label it can be a symmetric orthogonal involution other than I, such as
+    -I, the action of swapping the two equal axes.  Raises if the Gram
+    matrix deviates from dim[alpha] * I (an index-convention bug) or if U
+    fails to be unitary, both within BEND_TOL.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)
     da, db, dl = _sk_dimension(alpha), _sk_dimension(beta), _sk_dimension(lam)

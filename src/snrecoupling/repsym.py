@@ -95,9 +95,15 @@ def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
 @cache
 def _cycle_matrix(lam: Partition) -> np.ndarray:
     """Read-only matrix of the k-cycle (0 1 ... k-1) on [lam], memoized; it
-    is the identity for no k >= 2."""
-    k = sum(lam)
-    mat = represent(_young_orthogonal_rep(lam), tuple(range(1, k)) + (0,))
+    is the identity for no k >= 2.
+
+    The cycle is s_1 s_2 ... s_{k-1}, multiplied right to left as
+    ``represent`` multiplies its bubble-sort word, so the two agree bit for
+    bit."""
+    generators = _young_orthogonal_rep(lam).generators
+    mat = generators[-1].copy() if generators else np.ones((1, 1))  # k = 1: the identity
+    for gen in reversed(generators[:-1]):
+        mat = gen @ mat
     mat.setflags(write=False)
     return mat
 

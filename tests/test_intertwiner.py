@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from snrecoupling.combinatorics import (
+    _addable_contents,
+    _tableau_moves,
     all_permutations,
     enumerate_partitions,
     random_permutation,
     sk_dimension,
+    standard_tableaux,
 )
 from snrecoupling import intertwiner
 from snrecoupling.recoupling import _build_tensor, full_recoupling_unitary
@@ -28,7 +31,7 @@ from snrecoupling.intertwiner import (
     trivial_coupling,
 )
 from snrecoupling.repsym import represent, young_orthogonal_rep
-from snrecoupling.tensorlinalg import orthonormal_nullspace
+from snrecoupling.tensorlinalg import fix_vector_sign, orthonormal_nullspace
 
 
 def brute_force_kronecker(alpha, beta, lam):
@@ -458,6 +461,93 @@ class TestCanonicalOrientation:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         for triple in UNITARY_K6_TRIPLES + [((3, 2, 1),) * 3]:
             assert len(cg_isometries(*triple)) == kronecker_coefficient(*triple)
+
+
+class TestOneSignedTensor:
+    """Only the canonical orientation is signed; every other orientation is
+    exactly its axis permutation, scaled, with no sign of its own."""
+
+    @pytest.mark.parametrize(
+        "triples",
+        [pytest.param(list(product(enumerate_partitions(k), repeat=3)), id=f"k{k}")
+         for k in (1, 2, 3, 4, 5)] + [pytest.param(UNITARY_K6_TRIPLES, id="unitary_k6")],
+    )
+    def test_orientations_permute_the_canonical_tensor_exactly(self, triples):
+        for triple in triples:
+            g = kronecker_coefficient(*triple)
+            if not g:
+                continue
+            canon = intertwiner._canonical_orientation(triple)
+            signed = cg_isometries(*canon)
+            rows = signed.reshape(g, -1)
+            assert np.array_equal(fix_vector_sign(rows), rows), canon
+            # the first axis order, in itertools order, that reads canon as triple
+            axes = next(
+                p for p in permutations(range(3))
+                if all(canon[i] == label for i, label in zip(p, triple))
+            )
+            dims = [sk_dimension(p) for p in canon]
+            dl = sk_dimension(triple[2])
+            cube = signed.reshape(g, *dims).transpose(0, *(1 + a for a in axes))
+            expected = (cube * math.sqrt(dl / dims[2])).reshape(g, -1, dl)
+            assert np.array_equal(cg_isometries(*triple), expected), triple
+
+    def test_cold_unitary_k6_signs_six_solves(self):
+        # 13 ordered triples: 6 canonical solves, 7 axis permutations of them
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = (
+            "from collections import Counter\n"
+            "import numpy as np\n"
+            "from snrecoupling import intertwiner\n"
+            "from snrecoupling.recoupling import full_recoupling_unitary\n"
+            "calls = Counter()\n"
+            "def wrap(owner, name):\n"
+            "    real = getattr(owner, name)\n"
+            "    def counted(*args, **kwargs):\n"
+            "        calls[name] += 1\n"
+            "        return real(*args, **kwargs)\n"
+            "    setattr(owner, name, counted)\n"
+            "wrap(intertwiner, 'fix_vector_sign')\n"
+            "wrap(intertwiner, '_check_full_permutation')\n"
+            "wrap(np, 'eye')\n"
+            "full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))\n"
+            "print(calls['fix_vector_sign'], calls['_check_full_permutation'], calls['eye'])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["6", "13", "0"]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_shape_plan_matches_the_tableaux(k):
+    for lam in enumerate_partitions(k):
+        factors, steps = intertwiner._shape_plan(lam)
+        tableaux = standard_tableaux(lam)
+        contents = [
+            {e: col - row for row, entries in enumerate(tab) for col, e in enumerate(entries)}
+            for tab in tableaux
+        ]
+        moves = _tableau_moves(lam)
+        reached = {0}
+        for src, dst, i, d, norm in steps:
+            assert src in reached and dst not in reached
+            assert moves[src][i + 1] == dst
+            assert d == contents[src][i + 2] - contents[src][i + 1]
+            assert norm == math.sqrt(1.0 - 1.0 / d**2)
+            reached.add(dst)
+        assert reached == set(range(len(tableaux)))
+        first = tableaux[0]
+        expected = []
+        for j in range(2, k):
+            prefix = [m for m in (len([e for e in row if e <= j]) for row in first) if m]
+            c = contents[0][j + 1]
+            assert c in _addable_contents(prefix)
+            expected.append((c, tuple(a for a in _addable_contents(prefix) if a != c)))
+        assert factors == tuple(expected)
 
 
 class TestEighOracle:

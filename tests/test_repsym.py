@@ -20,6 +20,8 @@ from snrecoupling import repsym
 from snrecoupling.errors import ResourceLimitError
 from snrecoupling.repsym import (
     _character_row,
+    _cycle_matrix,
+    _young_orthogonal_rep,
     character,
     represent,
     young_orthogonal_rep,
@@ -127,6 +129,15 @@ class TestRepresent:
                 lhs = represent(rep, p) @ represent(rep, q)
                 rhs = represent(rep, perm_compose(p, q))
                 assert np.abs(lhs - rhs).max() < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cycle_matrix_is_the_represented_k_cycle_bit_for_bit(self, k):
+        cycle = tuple(range(1, k)) + (0,)
+        for lam in enumerate_partitions(k):
+            mat = _cycle_matrix(lam)
+            expected = represent(_young_orthogonal_rep(lam), cycle)
+            assert mat.tobytes() == expected.tobytes() and mat.shape == expected.shape
+            assert not mat.flags.writeable
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_trace_equals_character(self, k):

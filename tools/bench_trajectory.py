@@ -32,11 +32,12 @@ RUN_TIMEOUT_S = 1800
 
 
 def run_once(command: list[str], workload: str, seed: int, seconds: float,
-             trace: int) -> tuple[dict, dict]:
-    """One bench/run.py call: its provenance line and its result line."""
+             trace: int, root: Path = ROOT) -> tuple[dict, dict]:
+    """One bench/run.py call in the checkout at root: its provenance line
+    and its result line."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True,
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
