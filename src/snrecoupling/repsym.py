@@ -101,7 +101,7 @@ def _cycle_matrix(lam: Partition) -> np.ndarray:
     ``represent`` multiplies its bubble-sort word, so the two agree bit for
     bit."""
     generators = _young_orthogonal_rep(lam).generators
-    mat = generators[-1].copy() if generators else np.ones((1, 1))  # k = 1: the identity
+    mat = generators[-1] if generators else np.ones((1, 1))  # k = 1: the identity
     for gen in reversed(generators[:-1]):
         mat = gen @ mat
     mat.setflags(write=False)
