@@ -9,13 +9,8 @@ exact integers.
 
 import numpy as np
 
-from snrecoupling.combinatorics import (
-    conjugacy_classes,
-    enumerate_partitions,
-    perm_cycle_type,
-    random_permutation,
-)
-from snrecoupling.repsym import character, represent, young_orthogonal_rep
+from snrecoupling.combinatorics import conjugacy_classes, enumerate_partitions
+from snrecoupling.repsym import character, young_orthogonal_rep
 
 rep = young_orthogonal_rep((2, 1))
 print("generators of the standard representation of S_3:")
@@ -39,11 +34,26 @@ for t, size in conjugacy_classes(4):
     print(f"  type {t}: {total} = {24 // size} * (24/{24 // size})"
           f" -> centralizer {24 // size}")
 
-rng = np.random.default_rng(0)
-print("\nmatrix traces reproduce the exact characters:")
+
+def class_word(cycle_type):
+    """Generators whose product has the given cycle type: the cycle
+    (i, i+1, ..., i+r-1) is s_i s_{i+1} ... s_{i+r-2}, one run per part."""
+    word, start = [], 1
+    for r in cycle_type:
+        word += range(start, start + r - 1)
+        start += r
+    return word
+
+
+print("\nmatrix traces reproduce the character table:")
 for lam in enumerate_partitions(4):
-    rep = young_orthogonal_rep(lam)
-    pi = random_permutation(4, rng)
-    tr = np.trace(represent(rep, pi))
-    chi = character(lam, perm_cycle_type(pi))
-    print(f"  {lam}: trace(rho({pi})) = {tr:+.6f}, character = {chi:+d}")
+    gens = young_orthogonal_rep(lam).generators
+    traces = []
+    for t in types:
+        mat = np.eye(len(gens[0]))
+        for i in class_word(t):
+            mat = mat @ gens[i - 1]
+        traces.append(np.trace(mat))
+    chars = [character(lam, t) for t in types]
+    assert np.allclose(traces, chars, atol=1e-12)
+    print(f"{str(lam):>8}" + "  ".join(f"{tr:>12.6f}" for tr in traces))

@@ -2,10 +2,9 @@
 
 The package computes the change-of-basis maps between the two ways of
 coupling three irreducible S_k representations, verifies their exact
-identities (blockwise unitarity, column-swap norm ratios, the tensor-power
-projector route), and drives desk-scale experiments connecting recoupling
-norms to the marginal spectra and entropy inequalities of tripartite
-quantum states.
+identities (blockwise unitarity, column-swap norm ratios), and drives
+desk-scale experiments connecting recoupling norms to the marginal spectra
+and entropy inequalities of tripartite quantum states.
 """
 
 from . import (
@@ -26,7 +25,7 @@ from .combinatorics import (
     sk_dimension,
     weyl_dimension,
 )
-from .intertwiner import bend_and_compare, cg_isometries, kronecker_coefficient
+from .intertwiner import cg_isometries, kronecker_coefficient
 from .quantumstates import (
     DensityMatrix,
     sample_hs_random,
@@ -41,18 +40,13 @@ from .recoupling import (
     full_recoupling_unitary,
     recoupling_tensor,
 )
-from .repsym import character, represent, young_orthogonal_rep
-from .schurweyl import (
-    hs_norm_via_schurweyl,
-    isotypic_projector,
-    projected_trace,
-)
+from .repsym import character, young_orthogonal_rep
+from .schurweyl import isotypic_projector, projected_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix",
-    "bend_and_compare",
     "cg_isometries",
     "character",
     "column_swap_check",
@@ -62,7 +56,6 @@ __all__ = [
     "errors",
     "experiments",
     "full_recoupling_unitary",
-    "hs_norm_via_schurweyl",
     "intertwiner",
     "isotypic_projector",
     "kronecker_coefficient",
@@ -72,7 +65,6 @@ __all__ = [
     "recoupling",
     "recoupling_tensor",
     "repsym",
-    "represent",
     "round_spectrum",
     "sample_hs_random",
     "schurweyl",

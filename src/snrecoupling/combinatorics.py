@@ -84,11 +84,6 @@ def enumerate_partitions(k: int, max_rows: int | None = None) -> tuple[Partition
     return tuple(out)
 
 
-def conjugate_partition(lam: Sequence[int]) -> Partition:
-    lam = check_partition(lam)
-    return tuple(sum(1 for r in lam if r > j) for j in range(lam[0]))
-
-
 def _beta_numbers(lam: Partition) -> list[int]:
     """The beta-set of lam: l_i = lam_i + m - 1 - i for its m rows, strictly
     decreasing and all positive."""
@@ -202,12 +197,8 @@ def round_spectrum(r: Sequence[float], k: int) -> Partition:
     return rows
 
 
-def class_size(cycle_type: Sequence[int]) -> int:
-    """Number of permutations in S_k with the given cycle type (exact)."""
-    return _class_size(check_partition(cycle_type))
-
-
 def _class_size(parts: Partition) -> int:
+    """Number of permutations in S_k with cycle type ``parts`` (exact)."""
     k = sum(parts)
     centralizer = 1
     for j in set(parts):
@@ -339,10 +330,6 @@ def _addable_contents(mu: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # permutations
 
-def identity_permutation(k: int) -> Permutation:
-    return tuple(range(k))
-
-
 def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     """(p * q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -353,15 +340,6 @@ def perm_inverse(p: Permutation) -> Permutation:
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
-
-
-def adjacent_transposition(k: int, i: int) -> Permutation:
-    """s_i swapping i and i+1 (1-indexed, so positions i-1 and i)."""
-    if not 1 <= i <= k - 1:
-        raise ValidationError(f"generator index {i} out of range for k={k}")
-    p = list(range(k))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
 
 
 def perm_cycle_type(p: Permutation) -> Partition:
@@ -381,25 +359,6 @@ def perm_cycle_type(p: Permutation) -> Partition:
     return tuple(sorted(lengths, reverse=True))
 
 
-def adjacent_word(p: Permutation) -> list[int]:
-    """Bubble-sort word: p = s_{w[-1]} ... s_{w[0]} with 1-indexed w."""
-    work = list(p)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(work) - 1):
-            if work[j] > work[j + 1]:
-                work[j], work[j + 1] = work[j + 1], work[j]
-                word.append(j + 1)
-                changed = True
-    return word
-
-
 def all_permutations(k: int):
     """Iterate over S_k in lexicographic one-line order."""
     return _itertools_permutations(range(k))
-
-
-def random_permutation(k: int, rng: np.random.Generator) -> Permutation:
-    return tuple(int(v) for v in rng.permutation(k))

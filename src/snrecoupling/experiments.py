@@ -42,6 +42,9 @@ from .schurweyl import overlap_trace, projected_trace, tripartite_elements
 
 SCHEMA_VERSION = 1
 GATE_SLACK = 1e-9
+# a certificate tuple with hs at or below HS_ZERO has a zero block: the
+# float route leaves roundoff of up to a few 1e-16 on exactly-zero blocks
+HS_ZERO = 1e-12
 TAIL_BOUND = 1e-3  # the spectrum-estimation tail figure, reported met or unmet
 
 
@@ -160,6 +163,9 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
     tuples and asserts, on computed numbers,
 
         sum_ball hs  >=  |tr(P~ Q~ rho^k)|  >=  tr(P~ rho^k) - sqrt(1 - tr(Q~ rho^k)).
+
+    A tuple with hs <= HS_ZERO is a zero block: it is neither an item nor
+    counted in ``nonzero_tuple_count`` or ``sum_hs``.
     """
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and non-negative, got {delta}")
@@ -185,7 +191,7 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
     sum_hs = 0.0
     for alpha, beta, gamma, mu, nu, lam in _admissible_tuples(balls):
         hs = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).hs
-        if hs > 0:
+        if hs > HS_ZERO:
             items.append(
                 {
                     "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),

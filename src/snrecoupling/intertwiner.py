@@ -42,15 +42,13 @@ from .combinatorics import (
     _tableaux_and_contents,
     check_labels,
     conjugacy_classes,
-    sk_dimension,
 )
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError
 from .repsym import _character_row, _cycle_matrix, young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
 EQUIVARIANCE_TOL = 1e-9
-BEND_TOL = 1e-8
 PIVOT_TIE_RTOL = 1e-10
 
 
@@ -94,8 +92,11 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
     sqrt(dim[lam] / dim[target]), not re-signed, so all orientations read
     one tensor.  With a repeated label, two orientations that differ by
     swapping the equal axes can then differ by a sign (for g >= 2, by an
-    orthogonal involution of the maps); ``bend_and_compare`` returns the
-    identity for three distinct labels and can return -I otherwise.  Every
+    orthogonal involution of the maps).  So the maps of (alpha, beta, lam),
+    bent to (lam, beta, alpha) by transposing the alpha and lam axes and
+    scaled by sqrt(dim[alpha] / dim[lam]), are those of
+    ``cg_isometries(lam, beta, alpha)`` up to roundoff for three distinct
+    labels, and can be -1 times them otherwise.  Every
     orientation's equivariance is re-checked on the fixed k-cycle
     (0 1 ... k-1), which is not the identity for any k >= 2.
     ``DEFAULT_PRODUCT_CAP``, read at each call, bounds n**2 for the pair
@@ -153,7 +154,7 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> np.ndarray:
             # permutation of its axes: read with another axis as target and
             # scaled by sqrt(dim lam / dim of the canonical target), the
             # signed canonical maps are an orthonormal intertwiner basis here
-            # (the bending of bend_and_compare), and they are not re-signed.
+            # (bending a leg), and they are not re-signed.
             axes = next(
                 p for p in permutations(range(3))
                 if all(canon[i] == label for i, label in zip(p, (alpha, beta, lam)))
@@ -301,48 +302,3 @@ def _check_full_permutation(alpha: Partition, beta: Partition, lam: Partition,
     resid = np.abs(_apply_pair(big_a, big_b, cols) - right).max(initial=0.0)
     if resid > EQUIVARIANCE_TOL:
         raise AssertionError(f"equivariance violated for the {k}-cycle: {resid:.3e}")
-
-
-def trivial_coupling(lam) -> np.ndarray:
-    """Unit vector (1/sqrt(dim)) sum_e |e>|e> in [lam] (x) [lam]."""
-    d = sk_dimension(lam)
-    return np.eye(d).reshape(-1) / math.sqrt(d)
-
-
-def bend_and_compare(alpha, beta, lam) -> np.ndarray:
-    """Unitary relating bent intertwiners to the straight basis.
-
-    Bending turns each phi_i: [lam] -> [alpha] (x) [beta] into
-    psi_i: [alpha] -> [lam] (x) [beta] with tr(psi_j^T psi_i) =
-    dim[alpha] delta_ij; the returned g x g matrix U expresses psi_i in the
-    basis cg_isometries(lam, beta, alpha).  Both bases read one signed
-    tensor, so U is the identity for three distinct labels; with a repeated
-    label it can be a symmetric orthogonal involution other than I, such as
-    -I, the action of swapping the two equal axes.  Raises if the Gram
-    matrix deviates from dim[alpha] * I (an index-convention bug) or if U
-    fails to be unitary, both within BEND_TOL.
-    """
-    alpha, beta, lam = check_labels(alpha, beta, lam)
-    da, db, dl = _sk_dimension(alpha), _sk_dimension(beta), _sk_dimension(lam)
-    source = cg_isometries(alpha, beta, lam)
-    g = len(source)
-    if g < 1:
-        raise ValidationError(f"no intertwiners for {(alpha, beta, lam)}")
-
-    cube = source.reshape(g, da, db, dl)
-    psis = math.sqrt(da / dl) * cube.transpose(0, 3, 2, 1).reshape(g, dl * db, da)
-
-    gram = np.tensordot(psis, psis, axes=((1, 2), (1, 2)))
-    gram_resid = np.abs(gram - da * np.eye(g)).max()
-    if gram_resid > BEND_TOL * da:
-        raise AssertionError(
-            f"bent Gram matrix deviates from dim[alpha]*I by {gram_resid:.3e}"
-        )
-
-    target = cg_isometries(lam, beta, alpha)
-    assert len(target) == g
-    u = np.tensordot(psis, target, axes=((1, 2), (1, 2))) / da
-    unitary_resid = np.abs(u @ u.conj().T - np.eye(g)).max()
-    if unitary_resid > BEND_TOL:
-        raise AssertionError(f"bend comparison not unitary: {unitary_resid:.3e}")
-    return u

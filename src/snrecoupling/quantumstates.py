@@ -232,10 +232,6 @@ def spectra_from_json(payload: dict) -> SpectraTuple:
         raise ValidationError(f"malformed spectra file: {exc!r}") from exc
 
 
-def save_state(rho: DensityMatrix, path) -> None:
-    Path(path).write_text(json.dumps(state_to_json(rho)))
-
-
 def load_json(path):
     """Parsed contents of a JSON file; unreadable or malformed files raise ValidationError."""
     try:

@@ -21,17 +21,15 @@ import numpy as np
 
 from .combinatorics import (
     Partition,
-    Permutation,
     _beta_numbers,
     _sk_dimension,
     _tableau_moves,
     _tableaux_and_contents,
-    adjacent_word,
     check_labels,
     check_partition,
     conjugacy_classes,
 )
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError
 
 GENERATOR_FLOAT_CAP = 2**26  # (k - 1) * dim^2 floats of the generators: 512 MiB
 
@@ -97,24 +95,14 @@ def _cycle_matrix(lam: Partition) -> np.ndarray:
     """Read-only matrix of the k-cycle (0 1 ... k-1) on [lam], memoized; it
     is the identity for no k >= 2.
 
-    The cycle is s_1 s_2 ... s_{k-1}, multiplied right to left as
-    ``represent`` multiplies its bubble-sort word, so the two agree bit for
-    bit."""
+    The cycle is s_1 s_2 ... s_{k-1}, multiplied right to left: the
+    products, in order, that the tests' ``represent`` oracle takes along
+    its bubble-sort word (k-1, ..., 2, 1), so the two agree bit for bit."""
     generators = _young_orthogonal_rep(lam).generators
     mat = generators[-1] if generators else np.ones((1, 1))  # k = 1: the identity
     for gen in reversed(generators[:-1]):
         mat = gen @ mat
     mat.setflags(write=False)
-    return mat
-
-
-def represent(reps: RepMatrixSet, perm: Permutation) -> np.ndarray:
-    """Matrix of an arbitrary permutation, via a reduced word in the s_i."""
-    if sorted(perm) != list(range(reps.k)):
-        raise ValidationError(f"not a permutation of 0..{reps.k - 1}: {perm}")
-    mat = np.eye(reps.dim)
-    for i in adjacent_word(perm):
-        mat = reps.generators[i - 1] @ mat
     return mat
 
 

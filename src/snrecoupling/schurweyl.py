@@ -1,6 +1,6 @@
 """Concrete tensor-power realization: permutation actions, isotypic projectors,
 cycle-type projected traces, and the tripartite ball projectors in the group
-algebra, with their overlap traces and the norms of P~ Q~.
+algebra, with their overlap traces.
 
 Index convention (global): a vector on (C^{abc})^(x k) is indexed by per-copy
 digit groups, copy slowest, subsystems ordered A, B, C inside each copy.
@@ -13,10 +13,11 @@ elements of the group algebra of S_k x S_k x S_k.  tripartite_elements is the
 one builder of these products, as (k!, k!, k!) coefficient arrays.
 overlap_trace pairs them with tr(U(g) rho^(x k)), which permutation_traces
 evaluates once per orbit of simultaneous conjugation; the overlap
-certificate and the ``overlap`` CLI command take this route.
-hs_norm_via_schurweyl reads the HS and operator norms of P~ Q~ off its
-Fourier blocks, one small matrix per triple of S_k irreps.  No operator on
-(C^{abc})^(x k) is formed on either route.
+certificate and the ``overlap`` CLI command take this route, and no
+operator on (C^{abc})^(x k) is formed on it.  The tests read the
+recoupling norms off the Fourier blocks of P~ Q~ (their oracle
+``hs_norm_via_schurweyl``), a second route to what ``recoupling_tensor``
+computes.
 
 ball_sum_projector materializes one ball sum as a dense matrix, under
 DENSE_CAP: isotypic_projector is its single-subsystem case, and the tests
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,16 +40,14 @@ from .combinatorics import (
     check_labels,
     check_partition,
     conjugacy_classes,
-    enumerate_partitions,
     perm_compose,
     perm_cycle_type,
     perm_inverse,
-    weyl_dimension,
 )
 from .errors import ResourceLimitError, ValidationError
 from .quantumstates import DensityMatrix
-from .repsym import _character_row, _young_orthogonal_rep, character, represent
-from .tensorlinalg import hermitian_eigensystem, hs_norm, op_norm
+from .repsym import _character_row, character
+from .tensorlinalg import hermitian_eigensystem
 
 DENSE_CAP = 4096
 IMPLICIT_CAP = 1_000_000
@@ -318,78 +316,3 @@ def overlap_trace(elements: TripartiteElements, rho: DensityMatrix, k: int) -> O
         complex(np.sum(x * f)) for x in (elements.pq, elements.p_tilde, elements.q_tilde)
     )
     return OverlapTraces(t_pq=t_pq, t_p=t_p.real, t_q=t_q.real)
-
-
-# ---------------------------------------------------------------------------
-# norms from Fourier blocks
-#
-# By Schur-Weyl duality U_X(sigma) on (C^d)^(x k) is, in a suitable basis, the
-# direct sum over the irreps lam with at most d rows of rho_lam(sigma) (x) I,
-# the identity of dimension weyl_dimension(lam, d).  So sum_g x[g] U(g) is the
-# direct sum over irrep triples of B (x) I, with the Fourier block
-# B = sum_g x[g] rho_A(sigma_A) (x) rho_B(sigma_B) (x) rho_C(sigma_C).
-
-
-@cache
-def _irrep_stack(lam: Partition) -> np.ndarray:
-    """rho_lam(pi) for every pi in all_permutations(k) order, shape (k!, dim, dim).
-    Its k fits IMPLICIT_CAP (k <= 4), far inside ``young_orthogonal_rep``'s cap."""
-    rep = _young_orthogonal_rep(lam)
-    return np.array([represent(rep, p) for p in all_permutations(sum(lam))])
-
-
-def _fourier_norms(x: np.ndarray, dims: Sequence[int], k: int) -> tuple[float, float]:
-    """HS and operator norms of sum_g x[g] U(g) on (C^{abc})^(x k), from the
-    Fourier blocks of x: ||.||_HS^2 sums each block's squared Frobenius norm
-    times its identity dimension, ||.||_op is the largest block op norm."""
-    irreps = [
-        [(weyl_dimension(lam, d), _irrep_stack(lam)) for lam in enumerate_partitions(k, d)]
-        for d in dims
-    ]
-    hs_sq, op = 0.0, 0.0
-    for (m_a, r_a), (m_b, r_b), (m_c, r_c) in product(*irreps):
-        # contract sigma_A, sigma_B, sigma_C in turn: axes (i, j, k, l, m, n)
-        block = np.tensordot(np.tensordot(np.tensordot(x, r_a, (0, 0)), r_b, (0, 0)), r_c, (0, 0))
-        rows = r_a.shape[1] * r_b.shape[1] * r_c.shape[1]
-        block = block.transpose(0, 2, 4, 1, 3, 5).reshape(rows, rows)
-        hs_sq += m_a * m_b * m_c * hs_norm(block) ** 2
-        op = max(op, op_norm(block))
-    return math.sqrt(hs_sq), op
-
-
-class SchurWeylNorm(NamedTuple):
-    hs: float
-    op: float
-
-
-def hs_norm_via_schurweyl(
-    alpha, beta, gamma, mu, nu, lam, dims: tuple[int, int, int]
-) -> SchurWeylNorm:
-    """Independent route to the recoupling HS norm through P~ Q~.
-
-    The operator P~ Q~ equals an identity of dimension
-    dim[lam] * dim V^a_alpha * dim V^b_beta * dim V^c_gamma tensored with the
-    recoupling block, so dividing its HS norm by the square root of that
-    dimension recovers the block's norm.  Both norms of P~ Q~ come from the
-    Fourier blocks of the group-algebra element tripartite_elements returns;
-    no operator on (C^{abc})^(x k), intertwiner or Kronecker coefficient is
-    involved.  Also returns op_norm(P~ Q~) for the norm sandwich.
-    """
-    labels = check_labels(alpha, beta, gamma, mu, nu, lam)
-    alpha, beta, gamma, mu, nu, lam = labels
-    k = sum(lam)
-    a, b, c = dims
-    if len(alpha) > a or len(beta) > b or len(gamma) > c or len(lam) > a * b * c:
-        raise ValidationError(
-            "row counts must fit the local dimensions for the tensor-power route"
-        )
-    pq = tripartite_elements(*([l] for l in labels), dims, k).pq
-    raw_hs, raw_op = _fourier_norms(pq, dims, k)
-    # positive: the row counts fit, so no Weyl dimension vanishes
-    factor = (
-        _sk_dimension(lam)
-        * weyl_dimension(alpha, a)
-        * weyl_dimension(beta, b)
-        * weyl_dimension(gamma, c)
-    )
-    return SchurWeylNorm(hs=raw_hs / math.sqrt(factor), op=raw_op)

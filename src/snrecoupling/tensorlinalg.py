@@ -25,14 +25,6 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def op_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 def fix_vector_sign(v: np.ndarray) -> np.ndarray:
     """Deterministic phase: the first entry within a relative 1e-12 of the largest
     magnitude is made positive real, so a roundoff tie cannot flip the sign.

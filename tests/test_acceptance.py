@@ -24,11 +24,7 @@ from snrecoupling.experiments import (
     cmd_ssa_scan,
     cmd_overlap_certificate,
 )
-from snrecoupling.intertwiner import (
-    bend_and_compare,
-    kronecker_coefficient,
-    trivial_coupling,
-)
+from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.quantumstates import (
     DensityMatrix,
     ghz_state,
@@ -40,7 +36,7 @@ from snrecoupling.recoupling import (
     full_recoupling_unitary,
     recoupling_tensor,
 )
-from snrecoupling.schurweyl import hs_norm_via_schurweyl
+from oracles import bend_and_compare, hs_norm_via_schurweyl
 
 
 def report(number, passed, detail):
@@ -257,7 +253,7 @@ def test_criterion_9_graphical_identities():
     for k in range(1, 6):
         for lam in enumerate_partitions(k):
             d = sk_dimension(lam)
-            phi = trivial_coupling(lam).reshape(d, d)
+            phi = cg_isometries(lam, lam, (k,))[0].reshape(d, d)
             composed = np.einsum("ef,fg->ge", phi, phi)
             worst_tele = max(worst_tele, float(np.abs(composed - np.eye(d) / d).max()))
     worst_unitary = 0.0

@@ -27,7 +27,6 @@ from snrecoupling.intertwiner import (
     _check_full_permutation,
     _kronecker_coefficient,
     _solve_cg,
-    bend_and_compare,
     cg_isometries,
     kronecker_coefficient,
 )
@@ -111,7 +110,6 @@ def test_class_count_cap(triple):
     refused = (
         (kronecker_coefficient, triple),
         (cg_isometries, triple),
-        (bend_and_compare, triple),
         (recoupling_tensor, triple * 2),
         (column_swap_check, triple * 2),
         (full_recoupling_unitary, triple + triple[:1]),

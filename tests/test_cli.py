@@ -11,7 +11,6 @@ from snrecoupling.quantumstates import (
     SAMPLE_DIM_CAP,
     DensityMatrix,
     maximally_mixed,
-    save_state,
     state_to_json,
 )
 
@@ -26,6 +25,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def write_state(rho, path):
+    path.write_text(json.dumps(state_to_json(rho)))
 
 
 def skewed_mixed_state(path):
@@ -183,7 +186,7 @@ class TestStateCommands:
 
     def test_spectrum_estimation_csv(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(DensityMatrix(dims=(2,), matrix=np.diag([0.9, 0.1])), path)
+        write_state(DensityMatrix(dims=(2,), matrix=np.diag([0.9, 0.1])), path)
         _, out = run(capsys, "spectrum-estimation", "--rho", str(path),
                      "--k-max", "6", "--format", "csv")
         lines = out.strip().splitlines()
@@ -192,7 +195,7 @@ class TestStateCommands:
 
     def test_overlap(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed((2, 2, 2)), path)
+        write_state(maximally_mixed((2, 2, 2)), path)
         code, out = run(capsys, "overlap", "--rho", str(path), "--labels", "2/2/2/2/2/2")
         assert code == 0
         payload = json.loads(out)
@@ -200,7 +203,7 @@ class TestStateCommands:
 
     def test_overlap_certificate(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed((2, 2, 2)), path)
+        write_state(maximally_mixed((2, 2, 2)), path)
         code, out = run(capsys, "overlap-certificate", "--rho", str(path),
                         "--k", "2", "--delta", "2.0")
         assert code == 0
@@ -232,7 +235,7 @@ class TestStateCommands:
         path = tmp_path / "ghz.json"
         v = np.zeros(8)
         v[0] = v[7] = 1 / np.sqrt(2)
-        save_state(DensityMatrix(dims=(2, 2, 2), matrix=np.outer(v, v)), path)
+        write_state(DensityMatrix(dims=(2, 2, 2), matrix=np.outer(v, v)), path)
         code, out = run(capsys, "dimension-ratio", "--rho", str(path),
                         "--k-list", "500,2000")
         assert code == 0
@@ -240,7 +243,7 @@ class TestStateCommands:
     def test_dimension_ratio_at_the_largest_k(self, capsys, tmp_path):
         # O(rows^2) per diagram: k = 1e11 costs what k = 500 does
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed((2, 2, 2)), path)
+        write_state(maximally_mixed((2, 2, 2)), path)
         start = time.perf_counter()
         code, out = run(capsys, "dimension-ratio", "--rho", str(path),
                         "--k-list", "100000000000")
@@ -372,7 +375,7 @@ class TestMalformedInput:
 
     def test_dimension_ratio_k_above_the_rounding_bound(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed((2, 2, 2)), path)
+        write_state(maximally_mixed((2, 2, 2)), path)
         err = self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
                                   "--k-list", "1000000000000")
         assert "k must be in" in err
@@ -385,14 +388,14 @@ class TestMalformedInput:
 
     def test_dimension_ratio_bad_k_list(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed((2, 2, 2)), path)
+        write_state(maximally_mixed((2, 2, 2)), path)
         err = self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
                                   "--k-list", "2,x")
         assert "k list" in err
 
     def test_dimension_ratio_empty_k_list(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed((2, 2, 2)), path)
+        write_state(maximally_mixed((2, 2, 2)), path)
         err = self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
                                   "--k-list", ",")
         assert "k values" in err
@@ -453,28 +456,28 @@ class TestMalformedInput:
 
     def test_overlap_certificate_nan_delta(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed((2, 2, 2)), path)
+        write_state(maximally_mixed((2, 2, 2)), path)
         err = self.check_rejected(capsys, "overlap-certificate", "--rho", str(path),
                                   "--k", "2", "--delta", "nan")
         assert "finite" in err
 
     def test_spectrum_estimation_nan_delta(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed(2), path)
+        write_state(maximally_mixed(2), path)
         err = self.check_rejected(capsys, "spectrum-estimation", "--rho", str(path),
                                   "--k-max", "4", "--delta", "nan")
         assert "finite" in err
 
     def test_spectrum_estimation_negative_delta(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed(2), path)
+        write_state(maximally_mixed(2), path)
         err = self.check_rejected(capsys, "spectrum-estimation", "--rho", str(path),
                                   "--k-max", "4", "--delta", "-1")
         assert "non-negative" in err
 
     def test_spectrum_estimation_zero_k_max(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed(2), path)
+        write_state(maximally_mixed(2), path)
         err = self.check_rejected(capsys, "spectrum-estimation", "--rho", str(path),
                                   "--k-max", "0")
         assert "k_max" in err
@@ -514,7 +517,7 @@ class TestMalformedInput:
 
     def test_overlap_label_not_a_partition_of_k(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
-        save_state(maximally_mixed((2, 2, 2)), path)
+        write_state(maximally_mixed((2, 2, 2)), path)
         # the labels fix k, so labels of two sizes are rejected
         err = self.check_rejected(capsys, "overlap", "--rho", str(path),
                                   "--labels", "2,1/2/2/2/2/2")

@@ -7,15 +7,10 @@ from hypothesis import given, strategies as st
 
 from snrecoupling.combinatorics import (
     ROUND_K_MAX,
-    adjacent_transposition,
-    adjacent_word,
     all_permutations,
     check_partition,
-    class_size,
     conjugacy_classes,
-    conjugate_partition,
     enumerate_partitions,
-    identity_permutation,
     log_sk_dimension,
     normalize,
     partition_counts,
@@ -27,10 +22,12 @@ from snrecoupling.combinatorics import (
     standard_tableaux,
     weyl_dimension,
     _addable_contents,
+    _class_size,
     _tableau_contents,
     _tableau_moves,
 )
 from snrecoupling.errors import ValidationError
+from oracles import adjacent_word, conjugate_partition
 
 
 def brute_force_partitions(k, max_rows):
@@ -355,22 +352,24 @@ class TestPermutations:
             q = tuple(int(v) for v in rng.permutation(6))
             pq = perm_compose(p, q)
             assert all(pq[i] == p[q[i]] for i in range(6))
-            assert perm_compose(p, perm_inverse(p)) == identity_permutation(6)
+            assert perm_compose(p, perm_inverse(p)) == tuple(range(6))
 
     def test_adjacent_word_reconstructs(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             p = tuple(int(v) for v in rng.permutation(7))
             word = adjacent_word(p)
-            rebuilt = identity_permutation(7)
+            rebuilt = tuple(range(7))
             for i in reversed(word):
-                rebuilt = perm_compose(rebuilt, adjacent_transposition(7, i))
+                s_i = list(range(7))
+                s_i[i - 1], s_i[i] = i, i - 1
+                rebuilt = perm_compose(rebuilt, tuple(s_i))
             assert rebuilt == p
 
     def test_cycle_type(self):
         assert perm_cycle_type((1, 2, 0, 3)) == (3, 1)
-        assert perm_cycle_type(identity_permutation(4)) == (1, 1, 1, 1)
+        assert perm_cycle_type((0, 1, 2, 3)) == (1, 1, 1, 1)
 
     def test_class_size_formula(self):
-        assert class_size((2, 1)) == 3
-        assert class_size((3, 3)) == math.factorial(6) // (3 * 3 * 2)
+        assert _class_size((2, 1)) == 3
+        assert _class_size((3, 3)) == math.factorial(6) // (3 * 3 * 2)

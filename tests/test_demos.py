@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the README's library example, runs to completion
+against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +13,27 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def run_script(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    result = run_script([str(demo)])
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs():
+    # the first python block of README.md is the "Library use" example
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    assert "from snrecoupling import" in block
+    result = run_script(["-c", block])
     assert result.returncode == 0, result.stderr

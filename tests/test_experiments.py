@@ -29,6 +29,7 @@ from snrecoupling.quantumstates import (
     sample_hs_random,
     spectra_tuple,
 )
+from oracles import exact_hs_squared
 
 
 def product_pure_tripartite():
@@ -101,13 +102,34 @@ class TestOverlapCertificate:
         items = []
         for labels in product(*balls):
             hs = recoupling_tensor(*labels).hs
-            if hs > 0:
+            if hs > experiments.HS_ZERO:
                 items.append({**{n: list(p) for n, p in zip(names, labels)}, "hs": float(hs)})
         assert rep.items == items
         assert rep.summary["sum_hs"] == sum(item["hs"] for item in items)
         assert rep.summary["nonzero_tuple_count"] == len(items)
         assert rep.summary["ball_tuple_count"] == math.prod(map(len, balls))
         assert list(rep.summary["ball_sizes"].values()) == list(map(len, balls))
+
+    def test_zero_blocks_are_not_items(self):
+        # the float route leaves hs of 1.2e-17 to 2.2e-16 on eight blocks of
+        # this certificate that are exactly zero; the next smallest hs is 1/3
+        rho = sample_hs_random((2, 2, 2), np.random.default_rng(1))
+        rep = cmd_overlap_certificate(rho, k=4, delta=2.0)
+        assert len(rep.items) == rep.summary["nonzero_tuple_count"] == 140
+        names = ("alpha", "beta", "gamma", "mu", "nu", "lam")
+        kept = [tuple(tuple(item[n]) for n in names) for item in rep.items]
+        for labels, item in zip(kept, rep.items):
+            exact = exact_hs_squared(*labels)
+            assert exact > 0 and abs(exact - item["hs"] ** 2) < 1e-13, labels
+        spectra = spectra_tuple(rho)
+        radii = (spectra.r_a, spectra.r_b, spectra.r_c, spectra.r_ab, spectra.r_bc,
+                 spectra.r_abc)
+        rows = (2, 2, 2, 4, 4, 8)
+        balls = {n: experiments._ball(4, r, 2.0, m) for n, r, m in zip(names, radii, rows)}
+        dropped = set(experiments._admissible_tuples(balls)) - set(kept)
+        assert sum(0 < recoupling_tensor(*labels).hs for labels in dropped) == 8
+        for labels in dropped:
+            assert exact_hs_squared(*labels) == 0, labels
 
     def test_deterministic(self):
         a = cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=1.0)

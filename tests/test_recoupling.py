@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from snrecoupling.combinatorics import conjugate_partition, enumerate_partitions, sk_dimension
+from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
 from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.recoupling import (
     _build_tensor,
@@ -13,7 +14,7 @@ from snrecoupling.recoupling import (
     full_recoupling_unitary,
     recoupling_tensor,
 )
-from snrecoupling.tensorlinalg import op_norm
+from oracles import conjugate_partition, exact_hs_squared
 
 
 def sum_rule_expected(alpha, beta, gamma, lam):
@@ -122,8 +123,8 @@ class TestRecouplingTensor:
                 continue
             mat = t.as_matrix()
             rank = np.linalg.matrix_rank(mat)
-            assert op_norm(mat) <= t.hs + 1e-9
-            assert t.hs <= math.sqrt(rank) * op_norm(mat) + 1e-9
+            assert np.linalg.norm(mat, 2) <= t.hs + 1e-9
+            assert t.hs <= math.sqrt(rank) * np.linalg.norm(mat, 2) + 1e-9
 
 
 # every alpha of k <= 8 with at most 3 rows, and (k/2, k/2) for even k <= 12
@@ -152,6 +153,32 @@ class TestExactFamilies:
         t = recoupling_tensor(alpha, conj, alpha, sign, sign, conj)
         assert t.block_shape == (1, 1, 1, 1)
         assert abs(t.hs - 1 / sk_dimension(alpha)) < 1e-12
+
+
+# hs^2 of the nine (nu; mu) blocks of full_recoupling_unitary((4,2), (4,2),
+# (4,2), (3,3)): rows nu, columns mu, both in the order of K6_MIDDLE
+K6_MIDDLE = [(5, 1), (4, 1, 1), (3, 2, 1)]
+K6_HS_SQUARED = [
+    [Fraction(1, 9), Fraction(4, 9), Fraction(4, 9)],
+    [Fraction(4, 9), Fraction(0), Fraction(5, 9)],
+    [Fraction(4, 9), Fraction(5, 9), Fraction(1)],
+]
+
+
+class TestExactNorms:
+    """hs^2 against the exact rational of the character sum, to a few ulp."""
+
+    def test_every_k3_tuple(self):
+        for labels in product(enumerate_partitions(3), repeat=6):
+            exact = exact_hs_squared(*labels)
+            assert abs(recoupling_tensor(*labels).hs ** 2 - exact) < 1e-13, labels
+
+    def test_unitary_k6_blocks(self):
+        for nu, row in zip(K6_MIDDLE, K6_HS_SQUARED):
+            for mu, want in zip(K6_MIDDLE, row):
+                labels = ((4, 2),) * 3 + (mu, nu, (3, 3))
+                assert exact_hs_squared(*labels) == want, labels
+                assert abs(recoupling_tensor(*labels).hs ** 2 - want) < 1e-13, labels
 
 
 class TestSumRuleAndUnitarity:
