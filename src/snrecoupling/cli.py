@@ -33,6 +33,7 @@ from .experiments import (
     cmd_spectrum_estimation,
     cmd_ssa_scan,
     cmd_overlap_certificate,
+    zeroed_hs,
 )
 from .intertwiner import cg_isometries, kronecker_coefficient
 from .quantumstates import (
@@ -146,7 +147,7 @@ def _cmd_scan_recoupling(args) -> int:
             json.dumps(
                 {
                     "labels": [list(l) for l in labels],
-                    "hs": tensor.hs,
+                    "hs": zeroed_hs(tensor.hs),
                     "swap_bl_residual": swap_bl.residual,
                     "swap_ag_residual": swap_ag.residual,
                 },

@@ -42,10 +42,15 @@ from .schurweyl import overlap_trace, projected_trace, tripartite_elements
 
 SCHEMA_VERSION = 1
 GATE_SLACK = 1e-9
-# a certificate tuple with hs at or below HS_ZERO has a zero block: the
-# float route leaves roundoff of up to a few 1e-16 on exactly-zero blocks
+# a tuple with hs at or below HS_ZERO has a zero block: the float route
+# leaves roundoff of up to a few 1e-16 on exactly-zero blocks
 HS_ZERO = 1e-12
 TAIL_BOUND = 1e-3  # the spectrum-estimation tail figure, reported met or unmet
+
+
+def zeroed_hs(hs: float) -> float:
+    """The reported block norm: hs, or 0.0 for a zero block (hs <= HS_ZERO)."""
+    return float(hs) if hs > HS_ZERO else 0.0
 
 
 @dataclass
@@ -413,11 +418,11 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
     """Decay probe for spectra tuples, compatible or not with a joint state.
 
     Rounds the six target spectra to diagrams at each k and reports the
-    exact recoupling norm of the rounded tuple.  The local dimensions
-    (a, b, c) are the lengths of r_a, r_b and r_c; r_ab, r_bc and r_abc must
-    have lengths ab, bc and abc.  k runs over 1..7, where every label set
-    fits ``DEFAULT_PRODUCT_CAP``.  The decay sequence is a trend diagnostic,
-    not a proof.
+    exact recoupling norm of the rounded tuple, 0.0 for a zero block (hs
+    <= HS_ZERO).  The local dimensions (a, b, c) are the lengths of r_a,
+    r_b and r_c; r_ab, r_bc and r_abc must have lengths ab, bc and abc.
+    k runs over 1..7, where every label set fits ``DEFAULT_PRODUCT_CAP``.
+    The decay sequence is a trend diagnostic, not a proof.
     """
     dims = a, b, c = np.size(spectra.r_a), np.size(spectra.r_b), np.size(spectra.r_c)
     lengths = np.size(spectra.r_ab), np.size(spectra.r_bc), np.size(spectra.r_abc)
@@ -438,7 +443,7 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
                 "k": k,
                 "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),
                 "mu": list(mu), "nu": list(nu), "lam": list(lam),
-                "hs": float(recoupling_tensor(*labels).hs),
+                "hs": zeroed_hs(recoupling_tensor(*labels).hs),
             }
         )
 

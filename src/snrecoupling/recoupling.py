@@ -15,6 +15,12 @@ contraction therefore reads it at one basis vector x0 of [lam], the first
 standard tableau, instead of tracing the lam edge and dividing by dim[lam]:
 every intermediate is dim[lam] times smaller.
 
+The whole recoupling matrix of (alpha, beta, gamma; lam) is the overlap of
+two orthonormal bases of one multiplicity space, the composites of the two
+trees.  ``full_recoupling_unitary`` builds each tree's composites once, for
+all mu and all nu, instead of once per block; a single block builds those of
+its own (mu; nu).  Both read the same two composite builders.
+
 Individual entries depend on the intertwiner convention; the Hilbert-Schmidt
 norm, the blockwise unitarity and the column-swap ratios do not.
 """
@@ -29,8 +35,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import Partition, _sk_dimension, check_labels, enumerate_partitions
+from .errors import ResourceLimitError
 from .intertwiner import _kronecker_coefficient, cg_isometries
 from .tensorlinalg import hs_norm
+
+# floats of the composites one block or one unitary holds at once, 2 GiB
+COMPOSITE_FLOAT_CAP = 2**28
 
 
 @dataclass(frozen=True)
@@ -82,31 +92,60 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     coefficients (23,003 of the 290,521 tuples with at most three rows at
     k = 6).  A k above ``combinatorics.CLASS_COUNT_CAP`` classes raises
     ResourceLimitError before any Kronecker coefficient is computed, here
-    and in ``full_recoupling_unitary``.
+    and in ``full_recoupling_unitary``.  ``COMPOSITE_FLOAT_CAP``, read at
+    each call, bounds the (g_i g_j + g_k g_l) dim[alpha] dim[beta] dim[gamma]
+    floats of the two composites; a block above it raises ResourceLimitError
+    after the Kronecker coefficients and before any intertwiner is solved.
     """
     labels = check_labels(alpha, beta, gamma, mu, nu, lam)
-    shape = tuple(_kronecker_coefficient(*t) for t in _triples(labels))
+    shape = gk, gl, gi, gj = tuple(_kronecker_coefficient(*t) for t in _triples(labels))
     if 0 in shape:
         return RecouplingTensor(labels=labels, entries=np.zeros(shape), hs=0.0)
-    return _build_tensor(labels)
+    _check_composite_floats(labels, gi * gj + gk * gl)
+    return _build_tensor(labels, shape)
+
+
+def _check_composite_floats(labels, rows: int) -> None:
+    """Refuse `rows` composites of dim[alpha] dim[beta] dim[gamma] floats above the cap."""
+    floats = rows * math.prod(map(_sk_dimension, labels[:3]))
+    if floats > COMPOSITE_FLOAT_CAP:
+        raise ResourceLimitError(
+            f"recoupling composites of {labels} hold {floats} floats, "
+            f"above cap {COMPOSITE_FLOAT_CAP}"
+        )
 
 
 @cache
-def _build_tensor(labels) -> RecouplingTensor:
-    phi_k, phi_l, phi_i, phi_j = (_stacked_maps(*t) for t in _triples(labels))
-    gk, b, c, n = phi_k.shape
-    gl, a = phi_l.shape[:2]
-    gi, gj, m = len(phi_i), len(phi_j), phi_j.shape[1]
-    # Fixed order, all at x0: the (alpha beta) gamma composites (i, a, b, j, c)
-    # and the alpha (beta gamma) composites (l, a, k, b, c), each reordered to
-    # (multiplicity pair, abc), then their overlap.
-    left = phi_i.reshape(-1, m) @ phi_j[..., 0].transpose(1, 0, 2).reshape(m, gj * c)
-    right = phi_l[..., 0].reshape(gl * a, n) @ phi_k.reshape(-1, n).T
-    left = left.reshape(gi, a * b, gj, c).transpose(0, 2, 1, 3).reshape(gi * gj, -1)
-    right = right.reshape(gl, a, gk, b * c).transpose(2, 0, 1, 3).reshape(gk * gl, -1)
-    entries = (right @ left.T).reshape(gk, gl, gi, gj)
+def _build_tensor(labels, shape) -> RecouplingTensor:
+    alpha, beta, gamma, mu, nu, lam = labels
+    right = _right(alpha, beta, gamma, nu, lam)
+    entries = (right @ _left(alpha, beta, gamma, mu, lam).T).reshape(shape)
     entries.setflags(write=False)
     return RecouplingTensor(labels=labels, entries=entries, hs=hs_norm(entries))
+
+
+def _left(alpha, beta, gamma, mu, lam) -> np.ndarray:
+    """The ((alpha beta) gamma) composites at x0: row (i, j) holds
+    sum_m phi_i[a,b,m] phi_j[m,c,x0] over (a, b, c), row-major."""
+    phi_i, phi_j = _stacked_maps(alpha, beta, mu), _stacked_maps(mu, gamma, lam)
+    gi, a, b, m = phi_i.shape
+    left = np.matmul(phi_i.reshape(gi, 1, a * b, m), phi_j[None, ..., 0])
+    return left.reshape(gi * len(phi_j), -1)
+
+
+def _right(alpha, beta, gamma, nu, lam) -> np.ndarray:
+    """The (alpha (beta gamma)) composites at x0: row (k, l) holds
+    sum_n phi_k[b,c,n] phi_l[a,n,x0] over (a, b, c), row-major."""
+    phi_k, phi_l = _stacked_maps(beta, gamma, nu), _stacked_maps(alpha, nu, lam)
+    gk, b, c, n = phi_k.shape
+    right = np.matmul(phi_l[None, ..., 0], phi_k.reshape(gk, 1, b * c, n).swapaxes(2, 3))
+    return right.reshape(gk * len(phi_l), -1)
+
+
+def _tree_rows(first, second) -> int:
+    """g(first) g(second): the composites of one coupling tree at one middle label."""
+    g = _kronecker_coefficient(*first)
+    return g and g * _kronecker_coefficient(*second)
 
 
 class RecouplingUnitary(NamedTuple):
@@ -119,30 +158,35 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     """Assemble all (mu; nu) blocks into the square change-of-tree matrix.
 
     Row blocks run over nu, column blocks over mu, both in the fixed
-    reverse-lexicographic partition order.
+    reverse-lexicographic partition order.  The matrix is one overlap of
+    stacked composites: the ((alpha beta) gamma) composites of every mu are
+    built once into one (M, dim[alpha] dim[beta] dim[gamma]) array, M the
+    multiplicity of [lam] in [alpha] (x) [beta] (x) [gamma], and each nu row
+    block is the overlap of that nu's (alpha (beta gamma)) composites with
+    it, so one right composite is alive at a time.  Each block equals
+    ``recoupling_tensor(alpha, beta, gamma, mu, nu, lam).as_matrix()``, but
+    the block memo is not filled.  ``COMPOSITE_FLOAT_CAP`` bounds the
+    (M + max_nu g_k g_l) dim[alpha] dim[beta] dim[gamma] floats of the
+    composites, checked after the Kronecker coefficients and before any
+    intertwiner is solved.
     """
     alpha, beta, gamma, lam = check_labels(alpha, beta, gamma, lam)
     parts = enumerate_partitions(sum(lam))
-    mus = tuple(
-        m for m in parts
-        if _kronecker_coefficient(alpha, beta, m) and _kronecker_coefficient(m, gamma, lam)
-    )
-    nus = tuple(
-        n for n in parts
-        if _kronecker_coefficient(beta, gamma, n) and _kronecker_coefficient(alpha, n, lam)
-    )
-    if not (mus or nus):
+    left_rows = {m: g for m in parts if (g := _tree_rows((alpha, beta, m), (m, gamma, lam)))}
+    right_rows = {n: g for n in parts if (g := _tree_rows((beta, gamma, n), (alpha, n, lam)))}
+    height, size = sum(right_rows.values()), sum(left_rows.values())
+    if height != size:
+        raise AssertionError(f"recoupling blocks assemble to a {(height, size)} matrix")
+    if not size:
         return RecouplingUnitary(matrix=np.zeros((0, 0)), mu_order=(), nu_order=())
-    matrix = np.concatenate([
-        np.concatenate(
-            [recoupling_tensor(alpha, beta, gamma, mu, nu, lam).as_matrix() for mu in mus],
-            axis=1,
-        )
-        for nu in nus
-    ])
-    if matrix.shape[0] != matrix.shape[1]:
-        raise AssertionError(f"recoupling blocks assemble to a {matrix.shape} matrix")
-    return RecouplingUnitary(matrix=matrix, mu_order=mus, nu_order=nus)
+    _check_composite_floats((alpha, beta, gamma, lam), size + max(right_rows.values()))
+    left = np.empty((size, math.prod(map(_sk_dimension, (alpha, beta, gamma)))))
+    row = 0
+    for mu, rows in left_rows.items():
+        left[row:row + rows] = _left(alpha, beta, gamma, mu, lam)
+        row += rows
+    matrix = np.concatenate([_right(alpha, beta, gamma, nu, lam) @ left.T for nu in right_rows])
+    return RecouplingUnitary(matrix=matrix, mu_order=tuple(left_rows), nu_order=tuple(right_rows))
 
 
 class ColumnSwapResult(NamedTuple):

@@ -12,9 +12,17 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from snrecoupling import combinatorics, intertwiner, quantumstates, repsym, schurweyl
+from snrecoupling import (
+    cli,
+    combinatorics,
+    intertwiner,
+    quantumstates,
+    recoupling,
+    repsym,
+    schurweyl,
+)
 from snrecoupling.combinatorics import (
     conjugacy_classes,
     enumerate_partitions,
@@ -164,6 +172,65 @@ def test_recoupling_block_holds_no_lam_edge():
         tracemalloc.stop()
     assert block.hs == pytest.approx(1 / 132, abs=1e-12)
     assert peak < 100 * 1024**2
+
+
+@CAP_SETTINGS
+@given(labels(5, 4))
+def test_composite_cap(quad):
+    # a unitary holds every mu's ((alpha beta) gamma) composites and one nu's
+    # (alpha (beta gamma)) composites at a time; a block holds its own pair
+    alpha, beta, gamma, lam = quad
+    parts = enumerate_partitions(sum(lam))
+    left = {m: kronecker_coefficient(alpha, beta, m) * kronecker_coefficient(m, gamma, lam)
+            for m in parts}
+    right = {n: kronecker_coefficient(beta, gamma, n) * kronecker_coefficient(alpha, n, lam)
+             for n in parts}
+    assume(sum(left.values()) > 0)
+    abc = math.prod(map(sk_dimension, (alpha, beta, gamma)))
+    mu, nu = max(left, key=left.get), max(right, key=right.get)
+    block = (alpha, beta, gamma, mu, nu, lam)
+    calls = (
+        (full_recoupling_unitary, quad, (sum(left.values()) + right[nu]) * abc),
+        (recoupling_tensor, block, (left[mu] + right[nu]) * abc),
+    )
+    for fn, args, need in calls:
+        _build_tensor.cache_clear()
+        _solve_cg.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recoupling, "COMPOSITE_FLOAT_CAP", need - 1)
+            with pytest.raises(ResourceLimitError):
+                fn(*args)
+            assert _solve_cg.cache_info().currsize == 0
+            assert _build_tensor.cache_info().currsize == 0
+            mp.setattr(recoupling, "COMPOSITE_FLOAT_CAP", need)
+            fn(*args)
+
+
+def test_composite_cap_at_its_value(capsys):
+    # The trivial-edge family blocks ((4,4,4)^3, (12), (12), (4,4,4)) and
+    # ((7,7)^3, (14), (14), (7,7)) hold 2 * 462^3 and 2 * 429^3 floats
+    # (1.5 and 1.2 GiB) and fit.  ((4,4,2,1)^3, (11), (11), (4,4,2,1)) passes
+    # the class-count and product caps, but its composites would hold
+    # 2 * 1320^3 floats (34 GiB); it is refused after the Kronecker
+    # coefficients, before any solve.
+    cap = recoupling.COMPOSITE_FLOAT_CAP
+    assert 2 * sk_dimension((4, 4, 4)) ** 3 <= cap and 2 * sk_dimension((7, 7)) ** 3 <= cap
+    label = (4, 4, 2, 1)
+    assert 2 * sk_dimension(label) ** 3 > cap
+    assert sk_dimension(label) ** 2 <= intertwiner.DEFAULT_PRODUCT_CAP
+    text = ",".join(map(str, label))
+    _solve_cg.cache_clear()
+    tracemalloc.start()
+    try:
+        code = cli.main(["recoupling", "--labels", "/".join([text] * 3 + ["11", "11", text])])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and "above cap" in captured.err
+    assert _solve_cg.cache_info().currsize == 0
+    assert peak < 1024**2
 
 
 @CAP_SETTINGS

@@ -13,6 +13,7 @@ from snrecoupling.quantumstates import (
     maximally_mixed,
     state_to_json,
 )
+from oracles import exact_hs_squared
 
 
 # the subcommands that draw random states, and those that print a report
@@ -153,6 +154,19 @@ class TestScalarCommands:
         for line in lines:
             assert line["swap_bl_residual"] < 1e-8
             assert line["swap_ag_residual"] < 1e-8
+
+
+    def test_scan_recoupling_reports_zero_blocks_as_zero(self, capsys):
+        code, out = run(capsys, "scan-recoupling", "--k", "3")
+        assert code == 0
+        lines = [json.loads(line) for line in out.strip().split("\n")]
+        assert len(lines) == 3**6
+        for line in lines:
+            exact = exact_hs_squared(*map(tuple, line["labels"]))
+            if exact == 0:
+                assert line["hs"] == 0.0, line
+            else:
+                assert abs(line["hs"] ** 2 - exact) < 1e-13, line
 
 
 class TestStateCommands:

@@ -331,6 +331,29 @@ class TestConverseProbe:
             cmd_converse_probe(spectra, [8])
 
 
+# exactly-zero blocks that the float route leaves at roundoff (a few 1e-17),
+# with spectra that round to them at their k
+ZERO_BLOCKS = [
+    (((2, 1),) * 6, 3, {"r_a": [2, 1], "r_b": [2, 1], "r_c": [2, 1], "r_ab": [2, 1, 0, 0],
+                        "r_bc": [2, 1, 0, 0], "r_abc": [2, 1] + [0] * 6}),
+    (((4, 2),) * 3 + ((4, 1, 1), (4, 1, 1), (3, 3)), 6,
+     {"r_a": [4, 2], "r_b": [4, 2], "r_c": [4, 2], "r_ab": [4, 1, 1, 0],
+      "r_bc": [4, 1, 1, 0], "r_abc": [3, 3] + [0] * 6}),
+]
+
+
+@pytest.mark.parametrize("labels, k, weights", ZERO_BLOCKS, ids=["k3", "k6"])
+def test_converse_probe_reports_zero_blocks_as_zero(labels, k, weights):
+    assert exact_hs_squared(*labels) == 0
+    assert recoupling_tensor(*labels).hs <= experiments.HS_ZERO
+    spectra = SpectraTuple(**{f: np.array(w) / k for f, w in weights.items()})
+    rep = cmd_converse_probe(spectra, [k])
+    (item,) = rep.items
+    assert tuple(tuple(item[name]) for name in ("alpha", "beta", "gamma", "mu", "nu", "lam")) \
+        == labels
+    assert item["hs"] == 0.0 and rep.summary["hs_sequence"] == [0.0]
+
+
 class TestSsaScan:
     def test_seeded_reproducibility(self):
         a = cmd_ssa_scan(10, seed=2)

@@ -165,6 +165,22 @@ K6_HS_SQUARED = [
 ]
 
 
+def unitary_blocks(alpha, beta, gamma, lam):
+    """{(nu, mu): block} read off full_recoupling_unitary by its row and column
+    counts g(beta gamma nu) g(alpha nu lam) and g(alpha beta mu) g(mu gamma lam)."""
+    u = full_recoupling_unitary(alpha, beta, gamma, lam)
+    rows = [kronecker_coefficient(beta, gamma, nu) * kronecker_coefficient(alpha, nu, lam)
+            for nu in u.nu_order]
+    cols = [kronecker_coefficient(alpha, beta, mu) * kronecker_coefficient(mu, gamma, lam)
+            for mu in u.mu_order]
+    assert u.matrix.shape == (sum(rows), sum(cols))
+    return {
+        (nu, mu): block
+        for nu, row in zip(u.nu_order, np.split(u.matrix, np.cumsum(rows)[:-1]))
+        for mu, block in zip(u.mu_order, np.split(row, np.cumsum(cols)[:-1], axis=1))
+    }
+
+
 class TestExactNorms:
     """hs^2 against the exact rational of the character sum, to a few ulp."""
 
@@ -179,6 +195,13 @@ class TestExactNorms:
                 labels = ((4, 2),) * 3 + (mu, nu, (3, 3))
                 assert exact_hs_squared(*labels) == want, labels
                 assert abs(recoupling_tensor(*labels).hs ** 2 - want) < 1e-13, labels
+
+    def test_unitary_k6_blocks_of_the_stacked_matrix(self):
+        blocks = unitary_blocks((4, 2), (4, 2), (4, 2), (3, 3))
+        assert len(blocks) == 9
+        for nu, row in zip(K6_MIDDLE, K6_HS_SQUARED):
+            for mu, want in zip(K6_MIDDLE, row):
+                assert abs(np.sum(blocks[nu, mu] ** 2) - want) < 1e-13, (nu, mu)
 
 
 class TestSumRuleAndUnitarity:
@@ -224,6 +247,25 @@ class TestSumRuleAndUnitarity:
             assert u.shape == (n, n)
             assert np.abs(u.T @ u - np.eye(n)).max() < 1e-8
             assert np.abs(u @ u.T - np.eye(n)).max() < 1e-8
+
+
+class TestUnitaryBlocks:
+    """The unitary and the single blocks share only the composite builders."""
+
+    @staticmethod
+    def assert_blocks_match(alpha, beta, gamma, lam):
+        for (nu, mu), block in unitary_blocks(alpha, beta, gamma, lam).items():
+            want = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).as_matrix()
+            assert block.shape == want.shape, (alpha, beta, gamma, mu, nu, lam)
+            assert np.abs(block - want).max() < 1e-13, (alpha, beta, gamma, mu, nu, lam)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_quadruple(self, k):
+        for quad in product(enumerate_partitions(k), repeat=4):
+            self.assert_blocks_match(*quad)
+
+    def test_unitary_k6(self):
+        self.assert_blocks_match((4, 2), (4, 2), (4, 2), (3, 3))
 
 
 class TestColumnSwaps:

@@ -52,10 +52,11 @@ def test_entry_point_accepts_well_formed_labels(fn):
 
 def test_labels_are_validated_where_they_enter(monkeypatch):
     # A cold full_recoupling_unitary((4,2), (4,2), (4,2), (3,3)) validates
-    # each label set once, in check_labels: 4 labels, 9 blocks of 6 and 36
-    # cg_isometries calls of 3.  The only other caller is young_orthogonal_rep,
-    # three times in each of the 6 canonical solves; no memoized kernel below
-    # the entry points re-validates.
+    # each label set once, in check_labels: 4 labels and 12 cg_isometries
+    # calls of 3, two for the composites of each of its three mu and three
+    # nu.  The only other caller is young_orthogonal_rep, three times in each
+    # of the 6 canonical solves; no memoized kernel below the entry points
+    # re-validates.
     modules = [m for name, m in sys.modules.items() if name.startswith("snrecoupling.")]
     for module in modules:
         for value in vars(module).values():
@@ -72,4 +73,4 @@ def test_labels_are_validated_where_they_enter(monkeypatch):
         if vars(module).get("check_partition") is original:
             monkeypatch.setattr(module, "check_partition", counted)
     snrecoupling.full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))
-    assert callers == {"check_labels": 4 + 9 * 6 + 36 * 3, "young_orthogonal_rep": 18}
+    assert callers == {"check_labels": 4 + 12 * 3, "young_orthogonal_rep": 18}
