@@ -155,7 +155,6 @@ class TestScalarCommands:
             assert line["swap_bl_residual"] < 1e-8
             assert line["swap_ag_residual"] < 1e-8
 
-
     def test_scan_recoupling_reports_zero_blocks_as_zero(self, capsys):
         code, out = run(capsys, "scan-recoupling", "--k", "3")
         assert code == 0

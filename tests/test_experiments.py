@@ -349,8 +349,8 @@ def test_converse_probe_reports_zero_blocks_as_zero(labels, k, weights):
     spectra = SpectraTuple(**{f: np.array(w) / k for f, w in weights.items()})
     rep = cmd_converse_probe(spectra, [k])
     (item,) = rep.items
-    assert tuple(tuple(item[name]) for name in ("alpha", "beta", "gamma", "mu", "nu", "lam")) \
-        == labels
+    names = ("alpha", "beta", "gamma", "mu", "nu", "lam")
+    assert tuple(tuple(item[name]) for name in names) == labels
     assert item["hs"] == 0.0 and rep.summary["hs_sequence"] == [0.0]
 
 
