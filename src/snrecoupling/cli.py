@@ -33,7 +33,6 @@ from .experiments import (
     cmd_spectrum_estimation,
     cmd_ssa_scan,
     cmd_overlap_certificate,
-    zeroed_hs,
 )
 from .intertwiner import cg_isometries, kronecker_coefficient
 from .quantumstates import (
@@ -147,7 +146,7 @@ def _cmd_scan_recoupling(args) -> int:
             json.dumps(
                 {
                     "labels": [list(l) for l in labels],
-                    "hs": zeroed_hs(tensor.hs),
+                    "hs": tensor.hs,
                     "swap_bl_residual": swap_bl.residual,
                     "swap_ag_residual": swap_ag.residual,
                 },
@@ -210,7 +209,7 @@ def _cmd_validate_state(args) -> int:
     except ValidationError as exc:
         _emit(json.dumps({"valid": False, "reason": str(exc)}), args.out)
         return 1
-    _emit(json.dumps({"valid": True, **state_residuals(mat)}, sort_keys=True), args.out)
+    _emit(json.dumps({"valid": True, **state_residuals(mat)[0]}, sort_keys=True), args.out)
     return 0
 
 

@@ -42,15 +42,7 @@ from .schurweyl import overlap_trace, projected_trace, tripartite_elements
 
 SCHEMA_VERSION = 1
 GATE_SLACK = 1e-9
-# a tuple with hs at or below HS_ZERO has a zero block: the float route
-# leaves roundoff of up to a few 1e-16 on exactly-zero blocks
-HS_ZERO = 1e-12
 TAIL_BOUND = 1e-3  # the spectrum-estimation tail figure, reported met or unmet
-
-
-def zeroed_hs(hs: float) -> float:
-    """The reported block norm: hs, or 0.0 for a zero block (hs <= HS_ZERO)."""
-    return float(hs) if hs > HS_ZERO else 0.0
 
 
 @dataclass
@@ -169,8 +161,8 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
 
         sum_ball hs  >=  |tr(P~ Q~ rho^k)|  >=  tr(P~ rho^k) - sqrt(1 - tr(Q~ rho^k)).
 
-    A tuple with hs <= HS_ZERO is a zero block: it is neither an item nor
-    counted in ``nonzero_tuple_count`` or ``sum_hs``.
+    A zero block (hs 0.0, see ``recoupling.HS_ZERO``) is neither an item
+    nor counted in ``nonzero_tuple_count`` or ``sum_hs``.
     """
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and non-negative, got {delta}")
@@ -196,7 +188,7 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
     sum_hs = 0.0
     for alpha, beta, gamma, mu, nu, lam in _admissible_tuples(balls):
         hs = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).hs
-        if hs > HS_ZERO:
+        if hs:
             items.append(
                 {
                     "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),
@@ -296,14 +288,14 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
     r = rho.spectrum()
 
     items = []
-    traces: dict[tuple[int, Partition], float] = {}
+    traces: dict[tuple[int, Partition], tuple[float, float]] = {}  # (trace, l1 distance)
     tails = []
     for k in range(1, k_max + 1):
         tail = 0.0
         for lam in enumerate_partitions(k, d):
             tr = projected_trace(lam, rho)
             dist = _l1_distance(lam, r)
-            traces[(k, lam)] = tr
+            traces[(k, lam)] = tr, dist
             items.append(
                 {
                     "k": k,
@@ -330,10 +322,9 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
             if first < (rest[0] if rest else 1):
                 continue
             lam = (first,) + rest
-            tr = traces[(k, lam)]
+            tr, dist = traces[(k, lam)]
             if tr <= 0:
                 continue
-            dist = _l1_distance(lam, r)
             seq.append((k, math.log(tr) + k * dist**2 / 2))
         incs = [seq[i + 1][1] - seq[i][1] for i in range(len(seq) - 1)]
         mono = all(incs[i + 1] <= incs[i] + GATE_SLACK for i in range(len(incs) - 1))
@@ -418,9 +409,9 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
     """Decay probe for spectra tuples, compatible or not with a joint state.
 
     Rounds the six target spectra to diagrams at each k and reports the
-    exact recoupling norm of the rounded tuple, 0.0 for a zero block (hs
-    <= HS_ZERO).  The local dimensions (a, b, c) are the lengths of r_a,
-    r_b and r_c; r_ab, r_bc and r_abc must have lengths ab, bc and abc.
+    recoupling norm of the rounded tuple, 0.0 for a zero block (see
+    ``recoupling.HS_ZERO``).  The local dimensions (a, b, c) are the lengths
+    of r_a, r_b and r_c; r_ab, r_bc and r_abc must have lengths ab, bc, abc.
     k runs over 1..7, where every label set fits ``DEFAULT_PRODUCT_CAP``.
     The decay sequence is a trend diagnostic, not a proof.
     """
@@ -443,7 +434,7 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
                 "k": k,
                 "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),
                 "mu": list(mu), "nu": list(nu), "lam": list(lam),
-                "hs": zeroed_hs(recoupling_tensor(*labels).hs),
+                "hs": recoupling_tensor(*labels).hs,
             }
         )
 

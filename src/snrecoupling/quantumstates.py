@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,24 +25,30 @@ EIGENVALUE_FLOOR = -1e-10
 SAMPLE_DIM_CAP = 512
 
 
-def state_residuals(mat: np.ndarray) -> dict[str, float]:
-    """The three quantities DensityMatrix checks a finite matrix against:
+def state_residuals(mat: np.ndarray) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
+    """The three quantities DensityMatrix checks a finite matrix against,
     ||M - M^H||_HS, |tr M - 1| and the lowest eigenvalue of the Hermitian
-    part (M + M^H) / 2, the matrix it stores."""
-    return {
+    part (M + M^H) / 2, the matrix it stores; and that part and its
+    ascending eigenvalues."""
+    herm = (mat + mat.conj().T) / 2
+    vals = np.linalg.eigvalsh(herm)
+    residuals = {
         "hermiticity": hs_norm(mat - mat.conj().T),
         "trace_defect": abs(complex(np.trace(mat)) - 1.0),
-        "min_eigenvalue": float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0]),
+        "min_eigenvalue": float(vals[0]),
     }
+    return residuals, herm, vals
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD trace-one matrix with subsystem dimension metadata, stored
-    as the Hermitian part (M + M^H) / 2 of the matrix it was checked on."""
+    as the Hermitian part (M + M^H) / 2 of the matrix it was checked on.  The
+    check's eigenvalues, clipped at 0, are the state's one spectrum."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tensor_shape(self.dims))
@@ -54,23 +60,24 @@ class DensityMatrix:
             )
         if not np.isfinite(mat).all():
             raise ValidationError("matrix has NaN or infinite entries")
-        res = state_residuals(mat)
+        res, herm, vals = state_residuals(mat)
         if res["hermiticity"] > HERMITICITY_TOL:
             raise ValidationError(f"not Hermitian: residual {res['hermiticity']:.3e}")
         if res["trace_defect"] > TRACE_TOL:
             raise ValidationError(f"trace differs from 1 by {res['trace_defect']:.3e}")
         if res["min_eigenvalue"] < EIGENVALUE_FLOOR:
             raise ValidationError(f"negative eigenvalue {res['min_eigenvalue']:.3e}")
-        herm = (mat + mat.conj().T) / 2
-        herm.setflags(write=False)
-        object.__setattr__(self, "matrix", herm)
+        spectrum = np.clip(vals[::-1], 0.0, None)
+        for name, value in (("matrix", herm), ("_spectrum", spectrum)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def marginal(self, keep: tuple[int, ...]) -> np.ndarray:
         return partial_trace(self.matrix, self.dims, keep)
 
     def spectrum(self) -> np.ndarray:
-        vals, _ = hermitian_eigensystem(self.matrix)
-        return clamp_spectrum(vals)
+        """The stored matrix's eigenvalues, clipped at 0, non-increasing, read-only."""
+        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -95,22 +102,14 @@ class SpectraTuple:
         }
 
 
-def clamp_spectrum(vals: np.ndarray) -> np.ndarray:
-    """Zero out numerically-negative eigenvalues; reject real negativity."""
-    vals = np.asarray(vals, dtype=float)
-    if vals.size and float(vals.min()) < EIGENVALUE_FLOOR:
-        raise ValidationError(f"negative eigenvalue {vals.min():.3e}")
-    return np.clip(vals, 0.0, None)
-
-
 def spectra_tuple(rho: DensityMatrix) -> SpectraTuple:
-    """Marginal spectra (A, B, C, AB, BC, ABC), each sorted non-increasingly."""
+    """Marginal spectra (A, B, C, AB, BC, ABC), non-increasing and clipped at 0."""
     if len(rho.dims) != 3:
         raise ValidationError("spectra_tuple needs a tripartite state")
 
     def spec(keep):
         vals, _ = hermitian_eigensystem(rho.marginal(keep))
-        return clamp_spectrum(vals)
+        return np.clip(vals, 0.0, None)
 
     return SpectraTuple(
         r_a=spec((0,)),
@@ -123,8 +122,11 @@ def spectra_tuple(rho: DensityMatrix) -> SpectraTuple:
 
 
 def von_neumann_entropy(probs) -> float:
-    """Base-2 entropy of a probability vector, such as ``rho.spectrum()``."""
-    probs = clamp_spectrum(probs)
+    """Base-2 entropy of a probability vector, such as ``rho.spectrum()``;
+    an entry below EIGENVALUE_FLOOR is refused, the other negatives count as 0."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.size and float(probs.min()) < EIGENVALUE_FLOOR:
+        raise ValidationError(f"negative eigenvalue {probs.min():.3e}")
     probs = probs[probs > 0]
     return float(-np.sum(probs * np.log2(probs)))
 

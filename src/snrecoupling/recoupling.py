@@ -41,6 +41,9 @@ from .tensorlinalg import hs_norm
 
 # floats of the composites one block or one unitary holds at once, 2 GiB
 COMPOSITE_FLOAT_CAP = 2**28
+# a block with hs at or below HS_ZERO is zero: the float contraction leaves
+# roundoff of up to a few 1e-16 on exactly-zero blocks
+HS_ZERO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,8 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     for the intertwiners i: alpha beta -> mu, j: mu gamma -> lam,
     k: beta gamma -> nu and l: alpha nu -> lam, each reshaped row-major
     (left factor slowest).  When any of the four multiplicities vanishes
-    the tensor is empty with hs = 0 and is not memoized.  Non-empty blocks
+    the tensor is empty with hs = 0 and is not memoized; a block with
+    hs <= ``HS_ZERO`` is zero, with exact zero entries.  Non-empty blocks
     are, since scans revisit tuples through the swap relations: the memo
     holds at most one block per six-tuple with four non-zero Kronecker
     coefficients (23,003 of the 290,521 tuples with at most three rows at
@@ -120,8 +124,11 @@ def _build_tensor(labels, shape) -> RecouplingTensor:
     alpha, beta, gamma, mu, nu, lam = labels
     right = _right(alpha, beta, gamma, nu, lam)
     entries = (right @ _left(alpha, beta, gamma, mu, lam).T).reshape(shape)
+    hs = hs_norm(entries)
+    if hs <= HS_ZERO:
+        entries, hs = np.zeros(shape), 0.0
     entries.setflags(write=False)
-    return RecouplingTensor(labels=labels, entries=entries, hs=hs_norm(entries))
+    return RecouplingTensor(labels=labels, entries=entries, hs=hs)
 
 
 def _left(alpha, beta, gamma, mu, lam) -> np.ndarray:
@@ -196,9 +203,9 @@ class ColumnSwapResult(NamedTuple):
 
     @property
     def residual(self) -> float:
-        """Relative defect of lhs = ratio * rhs; norms below 1e-12 count as zero."""
+        """Relative defect of lhs = ratio * rhs; 0.0 when both blocks are zero."""
         scale = max(self.lhs_hs, self.predicted_ratio * self.rhs_hs)
-        if scale < 1e-12:
+        if not scale:
             return 0.0
         return abs(self.lhs_hs - self.predicted_ratio * self.rhs_hs) / scale
 

@@ -47,7 +47,6 @@ from .combinatorics import (
 from .errors import ResourceLimitError, ValidationError
 from .quantumstates import DensityMatrix
 from .repsym import _character_row, character
-from .tensorlinalg import hermitian_eigensystem
 
 DENSE_CAP = 4096
 IMPLICIT_CAP = 1_000_000
@@ -87,7 +86,7 @@ def projected_trace(lam, rho: DensityMatrix) -> float:
     """
     (lam,) = check_labels(lam)
     k = sum(lam)
-    vals, _ = hermitian_eigensystem(rho.matrix)
+    vals = rho.spectrum()
     power_traces = [float(np.sum(vals**j)) for j in range(k + 1)]
     total = 0.0
     for t, size in conjugacy_classes(k):

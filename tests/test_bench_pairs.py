@@ -1,12 +1,14 @@
-"""The pair verdict of tools/bench_pairs.py, on made-up numbers (no benchmark runs)."""
+"""The pair verdict of tools/bench_pairs.py, on made-up numbers, and its choice
+of the change side's revision, on a throwaway repository (no benchmark runs)."""
 
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import verdict  # noqa: E402
+from bench_pairs import change_revision, git, verdict  # noqa: E402
 
 PARENT = [5.6, 5.5, 5.7, 5.6, 5.8, 5.5, 5.6, 5.7, 5.9, 5.6]
 
@@ -52,3 +54,46 @@ def test_higher_is_better_metric():
 def test_worse_than_bound():
     assert verdict(PARENT, [p * 1.3 for p in PARENT], "lower", 0.25)["worse_than_bound"]
     assert not verdict(PARENT, [p * 1.2 for p in PARENT], "lower", 0.25)["worse_than_bound"]
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A repository with one commit of src/a.py, isolated from the user's git
+    configuration."""
+    for var in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{var}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{var}_EMAIL", "bench@example.com")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", "/dev/null")
+    monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    git("add", "-A", root=tmp_path)
+    git("commit", "-q", "-m", "one", root=tmp_path)
+    return tmp_path
+
+
+def test_clean_tree_runs_from_head(repo):
+    (repo / "notes.txt").write_text("untracked outside src/ is fine\n")
+    assert change_revision(repo) == (git("rev-parse", "HEAD", root=repo), False)
+
+
+def test_tracked_changes_run_from_a_stash_commit_of_the_tree(repo):
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    (repo / "src" / "b.py").write_text("y = 3\n")
+    git("add", "src/b.py", root=repo)
+    rev, dirty = change_revision(repo)
+    assert dirty and rev != git("rev-parse", "HEAD", root=repo)
+    assert git("show", f"{rev}:src/a.py", root=repo) == "x = 2"
+    assert git("show", f"{rev}:src/b.py", root=repo) == "y = 3"
+    # the tree, the index and the stash list are left as they were
+    assert (repo / "src" / "a.py").read_text() == "x = 2\n"
+    assert git("diff", "--name-only", root=repo) == "src/a.py"
+    assert git("diff", "--cached", "--name-only", root=repo) == "src/b.py"
+    assert git("stash", "list", root=repo) == ""
+
+
+def test_untracked_file_under_src_is_refused(repo):
+    (repo / "src" / "new.py").write_text("z = 4\n")
+    with pytest.raises(SystemExit, match="src/new.py"):
+        change_revision(repo)

@@ -146,6 +146,11 @@ class TestScalarCommands:
         assert payload["hs"] == pytest.approx(1.0)
         assert payload["block_shape"] == [1, 1, 1, 1]
 
+    def test_recoupling_zero_block_prints_zeros(self, capsys):
+        code, out = run(capsys, "recoupling", "--labels", "2,1/2,1/2,1/2,1/2,1/2,1")
+        payload = json.loads(out)
+        assert code == 0 and payload["entries"] == [[[[0.0]]]] and payload["hs"] == 0.0
+
     def test_scan_recoupling(self, capsys):
         code, out = run(capsys, "scan-recoupling", "--k", "2")
         assert code == 0
@@ -278,6 +283,21 @@ class TestStateCommands:
         assert code == 0 and json.loads(out.splitlines()[-1])["passed"]
         code, out = run(capsys, "dimension-ratio", "--rho", path, "--k-list", "250")
         assert code == 0 and json.loads(out.splitlines()[-1])["passed"]
+
+    def test_state_on_the_eigenvalue_floor_is_usable(self, capsys, tmp_path):
+        # accepted with lowest eigenvalue -1e-10, on the floor; its A marginal
+        # has -4e-10, which no command downstream may refuse
+        path = tmp_path / "floor.json"
+        diag = [-1e-10] * 4 + [(1 + 4e-10) / 4] * 4
+        path.write_text(json.dumps({"dims": [2, 2, 2], "matrix": [
+            [[x if i == j else 0.0, 0.0] for j in range(8)] for i, x in enumerate(diag)]}))
+        code, out = run(capsys, "validate-state", str(path))
+        res = json.loads(out)
+        assert code == 0 and res["valid"] and res["min_eigenvalue"] == -1e-10
+        for command, *flags in (("overlap-certificate", "--k", "2", "--delta", "1.0"),
+                                ("dimension-ratio", "--k-list", "2,3")):
+            code, out = run(capsys, command, "--rho", str(path), *flags)
+            assert code == 0 and json.loads(out.splitlines()[-1])["passed"], command
 
     def test_validate_checks_the_eigenvalues_of_the_stored_matrix(self, capsys, tmp_path):
         # eigvalsh of the lower triangle reads -0.9e-10, inside the floor, but

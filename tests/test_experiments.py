@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snrecoupling import experiments
+from snrecoupling import experiments, recoupling
 from snrecoupling.combinatorics import round_spectrum
 from snrecoupling.errors import ValidationError
 from snrecoupling.recoupling import recoupling_tensor
@@ -102,7 +102,7 @@ class TestOverlapCertificate:
         items = []
         for labels in product(*balls):
             hs = recoupling_tensor(*labels).hs
-            if hs > experiments.HS_ZERO:
+            if hs > recoupling.HS_ZERO:
                 items.append({**{n: list(p) for n, p in zip(names, labels)}, "hs": float(hs)})
         assert rep.items == items
         assert rep.summary["sum_hs"] == sum(item["hs"] for item in items)
@@ -111,8 +111,8 @@ class TestOverlapCertificate:
         assert list(rep.summary["ball_sizes"].values()) == list(map(len, balls))
 
     def test_zero_blocks_are_not_items(self):
-        # the float route leaves hs of 1.2e-17 to 2.2e-16 on eight blocks of
-        # this certificate that are exactly zero; the next smallest hs is 1/3
+        # eight blocks of this certificate are exactly zero (the contraction
+        # leaves hs of 1.2e-17 to 2.2e-16 on them); the next smallest hs is 1/3
         rho = sample_hs_random((2, 2, 2), np.random.default_rng(1))
         rep = cmd_overlap_certificate(rho, k=4, delta=2.0)
         assert len(rep.items) == rep.summary["nonzero_tuple_count"] == 140
@@ -127,7 +127,7 @@ class TestOverlapCertificate:
         rows = (2, 2, 2, 4, 4, 8)
         balls = {n: experiments._ball(4, r, 2.0, m) for n, r, m in zip(names, radii, rows)}
         dropped = set(experiments._admissible_tuples(balls)) - set(kept)
-        assert sum(0 < recoupling_tensor(*labels).hs for labels in dropped) == 8
+        assert [recoupling_tensor(*labels).hs for labels in dropped] == [0.0] * 8
         for labels in dropped:
             assert exact_hs_squared(*labels) == 0, labels
 
@@ -345,7 +345,7 @@ ZERO_BLOCKS = [
 @pytest.mark.parametrize("labels, k, weights", ZERO_BLOCKS, ids=["k3", "k6"])
 def test_converse_probe_reports_zero_blocks_as_zero(labels, k, weights):
     assert exact_hs_squared(*labels) == 0
-    assert recoupling_tensor(*labels).hs <= experiments.HS_ZERO
+    assert recoupling_tensor(*labels).hs <= recoupling.HS_ZERO
     spectra = SpectraTuple(**{f: np.array(w) / k for f, w in weights.items()})
     rep = cmd_converse_probe(spectra, [k])
     (item,) = rep.items

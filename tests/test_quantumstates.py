@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from snrecoupling.combinatorics import enumerate_partitions
 from snrecoupling.errors import ValidationError
 from snrecoupling.quantumstates import (
     EIGENVALUE_FLOOR,
@@ -23,6 +25,7 @@ from snrecoupling.quantumstates import (
     von_neumann_entropy,
     weak_mono_gap,
 )
+from snrecoupling.schurweyl import projected_trace
 
 
 def random_pure_tripartite(seed):
@@ -149,6 +152,54 @@ class TestSpectraTuple:
         for vec in (s.r_a, s.r_b, s.r_c, s.r_ab, s.r_bc, s.r_abc):
             assert vec.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(np.diff(vec) <= 1e-12)
+
+
+def floor_state():
+    """diag(-1e-10 x 4, (1 + 4e-10) / 4 x 4) on (2, 2, 2): its lowest eigenvalue
+    is EIGENVALUE_FLOOR, and its A and AB marginals reach -4e-10 and -2e-10."""
+    return DensityMatrix(dims=(2, 2, 2), matrix=np.diag([-1e-10] * 4 + [(1 + 4e-10) / 4] * 4))
+
+
+class TestOneSpectrumPerState:
+    def test_spectrum_is_stored_read_only_and_non_increasing(self):
+        rho = sample_hs_random(4, seed=2)
+        spectrum = rho.spectrum()
+        assert spectrum is rho.spectrum() and not spectrum.flags.writeable
+        assert np.all(np.diff(spectrum) <= 0) and spectrum.min() >= 0
+        assert spectrum == pytest.approx(np.linalg.eigvalsh(rho.matrix)[::-1], abs=1e-15)
+
+    def test_marginals_of_an_accepted_state_are_clipped_not_refused(self):
+        rho = floor_state()
+        assert rho.spectrum().tolist() == [(1 + 4e-10) / 4] * 4 + [0.0] * 4
+        s = spectra_tuple(rho)
+        for vec in (s.r_a, s.r_b, s.r_c, s.r_ab, s.r_bc, s.r_abc):
+            assert vec.min() >= 0.0
+        assert s.r_a[1] == 0.0 and s.r_ab[2:].tolist() == [0.0, 0.0]
+        assert ssa_gap(s) == pytest.approx(0.0, abs=1e-8)
+
+    def test_one_decomposition_per_state(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, wrapper)
+
+        counted("eigvalsh")
+        counted("eigh")
+        # the check's eigvalsh is the spectrum of ABC; the five marginals
+        # take one eigh each
+        spectra_tuple(sample_hs_random((2, 2, 2), seed=3))
+        assert calls == {"eigvalsh": 1, "eigh": 5}
+        qubit = sample_hs_random(2, seed=3)
+        calls.clear()
+        qubit.spectrum()
+        traces = [projected_trace(lam, qubit) for lam in enumerate_partitions(20, 2)]
+        assert not calls
+        assert sum(traces) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEntropy:

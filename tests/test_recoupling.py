@@ -185,9 +185,17 @@ class TestExactNorms:
     """hs^2 against the exact rational of the character sum, to a few ulp."""
 
     def test_every_k3_tuple(self):
-        for labels in product(enumerate_partitions(3), repeat=6):
-            exact = exact_hs_squared(*labels)
-            assert abs(recoupling_tensor(*labels).hs ** 2 - exact) < 1e-13, labels
+        # and every k = 4 tuple: 25 of the 681 non-empty k = 4 blocks are
+        # exactly zero (the contraction leaves hs up to 2.2e-16 on them) and
+        # must come back as exact zeros; the smallest non-zero hs is 1/3
+        for k in (3, 4):
+            for labels in product(enumerate_partitions(k), repeat=6):
+                exact = exact_hs_squared(*labels)
+                block = recoupling_tensor(*labels)
+                if exact == 0:
+                    assert block.hs == 0.0 and not block.entries.any(), labels
+                else:
+                    assert abs(block.hs ** 2 - exact) < 1e-13, labels
 
     def test_unitary_k6_blocks(self):
         for nu, row in zip(K6_MIDDLE, K6_HS_SQUARED):
@@ -272,6 +280,13 @@ class TestColumnSwaps:
     def test_zero_when_multiplicities_vanish(self):
         r = column_swap_check((2,), (2,), (2,), (1, 1), (2,), (2,))
         assert r.lhs_hs == 0.0 and r.rhs_hs == 0.0
+
+    def test_zero_block_with_non_zero_multiplicities(self):
+        # every multiplicity of (2,1)^6 is 1, and its block is exactly zero
+        # (the contraction leaves hs 5.6e-17)
+        for check in (column_swap_check, column_swap_check_ag):
+            r = check(*((2, 1),) * 6)
+            assert r.lhs_hs == r.rhs_hs == 0.0 and r.residual == 0.0
 
     def test_k2_all_trivial_labels(self):
         r = column_swap_check((2,), (2,), (2,), (2,), (2,), (2,))

@@ -2,12 +2,16 @@
 
     python3 tools/bench_pairs.py --parent REF --workload NAME [--pairs 10] [--first-seed S]
 
-Run from anywhere; the change side is the checkout this file lives in, as
-its working tree stands.  REF is checked out with ``git worktree add
+Run from anywhere; the change side is the working tree of the checkout this
+file lives in, as it stands.  Both sides run from like checkouts: REF, and
+the commit ``git stash create`` makes of the tree's tracked changes (HEAD
+when there are none), are each checked out with ``git worktree add
 --detach`` into a temporary directory, which is removed again however the
-run ends.  Pair i runs each side's own, unchanged ``bench/run.py --trace 0``
-at seed S + i for the ``run_seconds`` of BENCHMARK.json, the parent first in
-even pairs and the change first in odd ones.
+run ends.  Untracked files under src/ are refused, since the stash commit
+would not carry them.  Pair i runs each side's own, unchanged
+``bench/run.py --trace 0`` at seed S + i for the ``run_seconds`` of
+BENCHMARK.json, the parent first in even pairs and the change first in odd
+ones.
 
 For each end-to-end metric of BENCHMARK.json it prints both sides' values,
 medians and quartiles and the number of pairs the change wins, ties counting
@@ -35,9 +39,21 @@ from bench_trajectory import ROOT, run_once, summarize
 GAIN_SHARE = 0.9
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, root: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def change_revision(root: Path = ROOT) -> tuple[str, bool]:
+    """The commit the change side runs from, and whether the tree has tracked
+    changes: ``git stash create`` (which leaves the tree and the stash list as
+    they are), or HEAD on a clean tree.  Exits on untracked files under src/."""
+    untracked = [line[3:] for line in git("status", "--porcelain", root=root).splitlines()
+                 if line.startswith("?? src/")]
+    if untracked:
+        raise SystemExit(f"untracked files under src/ would not be benchmarked: {untracked}")
+    stash = git("stash", "create", root=root)
+    return (stash, True) if stash else (git("rev-parse", "HEAD", root=root), False)
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -68,25 +84,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     parent_sha = git("rev-parse", "--short", args.parent)
-    change = git("rev-parse", "--short", "HEAD")
-    if git("status", "--porcelain", "--untracked-files=no"):
-        change += "-dirty"
+    change_rev, dirty = change_revision()
+    change = git("rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     series = {side: {name: [] for name in metrics} for side in ("parent", "change")}
     provenance, correct, order = {}, True, []
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(tree), args.parent)
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         try:
+            for side, rev in (("parent", args.parent), ("change", change_rev)):
+                git("worktree", "add", "--detach", str(trees[side]), rev)
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 order.append(list(sides))
                 for side in sides:
                     prov, result = run_once(spec["command"], args.workload, seed, seconds,
-                                            0, root=tree if side == "parent" else ROOT)
+                                            0, root=trees[side])
                     provenance.setdefault(side, prov)
                     correct &= result["correct"]
                     for name in metrics:
@@ -95,7 +111,9 @@ def main(argv=None) -> int:
                       f"{series['parent']['run_s'][-1]:.6g} change "
                       f"{series['change']['run_s'][-1]:.6g}", file=sys.stderr)
         finally:
-            git("worktree", "remove", "--force", str(tree))
+            for tree in trees.values():
+                if tree.exists():
+                    git("worktree", "remove", "--force", str(tree))
 
     report = {}
     for name, m in metrics.items():
