@@ -154,12 +154,6 @@ class TestSpectraTuple:
             assert np.all(np.diff(vec) <= 1e-12)
 
 
-def floor_state():
-    """diag(-1e-10 x 4, (1 + 4e-10) / 4 x 4) on (2, 2, 2): its lowest eigenvalue
-    is EIGENVALUE_FLOOR, and its A and AB marginals reach -4e-10 and -2e-10."""
-    return DensityMatrix(dims=(2, 2, 2), matrix=np.diag([-1e-10] * 4 + [(1 + 4e-10) / 4] * 4))
-
-
 class TestOneSpectrumPerState:
     def test_spectrum_is_stored_read_only_and_non_increasing(self):
         rho = sample_hs_random(4, seed=2)
@@ -169,7 +163,9 @@ class TestOneSpectrumPerState:
         assert spectrum == pytest.approx(np.linalg.eigvalsh(rho.matrix)[::-1], abs=1e-15)
 
     def test_marginals_of_an_accepted_state_are_clipped_not_refused(self):
-        rho = floor_state()
+        # lowest eigenvalue -1e-10, on EIGENVALUE_FLOOR; the A and AB
+        # marginals reach -4e-10 and -2e-10, below it
+        rho = DensityMatrix(dims=(2, 2, 2), matrix=np.diag([-1e-10] * 4 + [(1 + 4e-10) / 4] * 4))
         assert rho.spectrum().tolist() == [(1 + 4e-10) / 4] * 4 + [0.0] * 4
         s = spectra_tuple(rho)
         for vec in (s.r_a, s.r_b, s.r_c, s.r_ab, s.r_bc, s.r_abc):
