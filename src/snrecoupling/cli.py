@@ -36,13 +36,10 @@ from .experiments import (
 )
 from .intertwiner import cg_isometries, kronecker_coefficient
 from .quantumstates import (
-    DensityMatrix,
     load_json,
     load_state,
-    matrix_from_json,
     sample_hs_random,
     spectra_from_json,
-    state_residuals,
     state_to_json,
 )
 from .recoupling import column_swap_check, column_swap_check_ag, recoupling_tensor
@@ -202,14 +199,13 @@ def _cmd_ssa_scan(args) -> int:
 
 
 def _cmd_validate_state(args) -> int:
-    """Residuals of the matrix as written in the file, not of the one DensityMatrix stores."""
+    """Residuals of the matrix as written in the file, not of the one the state stores."""
     try:
-        dims, mat = matrix_from_json(load_json(args.state))
-        DensityMatrix(dims=dims, matrix=mat)
+        rho = load_state(args.state)
     except ValidationError as exc:
         _emit(json.dumps({"valid": False, "reason": str(exc)}), args.out)
         return 1
-    _emit(json.dumps({"valid": True, **state_residuals(mat)[0]}, sort_keys=True), args.out)
+    _emit(json.dumps({"valid": True, **rho.residuals}, sort_keys=True), args.out)
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cache
-from itertools import combinations, count
+from itertools import combinations
 from itertools import permutations as _itertools_permutations
 from typing import NamedTuple, Sequence
 
@@ -22,7 +22,7 @@ Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
 
 ROUND_K_MAX = 10**11  # largest k round_spectrum accepts; see its docstring
-CLASS_COUNT_CAP = 6_000  # admits k <= 30: p(30) = 5,604, p(31) = 6,842
+K_MAX = 30  # largest k of a character sum: S_30 has p(30) = 5,604 conjugacy classes
 
 
 class CycleType(NamedTuple):
@@ -44,18 +44,15 @@ def check_partition(rows: Sequence[int]) -> Partition:
 
 def check_labels(*parts: Sequence[int]) -> tuple[Partition, ...]:
     """Validate partitions that must all be partitions of one k, and refuse a
-    k whose S_k has more than ``CLASS_COUNT_CAP`` (read at each call)
-    conjugacy classes.  p(k) never decreases in k, so the recurrence stops at
-    the first value above the cap, however large k is."""
+    k above ``K_MAX`` (read at each call), whose S_k has more conjugacy
+    classes than a character sum may run over."""
     labels = tuple(map(check_partition, parts))
     if len(set(map(sum, labels))) != 1:
         raise ValidationError(f"labels {labels} do not share one k")
     k = sum(labels[0])
-    counts = _class_counts(CLASS_COUNT_CAP)
-    if k >= len(counts) - 1:
+    if k > K_MAX:
         raise ResourceLimitError(
-            f"S_{k} has p({k}) >= {counts[-1]} conjugacy classes, "
-            f"exceeds cap {CLASS_COUNT_CAP}"
+            f"S_{k} has more conjugacy classes than S_{K_MAX}: k = {k} exceeds cap {K_MAX}"
         )
     return labels
 
@@ -207,34 +204,6 @@ def _class_size(parts: Partition) -> int:
     size, rem = divmod(math.factorial(k), centralizer)
     assert rem == 0
     return size
-
-
-def partition_counts():
-    """p(0), p(1), p(2), ... without end: the number of partitions of n, by
-    Euler's pentagonal number recurrence
-    p(n) = sum_{j >= 1} (-1)^(j+1) (p(n - j(3j-1)/2) + p(n - j(3j+1)/2)),
-    with p(m) = 0 for m < 0.  O(n^1.5) additions up to n, against p(n)
-    partitions for enumerate_partitions."""
-    p = [1]
-    yield 1
-    for n in count(1):
-        total, j = 0, 1
-        while (pent := j * (3 * j - 1) // 2) <= n:
-            term = p[n - pent] + (p[n - pent - j] if pent + j <= n else 0)
-            total += term if j % 2 else -term
-            j += 1
-        p.append(total)
-        yield total
-
-
-@cache
-def _class_counts(cap: int) -> tuple[int, ...]:
-    """p(0), p(1), ... through the first value above cap."""
-    counts = []
-    for p in partition_counts():
-        counts.append(p)
-        if p > cap:
-            return tuple(counts)
 
 
 @cache

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import (
+    K_MAX,
     Partition,
     enumerate_partitions,
     log_sk_dimension,
@@ -32,6 +33,7 @@ from .quantumstates import (
     DensityMatrix,
     SpectraTuple,
     ghz_state,
+    group_dims,
     sample_hs_random,
     spectra_tuple,
     ssa_gap,
@@ -43,6 +45,7 @@ from .schurweyl import overlap_trace, projected_trace, tripartite_elements
 SCHEMA_VERSION = 1
 GATE_SLACK = 1e-9
 TAIL_BOUND = 1e-3  # the spectrum-estimation tail figure, reported met or unmet
+LABELS = ("alpha", "beta", "gamma", "mu", "nu", "lam")  # the report names of GROUPS
 
 
 @dataclass
@@ -121,21 +124,27 @@ def _ball(k: int, r: np.ndarray, delta: float, max_rows: int) -> list[Partition]
     ]
 
 
-def _admissible_tuples(balls: dict[str, list[Partition]]):
-    """The ball tuples (alpha, beta, gamma, mu, nu, lam) with four non-zero
-    Kronecker coefficients, in the order of their product.
+def _labels_record(labels: Sequence[Partition]) -> dict[str, list[int]]:
+    """The report fields of six labels, named by LABELS."""
+    return {name: list(lam) for name, lam in zip(LABELS, labels)}
+
+
+def _admissible_tuples(balls: Sequence[list[Partition]]):
+    """The tuples (alpha, beta, gamma, mu, nu, lam) of six balls with four
+    non-zero Kronecker coefficients, in the order of their product.
 
     Every other tuple has an empty recoupling block (hs = 0).  The ball
     labels come from enumerate_partitions, so they are canonical already.
     """
-    for alpha, beta, gamma in product(balls["alpha"], balls["beta"], balls["gamma"]):
-        for mu in balls["mu"]:
+    alphas, betas, gammas, mus, nus, lams = balls
+    for alpha, beta, gamma in product(alphas, betas, gammas):
+        for mu in mus:
             if not _kronecker_coefficient(alpha, beta, mu):
                 continue
-            for nu in balls["nu"]:
+            for nu in nus:
                 if not _kronecker_coefficient(beta, gamma, nu):
                     continue
-                for lam in balls["lam"]:
+                for lam in lams:
                     if (_kronecker_coefficient(mu, gamma, lam)
                             and _kronecker_coefficient(alpha, nu, lam)):
                         yield alpha, beta, gamma, mu, nu, lam
@@ -168,34 +177,16 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
         raise ValidationError(f"delta must be finite and non-negative, got {delta}")
     if len(rho.dims) != 3:
         raise ValidationError("certificate needs a tripartite state")
-    a, b, c = rho.dims
-    spectra = spectra_tuple(rho)
-
-    balls = {
-        "alpha": _ball(k, spectra.r_a, delta, a),
-        "beta": _ball(k, spectra.r_b, delta, b),
-        "gamma": _ball(k, spectra.r_c, delta, c),
-        "mu": _ball(k, spectra.r_ab, delta, a * b),
-        "nu": _ball(k, spectra.r_bc, delta, b * c),
-        "lam": _ball(k, spectra.r_abc, delta, a * b * c),
-    }
-
-    # balls is ordered alpha, beta, gamma, mu, nu, lam, as the chain expects
-    elements = tripartite_elements(*balls.values(), rho.dims, k)
+    balls = [_ball(k, r, delta, n) for r, n in zip(spectra_tuple(rho), group_dims(rho.dims))]
+    elements = tripartite_elements(*balls, rho.dims, k)
     t_pq, t_p, t_q = overlap_trace(elements, rho, k)
 
     items = []
     sum_hs = 0.0
-    for alpha, beta, gamma, mu, nu, lam in _admissible_tuples(balls):
-        hs = recoupling_tensor(alpha, beta, gamma, mu, nu, lam).hs
+    for labels in _admissible_tuples(balls):
+        hs = recoupling_tensor(*labels).hs
         if hs:
-            items.append(
-                {
-                    "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),
-                    "mu": list(mu), "nu": list(nu), "lam": list(lam),
-                    "hs": float(hs),
-                }
-            )
+            items.append({**_labels_record(labels), "hs": float(hs)})
             sum_hs += hs
 
     chain_first = sum_hs >= abs(t_pq) - GATE_SLACK
@@ -210,9 +201,9 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
             "t_pq_abs": float(abs(t_pq)),
             "sum_hs": float(sum_hs),
             "rhs_lower_bound": float(rhs),
-            "ball_tuple_count": math.prod(map(len, balls.values())),
+            "ball_tuple_count": math.prod(map(len, balls)),
             "nonzero_tuple_count": len(items),
-            "ball_sizes": {k_: len(v) for k_, v in balls.items()},
+            "ball_sizes": dict(zip(LABELS, map(len, balls))),
             "chain_first_holds": chain_first,
             "chain_second_holds": chain_second,
         },
@@ -283,8 +274,8 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and non-negative, got {delta}")
     d = rho.dims[0]
-    if d > 4 or not 1 <= k_max <= 30:
-        raise ValidationError("supported range is d <= 4, 1 <= k_max <= 30")
+    if d > 4 or not 1 <= k_max <= K_MAX:
+        raise ValidationError(f"supported range is d <= 4, 1 <= k_max <= {K_MAX}")
     r = rho.spectrum()
 
     items = []
@@ -364,10 +355,10 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
         raise ValidationError(
             f"dimension ratio needs a non-empty list of k values >= 2, got {list(k_values)}"
         )
-    a, b, c = rho.dims
+    _, b, _, ab, bc, abc = group_dims(rho.dims)
     spectra = spectra_tuple(rho)
     gap = ssa_gap(spectra)
-    big_c = 4.0 * (a * b + b * c + b + a * b * c)
+    big_c = 4.0 * (ab + bc + b + abc)
 
     items = []
     ok = True
@@ -415,10 +406,10 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
     k runs over 1..7, where every label set fits ``DEFAULT_PRODUCT_CAP``.
     The decay sequence is a trend diagnostic, not a proof.
     """
-    dims = a, b, c = np.size(spectra.r_a), np.size(spectra.r_b), np.size(spectra.r_c)
-    lengths = np.size(spectra.r_ab), np.size(spectra.r_bc), np.size(spectra.r_abc)
-    if lengths != (a * b, b * c, a * b * c):
-        raise ValidationError(f"r_ab, r_bc, r_abc have lengths {lengths}, not ab, bc, abc "
+    lengths = tuple(map(np.size, spectra))
+    dims = lengths[:3]
+    if lengths != group_dims(dims):
+        raise ValidationError(f"r_ab, r_bc, r_abc have lengths {lengths[3:]}, not ab, bc, abc "
                               f"for the lengths (a, b, c) = {dims} of r_a, r_b, r_c")
     if not k_values or not all(1 <= k <= 7 for k in k_values):
         raise ValidationError(
@@ -426,17 +417,8 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
         )
     items = []
     for k in k_values:
-        # as_dict lists the spectra in label order: alpha, beta, gamma, mu, nu, lam
-        labels = tuple(_round_marginal(r, k) for r in spectra.as_dict().values())
-        alpha, beta, gamma, mu, nu, lam = labels
-        items.append(
-            {
-                "k": k,
-                "alpha": list(alpha), "beta": list(beta), "gamma": list(gamma),
-                "mu": list(mu), "nu": list(nu), "lam": list(lam),
-                "hs": recoupling_tensor(*labels).hs,
-            }
-        )
+        labels = [_round_marginal(r, k) for r in spectra]
+        items.append({"k": k, **_labels_record(labels), "hs": recoupling_tensor(*labels).hs})
 
     return ExperimentReport(
         experiment="converse_probe",

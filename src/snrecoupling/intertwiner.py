@@ -55,9 +55,9 @@ PIVOT_TIE_RTOL = 1e-10
 def kronecker_coefficient(alpha, beta, lam) -> int:
     """Multiplicity of [lam] inside [alpha] (x) [beta], exact integer (memoized).
 
-    Its character sum has one term per conjugacy class of S_k: above
-    ``combinatorics.CLASS_COUNT_CAP`` classes ``check_labels`` raises
-    ResourceLimitError before any character is computed.
+    Its character sum has one term per conjugacy class of S_k: for a k
+    above ``combinatorics.K_MAX`` ``check_labels`` raises ResourceLimitError
+    before any character is computed.
     """
     return _kronecker_coefficient(*check_labels(alpha, beta, lam))
 
@@ -104,7 +104,7 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
     Jucys-Murphy operator the solver holds.  Since g * dim[target] <= n
     there, it also bounds the g * dim[alpha] * dim[beta] * dim[lam] floats
     of the returned maps.  Every label set at k <= 7 fits it.  Larger ones,
-    and every k above ``combinatorics.CLASS_COUNT_CAP`` classes, raise
+    and every k above ``combinatorics.K_MAX``, raise
     ResourceLimitError before any character sum or allocation.
     """
     alpha, beta, lam = check_labels(alpha, beta, lam)

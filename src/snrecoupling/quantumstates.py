@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,29 +26,28 @@ EIGENVALUE_FLOOR = -1e-10
 SAMPLE_DIM_CAP = 512
 
 
-def state_residuals(mat: np.ndarray) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
-    """The three quantities DensityMatrix checks a finite matrix against,
-    ||M - M^H||_HS, |tr M - 1| and the lowest eigenvalue of the Hermitian
-    part (M + M^H) / 2, the matrix it stores; and that part and its
-    ascending eigenvalues."""
-    herm = (mat + mat.conj().T) / 2
-    vals = np.linalg.eigvalsh(herm)
-    residuals = {
-        "hermiticity": hs_norm(mat - mat.conj().T),
-        "trace_defect": abs(complex(np.trace(mat)) - 1.0),
-        "min_eigenvalue": float(vals[0]),
-    }
-    return residuals, herm, vals
+# the subsystems whose spectra the labels (alpha, beta, gamma, mu, nu, lam)
+# stand for: A, B, C, AB, BC and ABC of a tripartite state (no AC)
+GROUPS = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2))
+
+
+def group_dims(dims) -> tuple[int, ...]:
+    """(a, b, c, ab, bc, abc): the dimension of each of GROUPS for local dims (a, b, c)."""
+    return tuple(math.prod(dims[i] for i in keep) for keep in GROUPS)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD trace-one matrix with subsystem dimension metadata, stored
-    as the Hermitian part (M + M^H) / 2 of the matrix it was checked on.  The
-    check's eigenvalues, clipped at 0, are the state's one spectrum."""
+    as the Hermitian part (M + M^H) / 2 of the matrix M it was checked on.
+
+    ``residuals`` holds what the check measured: ||M - M^H||_HS, |tr M - 1|
+    and the lowest eigenvalue of the stored part.  That part's eigenvalues,
+    clipped at 0, are the state's one spectrum."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    residuals: dict[str, float] = field(init=False, repr=False, compare=False)
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,7 +60,13 @@ class DensityMatrix:
             )
         if not np.isfinite(mat).all():
             raise ValidationError("matrix has NaN or infinite entries")
-        res, herm, vals = state_residuals(mat)
+        herm = (mat + mat.conj().T) / 2
+        vals = np.linalg.eigvalsh(herm)
+        res = {
+            "hermiticity": hs_norm(mat - mat.conj().T),
+            "trace_defect": abs(complex(np.trace(mat)) - 1.0),
+            "min_eigenvalue": float(vals[0]),
+        }
         if res["hermiticity"] > HERMITICITY_TOL:
             raise ValidationError(f"not Hermitian: residual {res['hermiticity']:.3e}")
         if res["trace_defect"] > TRACE_TOL:
@@ -68,8 +74,9 @@ class DensityMatrix:
         if res["min_eigenvalue"] < EIGENVALUE_FLOOR:
             raise ValidationError(f"negative eigenvalue {res['min_eigenvalue']:.3e}")
         spectrum = np.clip(vals[::-1], 0.0, None)
-        for name, value in (("matrix", herm), ("_spectrum", spectrum)):
+        for value in (herm, spectrum):
             value.setflags(write=False)
+        for name, value in (("matrix", herm), ("residuals", res), ("_spectrum", spectrum)):
             object.__setattr__(self, name, value)
 
     def marginal(self, keep: tuple[int, ...]) -> np.ndarray:
@@ -80,9 +87,8 @@ class DensityMatrix:
         return self._spectrum
 
 
-@dataclass(frozen=True)
-class SpectraTuple:
-    """The six ordered marginal spectra of a tripartite state (no AC)."""
+class SpectraTuple(NamedTuple):
+    """The six ordered marginal spectra of a tripartite state, one per entry of GROUPS."""
 
     r_a: np.ndarray
     r_b: np.ndarray
@@ -92,33 +98,17 @@ class SpectraTuple:
     r_abc: np.ndarray
 
     def as_dict(self) -> dict[str, list[float]]:
-        return {
-            "r_a": self.r_a.tolist(),
-            "r_b": self.r_b.tolist(),
-            "r_c": self.r_c.tolist(),
-            "r_ab": self.r_ab.tolist(),
-            "r_bc": self.r_bc.tolist(),
-            "r_abc": self.r_abc.tolist(),
-        }
+        return {name: r.tolist() for name, r in zip(self._fields, self)}
 
 
 def spectra_tuple(rho: DensityMatrix) -> SpectraTuple:
-    """Marginal spectra (A, B, C, AB, BC, ABC), non-increasing and clipped at 0."""
+    """Marginal spectra on GROUPS, non-increasing and clipped at 0."""
     if len(rho.dims) != 3:
         raise ValidationError("spectra_tuple needs a tripartite state")
-
-    def spec(keep):
-        vals, _ = hermitian_eigensystem(rho.marginal(keep))
-        return np.clip(vals, 0.0, None)
-
-    return SpectraTuple(
-        r_a=spec((0,)),
-        r_b=spec((1,)),
-        r_c=spec((2,)),
-        r_ab=spec((0, 1)),
-        r_bc=spec((1, 2)),
-        r_abc=rho.spectrum(),
+    marginals = (
+        np.clip(hermitian_eigensystem(rho.marginal(keep))[0], 0.0, None) for keep in GROUPS[:5]
     )
+    return SpectraTuple(*marginals, rho.spectrum())
 
 
 def von_neumann_entropy(probs) -> float:
@@ -207,8 +197,7 @@ def state_to_json(rho: DensityMatrix) -> dict:
     return {"dims": list(rho.dims), "matrix": mat}
 
 
-def matrix_from_json(payload: dict) -> tuple[tuple[int, ...], np.ndarray]:
-    """The dims and the complex matrix of a state file, as written, unchecked."""
+def state_from_json(payload: dict) -> DensityMatrix:
     try:
         dims = tuple(int(d) for d in payload["dims"])
         raw = payload["matrix"]
@@ -217,18 +206,14 @@ def matrix_from_json(payload: dict) -> tuple[tuple[int, ...], np.ndarray]:
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
-    return dims, mat
-
-
-def state_from_json(payload: dict) -> DensityMatrix:
-    return DensityMatrix(*matrix_from_json(payload))
+    return DensityMatrix(dims, mat)
 
 
 def spectra_from_json(payload: dict) -> SpectraTuple:
     """Inverse of SpectraTuple.as_dict."""
     try:
         return SpectraTuple(
-            **{f.name: np.asarray(payload[f.name], dtype=float) for f in fields(SpectraTuple)}
+            *(np.asarray(payload[name], dtype=float) for name in SpectraTuple._fields)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed spectra file: {exc!r}") from exc

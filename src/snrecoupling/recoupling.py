@@ -94,7 +94,7 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     are, since scans revisit tuples through the swap relations: the memo
     holds at most one block per six-tuple with four non-zero Kronecker
     coefficients (23,003 of the 290,521 tuples with at most three rows at
-    k = 6).  A k above ``combinatorics.CLASS_COUNT_CAP`` classes raises
+    k = 6).  A k above ``combinatorics.K_MAX`` raises
     ResourceLimitError before any Kronecker coefficient is computed, here
     and in ``full_recoupling_unitary``.  ``COMPOSITE_FLOAT_CAP``, read at
     each call, bounds the (g_i g_j + g_k g_l) dim[alpha] dim[beta] dim[gamma]

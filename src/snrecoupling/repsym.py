@@ -113,7 +113,7 @@ def character(lam: Sequence[int], cycle_type: Sequence[int]) -> int:
     """Exact integer character value of S_k at the given cycle type.
 
     Refused by ``check_labels``, before any recursion, for a k above
-    ``combinatorics.CLASS_COUNT_CAP`` classes: the memo grows with the
+    ``combinatorics.K_MAX``: the memo grows with the
     partitions inside lam that the rim-hook recursion reaches, about
     binom(2n, n) for an n x n box at 1^(n^2).
     """

@@ -45,7 +45,7 @@ from .combinatorics import (
     perm_inverse,
 )
 from .errors import ResourceLimitError, ValidationError
-from .quantumstates import DensityMatrix
+from .quantumstates import GROUPS, DensityMatrix
 from .repsym import _character_row, character
 
 DENSE_CAP = 4096
@@ -80,9 +80,8 @@ def projected_trace(lam, rho: DensityMatrix) -> float:
     """tr(P_lam rho^(x k)) via cycle types, k = |lam|: one term per partition of k.
 
     Needs only the power traces tr(rho^j), so it scales to k ~ 30 where no
-    projector could ever be materialized; a k above
-    ``combinatorics.CLASS_COUNT_CAP`` classes raises ResourceLimitError
-    before any character.
+    projector could ever be materialized; a k above ``combinatorics.K_MAX``
+    raises ResourceLimitError before any character.
     """
     (lam,) = check_labels(lam)
     k = sum(lam)
@@ -176,8 +175,6 @@ def trace_with_tensor_power(mat: np.ndarray, rho: np.ndarray, k: int) -> complex
 # Under permutation_index_map's convention U(pi) U(tau) = U(pi o tau), with
 # (pi o tau)[t] = pi[tau[t]], so operator products are group-algebra products.
 
-_GROUP_AXES = {"AB": (0, 1), "BC": (1, 2), "ABC": (0, 1, 2)}
-
 
 class _SkTables(NamedTuple):
     perms: tuple[Permutation, ...]
@@ -218,13 +215,14 @@ def _check_algebra_size(dims: Sequence[int], k: int) -> None:
         )
 
 
-def _times_ball(x: np.ndarray, coeffs: np.ndarray, group: str, tables: _SkTables) -> np.ndarray:
-    """x S for the ball factor S = sum_pi c(pi) U_group(pi).
+def _times_ball(
+    x: np.ndarray, coeffs: np.ndarray, axes: tuple[int, ...], tables: _SkTables
+) -> np.ndarray:
+    """x S for the ball factor S = sum_pi c(pi) U(pi) on the subsystems `axes`.
 
-    (x S)[h] = sum_pi c(pi) x[h o pi^-1 on the axes of `group`]: one gather
-    through the multiplication table per permutation with c(pi) != 0.
+    (x S)[h] = sum_pi c(pi) x[h o pi^-1 on `axes`]: one gather through the
+    multiplication table per permutation with c(pi) != 0.
     """
-    axes = _GROUP_AXES[group]
     every = np.arange(x.shape[0])
     out = np.zeros_like(x)
     for j in np.flatnonzero(coeffs):
@@ -246,9 +244,10 @@ def tripartite_elements(
 
     Each argument is a collection of distinct labels (a one-element list for
     a single tuple), summed into one ball factor S_alpha, ..., S_lam on the
-    subsystem groups A, B, C, AB, BC, ABC.  With abc = S_alpha S_beta S_gamma,
-    P~ = abc S_alpha S_nu S_lam, Q~ = abc S_mu S_gamma S_lam, and P~ Q~ is
-    P~ times both chains of Q~.  Two identities leave four passes:
+    subsystem groups A, B, C, AB, BC, ABC of ``quantumstates.GROUPS``.  With
+    abc = S_alpha S_beta S_gamma, P~ = abc S_alpha S_nu S_lam,
+    Q~ = abc S_mu S_gamma S_lam, and P~ Q~ is P~ times both chains of Q~.
+    Two identities leave four passes:
 
     - S_alpha, S_beta, S_gamma are class functions of one factor, so sums of
       distinct central primitive idempotents: abc commutes with every U(g),
@@ -266,13 +265,14 @@ def tripartite_elements(
     c_a, c_b, c_c, c_mu, c_nu, c_lam = (
         _ball_coefficients(labels, k) for labels in (alphas, betas, gammas, mus, nus, lams)
     )
+    on_ab, on_bc, on_abc = GROUPS[3:]
     abc = c_a[:, None, None] * c_b[None, :, None] * c_c[None, None, :]
-    x = _times_ball(abc, c_lam, "ABC", tables)
-    p_tilde = _times_ball(x, c_nu, "BC", tables)
+    x = _times_ball(abc, c_lam, on_abc, tables)
+    p_tilde = _times_ball(x, c_nu, on_bc, tables)
     return TripartiteElements(
         p_tilde=p_tilde,
-        q_tilde=_times_ball(x, c_mu, "AB", tables),
-        pq=_times_ball(p_tilde, c_mu, "AB", tables),
+        q_tilde=_times_ball(x, c_mu, on_ab, tables),
+        pq=_times_ball(p_tilde, c_mu, on_ab, tables),
     )
 
 

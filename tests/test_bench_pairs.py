@@ -1,5 +1,6 @@
 """The pair verdict of tools/bench_pairs.py, on made-up numbers, and its choice
-of the change side's revision, on a throwaway repository (no benchmark runs)."""
+of the change side's revision and its source line count, on a throwaway
+repository (no benchmark runs)."""
 
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import change_revision, git, verdict  # noqa: E402
+from bench_pairs import change_revision, git, src_lines, verdict  # noqa: E402
 
 PARENT = [5.6, 5.5, 5.7, 5.6, 5.8, 5.5, 5.6, 5.7, 5.9, 5.6]
 
@@ -97,3 +98,21 @@ def test_untracked_file_under_src_is_refused(repo):
     (repo / "src" / "new.py").write_text("z = 4\n")
     with pytest.raises(SystemExit, match="src/new.py"):
         change_revision(repo)
+
+
+def test_src_lines_counts_the_package_sources_of_a_worktree(repo, tmp_path_factory):
+    pkg = repo / "src" / "snrecoupling"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts none
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    git("add", "-A", root=repo)
+    git("commit", "-q", "-m", "two", root=repo)
+    (pkg / "a.py").write_text("x = 1\n")  # the worktree sees the commit, not this
+    tree = tmp_path_factory.mktemp("worktrees") / "change"
+    git("worktree", "add", "--detach", str(tree), "HEAD", root=repo)
+    try:
+        assert src_lines(tree) == 2
+    finally:
+        git("worktree", "remove", "--force", str(tree), root=repo)
+    assert src_lines(repo) == 1

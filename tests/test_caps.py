@@ -8,7 +8,7 @@ module constant read at call time, so the tests set it with monkeypatch.
 
 import math
 import tracemalloc
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from snrecoupling import (
 from snrecoupling.combinatorics import (
     conjugacy_classes,
     enumerate_partitions,
-    partition_counts,
     sk_dimension,
 )
 from snrecoupling.errors import ResourceLimitError
@@ -112,9 +111,8 @@ def test_product_cap_admits_a_pair_above_it_with_a_small_solve():
 @given(labels(6, 3))
 def test_class_count_cap(triple):
     # every entry point that reaches a character sum or recursion refuses a
-    # k with more classes than the cap before it computes any character
+    # k above the cap before it computes any character
     k = sum(triple[0])
-    need = len(conjugacy_classes(k))
     refused = (
         (kronecker_coefficient, triple),
         (cg_isometries, triple),
@@ -128,22 +126,22 @@ def test_class_count_cap(triple):
     _bead_character.cache_clear()
     _kronecker_coefficient.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(combinatorics, "CLASS_COUNT_CAP", need - 1)
+        mp.setattr(combinatorics, "K_MAX", k - 1)
         for fn, args in refused:
             with pytest.raises(ResourceLimitError):
                 fn(*args)
         assert _character_row.cache_info().currsize == 0
         assert _bead_character.cache_info().currsize == 0
-        mp.setattr(combinatorics, "CLASS_COUNT_CAP", need)
+        mp.setattr(combinatorics, "K_MAX", k)
         assert kronecker_coefficient(*triple) >= 0
         assert character(triple[0], (1,) * k) == sk_dimension(triple[0])
 
 
 def test_class_count_cap_at_its_value():
-    # p(30) = 5,604 classes are admitted and p(31) = 6,842 are not.  A k = 60
-    # sum took 50 s at 1.1 GB; its refusal allocates next to nothing.
-    p30, p31 = islice(partition_counts(), 30, 32)
-    assert p30 <= combinatorics.CLASS_COUNT_CAP < p31
+    # k = 30, with p(30) = 5,604 classes, is admitted and a larger k is not.
+    # A k = 60 sum took 50 s at 1.1 GB; its refusal allocates next to nothing.
+    assert combinatorics.K_MAX == 30
+    assert len(conjugacy_classes(30)) == 5_604
     assert kronecker_coefficient((29, 1), (29, 1), (30,)) == 1
     tracemalloc.start()
     try:

@@ -1,5 +1,5 @@
 import math
-from itertools import islice, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from snrecoupling.combinatorics import (
     enumerate_partitions,
     log_sk_dimension,
     normalize,
-    partition_counts,
     perm_compose,
     perm_cycle_type,
     perm_inverse,
@@ -112,14 +111,6 @@ class TestEnumeration:
     @pytest.mark.parametrize("k,max_rows", [(4, 4), (5, 2), (6, 3), (7, 7)])
     def test_matches_brute_force(self, k, max_rows):
         assert set(enumerate_partitions(k, max_rows)) == brute_force_partitions(k, max_rows)
-
-    def test_pentagonal_counts_match_enumeration(self):
-        counts = list(islice(partition_counts(), 26))
-        assert counts[0] == 1
-        assert counts[1:] == [len(enumerate_partitions(k)) for k in range(1, 26)]
-        # p(30) and p(100), Hardy-Ramanujan's table
-        assert next(islice(partition_counts(), 30, None)) == 5_604
-        assert next(islice(partition_counts(), 100, None)) == 190_569_292
 
     def test_reverse_lexicographic(self):
         parts = enumerate_partitions(6)

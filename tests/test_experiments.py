@@ -12,6 +12,7 @@ from snrecoupling.recoupling import recoupling_tensor
 from snrecoupling.schurweyl import projected_trace
 from snrecoupling.experiments import (
     GATE_SLACK,
+    LABELS,
     _chain_second,
     cmd_converse_probe,
     cmd_dimension_ratio,
@@ -126,7 +127,7 @@ class TestOverlapCertificate:
                  spectra.r_abc)
         rows = (2, 2, 2, 4, 4, 8)
         balls = {n: experiments._ball(4, r, 2.0, m) for n, r, m in zip(names, radii, rows)}
-        dropped = set(experiments._admissible_tuples(balls)) - set(kept)
+        dropped = set(experiments._admissible_tuples(balls.values())) - set(kept)
         assert [recoupling_tensor(*labels).hs for labels in dropped] == [0.0] * 8
         for labels in dropped:
             assert exact_hs_squared(*labels) == 0, labels
@@ -387,3 +388,14 @@ class TestReportFormats:
         csv_text = rep.to_csv()
         head = csv_text.splitlines()[0]
         assert "ssa_gap" in head and "weak_mono_gap" in head
+
+
+def test_reports_name_the_labels_in_label_order():
+    assert LABELS == ("alpha", "beta", "gamma", "mu", "nu", "lam")
+    rep = cmd_overlap_certificate(sample_hs_random((2, 2, 3), 1), k=3, delta=1.0)
+    assert rep.items
+    assert tuple(rep.summary["ball_sizes"]) == LABELS
+    assert all(tuple(item) == (*LABELS, "hs") for item in rep.items)
+    assert rep.to_csv().splitlines()[0] == "alpha,beta,gamma,mu,nu,lam,hs"
+    probe = cmd_converse_probe(spectra_tuple(maximally_mixed((2, 2, 2))), [1, 2, 3])
+    assert all(tuple(item) == ("k", *LABELS, "hs") for item in probe.items)

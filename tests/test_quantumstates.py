@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from snrecoupling import cli
 from snrecoupling.combinatorics import enumerate_partitions
 from snrecoupling.errors import ValidationError
 from snrecoupling.quantumstates import (
@@ -13,11 +14,14 @@ from snrecoupling.quantumstates import (
     HERMITICITY_TOL,
     TRACE_TOL,
     DensityMatrix,
+    SpectraTuple,
     ghz_state,
+    group_dims,
     load_state,
     maximally_mixed,
     pure_state,
     sample_hs_random,
+    spectra_from_json,
     spectra_tuple,
     ssa_gap,
     state_from_json,
@@ -26,6 +30,7 @@ from snrecoupling.quantumstates import (
     weak_mono_gap,
 )
 from snrecoupling.schurweyl import projected_trace
+from snrecoupling.tensorlinalg import partial_trace
 
 
 def random_pure_tripartite(seed):
@@ -154,6 +159,33 @@ class TestSpectraTuple:
             assert np.all(np.diff(vec) <= 1e-12)
 
 
+class TestGroups:
+    """The label <-> subsystem table, against copies written out here."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (3, 2, 2)])
+    def test_group_dims(self, dims):
+        a, b, c = dims
+        assert group_dims(dims) == (a, b, c, a * b, b * c, a * b * c)
+
+    def test_spectra_are_the_marginal_spectra_in_label_order(self):
+        rho = sample_hs_random((2, 2, 3), seed=5)
+        keeps = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2))
+        got = tuple(spectra_tuple(rho))
+        assert len(got) == len(keeps)
+        for r, keep in zip(got, keeps):
+            vals = np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, keep))
+            assert r == pytest.approx(np.clip(vals[::-1], 0.0, None), abs=1e-14), keep
+
+    def test_as_dict_round_trips(self):
+        s = spectra_tuple(sample_hs_random((2, 2, 3), seed=5))
+        d = s.as_dict()
+        assert list(d) == ["r_a", "r_b", "r_c", "r_ab", "r_bc", "r_abc"]
+        again = SpectraTuple(**d)
+        assert [list(r) for r in again] == [r.tolist() for r in s]
+        loaded = spectra_from_json(json.loads(json.dumps(d)))
+        assert [r.tolist() for r in loaded] == [r.tolist() for r in s]
+
+
 class TestOneSpectrumPerState:
     def test_spectrum_is_stored_read_only_and_non_increasing(self):
         rho = sample_hs_random(4, seed=2)
@@ -196,6 +228,32 @@ class TestOneSpectrumPerState:
         traces = [projected_trace(lam, qubit) for lam in enumerate_partitions(20, 2)]
         assert not calls
         assert sum(traces) == pytest.approx(1.0, abs=1e-12)
+
+    def test_validate_state_decomposes_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_json(sample_hs_random((2, 2, 3), seed=3))))
+        calls = Counter()
+        original = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls["eigvalsh"] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert cli.main(["validate-state", str(path)]) == 0
+        assert calls == {"eigvalsh": 1}
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"valid": True, **load_state(path).residuals}
+
+    def test_residuals_are_of_the_matrix_as_given(self):
+        # stored is the Hermitian part, with trace 1 + 1e-11; the residuals
+        # measure the skew entry and the trace of the matrix passed in
+        m = np.diag([0.6, 0.4 + 1e-11]).astype(complex)
+        m[0, 1] = 1e-11
+        rho = DensityMatrix(dims=(2,), matrix=m)
+        assert rho.residuals["hermiticity"] == pytest.approx(math.sqrt(2) * 1e-11, rel=1e-9)
+        assert rho.residuals["trace_defect"] == pytest.approx(1e-11, rel=1e-4)
+        assert rho.residuals["min_eigenvalue"] == pytest.approx(0.4, abs=1e-10)
+        assert rho.matrix[0, 1] == rho.matrix[1, 0] == 5e-12
 
 
 class TestEntropy:

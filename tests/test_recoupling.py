@@ -197,6 +197,18 @@ class TestExactNorms:
                 else:
                     assert abs(block.hs ** 2 - exact) < 1e-13, labels
 
+    def test_exact_families_k6(self):
+        # both families of TestExactFamilies for every alpha of k <= 6: 58 blocks
+        for k in range(1, 7):
+            triv, sign = (k,), (1,) * k
+            for alpha in enumerate_partitions(k):
+                want = Fraction(1, sk_dimension(alpha) ** 2)
+                conj = conjugate_partition(alpha)
+                for labels in ((alpha, alpha, alpha, triv, triv, alpha),
+                               (alpha, conj, alpha, sign, sign, conj)):
+                    assert exact_hs_squared(*labels) == want, labels
+                    assert abs(recoupling_tensor(*labels).hs ** 2 - want) < 1e-13, labels
+
     def test_unitary_k6_blocks(self):
         for nu, row in zip(K6_MIDDLE, K6_HS_SQUARED):
             for mu, want in zip(K6_MIDDLE, row):

@@ -433,12 +433,12 @@ def literal_chain(balls, k):
     tables = _sk_tables(k)
     s_a, s_b, s_c, s_mu, s_nu, s_lam = (
         (_ball_coefficients(labels, k), group)
-        for labels, group in zip(balls, (0, 1, 2, "AB", "BC", "ABC"))
+        for labels, group in zip(balls, (0, 1, 2, (0, 1), (1, 2), (0, 1, 2)))
     )
 
     def times(x, *factors):
         for coeffs, group in factors:
-            if isinstance(group, str):
+            if isinstance(group, tuple):
                 x = _times_ball(x, coeffs, group, tables)
                 continue
             out = np.zeros_like(x)

@@ -19,8 +19,11 @@ for neither, and gives the verdict of the pair rule: a gain only when the
 change wins at least nine tenths of the pairs and the medians differ, in the
 better direction, by more than the distance between the parent's quartiles.
 It also flags a change median worse than the parent's by more than the
-metric's bound.  Everything goes to PAIRS_<date>_<workload>_<parent>_<change>.json
-at the root of the checkout.  Exit code 1 if any run failed its output checks.
+metric's bound.  With them it prints and records ``src_lines``, the newline
+count of src/snrecoupling/*.py (the total of ``wc -l``) on each side, so that
+a claim of less code is checked in next to its measurements.  Everything goes to
+PAIRS_<date>_<workload>_<parent>_<change>.json at the root of the checkout.
+Exit code 1 if any run failed its output checks.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ def change_revision(root: Path = ROOT) -> tuple[str, bool]:
         raise SystemExit(f"untracked files under src/ would not be benchmarked: {untracked}")
     stash = git("stash", "create", root=root)
     return (stash, True) if stash else (git("rev-parse", "HEAD", root=root), False)
+
+
+def src_lines(root: Path) -> int:
+    """Newlines in src/snrecoupling/*.py under root, as ``wc -l`` totals them."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "snrecoupling").glob("*.py"))
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -96,6 +104,7 @@ def main(argv=None) -> int:
         try:
             for side, rev in (("parent", args.parent), ("change", change_rev)):
                 git("worktree", "add", "--detach", str(trees[side]), rev)
+            lines = {side: src_lines(tree) for side, tree in trees.items()}
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -129,12 +138,14 @@ def main(argv=None) -> int:
               f"{'GAIN' if r['gain'] else 'no gain'}"
               f"{'  WORSE THAN BOUND' if r['worse_than_bound'] else ''}")
 
+    print(f"src_lines    parent {lines['parent']}  change {lines['change']}")
     date = datetime.date.today().isoformat()
     out = ROOT / f"PAIRS_{date}_{args.workload}_{parent_sha}_{change}.json"
     out.write_text(json.dumps({
         "date": date, "workload": args.workload, "parent": parent_sha, "change": change,
         "seconds": seconds, "seeds": list(range(args.first_seed, args.first_seed + args.pairs)),
-        "order": order, "correct": correct, "provenance": provenance, "metrics": report,
+        "order": order, "correct": correct, "provenance": provenance, "src_lines": lines,
+        "metrics": report,
     }, indent=1) + "\n")
     print(out, file=sys.stderr)
     return 0 if correct else 1
