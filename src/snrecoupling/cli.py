@@ -18,6 +18,7 @@ be exceeded (``ResourceLimitError``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -131,26 +132,25 @@ def _cmd_recoupling(args) -> int:
 
 
 def _cmd_scan_recoupling(args) -> int:
+    """One JSON line per six-tuple, written as soon as it is computed: the
+    scan holds no line but the current one, and a refusal (exit 3) leaves
+    the lines before it in the output."""
     from itertools import product
 
     parts = enumerate_partitions(args.k, args.max_rows)
-    lines = []
-    for labels in product(parts, repeat=6):
-        tensor = recoupling_tensor(*labels)
-        swap_bl = column_swap_check(*labels)
-        swap_ag = column_swap_check_ag(*labels)
-        lines.append(
-            json.dumps(
-                {
-                    "labels": [list(l) for l in labels],
-                    "hs": tensor.hs,
-                    "swap_bl_residual": swap_bl.residual,
-                    "swap_ag_residual": swap_ag.residual,
-                },
-                sort_keys=True,
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    to_file = args.out and args.out != "-"
+    with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
+        for labels in product(parts, repeat=6):
+            tensor = recoupling_tensor(*labels)
+            swap_bl = column_swap_check(*labels)
+            swap_ag = column_swap_check_ag(*labels)
+            record = {
+                "labels": [list(l) for l in labels],
+                "hs": tensor.hs,
+                "swap_bl_residual": swap_bl.residual,
+                "swap_ag_residual": swap_ag.residual,
+            }
+            out.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
 

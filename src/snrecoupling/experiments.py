@@ -22,6 +22,7 @@ import numpy as np
 from .combinatorics import (
     K_MAX,
     Partition,
+    _sk_dimension,
     enumerate_partitions,
     log_sk_dimension,
     normalize,
@@ -40,7 +41,12 @@ from .quantumstates import (
     weak_mono_gap,
 )
 from .recoupling import recoupling_tensor
-from .schurweyl import overlap_trace, projected_trace, tripartite_elements
+from .schurweyl import (
+    _recoupling_character_sum,
+    overlap_trace,
+    projected_trace,
+    tripartite_elements,
+)
 
 SCHEMA_VERSION = 1
 GATE_SLACK = 1e-9
@@ -170,7 +176,11 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
 
         sum_ball hs  >=  |tr(P~ Q~ rho^k)|  >=  tr(P~ rho^k) - sqrt(1 - tr(Q~ rho^k)).
 
-    A zero block (hs 0.0, see ``recoupling.HS_ZERO``) is neither an item
+    Each norm comes from characters alone, in the same group algebra:
+    hs = sqrt(dim mu dim nu S / k!^3) with the exact integer S of
+    ``schurweyl._recoupling_character_sum``, so no intertwiner is solved.
+    A block is zero exactly when S == 0, an integer test with no threshold
+    (``recoupling.HS_ZERO`` plays no part); a zero block is neither an item
     nor counted in ``nonzero_tuple_count`` or ``sum_hs``.
     """
     if not (math.isfinite(delta) and delta >= 0):
@@ -183,10 +193,12 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
 
     items = []
     sum_hs = 0.0
+    cube = math.factorial(k) ** 3
     for labels in _admissible_tuples(balls):
-        hs = recoupling_tensor(*labels).hs
-        if hs:
-            items.append({**_labels_record(labels), "hs": float(hs)})
+        s = _recoupling_character_sum(*labels)
+        if s:
+            hs = math.sqrt(_sk_dimension(labels[3]) * _sk_dimension(labels[4]) * s / cube)
+            items.append({**_labels_record(labels), "hs": hs})
             sum_hs += hs
 
     chain_first = sum_hs >= abs(t_pq) - GATE_SLACK

@@ -42,7 +42,10 @@ from .tensorlinalg import hs_norm
 # floats of the composites one block or one unitary holds at once, 2 GiB
 COMPOSITE_FLOAT_CAP = 2**28
 # a block with hs at or below HS_ZERO is zero: the float contraction leaves
-# roundoff of up to a few 1e-16 on exactly-zero blocks
+# roundoff of up to a few 1e-16 on exactly-zero blocks.  Read by the consumers
+# of this module's blocks (the CLI recoupling and scan-recoupling commands, the
+# converse probe, the column swaps); the overlap certificate decides zeros by
+# an exact integer instead (schurweyl._recoupling_character_sum)
 HS_ZERO = 1e-12
 
 

@@ -14,10 +14,13 @@ one builder of these products, as (k!, k!, k!) coefficient arrays.
 overlap_trace pairs them with tr(U(g) rho^(x k)), which permutation_traces
 evaluates once per orbit of simultaneous conjugation; the overlap
 certificate and the ``overlap`` CLI command take this route, and no
-operator on (C^{abc})^(x k) is formed on it.  The tests read the
-recoupling norms off the Fourier blocks of P~ Q~ (their oracle
-``hs_norm_via_schurweyl``), a second route to what ``recoupling_tensor``
-computes.
+operator on (C^{abc})^(x k) is formed on it.  The certificate's recoupling
+norms come from the same tables: _recoupling_character_sum is the exact
+integer character sum over S_k^3 of which hs^2 is a multiple, so the
+certificate solves no intertwiner and decides zero blocks by S == 0.  The
+tests read the recoupling norms off the Fourier blocks of P~ Q~ (their
+oracle ``hs_norm_via_schurweyl``), a second route to what
+``recoupling_tensor`` computes.
 
 ball_sum_projector materializes one ball sum as a dense matrix, under
 DENSE_CAP: isotypic_projector is its single-subsystem case, and the tests
@@ -182,6 +185,8 @@ class _SkTables(NamedTuple):
     inv: np.ndarray  # inv[i] = index of perms[i]^-1
     orbit: np.ndarray  # (k!, k!, k!): orbit number under simultaneous conjugation
     reps: tuple[tuple[int, int, int], ...]  # one element of each orbit
+    cls: np.ndarray  # cls[i] = conjugacy_classes(k) index of perms[i]
+    class_first: np.ndarray  # class_first[c] = index of the first permutation in class c
 
 
 @cache
@@ -198,7 +203,10 @@ def _sk_tables(k: int) -> _SkTables:
     )
     first, orbit = np.unique(flat.min(axis=0), return_inverse=True)
     reps = tuple(zip(*(idx.tolist() for idx in np.unravel_index(first, (n, n, n)))))
-    return _SkTables(perms, mul, inv, orbit.reshape(n, n, n), reps)
+    types = {t: c for c, (t, _) in enumerate(conjugacy_classes(k))}
+    cls = np.array([types[perm_cycle_type(p)] for p in perms])
+    class_first = np.unique(cls, return_index=True)[1]
+    return _SkTables(perms, mul, inv, orbit.reshape(n, n, n), reps, cls, class_first)
 
 
 def _check_algebra_size(dims: Sequence[int], k: int) -> None:
@@ -315,3 +323,59 @@ def overlap_trace(elements: TripartiteElements, rho: DensityMatrix, k: int) -> O
         complex(np.sum(x * f)) for x in (elements.pq, elements.p_tilde, elements.q_tilde)
     )
     return OverlapTraces(t_pq=t_pq, t_p=t_p.real, t_q=t_q.real)
+
+
+# ---------------------------------------------------------------------------
+# recoupling norms from characters
+
+
+@cache
+def _perm_characters(lam: Partition) -> np.ndarray:
+    """chi_lam at every permutation of S_k, in all_permutations(k) order, as int64."""
+    row = np.array(_character_row(lam), dtype=np.int64)[_sk_tables(sum(lam)).cls]
+    row.setflags(write=False)
+    return row
+
+
+@cache
+def _beta_gamma_stack(beta: Partition, gamma: Partition) -> np.ndarray:
+    """|class of sigma| chi_beta(sigma tau pi) chi_gamma(tau pi), a (p(k), k!, k!)
+    int64 array over sigma the first permutation of each class and tau, pi in S_k."""
+    tables = _sk_tables(sum(beta))
+    sizes = np.array([size for _, size in conjugacy_classes(sum(beta))], dtype=np.int64)
+    tau_pi = tables.mul
+    sigma_tau_pi = tables.mul[tables.class_first][:, tau_pi]
+    stack = (sizes[:, None, None] * _perm_characters(beta)[sigma_tau_pi]
+             * _perm_characters(gamma)[tau_pi])
+    stack.setflags(write=False)
+    return stack
+
+
+def _recoupling_character_sum(alpha, beta, gamma, mu, nu, lam) -> int:
+    """The exact integer
+
+        S = sum_{sigma, tau, pi} chi_mu(sigma) chi_nu(tau) chi_lam(pi)
+                chi_alpha(sigma pi) chi_beta(sigma tau pi) chi_gamma(tau pi)
+
+    over S_k^3, with hs^2 = dim mu dim nu S / k!^3 for the recoupling block
+    of the six labels (canonical partitions of one k, not re-checked).
+
+    hs^2 = tr(P_mu P_nu P_lam) / dim lam on [alpha] (x) [beta] (x) [gamma],
+    and the class-function expansion of the three isotypic projectors
+    (Serre, Linear Representations of Finite Groups, 2.6) gives this sum.
+    The summand is invariant under conjugating sigma, tau and pi together,
+    so sigma runs over one permutation per class, weighted by the class
+    size: p(k) k!^2 terms, 2,880 at k = 4.  S >= 0, and a block is zero
+    exactly when S == 0.  The int64 sum is exact at k <= 6 (|chi| <= 16).
+    """
+    tables = _sk_tables(sum(alpha))
+    total = int(np.einsum(
+        "s,sp,p,t,stp->",
+        _perm_characters(mu)[tables.class_first],
+        _perm_characters(alpha)[tables.mul[tables.class_first]],
+        _perm_characters(lam),
+        _perm_characters(nu),
+        _beta_gamma_stack(beta, gamma),
+    ))
+    assert total >= 0, (alpha, beta, gamma, mu, nu, lam)
+    return total

@@ -1,6 +1,6 @@
 """The pair verdict of tools/bench_pairs.py, on made-up numbers, and its choice
-of the change side's revision and its source line count, on a throwaway
-repository (no benchmark runs)."""
+of the change side's revision, its source line count and its source tree
+hash, on a throwaway repository (no benchmark runs)."""
 
 import subprocess
 import sys
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import change_revision, git, src_lines, verdict  # noqa: E402
+from bench_pairs import change_revision, git, src_lines, src_tree, verdict  # noqa: E402
 
 PARENT = [5.6, 5.5, 5.7, 5.6, 5.8, 5.5, 5.6, 5.7, 5.9, 5.6]
 
@@ -116,3 +116,14 @@ def test_src_lines_counts_the_package_sources_of_a_worktree(repo, tmp_path_facto
     finally:
         git("worktree", "remove", "--force", str(tree), root=repo)
     assert src_lines(repo) == 1
+
+
+def test_src_tree_of_a_dirty_tree_is_that_of_the_commit_that_holds_it(repo):
+    head = src_tree("HEAD", repo)
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    rev, dirty = change_revision(repo)
+    assert dirty and src_tree(rev, repo) != head
+    git("add", "src/a.py", root=repo)
+    git("commit", "-q", "-m", "two", root=repo)
+    assert src_tree("HEAD", repo) == src_tree(rev, repo)
+    assert src_tree("HEAD~1", repo) == head

@@ -1,18 +1,22 @@
 import json
 import math
 import time
+from itertools import product
 
 import numpy as np
 import pytest
 
+from snrecoupling import cli
 from snrecoupling.cli import COMMANDS, build_parser, main, parse_labels, parse_partition
-from snrecoupling.errors import ValidationError
+from snrecoupling.combinatorics import enumerate_partitions
+from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.quantumstates import (
     SAMPLE_DIM_CAP,
     DensityMatrix,
     maximally_mixed,
     state_to_json,
 )
+from snrecoupling.recoupling import column_swap_check, column_swap_check_ag, recoupling_tensor
 from oracles import exact_hs_squared
 
 
@@ -171,6 +175,38 @@ class TestScalarCommands:
                 assert line["hs"] == 0.0, line
             else:
                 assert abs(line["hs"] ** 2 - exact) < 1e-13, line
+
+
+    def test_scan_recoupling_streams_the_bytes_of_one_batch(self, capsys, tmp_path):
+        # oracle: every line built first, then joined and written at once
+        batch = "\n".join(
+            json.dumps({"labels": [list(l) for l in labels],
+                        "hs": recoupling_tensor(*labels).hs,
+                        "swap_bl_residual": column_swap_check(*labels).residual,
+                        "swap_ag_residual": column_swap_check_ag(*labels).residual},
+                       sort_keys=True)
+            for labels in product(enumerate_partitions(3), repeat=6)
+        ) + "\n"
+        path = tmp_path / "scan.jsonl"
+        assert main(["scan-recoupling", "--k", "3", "--out", str(path)]) == 0
+        assert path.read_text() == batch
+        assert run(capsys, "scan-recoupling", "--k", "3") == (0, batch)
+
+    def test_scan_recoupling_keeps_the_lines_before_a_refusal(self, tmp_path, monkeypatch):
+        n, done = 100, []
+
+        def refuse_after_n(*labels):
+            if len(done) == n:
+                raise ResourceLimitError("refused")
+            done.append(labels)
+            return recoupling_tensor(*labels)
+
+        monkeypatch.setattr(cli, "recoupling_tensor", refuse_after_n)
+        path = tmp_path / "scan.jsonl"
+        assert main(["scan-recoupling", "--k", "3", "--out", str(path)]) == 3
+        lines = path.read_text().splitlines()
+        assert [tuple(map(tuple, json.loads(line)["labels"])) for line in lines] == done
+        assert len(done) == n
 
 
 class TestStateCommands:

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snrecoupling import experiments, recoupling
+from snrecoupling import experiments, intertwiner, recoupling
 from snrecoupling.combinatorics import round_spectrum
 from snrecoupling.errors import ValidationError
 from snrecoupling.recoupling import recoupling_tensor
@@ -91,7 +91,8 @@ class TestOverlapCertificate:
         "seed,k,delta", [(1, 3, 1.0), (2, 3, 1.0), (3, 3, 1.0), (1, 4, 1.0), (1, 4, 2.0)]
     )
     def test_admissible_tuples_match_the_product_loop(self, seed, k, delta):
-        # oracle: every tuple of the six balls, in product order
+        # two routes: the certificate's character sums against recoupling_tensor
+        # and the exact oracle over every tuple of the six balls, in product order
         rho = sample_hs_random((2, 2, 3), seed)
         rep = cmd_overlap_certificate(rho, k=k, delta=delta)
         spectra = spectra_tuple(rho)
@@ -100,14 +101,15 @@ class TestOverlapCertificate:
         rows = (2, 2, 3, 4, 6, 12)
         balls = [experiments._ball(k, r, delta, m) for r, m in zip(radii, rows)]
         names = ("alpha", "beta", "gamma", "mu", "nu", "lam")
-        items = []
-        for labels in product(*balls):
-            hs = recoupling_tensor(*labels).hs
-            if hs > recoupling.HS_ZERO:
-                items.append({**{n: list(p) for n, p in zip(names, labels)}, "hs": float(hs)})
-        assert rep.items == items
-        assert rep.summary["sum_hs"] == sum(item["hs"] for item in items)
-        assert rep.summary["nonzero_tuple_count"] == len(items)
+        tuples = list(product(*balls))
+        kept = [tuple(tuple(item[n]) for n in names) for item in rep.items]
+        contracted = {labels: recoupling_tensor(*labels).hs for labels in tuples}
+        assert kept == [labels for labels in tuples if contracted[labels] > recoupling.HS_ZERO]
+        assert kept == [labels for labels in tuples if exact_hs_squared(*labels) != 0]
+        for labels, item in zip(kept, rep.items):
+            assert abs(item["hs"] - contracted[labels]) <= 1e-14, labels
+        assert rep.summary["sum_hs"] == sum(item["hs"] for item in rep.items)
+        assert rep.summary["nonzero_tuple_count"] == len(kept)
         assert rep.summary["ball_tuple_count"] == math.prod(map(len, balls))
         assert list(rep.summary["ball_sizes"].values()) == list(map(len, balls))
 
@@ -131,6 +133,15 @@ class TestOverlapCertificate:
         assert [recoupling_tensor(*labels).hs for labels in dropped] == [0.0] * 8
         for labels in dropped:
             assert exact_hs_squared(*labels) == 0, labels
+
+    def test_no_intertwiner_is_solved(self):
+        intertwiner._solve_cg.cache_clear()
+        recoupling._build_tensor.cache_clear()
+        rho = sample_hs_random((2, 2, 2), np.random.default_rng(0))
+        for k in (3, 4):
+            assert cmd_overlap_certificate(rho, k=k, delta=1.0).items
+        assert intertwiner._solve_cg.cache_info().currsize == 0
+        assert recoupling._build_tensor.cache_info().currsize == 0
 
     def test_deterministic(self):
         a = cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=1.0)

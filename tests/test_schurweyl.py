@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from snrecoupling import schurweyl
 from snrecoupling.combinatorics import (
     all_permutations,
     enumerate_partitions,
@@ -25,6 +27,7 @@ from snrecoupling.quantumstates import (
 from snrecoupling.recoupling import recoupling_tensor
 from snrecoupling.schurweyl import (
     _ball_coefficients,
+    _recoupling_character_sum,
     _sk_tables,
     _times_ball,
     ball_sum_projector,
@@ -37,7 +40,7 @@ from snrecoupling.schurweyl import (
     tripartite_elements,
 )
 from snrecoupling.tensorlinalg import hs_norm
-from oracles import _fourier_norms, hs_norm_via_schurweyl
+from oracles import _fourier_norms, exact_hs_squared, hs_norm_via_schurweyl
 
 
 class TripartiteProjectors(NamedTuple):
@@ -566,3 +569,56 @@ class TestGroupAlgebraRoute:
         rep = cmd_overlap_certificate(rho, k=4, delta=1.0)
         assert rep.summary["chain_first_holds"] and rep.summary["chain_second_holds"]
         assert rep.passed
+
+
+def non_empty_tuples(k):
+    """The six-tuples of partitions of k whose four Kronecker coefficients are non-zero."""
+    for labels in product(enumerate_partitions(k), repeat=6):
+        a, b, c, m, n, lam = labels
+        triples = ((b, c, n), (a, n, lam), (a, b, m), (m, c, lam))
+        if all(kronecker_coefficient(*t) for t in triples):
+            yield labels
+
+
+def character_sum_mismatches(tuples):
+    """The tuples whose dim mu dim nu S / k!^3 is not exactly exact_hs_squared."""
+    wrong = []
+    for labels in tuples:
+        k = sum(labels[0])
+        dims = sk_dimension(labels[3]) * sk_dimension(labels[4])
+        s = _recoupling_character_sum(*labels)
+        if Fraction(dims * s, math.factorial(k) ** 3) != exact_hs_squared(*labels):
+            wrong.append(labels)
+    return wrong
+
+
+@pytest.fixture
+def cold_character_sums():
+    """Empty the memos of the character-sum route before and after the test."""
+    memos = (schurweyl._perm_characters, schurweyl._beta_gamma_stack)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+class TestCharacterSumNorms:
+    """The certificate's norms: an exact integer S with hs^2 = dim mu dim nu S / k!^3."""
+
+    def test_exact_on_every_non_empty_tuple_to_k4(self):
+        tuples = [labels for k in range(1, 5) for labels in non_empty_tuples(k)]
+        assert len(tuples) == 739  # 1 at k = 1, 8 at k = 2, 49 at k = 3, 681 at k = 4
+        assert character_sum_mismatches(tuples) == []
+
+    def test_gate_fails_on_a_mutated_character_row(self, monkeypatch, cold_character_sums):
+        # chi_(2,1) at the 3-cycles is -1; make it +1 in the route under test only
+        true_row = schurweyl._character_row
+
+        def mutated(lam):
+            row = true_row(lam)
+            return (-row[0],) + row[1:] if lam == (2, 1) else row
+
+        monkeypatch.setattr(schurweyl, "_character_row", mutated)
+        assert true_row((2, 1))[0] == -1
+        assert character_sum_mismatches(non_empty_tuples(3)) != []

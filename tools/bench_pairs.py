@@ -21,7 +21,10 @@ better direction, by more than the distance between the parent's quartiles.
 It also flags a change median worse than the parent's by more than the
 metric's bound.  With them it prints and records ``src_lines``, the newline
 count of src/snrecoupling/*.py (the total of ``wc -l``) on each side, so that
-a claim of less code is checked in next to its measurements.  Everything goes to
+a claim of less code is checked in next to its measurements, and ``src_tree``,
+the hash of each side's src/ tree (``git rev-parse <rev>:src``): a run of an
+uncommitted tree is thereby tied to the commit that later holds the same
+sources.  Everything goes to
 PAIRS_<date>_<workload>_<parent>_<change>.json at the root of the checkout.
 Exit code 1 if any run failed its output checks.
 """
@@ -64,6 +67,12 @@ def src_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "snrecoupling").glob("*.py"))
 
 
+def src_tree(rev: str, root: Path = ROOT) -> str:
+    """The hash of the src/ tree of revision rev; equal for every commit, stash
+    commits included, whose src/ holds the same files."""
+    return git("rev-parse", f"{rev}:src", root=root)
+
+
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """Pair i is parent[i] against change[i]; better is "lower" or "higher",
     bound the largest tolerated relative worsening of the change's median."""
@@ -93,6 +102,7 @@ def main(argv=None) -> int:
 
     parent_sha = git("rev-parse", "--short", args.parent)
     change_rev, dirty = change_revision()
+    src_hashes = {"parent": src_tree(args.parent), "change": src_tree(change_rev)}
     change = git("rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -139,13 +149,14 @@ def main(argv=None) -> int:
               f"{'  WORSE THAN BOUND' if r['worse_than_bound'] else ''}")
 
     print(f"src_lines    parent {lines['parent']}  change {lines['change']}")
+    print(f"src_tree     parent {src_hashes['parent']}  change {src_hashes['change']}")
     date = datetime.date.today().isoformat()
     out = ROOT / f"PAIRS_{date}_{args.workload}_{parent_sha}_{change}.json"
     out.write_text(json.dumps({
         "date": date, "workload": args.workload, "parent": parent_sha, "change": change,
         "seconds": seconds, "seeds": list(range(args.first_seed, args.first_seed + args.pairs)),
         "order": order, "correct": correct, "provenance": provenance, "src_lines": lines,
-        "metrics": report,
+        "src_tree": src_hashes, "metrics": report,
     }, indent=1) + "\n")
     print(out, file=sys.stderr)
     return 0 if correct else 1
