@@ -176,7 +176,6 @@ class TestScalarCommands:
             else:
                 assert abs(line["hs"] ** 2 - exact) < 1e-13, line
 
-
     def test_scan_recoupling_streams_the_bytes_of_one_batch(self, capsys, tmp_path):
         # oracle: every line built first, then joined and written at once
         batch = "\n".join(
