@@ -190,7 +190,7 @@ def _cmd_dimension_ratio(args) -> int:
 
 def _cmd_converse(args) -> int:
     spectra = spectra_from_json(load_json(args.spectra))
-    ks = list(range(args.k_min, args.k_max + 1))
+    ks = range(args.k_min, args.k_max + 1)
     return _emit_report(cmd_converse_probe(spectra, ks), args)
 
 

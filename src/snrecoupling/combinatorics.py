@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError, check_cap
 
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -49,11 +49,8 @@ def check_labels(*parts: Sequence[int]) -> tuple[Partition, ...]:
     labels = tuple(map(check_partition, parts))
     if len(set(map(sum, labels))) != 1:
         raise ValidationError(f"labels {labels} do not share one k")
-    k = sum(labels[0])
-    if k > K_MAX:
-        raise ResourceLimitError(
-            f"S_{k} has more conjugacy classes than S_{K_MAX}: k = {k} exceeds cap {K_MAX}"
-        )
+    check_cap("k of the S_k whose conjugacy classes a character sum runs over",
+              sum(labels[0]), K_MAX)
     return labels
 
 

@@ -25,10 +25,9 @@ from .combinatorics import (
     _sk_dimension,
     enumerate_partitions,
     log_sk_dimension,
-    normalize,
     round_spectrum,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_cap
 from .intertwiner import _kronecker_coefficient
 from .quantumstates import (
     DensityMatrix,
@@ -96,10 +95,11 @@ class ExperimentReport:
 
 
 def _l1_distance(lam: Partition, r: np.ndarray) -> float:
-    padded = normalize(lam, length=max(len(lam), r.size))
-    rr = np.zeros(padded.size)
-    rr[: r.size] = r
-    return float(np.abs(padded - rr).sum())
+    """l1 distance of r from lam / k, both zero-padded; lam is canonical, not re-checked."""
+    diff = np.zeros(max(len(lam), r.size))
+    diff[: len(lam)] = np.asarray(lam, dtype=float) / sum(lam)
+    diff[: r.size] -= r
+    return float(np.abs(diff).sum())
 
 
 def _in_ball(dist: float, delta: float) -> bool:
@@ -280,14 +280,16 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
     (b) along every diagram sequence obtained by growing the first row on
     fixed lower rows, the rate diagnostic log(trace) + k * dist^2 / 2 has
     non-increasing increments over the last 10 k values.
+    A k_max above ``combinatorics.K_MAX`` raises ResourceLimitError before any trace.
     """
     if len(rho.dims) != 1:
         raise ValidationError("spectrum estimation needs a single-system state")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and non-negative, got {delta}")
     d = rho.dims[0]
-    if d > 4 or not 1 <= k_max <= K_MAX:
-        raise ValidationError(f"supported range is d <= 4, 1 <= k_max <= {K_MAX}")
+    if d > 4 or k_max < 1:
+        raise ValidationError("supported range is d <= 4, k_max >= 1")
+    check_cap("k_max of the S_k whose conjugacy classes a character sum runs over", k_max, K_MAX)
     r = rho.spectrum()
 
     items = []
@@ -415,7 +417,11 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
     recoupling norm of the rounded tuple, 0.0 for a zero block (see
     ``recoupling.HS_ZERO``).  The local dimensions (a, b, c) are the lengths
     of r_a, r_b and r_c; r_ab, r_bc and r_abc must have lengths ab, bc, abc.
-    k runs over 1..7, where every label set fits ``DEFAULT_PRODUCT_CAP``.
+    Every k >= 1 is taken, checked as it is reached, so ``k_values`` may be
+    a long range; the caps of ``recoupling_tensor`` decide which blocks can
+    be computed, and the first k whose rounded tuple exceeds one raises
+    ResourceLimitError (every k above ``combinatorics.K_MAX``, and at k = 8
+    some tuples already exceed ``intertwiner.DEFAULT_PRODUCT_CAP``).
     The decay sequence is a trend diagnostic, not a proof.
     """
     lengths = tuple(map(np.size, spectra))
@@ -423,12 +429,12 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
     if lengths != group_dims(dims):
         raise ValidationError(f"r_ab, r_bc, r_abc have lengths {lengths[3:]}, not ab, bc, abc "
                               f"for the lengths (a, b, c) = {dims} of r_a, r_b, r_c")
-    if not k_values or not all(1 <= k <= 7 for k in k_values):
-        raise ValidationError(
-            f"the converse probe needs a non-empty list of k values in 1..7, got {list(k_values)}"
-        )
+    if not k_values:
+        raise ValidationError("the converse probe needs a non-empty list of k values")
     items = []
     for k in k_values:
+        if k < 1:
+            raise ValidationError(f"the converse probe needs k values >= 1, got {k}")
         labels = [_round_marginal(r, k) for r in spectra]
         items.append({"k": k, **_labels_record(labels), "hs": recoupling_tensor(*labels).hs})
 

@@ -43,7 +43,7 @@ from .combinatorics import (
     check_labels,
     conjugacy_classes,
 )
-from .errors import ResourceLimitError
+from .errors import check_cap
 from .repsym import _character_row, _cycle_matrix, young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
@@ -110,12 +110,8 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
     alpha, beta, lam = check_labels(alpha, beta, lam)
     # the canonical pair holds the two smallest dimensions
     small, second, _ = sorted(map(_sk_dimension, (alpha, beta, lam)))
-    size = (small * second) ** 2
-    if size > DEFAULT_PRODUCT_CAP:
-        raise ResourceLimitError(
-            f"Jucys-Murphy operator size {size} for {(alpha, beta, lam)} "
-            f"exceeds cap {DEFAULT_PRODUCT_CAP}"
-        )
+    check_cap(f"Jucys-Murphy operator entries for {(alpha, beta, lam)}",
+              (small * second) ** 2, DEFAULT_PRODUCT_CAP)
     return _solve_cg(alpha, beta, lam)
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError, check_cap
 from .tensorlinalg import hermitian_eigensystem, hs_norm, partial_trace, tensor_shape
 
 HERMITICITY_TOL = 1e-10
@@ -146,8 +146,7 @@ def _capped_dims(dims) -> tuple[tuple[int, ...], int]:
     SAMPLE_DIM_CAP (read at each call)."""
     dims = tensor_shape((dims,) if isinstance(dims, int) else dims)
     d = math.prod(dims)
-    if d > SAMPLE_DIM_CAP:
-        raise ResourceLimitError(f"state dimension {d} above {SAMPLE_DIM_CAP}")
+    check_cap("state dimension", d, SAMPLE_DIM_CAP)
     return dims, d
 
 

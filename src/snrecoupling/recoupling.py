@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import Partition, _sk_dimension, check_labels, enumerate_partitions
-from .errors import ResourceLimitError
+from .errors import check_cap
 from .intertwiner import _kronecker_coefficient, cg_isometries
 from .tensorlinalg import hs_norm
 
@@ -114,12 +114,8 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
 
 def _check_composite_floats(labels, rows: int) -> None:
     """Refuse `rows` composites of dim[alpha] dim[beta] dim[gamma] floats above the cap."""
-    floats = rows * math.prod(map(_sk_dimension, labels[:3]))
-    if floats > COMPOSITE_FLOAT_CAP:
-        raise ResourceLimitError(
-            f"recoupling composites of {labels} hold {floats} floats, "
-            f"above cap {COMPOSITE_FLOAT_CAP}"
-        )
+    check_cap(f"floats of the recoupling composites of {labels}",
+              rows * math.prod(map(_sk_dimension, labels[:3])), COMPOSITE_FLOAT_CAP)
 
 
 @cache

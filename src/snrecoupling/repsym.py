@@ -29,7 +29,7 @@ from .combinatorics import (
     check_partition,
     conjugacy_classes,
 )
-from .errors import ResourceLimitError
+from .errors import check_cap
 
 GENERATOR_FLOAT_CAP = 2**26  # (k - 1) * dim^2 floats of the generators: 512 MiB
 
@@ -60,12 +60,8 @@ def young_orthogonal_rep(lam: Sequence[int]) -> RepMatrixSet:
     when its k - 1 generators would hold more than ``GENERATOR_FLOAT_CAP``
     (read at each call) floats."""
     lam = check_partition(lam)
-    size = (sum(lam) - 1) * _sk_dimension(lam) ** 2
-    if size > GENERATOR_FLOAT_CAP:
-        raise ResourceLimitError(
-            f"generators of {lam} hold (k - 1) * dim^2 = {size} floats, "
-            f"exceeds cap {GENERATOR_FLOAT_CAP}"
-        )
+    check_cap(f"(k - 1) * dim^2 floats of the generators of {lam}",
+              (sum(lam) - 1) * _sk_dimension(lam) ** 2, GENERATOR_FLOAT_CAP)
     return _young_orthogonal_rep(lam)
 
 

@@ -47,7 +47,7 @@ from .combinatorics import (
     perm_cycle_type,
     perm_inverse,
 )
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError, check_cap
 from .quantumstates import GROUPS, DensityMatrix
 from .repsym import _character_row, character
 
@@ -143,8 +143,7 @@ def ball_sum_projector(
         raise ValidationError(f"group {group!r} is not a set of the subsystems {names}")
     active = [name in group for name in names]
     total = math.prod(dims) ** k
-    if total > DENSE_CAP:
-        raise ResourceLimitError(f"dense ball projector dimension {total} above {DENSE_CAP}")
+    check_cap("dense ball projector dimension", total, DENSE_CAP)
     coeffs = _ball_coefficients(labels, k)
     mat = np.zeros((total, total))
     cols = np.arange(total)
@@ -214,13 +213,10 @@ def _check_algebra_size(dims: Sequence[int], k: int) -> None:
     prod(dims)^k iterations per einsum in permutation_traces."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    size = math.factorial(k) ** 3
-    steps = math.prod(dims) ** k
-    if max(size, steps) > IMPLICIT_CAP:
-        raise ResourceLimitError(
-            f"group-algebra route needs (k!)^3 = {size} coefficients and "
-            f"prod(dims)^k = {steps} einsum steps; cap {IMPLICIT_CAP}"
-        )
+    check_cap("(k!)^3 coefficients of a group-algebra element", math.factorial(k) ** 3,
+              IMPLICIT_CAP)
+    check_cap("prod(dims)^k steps of a permutation-trace einsum", math.prod(dims) ** k,
+              IMPLICIT_CAP)
 
 
 def _times_ball(
@@ -300,7 +296,7 @@ def permutation_traces(rho: DensityMatrix, k: int) -> np.ndarray:
     tens = rho.matrix.reshape(tuple(rho.dims) * 2)
     vals = np.empty(len(tables.reps), dtype=complex)
     for o, g in enumerate(tables.reps):
-        inverses = [perm_inverse(tables.perms[i]) for i in g]
+        inverses = [tables.perms[tables.inv[i]] for i in g]
         operands = []
         for t in range(k):
             cols = [3 * inverses[s][t] + s for s in range(3)]

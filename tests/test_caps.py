@@ -226,7 +226,7 @@ def test_composite_cap_at_its_value(capsys):
         tracemalloc.stop()
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: ") and "above cap" in captured.err
+    assert captured.err.startswith("error: ") and "exceeds cap" in captured.err
     assert _solve_cg.cache_info().currsize == 0
     assert peak < 1024**2
 

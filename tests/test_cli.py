@@ -6,14 +6,17 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snrecoupling import cli
+from snrecoupling import cli, intertwiner
 from snrecoupling.cli import COMMANDS, build_parser, main, parse_labels, parse_partition
 from snrecoupling.combinatorics import enumerate_partitions
 from snrecoupling.errors import ResourceLimitError, ValidationError
+from snrecoupling.experiments import LABELS
 from snrecoupling.quantumstates import (
     SAMPLE_DIM_CAP,
     DensityMatrix,
     maximally_mixed,
+    sample_hs_random,
+    spectra_tuple,
     state_to_json,
 )
 from snrecoupling.recoupling import column_swap_check, column_swap_check_ag, recoupling_tensor
@@ -371,6 +374,37 @@ class TestStateCommands:
         assert [line["k"] for line in lines if line["record"] == "item"] == list(range(1, 8))
         assert "surrogate_max" not in lines[1]
 
+    def test_converse_probe_takes_k8_where_the_caps_admit_it(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps(spectra_tuple(maximally_mixed((2, 2, 2))).as_dict()))
+        code, out = run(capsys, "converse-probe", "--spectra", str(path),
+                        "--k-min", "8", "--k-max", "8")
+        assert code == 0
+        items = [line for line in map(json.loads, out.splitlines()) if line["record"] == "item"]
+        assert [[item[name] for name in LABELS] for item in items] == [
+            [[4, 4]] * 3 + [[2, 2, 2, 2]] * 2 + [[1] * 8]]
+
+    def test_converse_probe_k8_above_the_product_cap_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps(spectra_tuple(sample_hs_random((2, 2, 2), 0)).as_dict()))
+        code = main(["converse-probe", "--spectra", str(path), "--k-min", "8", "--k-max", "8"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: Jucys-Murphy operator entries for "
+                                       "((5, 3), (4, 2, 1, 1), (3, 2, 1, 1, 1))")
+        assert f"exceeds cap {intertwiner.DEFAULT_PRODUCT_CAP}" in captured.err
+
+    def test_converse_probe_long_range_ends_at_the_first_refused_k(self, capsys, tmp_path):
+        # the k range is not listed up front: k = 1..8 fit the caps here and
+        # k = 9 is refused
+        path = tmp_path / "spectra.json"
+        path.write_text(json.dumps(spectra_tuple(maximally_mixed((2, 2, 2))).as_dict()))
+        code = main(["converse-probe", "--spectra", str(path),
+                     "--k-min", "1", "--k-max", str(10**12)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"exceeds cap {intertwiner.DEFAULT_PRODUCT_CAP}" in captured.err
+
     def test_error_exit_code(self, capsys):
         code = main(["char", "--lambda", "1,2", "--type", "3"])
         assert code == 2
@@ -390,8 +424,13 @@ class TestStateCommands:
         ["cg", "--alpha", "59,1", "--beta", "59,1", "--lambda", "60"],
         # a 10 x 10 box at cycle type 1^100: 1.94 s at 122 MB before the cap
         ["char", "--lambda", ",".join(["10"] * 10), "--type", ",".join(["1"] * 100)],
-    ], ids=["kron", "cg", "char"])
-    def test_class_count_cap_exits_3_at_once(self, capsys, argv):
+        # k_max is checked against the same cap before any trace
+        ["spectrum-estimation", "--rho", "{qubit}", "--k-max", "31"],
+    ], ids=["kron", "cg", "char", "spectrum"])
+    def test_class_count_cap_exits_3_at_once(self, capsys, tmp_path, argv):
+        qubit = tmp_path / "rho.json"
+        write_state(maximally_mixed(2), qubit)
+        argv = [arg.format(qubit=qubit) for arg in argv]
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
@@ -426,7 +465,7 @@ class TestMalformedInput:
         code = main(["sample-state", "--dims", str(SAMPLE_DIM_CAP + 1)])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err.startswith("error: ") and f"above {SAMPLE_DIM_CAP}" in captured.err
+        assert captured.err.startswith("error: ") and f"exceeds cap {SAMPLE_DIM_CAP}" in captured.err
 
     def test_state_with_negative_dims(self, capsys, tmp_path):
         # -2 * -2 * 2 = 8 matches the 8 x 8 matrix, but no command can use it
@@ -468,7 +507,7 @@ class TestMalformedInput:
                                   "--k-list", ",")
         assert "k values" in err
 
-    @pytest.mark.parametrize("k_min, k_max", [("3", "2"), ("0", "2"), ("2", "8")])
+    @pytest.mark.parametrize("k_min, k_max", [("3", "2"), ("0", "2"), ("0", "0")])
     def test_converse_probe_bad_k_range(self, capsys, tmp_path, k_min, k_max):
         # an empty range would print a passing report over no data
         path = tmp_path / "spectra.json"

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from snrecoupling import experiments, intertwiner, recoupling
-from snrecoupling.combinatorics import round_spectrum
-from snrecoupling.errors import ValidationError
+from snrecoupling.combinatorics import enumerate_partitions, normalize, round_spectrum
+from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.recoupling import recoupling_tensor
 from snrecoupling.schurweyl import projected_trace
 from snrecoupling.experiments import (
@@ -182,6 +182,21 @@ class TestOverlapBoundFuzz:
         assert lhs >= rhs - 1e-12
 
 
+def test_l1_distance_is_that_of_the_normalized_partition():
+    # _l1_distance reads the canonical partition unchecked; each distance is
+    # the exact float of the one through the validating normalize
+    rng = np.random.default_rng(0)
+    spectra = [np.sort(rng.dirichlet(np.ones(n)))[::-1] for n in (1, 2, 3, 4, 8)]
+    spectra.append(np.array([0.9, 0.1]))
+    for k in range(1, 9):
+        for lam in enumerate_partitions(k):
+            for r in spectra:
+                padded = normalize(lam, length=max(len(lam), r.size))
+                rr = np.zeros(padded.size)
+                rr[: r.size] = r
+                assert experiments._l1_distance(lam, r) == float(np.abs(padded - rr).sum())
+
+
 class TestSpectrumEstimation:
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_rejects_non_finite_delta(self, delta):
@@ -227,6 +242,8 @@ class TestSpectrumEstimation:
         with pytest.raises(ValidationError):
             cmd_spectrum_estimation(maximally_mixed(5), k_max=5)
         with pytest.raises(ValidationError):
+            cmd_spectrum_estimation(maximally_mixed(2), k_max=0)
+        with pytest.raises(ResourceLimitError, match="conjugacy classes"):
             cmd_spectrum_estimation(maximally_mixed(2), k_max=31)
 
     def test_far_diagram_below_polynomial_gaussian_envelope(self):
@@ -338,9 +355,15 @@ class TestConverseProbe:
                                [2])
 
     def test_rejects_large_k(self):
+        # the caps of recoupling_tensor decide which k is too large: k = 8
+        # fits them here, and K_MAX refuses every k above 30
         spectra = spectra_tuple(maximally_mixed((2, 2, 2)))
-        with pytest.raises(ValidationError, match="1..7"):
-            cmd_converse_probe(spectra, [8])
+        hs = cmd_converse_probe(spectra, [8]).summary["hs_sequence"]
+        assert hs == pytest.approx([1.0], abs=1e-12)
+        with pytest.raises(ResourceLimitError, match="conjugacy classes"):
+            cmd_converse_probe(spectra, [31])
+        with pytest.raises(ValidationError, match="k values"):
+            cmd_converse_probe(spectra, [2, 0])
 
 
 # exactly-zero blocks that the float route leaves at roundoff (a few 1e-17),

@@ -13,7 +13,9 @@ import pytest
 import snrecoupling
 from snrecoupling import combinatorics
 from snrecoupling.errors import ValidationError
+from snrecoupling.experiments import cmd_overlap_certificate
 from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
+from snrecoupling.quantumstates import sample_hs_random
 from snrecoupling.recoupling import column_swap_check, full_recoupling_unitary, recoupling_tensor
 from snrecoupling.repsym import character, young_orthogonal_rep
 
@@ -50,13 +52,8 @@ def test_entry_point_accepts_well_formed_labels(fn):
     fn(*[GOOD] * ENTRY_POINTS[fn])
 
 
-def test_labels_are_validated_where_they_enter(monkeypatch):
-    # A cold full_recoupling_unitary((4,2), (4,2), (4,2), (3,3)) validates
-    # each label set once, in check_labels: 4 labels and 12 cg_isometries
-    # calls of 3, two for the composites of each of its three mu and three
-    # nu.  The only other caller is young_orthogonal_rep, three times in each
-    # of the 6 canonical solves; no memoized kernel below the entry points
-    # re-validates.
+def count_check_partition(monkeypatch) -> Counter:
+    """Clear every memo of the package and count check_partition calls by caller."""
     modules = [m for name, m in sys.modules.items() if name.startswith("snrecoupling.")]
     for module in modules:
         for value in vars(module).values():
@@ -72,5 +69,27 @@ def test_labels_are_validated_where_they_enter(monkeypatch):
     for module in modules:
         if vars(module).get("check_partition") is original:
             monkeypatch.setattr(module, "check_partition", counted)
+    return callers
+
+
+def test_labels_are_validated_where_they_enter(monkeypatch):
+    # A cold full_recoupling_unitary((4,2), (4,2), (4,2), (3,3)) validates
+    # each label set once, in check_labels: 4 labels and 12 cg_isometries
+    # calls of 3, two for the composites of each of its three mu and three
+    # nu.  The only other caller is young_orthogonal_rep, three times in each
+    # of the 6 canonical solves; no memoized kernel below the entry points
+    # re-validates.
+    callers = count_check_partition(monkeypatch)
     snrecoupling.full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))
     assert callers == {"check_labels": 4 + 12 * 3, "young_orthogonal_rep": 18}
+
+
+def test_ball_distances_do_not_revalidate(monkeypatch):
+    # The l1 distances of a certificate's balls read the canonical partitions
+    # of enumerate_partitions as they are.  A cold k = 3 certificate on a
+    # (2,2,3) state makes 11 check_partition calls, none from normalize (27,
+    # 16 of them from normalize, when the distances went through it).
+    rho = sample_hs_random((2, 2, 3), 5)
+    callers = count_check_partition(monkeypatch)
+    cmd_overlap_certificate(rho, 3, 1.0)
+    assert "normalize" not in callers and sum(callers.values()) == 11
