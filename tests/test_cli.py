@@ -465,7 +465,8 @@ class TestMalformedInput:
         code = main(["sample-state", "--dims", str(SAMPLE_DIM_CAP + 1)])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err.startswith("error: ") and f"exceeds cap {SAMPLE_DIM_CAP}" in captured.err
+        assert captured.err.startswith("error: ")
+        assert f"exceeds cap {SAMPLE_DIM_CAP}" in captured.err
 
     def test_state_with_negative_dims(self, capsys, tmp_path):
         # -2 * -2 * 2 = 8 matches the 8 x 8 matrix, but no command can use it
