@@ -4,15 +4,15 @@ Partitions are written as comma-separated rows ("3,1"); where several labels
 are needed they are joined with "/" ("2,1/2,1/3").  The labels of one command
 must all be partitions of one k, which they fix: only ``scan-recoupling`` and
 ``overlap-certificate``, which take no labels, take --k.  Every subcommand
-takes --out FILE; the three that draw random states take --seed; the six that
-print an experiment report take --format json|csv (CSV by default only for
-spectrum-estimation).
+takes --out FILE, which gets the bytes stdout would, each output ending in one
+newline; the three that draw random states take --seed.  Reports are JSON
+lines, except from spectrum-estimation, which takes --format json|csv (csv).
 
 Exit codes: 0 when every gate declared by the invoked command passes, 1 when
 a gate fails (or ``validate-state`` finds the state invalid), 2 on invalid
-input (``ValidationError``, or a flag argparse rejects, such as a negative
-``--seed`` or a flag the subcommand does not take), 3 when a size cap would
-be exceeded (``ResourceLimitError``).
+input (``ValidationError``, an unwritable --out, or a flag argparse rejects,
+such as a negative ``--seed`` or a flag the subcommand does not take), 3 when
+a size cap would be exceeded (``ResourceLimitError``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import argparse
 import contextlib
 import json
 import sys
-from pathlib import Path
-from typing import Callable, NamedTuple
+from itertools import product
+from typing import Callable, Iterable, NamedTuple
 
 from .combinatorics import check_labels, check_partition, enumerate_partitions
 from .errors import ResourceLimitError, ValidationError
@@ -77,30 +77,32 @@ def parse_labels(text: str, expected: int):
     return tuple(parse_partition(p) for p in pieces)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out and out != "-":
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """The one writer: ``lines`` go to ``out`` (stdout when absent or "-") as they
+    come.  An unwritable file raises ValidationError; a failed command leaves none."""
+    to_file = out and out != "-"
+    try:
+        with open(out, "w") if to_file else contextlib.nullcontext(sys.stdout) as stream:
+            stream.writelines(lines)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out if to_file else 'stdout'}: {exc}") from exc
 
 
 def _emit_report(report: ExperimentReport, args) -> int:
-    text = report.to_csv() if args.format == "csv" else report.to_json_lines()
-    _emit(text, args.out)
+    csv = getattr(args, "format", "json") == "csv"  # only spectrum-estimation has --format
+    _emit([report.to_csv() if csv else report.to_json_lines()], args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_char(args) -> int:
     value = character(parse_partition(args.lam), parse_partition(args.cycle_type))
-    _emit(str(value), args.out)
+    _emit([f"{value}\n"], args.out)
     return 0
 
 
 def _cmd_kron(args) -> int:
-    value = kronecker_coefficient(
-        parse_partition(args.alpha), parse_partition(args.beta), parse_partition(args.lam)
-    )
-    _emit(str(value), args.out)
+    value = kronecker_coefficient(*map(parse_partition, (args.alpha, args.beta, args.lam)))
+    _emit([f"{value}\n"], args.out)
     return 0
 
 
@@ -114,7 +116,7 @@ def _cmd_cg(args) -> int:
         "count": len(maps),
         "maps": maps.tolist(),
     }
-    _emit(json.dumps(payload, sort_keys=True), args.out)
+    _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
     return 0
 
 
@@ -127,7 +129,7 @@ def _cmd_recoupling(args) -> int:
         "entries": tensor.entries.tolist(),
         "hs": tensor.hs,
     }
-    _emit(json.dumps(payload, sort_keys=True), args.out)
+    _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
     return 0
 
 
@@ -135,22 +137,13 @@ def _cmd_scan_recoupling(args) -> int:
     """One JSON line per six-tuple, written as soon as it is computed: the
     scan holds no line but the current one, and a refusal (exit 3) leaves
     the lines before it in the output."""
-    from itertools import product
-
-    parts = enumerate_partitions(args.k, args.max_rows)
-    to_file = args.out and args.out != "-"
-    with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
-        for labels in product(parts, repeat=6):
-            tensor = recoupling_tensor(*labels)
-            swap_bl = column_swap_check(*labels)
-            swap_ag = column_swap_check_ag(*labels)
-            record = {
-                "labels": [list(l) for l in labels],
-                "hs": tensor.hs,
-                "swap_bl_residual": swap_bl.residual,
-                "swap_ag_residual": swap_ag.residual,
-            }
-            out.write(json.dumps(record, sort_keys=True) + "\n")
+    records = ({
+        "labels": [list(l) for l in labels],
+        "hs": recoupling_tensor(*labels).hs,
+        "swap_bl_residual": column_swap_check(*labels).residual,
+        "swap_ag_residual": column_swap_check_ag(*labels).residual,
+    } for labels in product(enumerate_partitions(args.k, args.max_rows), repeat=6))
+    _emit((json.dumps(r, sort_keys=True) + "\n" for r in records), args.out)
     return 0
 
 
@@ -171,7 +164,7 @@ def _cmd_overlap(args) -> int:
         "t_p": traces.t_p,
         "t_q": traces.t_q,
     }
-    _emit(json.dumps(payload, sort_keys=True), args.out)
+    _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
     return 0
 
 
@@ -203,16 +196,15 @@ def _cmd_validate_state(args) -> int:
     try:
         rho = load_state(args.state)
     except ValidationError as exc:
-        _emit(json.dumps({"valid": False, "reason": str(exc)}), args.out)
+        _emit([json.dumps({"valid": False, "reason": str(exc)}) + "\n"], args.out)
         return 1
-    _emit(json.dumps({"valid": True, **rho.residuals}, sort_keys=True), args.out)
+    _emit([json.dumps({"valid": True, **rho.residuals}, sort_keys=True) + "\n"], args.out)
     return 0
 
 
 def _cmd_sample_state(args) -> int:
     rho = sample_hs_random(parse_ints(args.dims, "dimensions"), args.seed)
-    text = json.dumps(state_to_json(rho))
-    _emit(text, args.out)
+    _emit([json.dumps(state_to_json(rho)) + "\n"], args.out)
     return 0
 
 
@@ -220,7 +212,6 @@ class Command(NamedTuple):
     help: str
     handler: Callable[[argparse.Namespace], int]
     arguments: tuple = ()
-    format: str | None = None  # default --format of a report command; None: no --format
 
 
 def _arg(*flags, **kwargs):
@@ -238,7 +229,7 @@ _SEED = _arg("--seed", type=parse_seed, default=0,
              help="deterministic seed (non-negative integer)")
 
 # every subcommand: its help text, its handler and its own arguments
-# (--out is added to each, --format to each that sets a format)
+# (--out is added to each)
 COMMANDS = {
     "char": Command("integer character value", _cmd_char, (
         _arg("--lambda", dest="lam", required=True),
@@ -255,7 +246,8 @@ COMMANDS = {
         _arg("--rho", required=True, help="state file (single system)"),
         _arg("--k-max", type=int, default=30),
         _arg("--delta", type=float, default=0.3),
-    ), format="csv"),
+        _arg("--format", choices=("json", "csv"), default="csv"),
+    )),
     "overlap": Command("projector overlap traces", _cmd_overlap, (
         _arg("--rho", required=True, help="tripartite state file"),
         _SIX_LABELS,
@@ -264,24 +256,24 @@ COMMANDS = {
         _arg("--rho", required=True),
         _arg("--k", type=int, required=True),
         _arg("--delta", type=float, required=True),
-    ), format="json"),
+    )),
     "overlap-bound-fuzz": Command("projector inequality fuzz", _cmd_fuzz, (
         _arg("--n", type=int, default=10000),
         _SEED,
-    ), format="json"),
+    )),
     "dimension-ratio": Command("dimension-ratio route to the entropy gap", _cmd_dimension_ratio, (
         _arg("--rho", required=True),
         _arg("--k-list", required=True, help="comma-separated k values"),
-    ), format="json"),
+    )),
     "converse-probe": Command("decay probe for target spectra", _cmd_converse, (
         _arg("--spectra", required=True, help="JSON file with r_a..r_abc"),
         _arg("--k-min", type=int, default=2),
         _arg("--k-max", type=int, default=4),
-    ), format="json"),
+    )),
     "ssa-scan": Command("entropy-inequality scan", _cmd_ssa_scan, (
         _arg("--n", type=int, default=1000),
         _SEED,
-    ), format="json"),
+    )),
     "validate-state": Command("check a state file and echo residuals", _cmd_validate_state, (
         _arg("state", help="state file"),
     )),
@@ -303,8 +295,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for flags, kwargs in spec.arguments:
             p.add_argument(*flags, **kwargs)
         p.add_argument("--out", default=None, help="output file ('-' for stdout)")
-        if spec.format:
-            p.add_argument("--format", choices=("json", "csv"), default=spec.format)
     return parser
 
 

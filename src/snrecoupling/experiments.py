@@ -81,12 +81,12 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
+        """The items only, one row each under a header: "" for no items.  The
+        parameters and summary are in the JSON lines, the pass flag in the exit code."""
+        if not self.items:
+            return ""
         buf = io.StringIO()
-        fields: list[str] = []
-        for item in self.items:
-            for key in item:
-                if key not in fields:
-                    fields.append(key)
+        fields = list(dict.fromkeys(key for item in self.items for key in item))
         writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
         for item in self.items:

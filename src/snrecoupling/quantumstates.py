@@ -144,7 +144,7 @@ def weak_mono_gap(s: SpectraTuple) -> float:
 def _capped_dims(dims) -> tuple[tuple[int, ...], int]:
     """Canonical tensor factors and their total dimension, refused above
     SAMPLE_DIM_CAP (read at each call)."""
-    dims = tensor_shape((dims,) if isinstance(dims, int) else dims)
+    dims = tensor_shape(dims)
     d = math.prod(dims)
     check_cap("state dimension", d, SAMPLE_DIM_CAP)
     return dims, d
@@ -165,7 +165,6 @@ def sample_hs_random(dims, seed) -> DensityMatrix:
 
 
 def pure_state(vec: np.ndarray, dims) -> DensityMatrix:
-    dims = (dims,) if isinstance(dims, int) else tuple(int(d) for d in dims)
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
     return DensityMatrix(dims=dims, matrix=np.outer(v, v.conj()))
@@ -196,14 +195,20 @@ def state_to_json(rho: DensityMatrix) -> dict:
     return {"dims": list(rho.dims), "matrix": mat}
 
 
+def _entry(entry) -> complex:
+    """One matrix entry of a state file: exactly two real numbers, [re, im]."""
+    if len(entry) != 2 or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry
+    ):
+        raise ValidationError(f"entry {entry!r} is not two real numbers")
+    return complex(*entry)
+
+
 def state_from_json(payload: dict) -> DensityMatrix:
     try:
-        dims = tuple(int(d) for d in payload["dims"])
-        raw = payload["matrix"]
-        mat = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in raw]
-        )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        dims = tensor_shape(payload["dims"])
+        mat = np.array([[_entry(entry) for entry in row] for row in payload["matrix"]])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
     return DensityMatrix(dims, mat)
 

@@ -10,7 +10,7 @@ layout.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,25 +43,23 @@ def fix_vector_sign(v: np.ndarray) -> np.ndarray:
     return v * np.where(pivot < 0, -1.0, 1.0)
 
 
-def orthonormal_nullspace(a: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
+def orthonormal_nullspace(a: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the nullspace of ``a`` by SVD thresholding.
 
-    Singular values at or below rtol * max(sigma_max, 1) count as zero, so a
-    matrix whose singular values are all roundoff has a full nullspace.  The
-    floor of 1 assumes O(1) entries, as in the generator equations the
-    tests pass; scale other matrices first.  Each basis vector gets the
-    deterministic sign convention of ``fix_vector_sign``.  Nothing in the
-    package calls this; it stays because the benchmark's tracer rebinds it
-    by name, and the tests use it as a nullspace oracle.
+    Singular values at or below DEFAULT_RANK_RTOL * max(sigma_max, 1) count as
+    zero, so a matrix whose singular values are all roundoff has a full
+    nullspace.  The floor of 1 assumes O(1) entries, as in the generator
+    equations the tests pass; scale other matrices first.  Each basis vector
+    gets the deterministic sign convention of ``fix_vector_sign``.  Nothing in
+    the package calls this; it stays because the benchmark's tracer rebinds
+    it by name, and the tests use it as a nullspace oracle.
     """
-    if rtol <= 0:
-        raise ValidationError("rtol must be positive")
     a = np.asarray(a)
     if a.size == 0:
         n = a.shape[1] if a.ndim == 2 else 0
         return [fix_vector_sign(e) for e in np.eye(n)]
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = rtol * max(s[0] if s.size else 0.0, 1.0)
+    cutoff = DEFAULT_RANK_RTOL * max(s[0] if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
     return [fix_vector_sign(np.conj(vh[i])) for i in range(rank, a.shape[1])]
 
@@ -77,11 +75,15 @@ def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def tensor_shape(dims: Iterable[int]) -> tuple[int, ...]:
-    shape = tuple(int(d) for d in dims)
-    if not shape or any(d < 1 for d in shape):
-        raise ValidationError(f"all tensor factors must be >= 1: {shape}")
-    return shape
+def tensor_shape(dims) -> tuple[int, ...]:
+    """The one check of tensor factors: one integer >= 1 or a non-empty sequence of
+    them, numpy integers included and bools, floats and strings refused."""
+    shape = tuple(dims) if np.iterable(dims) else (dims,)
+    if not shape or not all(
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in shape
+    ):
+        raise ValidationError(f"all tensor factors must be integers >= 1: {shape}")
+    return tuple(map(int, shape))
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

@@ -23,10 +23,8 @@ from snrecoupling.recoupling import column_swap_check, column_swap_check_ag, rec
 from oracles import exact_hs_squared
 
 
-# the subcommands that draw random states, and those that print a report
+# the subcommands that draw random states
 SEEDED = {"overlap-bound-fuzz", "ssa-scan", "sample-state"}
-REPORTS = {"spectrum-estimation", "overlap-certificate", "overlap-bound-fuzz",
-           "dimension-ratio", "converse-probe", "ssa-scan"}
 
 
 def run(capsys, *argv):
@@ -84,7 +82,7 @@ class TestParserTable:
         assert out.startswith(f"usage: snrecoupling {name}")
         # each flag is offered exactly where the subcommand reads it
         assert ("--seed" in out) == (name in SEEDED)
-        assert ("--format" in out) == (name in REPORTS)
+        assert ("--format" in out) == (name == "spectrum-estimation")
         assert "--out" in out
 
     @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "1"]])
@@ -108,6 +106,7 @@ class TestParserTable:
         ["cg", "--alpha", "2,1", "--beta", "2,1", "--lambda", "3", "--format", "csv"],
         ["validate-state", "x.json", "--format", "json"],
         ["overlap-certificate", "--rho", "x.json", "--k", "2", "--delta", "1", "--seed", "1"],
+        ["overlap-certificate", "--rho", "x.json", "--k", "2", "--delta", "1", "--format", "csv"],
     ])
     def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -121,7 +120,74 @@ class TestParserTable:
         args = build_parser("spectrum-estimation").parse_args(
             ["spectrum-estimation", "--rho", "x.json"])
         assert args.format == "csv"
-        assert build_parser("ssa-scan").parse_args(["ssa-scan"]).format == "json"
+        assert not hasattr(build_parser("ssa-scan").parse_args(["ssa-scan"]), "format")
+
+
+# one short run of each subcommand; {tri}, {qubit} and {spectra} name the
+# files of the `inputs` fixture
+SHORT_RUNS = {
+    "char": ["--lambda", "2,1", "--type", "3"],
+    "kron": ["--alpha", "2,1", "--beta", "2,1", "--lambda", "2,1"],
+    "cg": ["--alpha", "2,1", "--beta", "2,1", "--lambda", "3"],
+    "recoupling": ["--labels", "2,1/2,1/2,1/3/3/2,1"],
+    "scan-recoupling": ["--k", "2"],
+    "spectrum-estimation": ["--rho", "{qubit}", "--k-max", "4"],
+    "overlap": ["--rho", "{tri}", "--labels", "2/2/2/2/2/2"],
+    "overlap-certificate": ["--rho", "{tri}", "--k", "2", "--delta", "1.0"],
+    "overlap-bound-fuzz": ["--n", "3"],
+    "dimension-ratio": ["--rho", "{tri}", "--k-list", "250"],
+    "converse-probe": ["--spectra", "{spectra}", "--k-min", "1", "--k-max", "3"],
+    "ssa-scan": ["--n", "3"],
+    "validate-state": ["{tri}"],
+    "sample-state": ["--dims", "2,2"],
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A tripartite state, a qubit state and a spectra file."""
+    tri = sample_hs_random((2, 2, 3), 5)
+    files = {"tri": tmp_path / "tri.json", "qubit": tmp_path / "qubit.json",
+             "spectra": tmp_path / "spectra.json"}
+    write_state(tri, files["tri"])
+    write_state(DensityMatrix(dims=(2,), matrix=np.diag([0.9, 0.1])), files["qubit"])
+    files["spectra"].write_text(json.dumps(spectra_tuple(tri).as_dict()))
+    return {name: str(path) for name, path in files.items()}
+
+
+class TestOneWriter:
+    """``cli._emit`` writes every subcommand's output, to stdout or to --out."""
+
+    def test_every_subcommand_has_a_short_run(self):
+        assert set(SHORT_RUNS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_out_file_gets_the_bytes_of_stdout(self, capsys, tmp_path, inputs, name):
+        argv = [name, *(arg.format(**inputs) for arg in SHORT_RUNS[name])]
+        code, out = run(capsys, *argv)
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (code, "")
+        assert path.read_bytes() == out.encode()
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+    @pytest.mark.parametrize("argv", [["char", "--lambda", "2,1", "--type", "3"],
+                                      ["scan-recoupling", "--k", "2"]])
+    def test_out_under_a_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code = main([*argv, "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}")
+        assert "Traceback" not in captured.err and not path.parent.exists()
+
+    def test_failed_command_leaves_no_out_file(self, capsys, tmp_path):
+        rho = tmp_path / "rho.json"
+        write_state(sample_hs_random((2, 2), 0), rho)
+        path = tmp_path / "out.jsonl"
+        code = main(["overlap-certificate", "--rho", str(rho), "--k", "2", "--delta", "1.0",
+                     "--out", str(path)])
+        assert code == 2 and "tripartite" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestScalarCommands:
@@ -282,10 +348,14 @@ class TestStateCommands:
         lines = (tmp_path / "r.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["record"] == "header"
         assert len(lines) == 5 + 2
-        code, out = run(capsys, *argv, "--format", "csv", "--out", str(tmp_path / "r.csv"))
-        assert code == 0 and out == ""
+        # CSV comes only from spectrum-estimation (its gate fails on this state)
+        qubit = tmp_path / "rho.json"
+        write_state(DensityMatrix(dims=(2,), matrix=np.diag([0.9, 0.1])), qubit)
+        code, out = run(capsys, "spectrum-estimation", "--rho", str(qubit), "--k-max", "4",
+                        "--format", "csv", "--out", str(tmp_path / "r.csv"))
+        assert code == 1 and out == ""
         rows = (tmp_path / "r.csv").read_text().splitlines()
-        assert "slack" in rows[0].split(",") and len(rows) == 5 + 1
+        assert rows[0].split(",")[:2] == ["k", "lam"] and len(rows) > 4
 
     def test_dimension_ratio(self, capsys, tmp_path):
         path = tmp_path / "ghz.json"
@@ -480,6 +550,23 @@ class TestMalformedInput:
                             "--k", "2", "--delta", "1.0")
         self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
                             "--k-list", "2,3")
+
+    @pytest.mark.parametrize("dims, entry", [
+        ([2.7], [0.5, 0.0]),
+        (["2"], [0.5, 0.0]),
+        ([True, 2], [0.5, 0.0]),
+        ([2], [0.5, 0.0, 7]),
+        ([2], [0.5, 0.0, "x"]),
+    ], ids=["float-dims", "string-dims", "bool-dims", "three-numbers", "trailing-string"])
+    def test_state_file_read_exactly(self, capsys, tmp_path, dims, entry):
+        # a lax reader takes each of these as diag(0.5, 0.5) on (2,) or (1, 2)
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": [
+            [entry, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}))
+        code, out = run(capsys, "validate-state", str(path))
+        assert code == 1 and json.loads(out)["valid"] is False
+        self.check_rejected(capsys, "overlap-certificate", "--rho", str(path),
+                            "--k", "2", "--delta", "1.0")
 
     def test_dimension_ratio_k_above_the_rounding_bound(self, capsys, tmp_path):
         path = tmp_path / "rho.json"

@@ -423,6 +423,12 @@ class TestReportFormats:
         head = csv_text.splitlines()[0]
         assert "ssa_gap" in head and "weak_mono_gap" in head
 
+    def test_csv_of_a_report_without_items_is_empty(self):
+        # CSV carries the items only: no header row of no columns
+        rep = cmd_overlap_certificate(sample_hs_random((2, 2, 3), 5), k=2, delta=1.0)
+        assert rep.items == [] and rep.summary["ball_tuple_count"] == 0
+        assert rep.to_csv() == ""
+
 
 def test_reports_name_the_labels_in_label_order():
     assert LABELS == ("alpha", "beta", "gamma", "mu", "nu", "lam")

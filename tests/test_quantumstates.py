@@ -347,3 +347,14 @@ class TestStateFiles:
     def test_malformed_file_rejected(self):
         with pytest.raises(ValidationError):
             state_from_json({"dims": [2]})
+
+    def test_valid_file_gives_the_bit_identical_matrix(self):
+        rho = sample_hs_random((2, 3), seed=7)
+        again = state_from_json(json.loads(json.dumps(state_to_json(rho))))
+        assert again.dims == (2, 3) and np.array_equal(again.matrix, rho.matrix)
+
+    def test_pure_state_takes_integer_dims_only(self):
+        assert pure_state(np.ones(2), np.int64(2)).dims == (2,)
+        for dims in ((2.0,), ("2",), (True, 2)):
+            with pytest.raises(ValidationError, match="tensor factors"):
+                pure_state(np.ones(2), dims)

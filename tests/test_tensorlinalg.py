@@ -48,10 +48,6 @@ class TestNullspace:
             assert np.array_equal(x, y)
             assert x[np.argmax(np.abs(x))] > 0
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValidationError):
-            orthonormal_nullspace(np.eye(2), rtol=0.0)
-
 
 class TestEigensystem:
     def test_identity(self):
@@ -161,6 +157,14 @@ class TestShapeAndSign:
         assert tensor_shape((2, 3)) == (2, 3)
         with pytest.raises(ValidationError):
             tensor_shape((2, 0))
+
+    def test_tensor_shape_takes_integers_only(self):
+        assert tensor_shape(3) == (3,)
+        shape = tensor_shape([np.int64(2), np.int32(3)])
+        assert shape == (2, 3) and all(type(d) is int for d in shape)
+        for dims in ([2.7], [2.0], ["2"], "2", [True, 2], True, [], 2.0, None):
+            with pytest.raises(ValidationError, match="tensor factors"):
+                tensor_shape(dims)
 
     def test_fix_vector_sign(self):
         v = np.array([0.1, -0.9, 0.3])
