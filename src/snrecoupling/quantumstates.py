@@ -208,7 +208,7 @@ def state_from_json(payload: dict) -> DensityMatrix:
     try:
         dims = tensor_shape(payload["dims"])
         mat = np.array([[_entry(entry) for entry in row] for row in payload["matrix"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
     return DensityMatrix(dims, mat)
 

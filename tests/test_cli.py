@@ -632,6 +632,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("payload", [
         {"dims": ["x"], "matrix": [[[1, 0]]]},
         {"dims": [2], "matrix": [[[1, 0]], [[0, 0], [0.5, 0]]]},  # ragged rows
+        {"dims": [1], "matrix": [[[10**400, 0]]]},  # no float holds the entry
     ])
     def test_malformed_state_file(self, capsys, tmp_path, payload):
         path = tmp_path / "rho.json"
