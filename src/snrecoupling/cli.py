@@ -285,14 +285,17 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  For a known ``command`` only that subcommand's parser is
-    built; otherwise (``--help``, a typo) every subcommand is listed."""
-    parser = argparse.ArgumentParser(prog="snrecoupling", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        spec = COMMANDS[name]
-        p = sub.add_parser(name, help=spec.help)
-        for flags, kwargs in spec.arguments:
+    """The parser of what follows a known ``command``'s name, one level with its
+    own arguments; else (``--help``, a typo) the table of every subcommand."""
+    if command in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"snrecoupling {command}")
+        parsers = {command: parser}
+    else:
+        parser = argparse.ArgumentParser(prog="snrecoupling", description=__doc__)
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=spec.help) for name, spec in COMMANDS.items()}
+    for name, p in parsers.items():
+        for flags, kwargs in COMMANDS[name].arguments:
             p.add_argument(*flags, **kwargs)
         p.add_argument("--out", default=None, help="output file ('-' for stdout)")
     return parser
@@ -300,9 +303,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    if not argv or argv[0] not in COMMANDS:
+        build_parser().parse_args(argv)  # prints the help or an error, and exits
+    args = build_parser(argv[0]).parse_args(argv[1:])
     try:
-        return COMMANDS[args.command].handler(args)
+        return COMMANDS[argv[0]].handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

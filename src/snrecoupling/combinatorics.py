@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_cap
+from .errors import ValidationError, check_cap, check_int
 
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -31,14 +31,13 @@ class CycleType(NamedTuple):
 
 
 def check_partition(rows: Sequence[int]) -> Partition:
-    """Validate and canonicalize a partition given as a sequence of rows."""
-    lam = tuple(map(int, rows))
-    if not lam:
-        raise ValidationError("partition must have at least one row")
-    if min(lam) <= 0:
-        raise ValidationError(f"partition rows must be positive: {lam}")
-    if any(map(operator.lt, lam, lam[1:])):
-        raise ValidationError(f"partition rows must be non-increasing: {lam}")
+    """Validate and canonicalize a partition given as a sequence of rows.  Rows
+    of type int are kept as they are; any other row goes through check_int."""
+    lam = tuple(rows)
+    if set(map(type, lam)) != {int}:
+        lam = tuple(check_int(row, "partition rows") for row in lam)
+    if not lam or lam[-1] <= 0 or any(map(operator.lt, lam, lam[1:])):
+        raise ValidationError(f"partition rows must be positive and non-increasing, got {lam}")
     return lam
 
 
@@ -54,15 +53,14 @@ def check_labels(*parts: Sequence[int]) -> tuple[Partition, ...]:
     return labels
 
 
-@cache
 def enumerate_partitions(k: int, max_rows: int | None = None) -> tuple[Partition, ...]:
     """All partitions of k with at most max_rows rows, reverse-lexicographic."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    rows_cap = k if max_rows is None else max_rows
-    if rows_cap < 1:
-        raise ValidationError("max_rows must be >= 1")
+    k = check_int(k, "k")
+    return _enumerate_partitions(k, k if max_rows is None else check_int(max_rows, "max_rows"))
 
+
+@cache
+def _enumerate_partitions(k: int, rows_cap: int) -> tuple[Partition, ...]:
     out: list[Partition] = []
 
     def rec(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
@@ -121,13 +119,11 @@ def weyl_dimension(lam: Sequence[int], d: int) -> int:
     Counts semistandard tableaux of shape lam with entries in 1..d; zero
     exactly when lam has more than d rows.
     """
-    return _weyl_dimension(check_partition(lam), int(d))
+    return _weyl_dimension(check_partition(lam), check_int(d, "d"))
 
 
 @cache
 def _weyl_dimension(lam: Partition, d: int) -> int:
-    if d < 1:
-        raise ValidationError("d must be >= 1")
     # hook-content formula, with prod(hooks) = k! / dim; the cell (d, 0) of a
     # lam with more than d rows makes the product 0
     num = math.prod(d + j - i for i, row in enumerate(lam) for j in range(row))
@@ -139,13 +135,8 @@ def _weyl_dimension(lam: Partition, d: int) -> int:
 def normalize(lam: Sequence[int], length: int | None = None) -> np.ndarray:
     """Rows divided by k, zero-padded to the requested length."""
     lam = check_partition(lam)
-    k = sum(lam)
-    if length is None:
-        length = len(lam)
-    if length < len(lam):
-        raise ValidationError(f"cannot pad {lam} to length {length}")
-    vec = np.zeros(length)
-    vec[: len(lam)] = np.asarray(lam, dtype=float) / k
+    vec = np.zeros(len(lam) if length is None else check_int(length, "length", len(lam)))
+    vec[: len(lam)] = np.asarray(lam, dtype=float) / sum(lam)
     return vec
 
 
@@ -162,17 +153,12 @@ def round_spectrum(r: Sequence[float], k: int) -> Partition:
     1 of k, which holds while k (1e-12 + 2^-53) < 1: 1e-12 is the tolerance
     of the sum check, 2^-53 the rounding of each product.
     """
-    if isinstance(k, bool):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValidationError(f"k must be an integer, got {k!r}") from None
-    if not 1 <= k <= ROUND_K_MAX:
-        raise ValidationError(f"k must be in 1..{ROUND_K_MAX}, got {k}")
+    k = check_int(k, "k", 1, ROUND_K_MAX)
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ValidationError("spectrum must be a non-empty vector")
+    if not np.isfinite(r).all():
+        raise ValidationError("spectrum has NaN or infinite entries")
     if np.any(r < 0):
         raise ValidationError("spectrum entries must be non-negative")
     if np.any(np.diff(r) > 0):

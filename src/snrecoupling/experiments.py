@@ -27,7 +27,7 @@ from .combinatorics import (
     log_sk_dimension,
     round_spectrum,
 )
-from .errors import ValidationError, check_cap
+from .errors import ValidationError, check_cap, check_int
 from .intertwiner import _kronecker_coefficient
 from .quantumstates import (
     DensityMatrix,
@@ -183,6 +183,7 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
     (``recoupling.HS_ZERO`` plays no part); a zero block is neither an item
     nor counted in ``nonzero_tuple_count`` or ``sum_hs``.
     """
+    k = check_int(k, "k")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and non-negative, got {delta}")
     if len(rho.dims) != 3:
@@ -229,8 +230,7 @@ def cmd_overlap_bound_fuzz(n: int, seed: int) -> ExperimentReport:
     Random-subspace projectors P, Q and HS-random sigma on dimensions up
     to 16.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = check_int(n, "n")
 
     def trial(i: int) -> dict:
         rng = np.random.default_rng((seed, i))
@@ -286,9 +286,9 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
         raise ValidationError("spectrum estimation needs a single-system state")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and non-negative, got {delta}")
-    d = rho.dims[0]
-    if d > 4 or k_max < 1:
-        raise ValidationError("supported range is d <= 4, k_max >= 1")
+    k_max, d = check_int(k_max, "k_max"), rho.dims[0]
+    if d > 4:
+        raise ValidationError("supported range is d <= 4")
     check_cap("k_max of the S_k whose conjugacy classes a character sum runs over", k_max, K_MAX)
     r = rho.spectrum()
 
@@ -365,10 +365,9 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
     """
     if len(rho.dims) != 3:
         raise ValidationError("dimension ratio needs a tripartite state")
-    if not k_values or min(k_values) < 2:
-        raise ValidationError(
-            f"dimension ratio needs a non-empty list of k values >= 2, got {list(k_values)}"
-        )
+    k_values = [check_int(k, "k values", 2) for k in k_values]
+    if not k_values:
+        raise ValidationError("dimension ratio needs a non-empty list of k values")
     _, b, _, ab, bc, abc = group_dims(rho.dims)
     spectra = spectra_tuple(rho)
     gap = ssa_gap(spectra)
@@ -433,16 +432,14 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
         raise ValidationError("the converse probe needs a non-empty list of k values")
     items = []
     for k in k_values:
-        if k < 1:
-            raise ValidationError(f"the converse probe needs k values >= 1, got {k}")
+        k = check_int(k, "k values")
         labels = [_round_marginal(r, k) for r in spectra]
         items.append({"k": k, **_labels_record(labels), "hs": recoupling_tensor(*labels).hs})
 
     return ExperimentReport(
         experiment="converse_probe",
-        parameters={
-            "k_values": list(k_values), "dims": list(dims), "spectra": spectra.as_dict(),
-        },
+        parameters={"k_values": [item["k"] for item in items], "dims": list(dims),
+                    "spectra": spectra.as_dict()},
         items=items,
         summary={"hs_sequence": [item["hs"] for item in items]},
         passed=True,
@@ -451,8 +448,7 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
 
 def cmd_ssa_scan(n: int, seed: int) -> ExperimentReport:
     """Entropy-inequality scan over HS-random tripartite states plus GHZ."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = check_int(n, "n")
 
     def gaps(trial, rho: DensityMatrix) -> dict:
         spectra = spectra_tuple(rho)

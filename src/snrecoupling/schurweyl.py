@@ -47,9 +47,10 @@ from .combinatorics import (
     perm_cycle_type,
     perm_inverse,
 )
-from .errors import ValidationError, check_cap
+from .errors import ValidationError, check_cap, check_int
 from .quantumstates import GROUPS, DensityMatrix
 from .repsym import _character_row, character
+from .tensorlinalg import tensor_shape
 
 DENSE_CAP = 4096
 IMPLICIT_CAP = 1_000_000
@@ -65,7 +66,7 @@ def permutation_index_map(
     (copy slowest, then the subsystem order of `dims`) the map is a
     transpose of the index array.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tensor_shape(dims)
     n = len(dims)
     axes = [(perm[t] if active[s] else t) * n + s for t in range(k) for s in range(n)]
     total = math.prod(dims) ** k
@@ -119,11 +120,16 @@ def _ball_coefficients(labels: Sequence[Partition], k: int) -> np.ndarray:
         if sum(lam) != k:
             raise ValidationError(f"label {lam} is not a partition of k = {k}")
     terms = [(_sk_dimension(l), _character_row(l)) for l in labels]
-    by_type = {
-        t: sum(dim * row[c] for dim, row in terms) / math.factorial(k)
-        for c, (t, _) in enumerate(conjugacy_classes(k))
-    }
-    return np.array([by_type[perm_cycle_type(p)] for p in all_permutations(k)])
+    by_class = np.array([sum(dim * row[c] for dim, row in terms) / math.factorial(k)
+                         for c in range(len(conjugacy_classes(k)))])
+    return by_class[_perm_classes(k)]
+
+
+@cache
+def _perm_classes(k: int) -> np.ndarray:
+    """The conjugacy_classes(k) index of each permutation, in all_permutations(k) order."""
+    types = {t: c for c, (t, _) in enumerate(conjugacy_classes(k))}
+    return np.array([types[perm_cycle_type(p)] for p in all_permutations(k)])
 
 
 def ball_sum_projector(
@@ -137,7 +143,7 @@ def ball_sum_projector(
     labels first, so the result is a single dense matrix however many labels
     the ball contains.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tensor_shape(dims)
     names = "ABC"[: len(dims)]
     if not group or not set(group) <= set(names):
         raise ValidationError(f"group {group!r} is not a set of the subsystems {names}")
@@ -184,7 +190,6 @@ class _SkTables(NamedTuple):
     inv: np.ndarray  # inv[i] = index of perms[i]^-1
     orbit: np.ndarray  # (k!, k!, k!): orbit number under simultaneous conjugation
     reps: tuple[tuple[int, int, int], ...]  # one element of each orbit
-    cls: np.ndarray  # cls[i] = conjugacy_classes(k) index of perms[i]
     class_first: np.ndarray  # class_first[c] = index of the first permutation in class c
 
 
@@ -202,21 +207,19 @@ def _sk_tables(k: int) -> _SkTables:
     )
     first, orbit = np.unique(flat.min(axis=0), return_inverse=True)
     reps = tuple(zip(*(idx.tolist() for idx in np.unravel_index(first, (n, n, n)))))
-    types = {t: c for c, (t, _) in enumerate(conjugacy_classes(k))}
-    cls = np.array([types[perm_cycle_type(p)] for p in perms])
-    class_first = np.unique(cls, return_index=True)[1]
-    return _SkTables(perms, mul, inv, orbit.reshape(n, n, n), reps, cls, class_first)
+    class_first = np.unique(_perm_classes(k), return_index=True)[1]
+    return _SkTables(perms, mul, inv, orbit.reshape(n, n, n), reps, class_first)
 
 
-def _check_algebra_size(dims: Sequence[int], k: int) -> None:
-    """Refuse before allocating: (k!)^3 coefficients per element and
-    prod(dims)^k iterations per einsum in permutation_traces."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+def _check_algebra_size(dims: Sequence[int], k: int) -> int:
+    """k as an int, refused before allocating: (k!)^3 coefficients per element
+    and prod(dims)^k iterations per einsum in permutation_traces."""
+    k = check_int(k, "k")
     check_cap("(k!)^3 coefficients of a group-algebra element", math.factorial(k) ** 3,
               IMPLICIT_CAP)
     check_cap("prod(dims)^k steps of a permutation-trace einsum", math.prod(dims) ** k,
               IMPLICIT_CAP)
+    return k
 
 
 def _times_ball(
@@ -264,7 +267,7 @@ def tripartite_elements(
     array has (k!)^3 entries whatever the local dimensions; `dims` enters
     only the size check, which also covers permutation_traces on `dims`.
     """
-    _check_algebra_size(dims, k)
+    k = _check_algebra_size(dims, k)
     tables = _sk_tables(k)
     c_a, c_b, c_c, c_mu, c_nu, c_lam = (
         _ball_coefficients(labels, k) for labels in (alphas, betas, gammas, mus, nus, lams)
@@ -291,7 +294,7 @@ def permutation_traces(rho: DensityMatrix, k: int) -> np.ndarray:
     """
     if len(rho.dims) != 3:
         raise ValidationError("permutation traces need a tripartite state")
-    _check_algebra_size(rho.dims, k)
+    k = _check_algebra_size(rho.dims, k)
     tables = _sk_tables(k)
     tens = rho.matrix.reshape(tuple(rho.dims) * 2)
     vals = np.empty(len(tables.reps), dtype=complex)
@@ -328,7 +331,7 @@ def overlap_trace(elements: TripartiteElements, rho: DensityMatrix, k: int) -> O
 @cache
 def _perm_characters(lam: Partition) -> np.ndarray:
     """chi_lam at every permutation of S_k, in all_permutations(k) order, as int64."""
-    row = np.array(_character_row(lam), dtype=np.int64)[_sk_tables(sum(lam)).cls]
+    row = np.array(_character_row(lam), dtype=np.int64)[_perm_classes(sum(lam))]
     row.setflags(write=False)
     return row
 

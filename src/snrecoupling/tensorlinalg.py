@@ -10,11 +10,12 @@ layout.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 DEFAULT_RANK_RTOL = 1e-10
 
@@ -76,24 +77,20 @@ def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tensor_shape(dims) -> tuple[int, ...]:
-    """The one check of tensor factors: one integer >= 1 or a non-empty sequence of
-    them, numpy integers included and bools, floats and strings refused."""
+    """The one check of tensor factors: one integer >= 1 or a non-empty sequence
+    of them, each read by check_int."""
     shape = tuple(dims) if np.iterable(dims) else (dims,)
-    if not shape or not all(
-        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in shape
-    ):
-        raise ValidationError(f"all tensor factors must be integers >= 1: {shape}")
-    return tuple(map(int, shape))
+    if not shape:
+        raise ValidationError("tensor factors: none given")
+    return tuple(check_int(d, "tensor factors") for d in shape)
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all factors not listed in ``keep`` (indices into dims)."""
     dims = tensor_shape(dims)
     n = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if keep and (keep[0] < 0 or keep[-1] >= n):
-        raise ValidationError(f"keep indices {keep} out of range for {n} factors")
-    total = int(np.prod(dims))
+    keep = sorted({check_int(i, "keep indices", 0, n - 1) for i in keep})
+    total = math.prod(dims)
     m = np.asarray(m)
     if m.shape != (total, total):
         raise ValidationError(f"matrix shape {m.shape} does not match dims {dims}")
@@ -104,5 +101,5 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     col = [n + i if i in keep else i for i in range(n)]
     out = [i for i in keep] + [n + i for i in keep]
     reduced = np.einsum(t, row + col, out)
-    kept_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
+    kept_dim = math.prod(dims[i] for i in keep)
     return reduced.reshape(kept_dim, kept_dim)

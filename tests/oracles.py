@@ -13,7 +13,9 @@ start with ``test_``); test modules import it as ``oracles``, since
 - ``bend_and_compare``: the unitary between a bent intertwiner basis and the
   straight basis of the bent orientation;
 - ``exact_hs_squared``: the squared recoupling norm as an exact rational,
-  from characters alone.
+  from characters alone;
+- ``ball_coefficients_per_permutation``: the coefficients of a ball sum of
+  isotypic projectors, looked up by the cycle type of every permutation.
 """
 
 from __future__ import annotations
@@ -43,6 +45,17 @@ from snrecoupling.intertwiner import cg_isometries
 from snrecoupling.repsym import RepMatrixSet, _character_row, _young_orthogonal_rep
 from snrecoupling.schurweyl import tripartite_elements
 from snrecoupling.tensorlinalg import hs_norm
+
+
+def ball_coefficients_per_permutation(labels: Sequence[Partition], k: int) -> np.ndarray:
+    """sum_lam dim[lam] chi_lam(pi) / k! for each pi in all_permutations(k) order,
+    summed over the labels in the same order as ``schurweyl._ball_coefficients``."""
+    terms = [(_sk_dimension(l), _character_row(l)) for l in labels]
+    by_type = {
+        t: sum(dim * row[c] for dim, row in terms) / math.factorial(k)
+        for c, (t, _) in enumerate(conjugacy_classes(k))
+    }
+    return np.array([by_type[perm_cycle_type(p)] for p in all_permutations(k)])
 
 
 def conjugate_partition(lam: Sequence[int]) -> Partition:

@@ -1,6 +1,7 @@
-"""The pair verdict of tools/bench_pairs.py, on made-up numbers, and its choice
-of the change side's revision, its source line count and its source tree
-hash, on a throwaway repository (no benchmark runs)."""
+"""The pair verdict of tools/bench_pairs.py, on made-up numbers, the
+environment it records, and its choice of the change side's revision, its
+source line count and its source tree hash, on a throwaway repository (no
+benchmark runs)."""
 
 import subprocess
 import sys
@@ -9,7 +10,14 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import change_revision, git, src_lines, src_tree, verdict  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    change_revision,
+    git,
+    run_environment,
+    src_lines,
+    src_tree,
+    verdict,
+)
 
 PARENT = [5.6, 5.5, 5.7, 5.6, 5.8, 5.5, 5.6, 5.7, 5.9, 5.6]
 
@@ -55,6 +63,19 @@ def test_higher_is_better_metric():
 def test_worse_than_bound():
     assert verdict(PARENT, [p * 1.3 for p in PARENT], "lower", 0.25)["worse_than_bound"]
     assert not verdict(PARENT, [p * 1.2 for p in PARENT], "lower", 0.25)["worse_than_bound"]
+
+
+def test_run_environment_records_both_variables_and_null_when_unset():
+    assert run_environment({"PYTHONDONTWRITEBYTECODE": "1", "PATH": "/bin"}) == {
+        "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": None}
+    assert run_environment({"OPENBLAS_NUM_THREADS": "2"}) == {
+        "PYTHONDONTWRITEBYTECODE": None, "OPENBLAS_NUM_THREADS": "2"}
+
+
+def test_run_environment_reads_the_environment_the_runs_inherit(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run_environment() == {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": None}
 
 
 @pytest.fixture

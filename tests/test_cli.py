@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -95,11 +96,28 @@ class TestParserTable:
         assert "usage: snrecoupling" in captured.err
 
     def test_only_the_invoked_subcommand_is_built(self, capsys):
+        # the one-level parser of "char" reads what follows the name: another
+        # subcommand's name is no choice of it, and no other subcommand is listed
         with pytest.raises(SystemExit):
             build_parser("char").parse_args(["kron", "--alpha", "1", "--beta", "1",
                                              "--lambda", "1"])
         err = capsys.readouterr().err
-        assert "invalid choice" in err and "kron" in err and "sample-state" not in err
+        assert err.startswith("usage: snrecoupling char ") and "sample-state" not in err
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_one_level_parser_has_the_help_of_the_subparser(self, name):
+        table = build_parser()
+        (sub,) = (a for a in table._actions if isinstance(a, argparse._SubParsersAction))
+        assert build_parser(name).format_help() == sub.choices[name].format_help()
+
+    @pytest.mark.parametrize("argv", [["char", "--lambda", "2,1", "--type", "3", "--bogus", "1"],
+                                      ["ssa-scan", "--n"]])
+    def test_argument_errors_name_the_subcommand(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith(f"usage: snrecoupling {argv[0]} [-h]")
 
     @pytest.mark.parametrize("argv", [
         ["char", "--lambda", "2,1", "--type", "3", "--seed", "1"],
@@ -117,10 +135,9 @@ class TestParserTable:
         assert "unrecognized arguments" in captured.err
 
     def test_spectrum_estimation_defaults_to_csv(self):
-        args = build_parser("spectrum-estimation").parse_args(
-            ["spectrum-estimation", "--rho", "x.json"])
+        args = build_parser("spectrum-estimation").parse_args(["--rho", "x.json"])
         assert args.format == "csv"
-        assert not hasattr(build_parser("ssa-scan").parse_args(["ssa-scan"]), "format")
+        assert not hasattr(build_parser("ssa-scan").parse_args([]), "format")
 
 
 # one short run of each subcommand; {tri}, {qubit} and {spectra} name the
@@ -573,7 +590,7 @@ class TestMalformedInput:
         write_state(maximally_mixed((2, 2, 2)), path)
         err = self.check_rejected(capsys, "dimension-ratio", "--rho", str(path),
                                   "--k-list", "1000000000000")
-        assert "k must be in" in err
+        assert "k: 1000000000000 is not an integer in 1..100000000000" in err
 
     def test_non_json_state_file(self, capsys, tmp_path):
         path = tmp_path / "rho.json"

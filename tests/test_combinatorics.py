@@ -215,7 +215,7 @@ class TestNormalizeAndRound:
     @pytest.mark.parametrize("r", [(0.5, 0.5), (0.7, 0.2, 0.1), (0.5 + 5e-13, 0.5)])
     def test_round_k_range(self, r):
         for k in (0, -1, ROUND_K_MAX + 1, 10**13, 10**17):
-            with pytest.raises(ValidationError, match="k must be in"):
+            with pytest.raises(ValidationError, match=r"k: .* is not an integer in 1\.\."):
                 round_spectrum(r, k)
         for k in (1, ROUND_K_MAX):
             lam = round_spectrum(r, k)
@@ -223,7 +223,7 @@ class TestNormalizeAndRound:
 
     @pytest.mark.parametrize("k", [2.5, 4.0, True, False, "4", None])
     def test_round_rejects_a_k_that_is_not_an_integer(self, k):
-        with pytest.raises(ValidationError, match="k must be an integer"):
+        with pytest.raises(ValidationError, match="k: .* is not an integer"):
             round_spectrum((0.5, 0.5), k)
 
     def test_round_accepts_numpy_integers(self):

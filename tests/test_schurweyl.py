@@ -40,7 +40,12 @@ from snrecoupling.schurweyl import (
     tripartite_elements,
 )
 from snrecoupling.tensorlinalg import hs_norm
-from oracles import _fourier_norms, exact_hs_squared, hs_norm_via_schurweyl
+from oracles import (
+    _fourier_norms,
+    ball_coefficients_per_permutation,
+    exact_hs_squared,
+    hs_norm_via_schurweyl,
+)
 
 
 class TripartiteProjectors(NamedTuple):
@@ -101,6 +106,16 @@ def lift_by_kron_and_reorder(base, dims, k, group):
     axes = perm + [len(in_dims) + p for p in perm]
     total = int(np.prod(in_dims))
     return tens.transpose(axes).reshape(total, total)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ball_coefficients_per_class_are_those_per_permutation(k):
+    # every non-empty ball of distinct labels, bit for bit
+    parts = enumerate_partitions(k)
+    for mask in range(1, 2 ** len(parts)):
+        labels = [lam for i, lam in enumerate(parts) if mask >> i & 1]
+        assert np.array_equal(_ball_coefficients(labels, k),
+                              ball_coefficients_per_permutation(labels, k)), labels
 
 
 class TestIsotypicProjector:
@@ -560,7 +575,7 @@ class TestGroupAlgebraRoute:
         with pytest.raises(ValidationError, match="not a partition of k = 2"):
             tripartite_elements([(2, 1)], [(2,)], [(2,)], [(2,)], [(2,)], [(2,)], (2, 2, 2), 2)
         for k in (0, -1):
-            with pytest.raises(ValidationError, match="k must be >= 1"):
+            with pytest.raises(ValidationError, match="k: -?[0-9]+ is not an integer >= 1"):
                 tripartite_elements([(2,)], [(2,)], [(2,)], [(2,)], [(2,)], [(2,)], (2, 2, 2), k)
 
     def test_reach_beyond_dense_cap(self):

@@ -24,7 +24,10 @@ count of src/snrecoupling/*.py (the total of ``wc -l``) on each side, so that
 a claim of less code is checked in next to its measurements, and ``src_tree``,
 the hash of each side's src/ tree (``git rev-parse <rev>:src``): a run of an
 uncommitted tree is thereby tied to the commit that later holds the same
-sources.  Everything goes to
+sources.  It also prints and records ``environment``, the values of
+PYTHONDONTWRITEBYTECODE and OPENBLAS_NUM_THREADS that every run inherits
+(null when unset): the first decides whether each run compiles the package
+afresh, the second how many threads numpy's BLAS starts.  Everything goes to
 PAIRS_<date>_<workload>_<parent>_<change>.json at the root of the checkout.
 Exit code 1 if any run failed its output checks.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -43,6 +47,7 @@ from pathlib import Path
 from bench_trajectory import ROOT, run_once, summarize
 
 GAIN_SHARE = 0.9
+ENVIRONMENT = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")
 
 
 def git(*args: str, root: Path = ROOT) -> str:
@@ -71,6 +76,11 @@ def src_tree(rev: str, root: Path = ROOT) -> str:
     """The hash of the src/ tree of revision rev; equal for every commit, stash
     commits included, whose src/ holds the same files."""
     return git("rev-parse", f"{rev}:src", root=root)
+
+
+def run_environment(env=os.environ) -> dict:
+    """The value of each variable of ENVIRONMENT in env, None when unset."""
+    return {name: env.get(name) for name in ENVIRONMENT}
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -150,13 +160,15 @@ def main(argv=None) -> int:
 
     print(f"src_lines    parent {lines['parent']}  change {lines['change']}")
     print(f"src_tree     parent {src_hashes['parent']}  change {src_hashes['change']}")
+    environment = run_environment()
+    print("environment  " + "  ".join(f"{k}={v}" for k, v in environment.items()))
     date = datetime.date.today().isoformat()
     out = ROOT / f"PAIRS_{date}_{args.workload}_{parent_sha}_{change}.json"
     out.write_text(json.dumps({
         "date": date, "workload": args.workload, "parent": parent_sha, "change": change,
         "seconds": seconds, "seeds": list(range(args.first_seed, args.first_seed + args.pairs)),
         "order": order, "correct": correct, "provenance": provenance, "src_lines": lines,
-        "src_tree": src_hashes, "metrics": report,
+        "src_tree": src_hashes, "environment": environment, "metrics": report,
     }, indent=1) + "\n")
     print(out, file=sys.stderr)
     return 0 if correct else 1
