@@ -24,7 +24,7 @@ import sys
 from itertools import product
 from typing import Callable, Iterable, NamedTuple
 
-from .combinatorics import check_labels, check_partition, enumerate_partitions
+from .combinatorics import check_labels, enumerate_partitions
 from .errors import ResourceLimitError, ValidationError
 from .experiments import (
     ExperimentReport,
@@ -48,9 +48,9 @@ from .repsym import character
 from .schurweyl import overlap_trace, tripartite_elements
 
 
-def parse_ints(text: str, what: str) -> list[int]:
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from exc
 
@@ -66,15 +66,11 @@ def parse_seed(text: str) -> int:
     return seed
 
 
-def parse_partition(text: str):
-    return check_partition(parse_ints(text, "partition"))
-
-
 def parse_labels(text: str, expected: int):
     pieces = [p for p in text.split("/") if p.strip()]
     if len(pieces) != expected:
         raise ValidationError(f"expected {expected} labels, got {len(pieces)} in {text!r}")
-    return tuple(parse_partition(p) for p in pieces)
+    return tuple(parse_ints(p, "partition") for p in pieces)
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
@@ -95,19 +91,20 @@ def _emit_report(report: ExperimentReport, args) -> int:
 
 
 def _cmd_char(args) -> int:
-    value = character(parse_partition(args.lam), parse_partition(args.cycle_type))
+    value = character(parse_ints(args.lam, "partition"), parse_ints(args.cycle_type, "partition"))
     _emit([f"{value}\n"], args.out)
     return 0
 
 
 def _cmd_kron(args) -> int:
-    value = kronecker_coefficient(*map(parse_partition, (args.alpha, args.beta, args.lam)))
+    triple = (parse_ints(p, "partition") for p in (args.alpha, args.beta, args.lam))
+    value = kronecker_coefficient(*triple)
     _emit([f"{value}\n"], args.out)
     return 0
 
 
 def _cmd_cg(args) -> int:
-    alpha, beta, lam = map(parse_partition, (args.alpha, args.beta, args.lam))
+    alpha, beta, lam = (parse_ints(p, "partition") for p in (args.alpha, args.beta, args.lam))
     maps = cg_isometries(alpha, beta, lam)
     payload = {
         "alpha": list(alpha),
@@ -121,8 +118,7 @@ def _cmd_cg(args) -> int:
 
 
 def _cmd_recoupling(args) -> int:
-    labels = parse_labels(args.labels, 6)
-    tensor = recoupling_tensor(*labels)
+    tensor = recoupling_tensor(*parse_labels(args.labels, 6))
     payload = {
         "labels": [list(l) for l in tensor.labels],
         "block_shape": list(tensor.block_shape),

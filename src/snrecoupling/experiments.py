@@ -230,7 +230,7 @@ def cmd_overlap_bound_fuzz(n: int, seed: int) -> ExperimentReport:
     Random-subspace projectors P, Q and HS-random sigma on dimensions up
     to 16.
     """
-    n = check_int(n, "n")
+    n, seed = check_int(n, "n"), check_int(seed, "seed", 0)
 
     def trial(i: int) -> dict:
         rng = np.random.default_rng((seed, i))
@@ -448,7 +448,7 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
 
 def cmd_ssa_scan(n: int, seed: int) -> ExperimentReport:
     """Entropy-inequality scan over HS-random tripartite states plus GHZ."""
-    n = check_int(n, "n")
+    n, seed = check_int(n, "n"), check_int(seed, "seed", 0)
 
     def gaps(trial, rho: DensityMatrix) -> dict:
         spectra = spectra_tuple(rho)

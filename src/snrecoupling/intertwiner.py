@@ -44,7 +44,7 @@ from .combinatorics import (
     conjugacy_classes,
 )
 from .errors import check_cap
-from .repsym import _character_row, _cycle_matrix, young_orthogonal_rep
+from .repsym import _character_row, _cycle_matrix, _young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
@@ -107,12 +107,18 @@ def cg_isometries(alpha, beta, lam) -> np.ndarray:
     and every k above ``combinatorics.K_MAX``, raise
     ResourceLimitError before any character sum or allocation.
     """
-    alpha, beta, lam = check_labels(alpha, beta, lam)
-    # the canonical pair holds the two smallest dimensions
-    small, second, _ = sorted(map(_sk_dimension, (alpha, beta, lam)))
-    check_cap(f"Jucys-Murphy operator entries for {(alpha, beta, lam)}",
-              (small * second) ** 2, DEFAULT_PRODUCT_CAP)
-    return _solve_cg(alpha, beta, lam)
+    triple = check_labels(alpha, beta, lam)
+    _check_products(triple)
+    return _solve_cg(*triple)
+
+
+def _check_products(*triples) -> None:
+    """The product cap on checked label triples, in order, before any solve."""
+    for triple in triples:
+        # the canonical pair holds the two smallest dimensions
+        small, second, _ = sorted(map(_sk_dimension, triple))
+        check_cap(f"Jucys-Murphy operator entries for {triple}",
+                  (small * second) ** 2, DEFAULT_PRODUCT_CAP)
 
 
 def _apply_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -141,7 +147,7 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> np.ndarray:
     else:
         canon = _canonical_orientation((alpha, beta, lam))
         if canon == (alpha, beta, lam):
-            reps = (young_orthogonal_rep(p) for p in canon)
+            reps = (_young_orthogonal_rep(p) for p in canon)
             stack = _jucys_murphy_stack(*reps, g)
             maps = fix_vector_sign(stack.reshape(g, da * db * dl)).reshape(g, da * db, dl)
         else:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, check_cap
+from .errors import ValidationError, check_cap, check_int
 from .tensorlinalg import hermitian_eigensystem, hs_norm, partial_trace, tensor_shape
 
 HERMITICITY_TOL = 1e-10
@@ -153,12 +153,13 @@ def _capped_dims(dims) -> tuple[tuple[int, ...], int]:
 def sample_hs_random(dims, seed) -> DensityMatrix:
     """Hilbert-Schmidt random state: rho = G G^dag / tr, Ginibre G.
 
-    ``seed`` may be an int or a numpy Generator; equal integer seeds give
-    bit-identical matrices.  A total dimension above SAMPLE_DIM_CAP is
+    ``seed`` may be an integer >= 0 or a numpy Generator; equal integer seeds
+    give bit-identical matrices.  A total dimension above SAMPLE_DIM_CAP is
     refused before anything is drawn.
     """
     dims, d = _capped_dims(dims)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
+        check_int(seed, "seed", 0))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return DensityMatrix(dims=dims, matrix=m / np.trace(m).real)

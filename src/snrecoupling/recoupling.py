@@ -36,7 +36,7 @@ import numpy as np
 
 from .combinatorics import Partition, _sk_dimension, check_labels, enumerate_partitions
 from .errors import check_cap
-from .intertwiner import _kronecker_coefficient, cg_isometries
+from .intertwiner import _check_products, _kronecker_coefficient, _solve_cg
 from .tensorlinalg import hs_norm
 
 # floats of the composites one block or one unitary holds at once, 2 GiB
@@ -68,7 +68,7 @@ class RecouplingTensor:
 
 def _stacked_maps(a, b, c) -> np.ndarray:
     """The intertwiners [c] -> [a] (x) [b] as one (g, dim a, dim b, dim c) array."""
-    maps = cg_isometries(a, b, c)
+    maps = _solve_cg(a, b, c)
     return maps.reshape(len(maps), *map(_sk_dimension, (a, b, c)))
 
 
@@ -97,18 +97,24 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
     are, since scans revisit tuples through the swap relations: the memo
     holds at most one block per six-tuple with four non-zero Kronecker
     coefficients (23,003 of the 290,521 tuples with at most three rows at
-    k = 6).  A k above ``combinatorics.K_MAX`` raises
-    ResourceLimitError before any Kronecker coefficient is computed, here
-    and in ``full_recoupling_unitary``.  ``COMPOSITE_FLOAT_CAP``, read at
-    each call, bounds the (g_i g_j + g_k g_l) dim[alpha] dim[beta] dim[gamma]
-    floats of the two composites; a block above it raises ResourceLimitError
-    after the Kronecker coefficients and before any intertwiner is solved.
+    k = 6).  A k above ``combinatorics.K_MAX`` raises ResourceLimitError
+    before any Kronecker coefficient is computed, here and in
+    ``full_recoupling_unitary``.  After them and before any solve, so does
+    a block above ``COMPOSITE_FLOAT_CAP`` (read at each call) on the
+    (g_i g_j + g_k g_l) dim[alpha] dim[beta] dim[gamma] floats of its two
+    composites, or above ``intertwiner.DEFAULT_PRODUCT_CAP`` at one vertex.
     """
-    labels = check_labels(alpha, beta, gamma, mu, nu, lam)
-    shape = gk, gl, gi, gj = tuple(_kronecker_coefficient(*t) for t in _triples(labels))
+    return _recoupling_tensor(check_labels(alpha, beta, gamma, mu, nu, lam))
+
+
+def _recoupling_tensor(labels) -> RecouplingTensor:
+    """``recoupling_tensor`` of six checked labels."""
+    triples = _triples(labels)
+    shape = gk, gl, gi, gj = tuple(_kronecker_coefficient(*t) for t in triples)
     if 0 in shape:
         return RecouplingTensor(labels=labels, entries=np.zeros(shape), hs=0.0)
     _check_composite_floats(labels, gi * gj + gk * gl)
+    _check_products(*triples)
     return _build_tensor(labels, shape)
 
 
@@ -173,8 +179,8 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     ``recoupling_tensor(alpha, beta, gamma, mu, nu, lam).as_matrix()``, but
     the block memo is not filled.  ``COMPOSITE_FLOAT_CAP`` bounds the
     (M + max_nu g_k g_l) dim[alpha] dim[beta] dim[gamma] floats of the
-    composites, checked after the Kronecker coefficients and before any
-    intertwiner is solved.
+    composites and ``intertwiner.DEFAULT_PRODUCT_CAP`` every vertex, both
+    checked after the Kronecker coefficients and before any solve.
     """
     alpha, beta, gamma, lam = check_labels(alpha, beta, gamma, lam)
     parts = enumerate_partitions(sum(lam))
@@ -186,6 +192,8 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     if not size:
         return RecouplingUnitary(matrix=np.zeros((0, 0)), mu_order=(), nu_order=())
     _check_composite_floats((alpha, beta, gamma, lam), size + max(right_rows.values()))
+    _check_products(*(t for m in left_rows for t in ((alpha, beta, m), (m, gamma, lam))),
+                    *(t for n in right_rows for t in ((beta, gamma, n), (alpha, n, lam))))
     left = np.empty((size, math.prod(map(_sk_dimension, (alpha, beta, gamma)))))
     row = 0
     for mu, rows in left_rows.items():
@@ -210,16 +218,15 @@ class ColumnSwapResult(NamedTuple):
 
 
 def _column_swap(labels, p: int, q: int) -> ColumnSwapResult:
-    """HS norms before and after exchanging label p with mu and label q with nu,
-    and the predicted ratio sqrt(dim mu * dim nu / (dim[p] * dim[q]))."""
-    labels = check_labels(*labels)
+    """HS norms of checked labels before and after exchanging label p with mu and
+    label q with nu, and the predicted ratio sqrt(dim mu * dim nu / (dim[p] * dim[q]))."""
     swapped = list(labels)
     swapped[p], swapped[3] = labels[3], labels[p]
     swapped[q], swapped[4] = labels[4], labels[q]
     dims = [_sk_dimension(labels[i]) for i in (3, 4, p, q)]
     return ColumnSwapResult(
-        lhs_hs=recoupling_tensor(*labels).hs,
-        rhs_hs=recoupling_tensor(*swapped).hs,
+        lhs_hs=_recoupling_tensor(labels).hs,
+        rhs_hs=_recoupling_tensor(tuple(swapped)).hs,
         predicted_ratio=math.sqrt(dims[0] * dims[1] / (dims[2] * dims[3])),
     )
 
@@ -230,9 +237,9 @@ def column_swap_check(alpha, beta, gamma, mu, nu, lam) -> ColumnSwapResult:
     Returns the two HS norms and sqrt(dim mu * dim nu / (dim beta * dim lam));
     the first norm equals the product of the other two numbers.
     """
-    return _column_swap((alpha, beta, gamma, mu, nu, lam), 1, 5)
+    return _column_swap(check_labels(alpha, beta, gamma, mu, nu, lam), 1, 5)
 
 
 def column_swap_check_ag(alpha, beta, gamma, mu, nu, lam) -> ColumnSwapResult:
     """Swap of the (alpha, gamma) and (mu, nu) columns."""
-    return _column_swap((alpha, beta, gamma, mu, nu, lam), 0, 2)
+    return _column_swap(check_labels(alpha, beta, gamma, mu, nu, lam), 0, 2)

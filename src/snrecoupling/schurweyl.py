@@ -267,7 +267,7 @@ def tripartite_elements(
     array has (k!)^3 entries whatever the local dimensions; `dims` enters
     only the size check, which also covers permutation_traces on `dims`.
     """
-    k = _check_algebra_size(dims, k)
+    k = _check_algebra_size(tensor_shape(dims), k)
     tables = _sk_tables(k)
     c_a, c_b, c_c, c_mu, c_nu, c_lam = (
         _ball_coefficients(labels, k) for labels in (alphas, betas, gammas, mus, nus, lams)

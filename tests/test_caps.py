@@ -107,6 +107,27 @@ def test_product_cap_admits_a_pair_above_it_with_a_small_solve():
     _check_full_permutation(*triple, basis)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (full_recoupling_unitary, ((5, 2, 1), (5, 2, 1), (5, 2, 1), (4, 3, 1))),
+    (full_recoupling_unitary, ((5, 3), (4, 2, 1, 1), (3, 2, 1, 1, 1), (4, 2, 2))),
+    (recoupling_tensor, ((5, 3), (5, 3), (4, 2, 1, 1), (4, 2, 1, 1), (6, 2), (4, 2, 2))),
+])
+def test_product_cap_of_every_vertex_before_any_solve(fn, args):
+    # each has a vertex above the product cap after vertices below it, whose
+    # solves (up to 1 GiB for the first) would all come before its refusal
+    _solve_cg.cache_clear()
+    _build_tensor.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="Jucys-Murphy operator entries"):
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _solve_cg.cache_info().currsize == 0
+    assert peak < 1024**2
+
+
 @CAP_SETTINGS
 @given(labels(6, 3))
 def test_class_count_cap(triple):

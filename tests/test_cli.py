@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from snrecoupling import cli, intertwiner
-from snrecoupling.cli import COMMANDS, build_parser, main, parse_labels, parse_partition
+from snrecoupling.cli import COMMANDS, build_parser, main, parse_labels
 from snrecoupling.combinatorics import enumerate_partitions
 from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.experiments import LABELS
@@ -48,12 +48,14 @@ def skewed_mixed_state(path):
 
 
 class TestParsing:
-    def test_partition(self):
-        assert parse_partition("3,1") == (3, 1)
-        with pytest.raises(ValidationError):
-            parse_partition("1,3")
-        with pytest.raises(ValidationError):
-            parse_partition("a,b")
+    def test_partition(self, capsys):
+        # the CLI parses the rows and the library entry point checks them
+        assert run(capsys, "char", "--lambda", "3,1", "--type", "1,1,1,1") == (0, "3\n")
+        for rows, message in [("1,3", "partition rows must be positive and non-increasing, "
+                                       "got (1, 3)"),
+                              ("a,b", "cannot parse partition 'a,b'")]:
+            assert main(["char", "--lambda", rows, "--type", "1,1,1,1"]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_labels(self):
         labels = parse_labels("2,1/2,1/3/3/2,1/2,1", 6)

@@ -1,4 +1,4 @@
-"""Every count the public API reads goes through one check, ``errors.check_int``.
+"""Every count and seed the public API reads goes through one check, ``errors.check_int``.
 
 A count is a Python or numpy integer that is not a bool.  Each entry below
 gets a float, a whole float, a bool, a numpy bool and a string in place of
@@ -60,11 +60,16 @@ ENTRIES = {
     "round_spectrum": (lambda n: round_spectrum((0.5, 0.5), n), 3),
     "permutation_traces": (lambda n: permutation_traces(TRI, n), 2),
     "tripartite_elements": (lambda n: tripartite_elements(*[[(2,)]] * 6, (2, 2, 2), n).pq, 2),
+    "tripartite_elements-dims": (
+        lambda n: tripartite_elements(*[[(2,)]] * 6, (n, 2, 2), 2).pq, 2),
     "ball_sum_projector": (lambda n: ball_sum_projector([(2,)], (n,), 2, "A"), 2),
     "permutation_index_map": (lambda n: permutation_index_map((1, 0), (n,), 2, (True,)), 2),
     "cmd_spectrum_estimation": (lambda n: cmd_spectrum_estimation(QUBIT, n).to_json_lines(), 3),
     "cmd_ssa_scan": (lambda n: cmd_ssa_scan(n, 0).to_json_lines(), 2),
     "cmd_overlap_bound_fuzz": (lambda n: cmd_overlap_bound_fuzz(n, 0).to_json_lines(), 2),
+    "cmd_ssa_scan-seed": (lambda s: cmd_ssa_scan(1, s).to_json_lines(), 3),
+    "cmd_overlap_bound_fuzz-seed": (lambda s: cmd_overlap_bound_fuzz(1, s).to_json_lines(), 3),
+    "sample_hs_random-seed": (lambda s: sample_hs_random((2,), s).matrix, 3),
     "cmd_overlap_certificate": (lambda n: cmd_overlap_certificate(TRI, n, 1.0).to_json_lines(),
                                 2),
     "cmd_dimension_ratio": (lambda n: cmd_dimension_ratio(TRI, [2, n]).to_json_lines(), 3),
@@ -126,6 +131,15 @@ def test_the_drivers_refuse_a_zero_count():
                  lambda: cmd_dimension_ratio(TRI, [1]),
                  lambda: cmd_overlap_certificate(maximally_mixed((2, 2, 2)), 0, 1.0)):
         with pytest.raises(ValidationError, match="0 is not an integer|1 is not an integer"):
+            call()
+
+
+def test_a_negative_seed_and_a_zero_factor_are_refused():
+    for call in (lambda: cmd_ssa_scan(1, -1), lambda: cmd_overlap_bound_fuzz(1, -1),
+                 lambda: sample_hs_random((2,), -1),
+                 lambda: tripartite_elements(*[[(2,)]] * 6, (0, 2, 2), 2)):
+        with pytest.raises(ValidationError,
+                           match="seed: -1 is not an integer >= 0|factors: 0 is not an integer"):
             call()
 
 

@@ -5,19 +5,26 @@ must reject an empty partition, a zero row, increasing rows and labels of
 different k before any work is done.
 """
 
+import ast
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import snrecoupling
-from snrecoupling import combinatorics
+from snrecoupling import cli, combinatorics
 from snrecoupling.errors import ValidationError
 from snrecoupling.experiments import cmd_overlap_certificate
 from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.quantumstates import sample_hs_random
 from snrecoupling.recoupling import column_swap_check, full_recoupling_unitary, recoupling_tensor
 from snrecoupling.repsym import character, young_orthogonal_rep
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "snrecoupling"
+# the label checks, and the public functions that run them
+VALIDATING = {"check_labels", "check_partition", "cg_isometries", "young_orthogonal_rep",
+              "recoupling_tensor"}
 
 GOOD = (2, 1)
 BAD = {"empty": (), "zero row": (2, 1, 0), "increasing": (1, 2), "other k": (2, 2)}
@@ -52,36 +59,73 @@ def test_entry_point_accepts_well_formed_labels(fn):
     fn(*[GOOD] * ENTRY_POINTS[fn])
 
 
-def count_check_partition(monkeypatch) -> Counter:
-    """Clear every memo of the package and count check_partition calls by caller."""
-    modules = [m for name, m in sys.modules.items() if name.startswith("snrecoupling.")]
+def count_calls(monkeypatch, name="check_partition") -> Counter:
+    """Clear every memo of the package and count calls of the combinatorics
+    function `name` by caller."""
+    modules = [m for key, m in sys.modules.items() if key.startswith("snrecoupling.")]
     for module in modules:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    original = combinatorics.check_partition
+    original = getattr(combinatorics, name)
     callers = Counter()
 
-    def counted(rows):
+    def counted(*args):
         callers[sys._getframe(1).f_code.co_name] += 1
-        return original(rows)
+        return original(*args)
 
     for module in modules:
-        if vars(module).get("check_partition") is original:
-            monkeypatch.setattr(module, "check_partition", counted)
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
     return callers
 
 
 def test_labels_are_validated_where_they_enter(monkeypatch):
     # A cold full_recoupling_unitary((4,2), (4,2), (4,2), (3,3)) validates
-    # each label set once, in check_labels: 4 labels and 12 cg_isometries
-    # calls of 3, two for the composites of each of its three mu and three
-    # nu.  The only other caller is young_orthogonal_rep, three times in each
-    # of the 6 canonical solves; no memoized kernel below the entry points
-    # re-validates.
-    callers = count_check_partition(monkeypatch)
+    # its 4 labels once, in check_labels.  Its 12 vertex triples and the
+    # representations of its 6 canonical solves are derived from them, so
+    # no kernel below the entry point re-validates.
+    callers = count_calls(monkeypatch)
     snrecoupling.full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))
-    assert callers == {"check_labels": 4 + 12 * 3, "young_orthogonal_rep": 18}
+    assert callers == {"check_labels": 4}
+
+
+def test_a_scan_checks_each_tuple_once_per_public_call(monkeypatch, tmp_path):
+    # scan-recoupling --k 3 makes three public calls per six-tuple: the
+    # block and the two column swaps, whose four swapped blocks read the
+    # kernel with the labels already checked
+    callers = count_calls(monkeypatch, "check_labels")
+    out = tmp_path / "scan.jsonl"
+    assert cli.main(["scan-recoupling", "--k", "3", "--out", str(out)]) == 0
+    tuples = len(out.read_text().splitlines())
+    assert tuples == 3**6
+    assert callers == {"recoupling_tensor": tuples, "column_swap_check": tuples,
+                       "column_swap_check_ag": tuples}
+
+
+def validating_calls(source: str) -> list[tuple[str, str]]:
+    """(function, callee) for each call of a VALIDATING name inside a function
+    whose name starts with an underscore."""
+    return [(fn.name, node.func.id) for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in VALIDATING]
+
+
+@pytest.mark.parametrize("module", ["recoupling.py", "intertwiner.py"])
+def test_kernels_call_no_validating_function(module):
+    assert validating_calls((SRC / module).read_text()) == []
+
+
+def test_a_validating_call_in_a_kernel_is_reported():
+    source = (
+        "def entry(a):\n"
+        "    return _kernel(check_labels(a))\n"
+        "def _kernel(a):\n"
+        "    return [cg_isometries(*a), _solve_cg(*a)]\n"
+    )
+    assert validating_calls(source) == [("_kernel", "cg_isometries")]
 
 
 def test_ball_distances_do_not_revalidate(monkeypatch):
@@ -90,6 +134,6 @@ def test_ball_distances_do_not_revalidate(monkeypatch):
     # (2,2,3) state makes 11 check_partition calls, none from normalize (27,
     # 16 of them from normalize, when the distances went through it).
     rho = sample_hs_random((2, 2, 3), 5)
-    callers = count_check_partition(monkeypatch)
+    callers = count_calls(monkeypatch)
     cmd_overlap_certificate(rho, 3, 1.0)
     assert "normalize" not in callers and sum(callers.values()) == 11
