@@ -104,13 +104,12 @@ def test_a_scan_checks_each_tuple_once_per_public_call(monkeypatch, tmp_path):
 
 
 def validating_calls(source: str) -> list[tuple[str, str]]:
-    """(function, callee) for each call of a VALIDATING name inside a function
-    whose name starts with an underscore."""
-    return [(fn.name, node.func.id) for fn in ast.walk(ast.parse(source))
+    """(function, name) for each use of a VALIDATING name, called or passed on,
+    inside a function whose name starts with an underscore."""
+    return [(fn.name, node.id) for fn in ast.walk(ast.parse(source))
             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
             for node in ast.walk(fn)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in VALIDATING]
+            if isinstance(node, ast.Name) and node.id in VALIDATING]
 
 
 @pytest.mark.parametrize("module", ["recoupling.py", "intertwiner.py"])
@@ -123,9 +122,10 @@ def test_a_validating_call_in_a_kernel_is_reported():
         "def entry(a):\n"
         "    return _kernel(check_labels(a))\n"
         "def _kernel(a):\n"
-        "    return [cg_isometries(*a), _solve_cg(*a)]\n"
+        "    return [cg_isometries(*a), _solve_cg(*a), *map(check_partition, a)]\n"
     )
-    assert validating_calls(source) == [("_kernel", "cg_isometries")]
+    assert validating_calls(source) == [("_kernel", "cg_isometries"),
+                                        ("_kernel", "check_partition")]
 
 
 def test_ball_distances_do_not_revalidate(monkeypatch):
