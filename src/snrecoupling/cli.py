@@ -45,7 +45,7 @@ from .quantumstates import (
 )
 from .recoupling import column_swap_check, column_swap_check_ag, recoupling_tensor
 from .repsym import character
-from .schurweyl import overlap_trace, tripartite_elements
+from .schurweyl import _check_algebra_size, _tripartite_elements, overlap_trace
 
 
 def parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -152,8 +152,8 @@ def _cmd_overlap(args) -> int:
     if len(rho.dims) != 3:
         raise ValidationError("overlap needs a tripartite state")
     labels = check_labels(*parse_labels(args.labels, 6))
-    k = sum(labels[0])
-    elements = tripartite_elements(*([l] for l in labels), rho.dims, k)
+    k = _check_algebra_size(rho.dims, sum(labels[0]))
+    elements = _tripartite_elements([[l] for l in labels], k)
     traces = overlap_trace(elements, rho, k)
     payload = {
         "t_pq": [traces.t_pq.real, traces.t_pq.imag],

@@ -14,7 +14,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ from .quantumstates import (
     ssa_gap,
     weak_mono_gap,
 )
-from .recoupling import recoupling_tensor
+from .recoupling import VERTICES, recoupling_tensor
 from .schurweyl import (
     _recoupling_character_sum,
     overlap_trace,
@@ -135,25 +134,20 @@ def _labels_record(labels: Sequence[Partition]) -> dict[str, list[int]]:
     return {name: list(lam) for name, lam in zip(LABELS, labels)}
 
 
-def _admissible_tuples(balls: Sequence[list[Partition]]):
+def _admissible_tuples(balls: Sequence[list[Partition]]) -> list[tuple[Partition, ...]]:
     """The tuples (alpha, beta, gamma, mu, nu, lam) of six balls with four
     non-zero Kronecker coefficients, in the order of their product.
 
-    Every other tuple has an empty recoupling block (hs = 0).  The ball
-    labels come from enumerate_partitions, so they are canonical already.
+    Every other tuple has an empty recoupling block (hs = 0).  Each vertex of
+    ``recoupling.VERTICES`` is tested at the level of its last label, so no
+    prefix with a zero vertex is extended.  The labels are canonical already.
     """
-    alphas, betas, gammas, mus, nus, lams = balls
-    for alpha, beta, gamma in product(alphas, betas, gammas):
-        for mu in mus:
-            if not _kronecker_coefficient(alpha, beta, mu):
-                continue
-            for nu in nus:
-                if not _kronecker_coefficient(beta, gamma, nu):
-                    continue
-                for lam in lams:
-                    if (_kronecker_coefficient(mu, gamma, lam)
-                            and _kronecker_coefficient(alpha, nu, lam)):
-                        yield alpha, beta, gamma, mu, nu, lam
+    tuples = [()]
+    for level, ball in enumerate(balls):
+        vertices = [v for v in VERTICES if max(v) == level]
+        tuples = [labels for head in tuples for labels in (head + (lam,) for lam in ball)
+                  if all(_kronecker_coefficient(*map(labels.__getitem__, v)) for v in vertices)]
+    return tuples
 
 
 def _round_marginal(r, k: int) -> Partition:
@@ -193,14 +187,12 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
     t_pq, t_p, t_q = overlap_trace(elements, rho, k)
 
     items = []
-    sum_hs = 0.0
     cube = math.factorial(k) ** 3
     for labels in _admissible_tuples(balls):
-        s = _recoupling_character_sum(*labels)
-        if s:
+        if s := _recoupling_character_sum(*labels):
             hs = math.sqrt(_sk_dimension(labels[3]) * _sk_dimension(labels[4]) * s / cube)
             items.append({**_labels_record(labels), "hs": hs})
-            sum_hs += hs
+    sum_hs = sum(item["hs"] for item in items)
 
     chain_first = sum_hs >= abs(t_pq) - GATE_SLACK
     chain_second, rhs = _chain_second(abs(t_pq), t_p, t_q)
@@ -318,7 +310,6 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
 
     window = range(max(1, k_max - 9), k_max + 1)
     directions = []
-    gate_rate = True
     for lam_top in enumerate_partitions(k_max, d):
         rest = lam_top[1:]
         seq = []
@@ -336,8 +327,7 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
         directions.append(
             {"direction": list(lam_top), "points": len(seq), "monotone": mono}
         )
-        if not mono:
-            gate_rate = False
+    gate_rate = all(direction["monotone"] for direction in directions)
 
     return ExperimentReport(
         experiment="spectrum_estimation",
@@ -374,7 +364,6 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
     big_c = 4.0 * (ab + bc + b + abc)
 
     items = []
-    ok = True
     for k in k_values:
         mu, nu, beta, lam = (
             _round_marginal(r, k) for r in (spectra.r_ab, spectra.r_bc, spectra.r_b, spectra.r_abc)
@@ -398,8 +387,7 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
                 "error_bound": float(bound),
             }
         )
-        if err > bound:
-            ok = False
+    ok = not any(item["abs_error"] > item["error_bound"] for item in items)
     return ExperimentReport(
         experiment="dimension_ratio",
         parameters={"k_values": list(k_values), "dims": list(rho.dims)},

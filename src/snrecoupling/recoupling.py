@@ -7,7 +7,10 @@ of the (alpha (beta gamma)) tree.  Entries are normalized Hilbert-Schmidt
 overlaps of the composite isometries [lam] -> [alpha] (x) [beta] (x) [gamma],
 computed as one contraction of the four intertwiners around the tetrahedron
 whose six edges are the labels, as SU(2) 6j-symbols are; assembled over all
-(mu; nu) they form a unitary block matrix.
+(mu; nu) they form a unitary block matrix.  ``VERTICES`` is the one table of
+that tetrahedron.  W = hs / sqrt(dim mu dim nu) is invariant under its 24
+vertex permutations (Wigner's tetrahedral symmetry of the 6j-symbol), and
+the two column swaps are the transpositions (j k) and (j l).
 
 Both composites intertwine the irreducible [lam], so by Schur's lemma their
 overlap right_kl^T left_ij is a scalar times the identity of [lam].  The
@@ -66,16 +69,22 @@ class RecouplingTensor:
         return self.entries.reshape(gk * gl, gi * gj)
 
 
-def _stacked_maps(a, b, c) -> np.ndarray:
-    """The intertwiners [c] -> [a] (x) [b] as one (g, dim a, dim b, dim c) array."""
-    maps = _solve_cg(a, b, c)
-    return maps.reshape(len(maps), *map(_sk_dimension, (a, b, c)))
+# the vertices i, j, k, l of recoupling_tensor as (left, right, target) indices
+# into (alpha, beta, gamma, mu, nu, lam): every vertex triple is read from here
+VERTICES = ((0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 5))
 
 
 def _triples(labels):
-    """The (left, right, target) triples of the vertices k, l, i, j below."""
-    alpha, beta, gamma, mu, nu, lam = labels
-    return ((beta, gamma, nu), (alpha, nu, lam), (alpha, beta, mu), (mu, gamma, lam))
+    """The (left, right, target) labels of the vertices i, j, k, l."""
+    return tuple(tuple(labels[x] for x in vertex) for vertex in VERTICES)
+
+
+@cache
+def _label_permutation(vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """The labels' image under the vertex permutation v -> vertices[v], as the label
+    index each slot reads: slot x reads the edge that it takes edge x to."""
+    edges = [{v for v, vertex in enumerate(VERTICES) if x in vertex} for x in range(6)]
+    return tuple(edges.index({vertices[v] for v in edge}) for edge in edges)
 
 
 def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
@@ -109,12 +118,12 @@ def recoupling_tensor(alpha, beta, gamma, mu, nu, lam) -> RecouplingTensor:
 
 def _recoupling_tensor(labels) -> RecouplingTensor:
     """``recoupling_tensor`` of six checked labels."""
-    triples = _triples(labels)
-    shape = gk, gl, gi, gj = tuple(_kronecker_coefficient(*t) for t in triples)
+    i, j, k, l = _triples(labels)
+    shape = gk, gl, gi, gj = tuple(_kronecker_coefficient(*t) for t in (k, l, i, j))
     if 0 in shape:
         return RecouplingTensor(labels=labels, entries=np.zeros(shape), hs=0.0)
     _check_composite_floats(labels, gi * gj + gk * gl)
-    _check_products(*triples)
+    _check_products(k, l, i, j)
     return _build_tensor(labels, shape)
 
 
@@ -126,9 +135,8 @@ def _check_composite_floats(labels, rows: int) -> None:
 
 @cache
 def _build_tensor(labels, shape) -> RecouplingTensor:
-    alpha, beta, gamma, mu, nu, lam = labels
-    right = _right(alpha, beta, gamma, nu, lam)
-    entries = (right @ _left(alpha, beta, gamma, mu, lam).T).reshape(shape)
+    i, j, k, l = _triples(labels)
+    entries = (_right(k, l) @ _left(i, j).T).reshape(shape)
     hs = hs_norm(entries)
     if hs <= HS_ZERO:
         entries, hs = np.zeros(shape), 0.0
@@ -136,28 +144,22 @@ def _build_tensor(labels, shape) -> RecouplingTensor:
     return RecouplingTensor(labels=labels, entries=entries, hs=hs)
 
 
-def _left(alpha, beta, gamma, mu, lam) -> np.ndarray:
-    """The ((alpha beta) gamma) composites at x0: row (i, j) holds
-    sum_m phi_i[a,b,m] phi_j[m,c,x0] over (a, b, c), row-major."""
-    phi_i, phi_j = _stacked_maps(alpha, beta, mu), _stacked_maps(mu, gamma, lam)
-    gi, a, b, m = phi_i.shape
-    left = np.matmul(phi_i.reshape(gi, 1, a * b, m), phi_j[None, ..., 0])
-    return left.reshape(gi * len(phi_j), -1)
+def _left(i, j) -> np.ndarray:
+    """The ((alpha beta) gamma) composites at x0 of the vertex triples i, j: row
+    (i, j) holds sum_m phi_i[a,b,m] phi_j[m,c,x0] over (a, b, c), row-major."""
+    phi_i, phi_j = _solve_cg(*i), _solve_cg(*j)  # (g, dim left * dim right, dim target)
+    gi, gj, m = len(phi_i), len(phi_j), phi_i.shape[2]
+    left = np.matmul(phi_i[:, None], phi_j[..., 0].reshape(1, gj, m, -1))
+    return left.reshape(gi * gj, -1)
 
 
-def _right(alpha, beta, gamma, nu, lam) -> np.ndarray:
-    """The (alpha (beta gamma)) composites at x0: row (k, l) holds
-    sum_n phi_k[b,c,n] phi_l[a,n,x0] over (a, b, c), row-major."""
-    phi_k, phi_l = _stacked_maps(beta, gamma, nu), _stacked_maps(alpha, nu, lam)
-    gk, b, c, n = phi_k.shape
-    right = np.matmul(phi_l[None, ..., 0], phi_k.reshape(gk, 1, b * c, n).swapaxes(2, 3))
-    return right.reshape(gk * len(phi_l), -1)
-
-
-def _tree_rows(first, second) -> int:
-    """g(first) g(second): the composites of one coupling tree at one middle label."""
-    g = _kronecker_coefficient(*first)
-    return g and g * _kronecker_coefficient(*second)
+def _right(k, l) -> np.ndarray:
+    """The (alpha (beta gamma)) composites at x0 of the vertex triples k, l: row
+    (k, l) holds sum_n phi_k[b,c,n] phi_l[a,n,x0] over (a, b, c), row-major."""
+    phi_k, phi_l = _solve_cg(*k), _solve_cg(*l)
+    gk, gl, n = len(phi_k), len(phi_l), phi_k.shape[2]
+    right = np.matmul(phi_l[..., 0].reshape(1, gl, -1, n), phi_k[:, None].swapaxes(2, 3))
+    return right.reshape(gk * gl, -1)
 
 
 class RecouplingUnitary(NamedTuple):
@@ -183,23 +185,25 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     checked after the Kronecker coefficients and before any solve.
     """
     alpha, beta, gamma, lam = check_labels(alpha, beta, gamma, lam)
-    parts = enumerate_partitions(sum(lam))
-    left_rows = {m: g for m in parts if (g := _tree_rows((alpha, beta, m), (m, gamma, lam)))}
-    right_rows = {n: g for n in parts if (g := _tree_rows((beta, gamma, n), (alpha, n, lam)))}
+    # each middle label m as both mu and nu: the left tree reads it as mu, the right as nu
+    trees = {m: _triples((alpha, beta, gamma, m, m, lam)) for m in enumerate_partitions(sum(lam))}
+    g = {m: [_kronecker_coefficient(*t) for t in vertices] for m, vertices in trees.items()}
+    left_rows = {m: gi * gj for m, (gi, gj, _, _) in g.items() if gi * gj}
+    right_rows = {n: gk * gl for n, (_, _, gk, gl) in g.items() if gk * gl}
     height, size = sum(right_rows.values()), sum(left_rows.values())
     if height != size:
         raise AssertionError(f"recoupling blocks assemble to a {(height, size)} matrix")
     if not size:
         return RecouplingUnitary(matrix=np.zeros((0, 0)), mu_order=(), nu_order=())
     _check_composite_floats((alpha, beta, gamma, lam), size + max(right_rows.values()))
-    _check_products(*(t for m in left_rows for t in ((alpha, beta, m), (m, gamma, lam))),
-                    *(t for n in right_rows for t in ((beta, gamma, n), (alpha, n, lam))))
+    _check_products(*(t for m in left_rows for t in trees[m][:2]),
+                    *(t for n in right_rows for t in trees[n][2:]))
     left = np.empty((size, math.prod(map(_sk_dimension, (alpha, beta, gamma)))))
     row = 0
     for mu, rows in left_rows.items():
-        left[row:row + rows] = _left(alpha, beta, gamma, mu, lam)
+        left[row:row + rows] = _left(*trees[mu][:2])
         row += rows
-    matrix = np.concatenate([_right(alpha, beta, gamma, nu, lam) @ left.T for nu in right_rows])
+    matrix = np.concatenate([_right(*trees[nu][2:]) @ left.T for nu in right_rows])
     return RecouplingUnitary(matrix=matrix, mu_order=tuple(left_rows), nu_order=tuple(right_rows))
 
 
@@ -212,34 +216,31 @@ class ColumnSwapResult(NamedTuple):
     def residual(self) -> float:
         """Relative defect of lhs = ratio * rhs; 0.0 when both blocks are zero."""
         scale = max(self.lhs_hs, self.predicted_ratio * self.rhs_hs)
-        if not scale:
-            return 0.0
-        return abs(self.lhs_hs - self.predicted_ratio * self.rhs_hs) / scale
+        return abs(self.lhs_hs - self.predicted_ratio * self.rhs_hs) / scale if scale else 0.0
 
 
-def _column_swap(labels, p: int, q: int) -> ColumnSwapResult:
-    """HS norms of checked labels before and after exchanging label p with mu and
-    label q with nu, and the predicted ratio sqrt(dim mu * dim nu / (dim[p] * dim[q]))."""
-    swapped = list(labels)
-    swapped[p], swapped[3] = labels[3], labels[p]
-    swapped[q], swapped[4] = labels[4], labels[q]
-    dims = [_sk_dimension(labels[i]) for i in (3, 4, p, q)]
+def _column_swap(labels, vertices: tuple[int, ...]) -> ColumnSwapResult:
+    """HS norms of checked labels and of their image under the vertex permutation
+    v -> vertices[v], and the ratio of the two that the invariance of
+    W = hs / sqrt(dim mu dim nu) predicts: sqrt(dim mu dim nu / (dim mu' dim nu'))."""
+    image = tuple(labels[x] for x in _label_permutation(vertices))
+    dims = [_sk_dimension(l) for l in labels[3:5] + image[3:5]]
     return ColumnSwapResult(
         lhs_hs=_recoupling_tensor(labels).hs,
-        rhs_hs=_recoupling_tensor(tuple(swapped)).hs,
+        rhs_hs=_recoupling_tensor(image).hs,
         predicted_ratio=math.sqrt(dims[0] * dims[1] / (dims[2] * dims[3])),
     )
 
 
 def column_swap_check(alpha, beta, gamma, mu, nu, lam) -> ColumnSwapResult:
-    """Swap of the (beta, lam) and (mu, nu) columns.
+    """Swap of the (beta, lam) and (mu, nu) columns: the vertex transposition (j k).
 
     Returns the two HS norms and sqrt(dim mu * dim nu / (dim beta * dim lam));
     the first norm equals the product of the other two numbers.
     """
-    return _column_swap(check_labels(alpha, beta, gamma, mu, nu, lam), 1, 5)
+    return _column_swap(check_labels(alpha, beta, gamma, mu, nu, lam), (0, 2, 1, 3))
 
 
 def column_swap_check_ag(alpha, beta, gamma, mu, nu, lam) -> ColumnSwapResult:
-    """Swap of the (alpha, gamma) and (mu, nu) columns."""
-    return _column_swap(check_labels(alpha, beta, gamma, mu, nu, lam), 0, 2)
+    """Swap of the (alpha, gamma) and (mu, nu) columns: the vertex transposition (j l)."""
+    return _column_swap(check_labels(alpha, beta, gamma, mu, nu, lam), (0, 3, 2, 1))

@@ -105,20 +105,23 @@ def projected_trace(lam, rho: DensityMatrix) -> float:
 # ---------------------------------------------------------------------------
 # ball sums of isotypic projectors
 
-def _ball_coefficients(labels: Sequence[Partition], k: int) -> np.ndarray:
-    """Coefficient of each permutation, in all_permutations(k) order, in the sum
-    of the isotypic projectors of `labels`: sum_lam dim[lam] chi_lam(pi) / k!.
-
-    Characters of S_k are real and constant on conjugacy classes, so the
-    coefficient of pi equals that of its inverse.  The labels must be
-    distinct, so that the sum is an idempotent.
-    """
+def _check_ball(labels: Sequence[Partition], k: int) -> list[Partition]:
+    """One ball's labels, checked: distinct partitions of k sum to an idempotent."""
     labels = [check_partition(l) for l in labels]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"ball labels repeat: {labels}")
-    for lam in labels:
-        if sum(lam) != k:
-            raise ValidationError(f"label {lam} is not a partition of k = {k}")
+    if wrong := [lam for lam in labels if sum(lam) != k]:
+        raise ValidationError(f"label {wrong[0]} is not a partition of k = {k}")
+    return labels
+
+
+def _ball_coefficients(labels: Sequence[Partition], k: int) -> np.ndarray:
+    """Coefficient of each permutation, in all_permutations(k) order, in the sum
+    of the isotypic projectors of the checked `labels`: sum_lam dim[lam] chi_lam(pi) / k!.
+
+    Characters of S_k are real and constant on conjugacy classes, so the
+    coefficient of pi equals that of its inverse.
+    """
     terms = [(_sk_dimension(l), _character_row(l)) for l in labels]
     by_class = np.array([sum(dim * row[c] for dim, row in terms) / math.factorial(k)
                          for c in range(len(conjugacy_classes(k)))])
@@ -150,7 +153,7 @@ def ball_sum_projector(
     active = [name in group for name in names]
     total = math.prod(dims) ** k
     check_cap("dense ball projector dimension", total, DENSE_CAP)
-    coeffs = _ball_coefficients(labels, k)
+    coeffs = _ball_coefficients(_check_ball(labels, k), k)
     mat = np.zeros((total, total))
     cols = np.arange(total)
     for perm, c in zip(all_permutations(k), coeffs):
@@ -268,10 +271,14 @@ def tripartite_elements(
     only the size check, which also covers permutation_traces on `dims`.
     """
     k = _check_algebra_size(tensor_shape(dims), k)
+    balls = (alphas, betas, gammas, mus, nus, lams)
+    return _tripartite_elements([_check_ball(labels, k) for labels in balls], k)
+
+
+def _tripartite_elements(balls, k: int) -> TripartiteElements:
+    """``tripartite_elements`` of six checked balls and a k checked by _check_algebra_size."""
     tables = _sk_tables(k)
-    c_a, c_b, c_c, c_mu, c_nu, c_lam = (
-        _ball_coefficients(labels, k) for labels in (alphas, betas, gammas, mus, nus, lams)
-    )
+    c_a, c_b, c_c, c_mu, c_nu, c_lam = (_ball_coefficients(labels, k) for labels in balls)
     on_ab, on_bc, on_abc = GROUPS[3:]
     abc = c_a[:, None, None] * c_b[None, :, None] * c_c[None, None, :]
     x = _times_ball(abc, c_lam, on_abc, tables)
@@ -362,6 +369,10 @@ def _recoupling_character_sum(alpha, beta, gamma, mu, nu, lam) -> int:
     hs^2 = tr(P_mu P_nu P_lam) / dim lam on [alpha] (x) [beta] (x) [gamma],
     and the class-function expansion of the three isotypic projectors
     (Serre, Linear Representations of Finite Groups, 2.6) gives this sum.
+    By the vertices of ``recoupling.VERTICES``: chi_mu(sigma) is the target of
+    i (on AB), chi_nu(tau) that of k (on BC), chi_lam(pi) that of j and l (on
+    ABC), and each leaf is read at the targets above it: alpha at sigma pi (i,
+    then j and l), beta at sigma tau pi (i, k, then j and l), gamma at tau pi.
     The summand is invariant under conjugating sigma, tau and pi together,
     so sigma runs over one permutation per class, weighted by the class
     size: p(k) k!^2 terms, 2,880 at k = 4.  S >= 0, and a block is zero

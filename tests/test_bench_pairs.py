@@ -1,8 +1,9 @@
 """The pair verdict of tools/bench_pairs.py, on made-up numbers, the
 environment it records, and its choice of the change side's revision, its
-source line count and its source tree hash, on a throwaway repository (no
-benchmark runs)."""
+source line count and its source tree hash, on a throwaway repository; and
+the fields tools/bench_trajectory.py writes (no benchmark runs)."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_trajectory  # noqa: E402
 from bench_pairs import (  # noqa: E402
     change_revision,
     git,
@@ -148,3 +150,31 @@ def test_src_tree_of_a_dirty_tree_is_that_of_the_commit_that_holds_it(repo):
     git("commit", "-q", "-m", "two", root=repo)
     assert src_tree("HEAD", repo) == src_tree(rev, repo)
     assert src_tree("HEAD~1", repo) == head
+
+
+def test_trajectory_point_records_its_environment_and_source_lines(tmp_path, monkeypatch):
+    # run_once stubbed: two seeds and one traced run per workload, no subprocess
+    spec = {"command": ["run"], "run_seconds": 1, "workloads": [{"name": "w"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    pkg = tmp_path / "src" / "snrecoupling"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    calls = []
+
+    def run_once(command, workload, seed, seconds, trace):
+        calls.append((workload, seed, trace))
+        metric = {"value": float(seed), "unit": "s"}
+        return {"git_sha": "abc"}, {"correct": True, "metrics": {"run_s": metric}}
+
+    monkeypatch.setattr(bench_trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_trajectory, "run_once", run_once)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert bench_trajectory.main(["--label", "t", "--seeds", "2"]) == 0
+    assert calls == [("w", 1, 0), ("w", 2, 0), ("w", 1, 1)]
+    (out,) = tmp_path.glob("BENCH_*_t.json")
+    point = json.loads(out.read_text())
+    assert point["environment"] == {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": None}
+    assert point["src_lines"] == 2
+    assert point["provenance"] == {"git_sha": "abc"}
+    assert point["workloads"]["w"]["end_to_end"]["run_s"]["values"] == [1.0, 2.0]

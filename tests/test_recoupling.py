@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -8,7 +8,11 @@ import pytest
 from snrecoupling.combinatorics import enumerate_partitions, sk_dimension
 from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.recoupling import (
+    VERTICES,
     _build_tensor,
+    _label_permutation,
+    _recoupling_tensor,
+    _triples,
     column_swap_check,
     column_swap_check_ag,
     full_recoupling_unitary,
@@ -54,6 +58,26 @@ def is_non_empty(labels):
     return all(
         kronecker_coefficient(*t) for t in ((b, c, n), (a, n, lam), (a, b, m), (m, c, lam))
     )
+
+
+# the label permutation of each of the 24 vertex permutations of the tetrahedron
+IMAGES = [_label_permutation(vertices) for vertices in permutations(range(4))]
+
+
+def image(labels, perm):
+    return tuple(labels[x] for x in perm)
+
+
+def worst_image_defect(tuples) -> float:
+    """The largest |W(image) - W(labels)| over the 24 images of the non-empty
+    tuples, W = hs / sqrt(dim mu dim nu).  The images of a non-empty tuple are
+    non-empty, since each vertex keeps its three labels and g is symmetric in
+    them, so `tuples` must hold them too: a missing one raises KeyError."""
+    w = {labels: _recoupling_tensor(labels).hs
+         / math.sqrt(sk_dimension(labels[3]) * sk_dimension(labels[4]))
+         for labels in tuples if is_non_empty(labels)}
+    return max((abs(w[image(labels, perm)] - value)
+                for labels, value in w.items() for perm in IMAGES), default=0.0)
 
 
 def assert_matches_composites(labels):
@@ -307,11 +331,13 @@ class TestColumnSwaps:
 
     def test_k2_exhaustive_both_relations(self):
         parts = enumerate_partitions(2)
-        for labels in product(parts, repeat=6):
+        tuples = list(product(parts, repeat=6))
+        for labels in tuples:
             for check in (column_swap_check, column_swap_check_ag):
                 r = check(*labels)
                 if max(r.lhs_hs, r.rhs_hs) > 0:
                     assert r.residual < 1e-8, (check.__name__, labels, r)
+        assert worst_image_defect(tuples) < 1e-14
 
     def test_k2_sign_grid_ag(self):
         # alpha = gamma = (2), mu = nu = (1,1) sector of the swapped grid
@@ -323,13 +349,17 @@ class TestColumnSwaps:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_exhaustive_grid(self, k):
+        # the two swaps on every tuple, all 24 images on the non-empty ones
+        # (worst |delta W| 2.2e-16 at k = 4)
         worst = 0.0
-        for labels in product(enumerate_partitions(k), repeat=6):
+        tuples = list(product(enumerate_partitions(k), repeat=6))
+        for labels in tuples:
             for check in (column_swap_check, column_swap_check_ag):
                 r = check(*labels)
                 if max(r.lhs_hs, r.rhs_hs) > 0:
                     worst = max(worst, r.residual)
         assert worst < 1e-8
+        assert worst_image_defect(tuples) < 1e-14
 
     def test_k4_scan_memoizes_only_non_empty_blocks(self):
         _build_tensor.cache_clear()
@@ -341,9 +371,41 @@ class TestColumnSwaps:
         assert _build_tensor.cache_info().currsize == non_empty
 
     def test_k5_grid_restricted_to_three_rows(self):
+        # a label permutation keeps the grid, so every image is in it
         parts = [p for p in enumerate_partitions(5) if len(p) <= 3]
         worst = 0.0
-        for labels in product(parts, repeat=6):
+        tuples = list(product(parts, repeat=6))
+        for labels in tuples:
             for check in (column_swap_check, column_swap_check_ag):
                 worst = max(worst, check(*labels).residual)
         assert worst < 1e-8
+        assert worst_image_defect(tuples) < 1e-14
+
+
+class TestTetrahedron:
+    """recoupling.VERTICES, the one table of the tetrahedron of the six labels."""
+
+    def test_vertex_triples_are_the_couplings_of_the_two_trees(self):
+        labels = ("alpha", "beta", "gamma", "mu", "nu", "lam")
+        assert _triples(labels) == (("alpha", "beta", "mu"), ("mu", "gamma", "lam"),
+                                    ("beta", "gamma", "nu"), ("alpha", "nu", "lam"))
+
+    def test_each_label_is_an_edge(self):
+        # each label lies on two vertices, and any two vertices share one label
+        assert all(sum(x in v for v in VERTICES) == 2 for x in range(6))
+        assert all(len(set(v) & set(w)) == 1 for v, w in combinations(VERTICES, 2))
+        opposite = {frozenset((x, y)) for x, y in combinations(range(6), 2)
+                    if not any({x, y} <= set(v) for v in VERTICES)}
+        assert opposite == {frozenset(p) for p in ((0, 2), (1, 5), (3, 4))}
+
+    def test_24_distinct_images_map_vertices_to_vertices(self):
+        assert len(set(IMAGES)) == 24 and image(range(6), IMAGES[0]) == tuple(range(6))
+        vertex_sets = {frozenset(v) for v in VERTICES}
+        for perm in IMAGES:
+            assert {frozenset(image(perm, v)) for v in VERTICES} == vertex_sets
+
+    def test_the_column_swaps_are_two_images(self):
+        # (beta, lam) <-> (mu, nu) is (j k); (alpha, gamma) <-> (mu, nu) is (j l)
+        bl, ag = _label_permutation((0, 2, 1, 3)), _label_permutation((0, 3, 2, 1))
+        assert bl == (0, 3, 2, 1, 5, 4) and ag == (3, 1, 4, 0, 2, 5)
+        assert {bl, ag} <= set(IMAGES)

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,7 @@ from snrecoupling.quantumstates import (
     sample_hs_random,
     spectra_tuple,
 )
-from snrecoupling.recoupling import recoupling_tensor
+from snrecoupling.recoupling import _label_permutation, recoupling_tensor
 from snrecoupling.schurweyl import (
     _ball_coefficients,
     _recoupling_character_sum,
@@ -625,6 +625,16 @@ class TestCharacterSumNorms:
         tuples = [labels for k in range(1, 5) for labels in non_empty_tuples(k)]
         assert len(tuples) == 739  # 1 at k = 1, 8 at k = 2, 49 at k = 3, 681 at k = 4
         assert character_sum_mismatches(tuples) == []
+
+    def test_equal_on_the_24_images_of_every_non_empty_tuple_to_k4(self):
+        # Wigner's tetrahedral symmetry, exactly: S depends only on the
+        # tetrahedron, not on the vertex order (the images of a non-empty
+        # tuple are non-empty, so each is a key of sums)
+        images = [_label_permutation(v) for v in permutations(range(4))]
+        sums = {labels: _recoupling_character_sum(*labels)
+                for k in range(1, 5) for labels in non_empty_tuples(k)}
+        assert [labels for labels, s in sums.items() for perm in images
+                if sums[tuple(labels[x] for x in perm)] != s] == []
 
     def test_gate_fails_on_a_mutated_character_row(self, monkeypatch, cold_character_sums):
         # chi_(2,1) at the 3-cycles is -1; make it +1 in the route under test only

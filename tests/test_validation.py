@@ -6,6 +6,7 @@ different k before any work is done.
 """
 
 import ast
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,7 +18,7 @@ from snrecoupling import cli, combinatorics
 from snrecoupling.errors import ValidationError
 from snrecoupling.experiments import cmd_overlap_certificate
 from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
-from snrecoupling.quantumstates import sample_hs_random
+from snrecoupling.quantumstates import sample_hs_random, state_to_json
 from snrecoupling.recoupling import column_swap_check, full_recoupling_unitary, recoupling_tensor
 from snrecoupling.repsym import character, young_orthogonal_rep
 
@@ -128,11 +129,24 @@ def test_a_validating_call_in_a_kernel_is_reported():
                                         ("_kernel", "check_partition")]
 
 
+def test_overlap_checks_its_six_labels_once(monkeypatch, tmp_path):
+    # cli checks the labels where they enter; the ball coefficients of the
+    # group algebra read them as checked (12 calls when both checked them)
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(state_to_json(sample_hs_random((2, 2, 3), 5))))
+    callers = count_calls(monkeypatch)
+    argv = ["overlap", "--rho", str(path), "--labels", "2,1/2,1/2,1/2,1/2,1/3",
+            "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert callers == {"check_labels": 6}
+
+
 def test_ball_distances_do_not_revalidate(monkeypatch):
     # The l1 distances of a certificate's balls read the canonical partitions
     # of enumerate_partitions as they are.  A cold k = 3 certificate on a
-    # (2,2,3) state makes 11 check_partition calls, none from normalize (27,
-    # 16 of them from normalize, when the distances went through it).
+    # (2,2,3) state makes 11 check_partition calls, one per ball label in
+    # tripartite_elements, none from normalize (27, 16 of them from
+    # normalize, when the distances went through it).
     rho = sample_hs_random((2, 2, 3), 5)
     callers = count_calls(monkeypatch)
     cmd_overlap_certificate(rho, 3, 1.0)

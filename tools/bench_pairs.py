@@ -37,17 +37,14 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_trajectory import ROOT, run_once, summarize
+from bench_trajectory import ROOT, run_environment, run_once, src_lines, summarize
 
 GAIN_SHARE = 0.9
-ENVIRONMENT = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")
 
 
 def git(*args: str, root: Path = ROOT) -> str:
@@ -67,20 +64,10 @@ def change_revision(root: Path = ROOT) -> tuple[str, bool]:
     return (stash, True) if stash else (git("rev-parse", "HEAD", root=root), False)
 
 
-def src_lines(root: Path) -> int:
-    """Newlines in src/snrecoupling/*.py under root, as ``wc -l`` totals them."""
-    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "snrecoupling").glob("*.py"))
-
-
 def src_tree(rev: str, root: Path = ROOT) -> str:
     """The hash of the src/ tree of revision rev; equal for every commit, stash
     commits included, whose src/ holds the same files."""
     return git("rev-parse", f"{rev}:src", root=root)
-
-
-def run_environment(env=os.environ) -> dict:
-    """The value of each variable of ENVIRONMENT in env, None when unset."""
-    return {name: env.get(name) for name in ENVIRONMENT}
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:

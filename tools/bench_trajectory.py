@@ -14,7 +14,10 @@ at the benchmark's own run length.  The file it writes at the root of the checko
     correct     whether every run's output checks passed
 
 plus the provenance line of the first run (git SHA, package and numpy
-versions, BLAS and its thread count).  Exit code 1 if any run failed.
+versions, BLAS and its thread count), ``environment``, the values of
+PYTHONDONTWRITEBYTECODE and OPENBLAS_NUM_THREADS that every run inherits
+(null when unset), and ``src_lines``, the newline count of
+src/snrecoupling/*.py.  Exit code 1 if any run failed.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -29,6 +33,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800
+# the variables a run inherits that change its timings: whether each run
+# compiles the package afresh, and how many threads numpy's BLAS starts
+ENVIRONMENT = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")
+
+
+def run_environment(env=os.environ) -> dict:
+    """The value of each variable of ENVIRONMENT in env, None when unset."""
+    return {name: env.get(name) for name in ENVIRONMENT}
+
+
+def src_lines(root: Path) -> int:
+    """Newlines in src/snrecoupling/*.py under root, as ``wc -l`` totals them."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "snrecoupling").glob("*.py"))
 
 
 def run_once(command: list[str], workload: str, seed: int, seconds: float,
@@ -89,7 +106,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps({
         "date": date, "label": args.label, "seconds": seconds,
         "seeds": list(range(1, args.seeds + 1)), "traced_seed": 1,
-        "provenance": provenance, "workloads": workloads,
+        "provenance": provenance, "environment": run_environment(),
+        "src_lines": src_lines(ROOT), "workloads": workloads,
     }, indent=1) + "\n")
     print(out, file=sys.stderr)
     return 0 if correct else 1
