@@ -69,8 +69,7 @@ class RecouplingTensor:
         return self.entries.reshape(gk * gl, gi * gj)
 
 
-# the vertices i, j, k, l of recoupling_tensor as (left, right, target) indices
-# into (alpha, beta, gamma, mu, nu, lam): every vertex triple is read from here
+# the vertices i, j, k, l of recoupling_tensor: (left, right, target) label indices
 VERTICES = ((0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 5))
 
 
@@ -187,9 +186,10 @@ def full_recoupling_unitary(alpha, beta, gamma, lam) -> RecouplingUnitary:
     alpha, beta, gamma, lam = check_labels(alpha, beta, gamma, lam)
     # each middle label m as both mu and nu: the left tree reads it as mu, the right as nu
     trees = {m: _triples((alpha, beta, gamma, m, m, lam)) for m in enumerate_partitions(sum(lam))}
-    g = {m: [_kronecker_coefficient(*t) for t in vertices] for m, vertices in trees.items()}
-    left_rows = {m: gi * gj for m, (gi, gj, _, _) in g.items() if gi * gj}
-    right_rows = {n: gk * gl for n, (_, _, gk, gl) in g.items() if gk * gl}
+    left_rows = {m: gi * gj for m, (i, j, _, _) in trees.items()
+                 if (gi := _kronecker_coefficient(*i)) and (gj := _kronecker_coefficient(*j))}
+    right_rows = {n: gk * gl for n, (_, _, k, l) in trees.items()
+                  if (gk := _kronecker_coefficient(*k)) and (gl := _kronecker_coefficient(*l))}
     height, size = sum(right_rows.values()), sum(left_rows.values())
     if height != size:
         raise AssertionError(f"recoupling blocks assemble to a {(height, size)} matrix")
