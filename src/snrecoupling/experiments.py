@@ -144,9 +144,9 @@ def _admissible_tuples(balls: Sequence[list[Partition]]) -> list[tuple[Partition
     """
     tuples = [()]
     for level, ball in enumerate(balls):
-        vertices = [v for v in VERTICES if max(v) == level]
-        tuples = [labels for head in tuples for labels in (head + (lam,) for lam in ball)
-                  if all(_kronecker_coefficient(*map(labels.__getitem__, v)) for v in vertices)]
+        tuples = [head + (lam,) for head in tuples for lam in ball]
+        for a, b, c in (v for v in VERTICES if max(v) == level):
+            tuples = [t for t in tuples if _kronecker_coefficient(t[a], t[b], t[c])]
     return tuples
 
 

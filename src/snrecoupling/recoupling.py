@@ -75,7 +75,7 @@ VERTICES = ((0, 1, 3), (3, 2, 5), (1, 2, 4), (0, 4, 5))
 
 def _triples(labels):
     """The (left, right, target) labels of the vertices i, j, k, l."""
-    return tuple(tuple(labels[x] for x in vertex) for vertex in VERTICES)
+    return tuple([(labels[a], labels[b], labels[c]) for a, b, c in VERTICES])
 
 
 @cache
@@ -223,8 +223,8 @@ def _column_swap(labels, vertices: tuple[int, ...]) -> ColumnSwapResult:
     """HS norms of checked labels and of their image under the vertex permutation
     v -> vertices[v], and the ratio of the two that the invariance of
     W = hs / sqrt(dim mu dim nu) predicts: sqrt(dim mu dim nu / (dim mu' dim nu'))."""
-    image = tuple(labels[x] for x in _label_permutation(vertices))
-    dims = [_sk_dimension(l) for l in labels[3:5] + image[3:5]]
+    image = tuple([labels[x] for x in _label_permutation(vertices)])
+    dims = [_sk_dimension(l) for l in (labels[3], labels[4], image[3], image[4])]
     return ColumnSwapResult(
         lhs_hs=_recoupling_tensor(labels).hs,
         rhs_hs=_recoupling_tensor(image).hs,
