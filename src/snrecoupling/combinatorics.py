@@ -206,16 +206,6 @@ def standard_tableaux(lam: Sequence[int]) -> tuple[Tableau, ...]:
     return _tableaux_and_contents(check_partition(lam))[0]
 
 
-def _tableau_contents(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    """Contents of every standard tableau of lam, in ``standard_tableaux`` order.
-
-    ``_tableau_contents(lam)[t][e]`` is col - row of the cell holding entry e
-    (1-based) in tableau t; index 0 is a 0 pad.
-    """
-    return _tableaux_and_contents(lam)[1]
-
-
-@cache
 def _tableaux_and_contents(
     lam: Partition,
 ) -> tuple[tuple[Tableau, ...], tuple[tuple[int, ...], ...]]:
@@ -243,29 +233,6 @@ def _tableaux_and_contents(
 
     rec(1)
     return tuple(tableaux), tuple(contents)
-
-
-@cache
-def _tableau_moves(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    """Where each adjacent transposition takes each standard tableau of lam.
-
-    ``_tableau_moves(lam)[t][i]`` is the ``standard_tableaux`` index of
-    s_i T_t, tableau t with the entries i and i+1 exchanged, or -1 when the
-    two share a row or a column (axial distance +-1), so that s_i T_t is not
-    standard; index 0 is a -1 pad.  A standard tableau is determined by its
-    contents, so s_i T_t is looked up by exchanging two contents.
-    """
-    contents = _tableau_contents(lam)
-    index = {cont: t for t, cont in enumerate(contents)}
-    moves = []
-    for cont in contents:
-        row = [-1] * (len(cont) - 1)
-        for i in range(1, len(row)):
-            if abs(cont[i + 1] - cont[i]) >= 2:
-                swapped = cont[:i] + (cont[i + 1], cont[i]) + cont[i + 2:]
-                row[i] = index[swapped]
-        moves.append(tuple(row))
-    return tuple(moves)
 
 
 def _addable_contents(mu: Sequence[int]) -> tuple[int, ...]:

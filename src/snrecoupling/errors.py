@@ -11,11 +11,12 @@ class ValidationError(ValueError):
     """Raised when an input violates a documented invariant."""
 
 
-def check_cap(what: str, size: int, cap: int) -> None:
+def check_cap(what: str, size: int, cap: int, *args) -> None:
     """Refuse `size` above `cap`: the one place a size cap raises
-    ResourceLimitError.  `what` names the quantity in the cap's unit."""
+    ResourceLimitError.  `what` names the quantity in the cap's unit; it is
+    filled in with `args` by ``str.format`` only when it refuses."""
     if size > cap:
-        raise ResourceLimitError(f"{what}: {size} exceeds cap {cap}")
+        raise ResourceLimitError(f"{what.format(*args)}: {size} exceeds cap {cap}")
 
 
 def check_int(value, what: str, low: int = 1, high: int | None = None) -> int:

@@ -37,14 +37,11 @@ from .combinatorics import (
     Partition,
     _addable_contents,
     _sk_dimension,
-    _tableau_contents,
-    _tableau_moves,
-    _tableaux_and_contents,
     check_labels,
     conjugacy_classes,
 )
 from .errors import check_cap
-from .repsym import _character_row, _cycle_matrix, _young_orthogonal_rep
+from .repsym import _character_row, _young_orthogonal_rep
 from .tensorlinalg import fix_vector_sign
 
 DEFAULT_PRODUCT_CAP = 2_000_000
@@ -117,8 +114,8 @@ def _check_products(*triples) -> None:
     for triple in triples:
         # the canonical pair holds the two smallest dimensions
         small, second, _ = sorted(map(_sk_dimension, triple))
-        check_cap(f"Jucys-Murphy operator entries for {triple}",
-                  (small * second) ** 2, DEFAULT_PRODUCT_CAP)
+        check_cap("Jucys-Murphy operator entries for {}",
+                  (small * second) ** 2, DEFAULT_PRODUCT_CAP, triple)
 
 
 def _apply_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -179,28 +176,27 @@ def _shape_plan(lam: Partition) -> tuple[tuple, tuple]:
     (src, dst, i, d, sqrt(1 - 1/d^2)): tableau dst is s_{i+1} applied to
     tableau src, at axial distance d; they reach every other tableau once.
     """
-    tableaux, contents = _tableaux_and_contents(lam)
-    first, c1 = tableaux[0], contents[0]
+    rep = _young_orthogonal_rep(lam)
+    first, c1 = rep.basis[0], rep.contents[0]
     factors = []
     for j in range(2, sum(lam)):
         prefix = [m for m in (sum(e <= j for e in row) for row in first) if m]
         factors.append(
             (c1[j + 1], tuple(c for c in _addable_contents(prefix) if c != c1[j + 1]))
         )
-    moves = _tableau_moves(lam)
     steps = []
     order = [0]
-    seen = [True] + [False] * (len(contents) - 1)
+    seen = [True] + [False] * (rep.dim - 1)
     for t in order:
-        cont = contents[t]
-        for i, nxt in enumerate(moves[t]):
+        cont = rep.contents[t]
+        for i, nxt in enumerate(rep.moves[t]):
             if nxt < 0 or seen[nxt]:
                 continue
             seen[nxt] = True
             order.append(nxt)
             d = cont[i + 1] - cont[i]
             steps.append((t, nxt, i - 1, d, math.sqrt(1.0 - 1.0 / d**2)))
-    assert len(order) == len(contents)
+    assert len(order) == rep.dim
     return tuple(factors), tuple(steps)
 
 
@@ -237,7 +233,7 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
     else:
         a, b = pairs[0]
         x_diag = (a.diagonal()[:, None] * b.diagonal()).reshape(n)
-        keep = np.flatnonzero(x_diag == _tableau_contents(rep_l.shape)[0][2])
+        keep = np.flatnonzero(x_diag == rep_l.contents[0][2])
         m = len(keep)
         x_j = np.diag(x_diag)
         q = None
@@ -296,7 +292,7 @@ def _check_full_permutation(alpha: Partition, beta: Partition, lam: Partition,
     # catch convention bugs early.  The g maps sit side by side as the
     # columns of one (n, g * dl) matrix, so both sides are one product each.
     k = sum(lam)
-    big_a, big_b, small = (_cycle_matrix(p) for p in (alpha, beta, lam))
+    big_a, big_b, small = (_young_orthogonal_rep(p).cycle for p in (alpha, beta, lam))
     stack = np.asarray(maps)
     g, n, dl = stack.shape
     cols = stack.transpose(1, 0, 2).reshape(n, g * dl)

@@ -128,8 +128,8 @@ def _recoupling_tensor(labels) -> RecouplingTensor:
 
 def _check_composite_floats(labels, rows: int) -> None:
     """Refuse `rows` composites of dim[alpha] dim[beta] dim[gamma] floats above the cap."""
-    check_cap(f"floats of the recoupling composites of {labels}",
-              rows * math.prod(map(_sk_dimension, labels[:3])), COMPOSITE_FLOAT_CAP)
+    check_cap("floats of the recoupling composites of {}",
+              rows * math.prod(map(_sk_dimension, labels[:3])), COMPOSITE_FLOAT_CAP, labels)
 
 
 @cache

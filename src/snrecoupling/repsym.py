@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .combinatorics import (
     Partition,
     _beta_numbers,
     _sk_dimension,
-    _tableau_moves,
     _tableaux_and_contents,
     check_labels,
     check_partition,
@@ -36,15 +35,23 @@ GENERATOR_FLOAT_CAP = 2**26  # (k - 1) * dim^2 floats of the generators: 512 MiB
 
 @dataclass(frozen=True)
 class RepMatrixSet:
-    """Orthogonal generator matrices of one irreducible representation.
+    """Young's orthogonal form of one irreducible representation: the one
+    table of its basis, built once per shape.
 
-    ``generators[i-1]`` represents the adjacent transposition s_i = (i, i+1)
-    in the ordered basis ``basis`` of standard tableaux.
+    ``basis`` lists the standard tableaux of ``shape`` in increasing row word.
+    ``contents[t][e]`` is col - row of the cell holding entry e (1-based) in
+    tableau t, and ``moves[t][i]`` is the index of s_i T_t, tableau t with
+    the entries i and i+1 exchanged, or -1 when the two share a row or a
+    column (axial distance +-1), so that s_i T_t is not standard; index 0
+    of both is a pad (0 and -1).  ``generators[i-1]`` represents the
+    adjacent transposition s_i = (i, i+1) in this basis.
     """
 
     shape: Partition
     generators: tuple[np.ndarray, ...]
     basis: tuple
+    contents: tuple[tuple[int, ...], ...]
+    moves: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -54,14 +61,29 @@ class RepMatrixSet:
     def k(self) -> int:
         return sum(self.shape)
 
+    @cached_property
+    def cycle(self) -> np.ndarray:
+        """Read-only matrix of the k-cycle (0 1 ... k-1), built on first use;
+        it is the identity for no k >= 2.
+
+        The cycle is s_1 s_2 ... s_{k-1}, multiplied right to left: the
+        products, in order, that the tests' ``represent`` oracle takes along
+        its bubble-sort word (k-1, ..., 2, 1), so the two agree bit for bit."""
+        gens = self.generators
+        mat = gens[-1] if gens else np.ones((1, 1))  # k = 1: the identity
+        for gen in reversed(gens[:-1]):
+            mat = gen @ mat
+        mat.setflags(write=False)
+        return mat
+
 
 def young_orthogonal_rep(lam: Sequence[int]) -> RepMatrixSet:
     """Young's orthogonal form of [lam]; refused, before any matrix is built,
     when its k - 1 generators would hold more than ``GENERATOR_FLOAT_CAP``
     (read at each call) floats."""
     lam = check_partition(lam)
-    check_cap(f"(k - 1) * dim^2 floats of the generators of {lam}",
-              (sum(lam) - 1) * _sk_dimension(lam) ** 2, GENERATOR_FLOAT_CAP)
+    check_cap("(k - 1) * dim^2 floats of the generators of {}",
+              (sum(lam) - 1) * _sk_dimension(lam) ** 2, GENERATOR_FLOAT_CAP, lam)
     return _young_orthogonal_rep(lam)
 
 
@@ -69,37 +91,22 @@ def young_orthogonal_rep(lam: Sequence[int]) -> RepMatrixSet:
 def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
     k = sum(lam)
     basis, contents = _tableaux_and_contents(lam)
-    moves = _tableau_moves(lam)
-    dim = len(basis)
-
+    index = {cont: t for t, cont in enumerate(contents)}
+    moves = [[-1] * k for _ in basis]
     generators = []
     for i in range(1, k):
-        mat = np.zeros((dim, dim))
-        for t in range(dim):
+        mat = np.zeros((len(basis),) * 2)
+        for t, cont in enumerate(contents):
             # axial distance from i to i+1: content(i+1) - content(i)
-            d = contents[t][i + 1] - contents[t][i]
+            d = cont[i + 1] - cont[i]
             mat[t, t] = 1.0 / d
-            if moves[t][i] >= 0:
+            if abs(d) >= 2:  # s_i T is standard: the tableau of the exchanged contents
+                moves[t][i] = index[cont[:i] + (cont[i + 1], cont[i]) + cont[i + 2:]]
                 mat[moves[t][i], t] = math.sqrt(1.0 - 1.0 / d**2)
         mat.setflags(write=False)
         generators.append(mat)
-    return RepMatrixSet(shape=lam, generators=tuple(generators), basis=basis)
-
-
-@cache
-def _cycle_matrix(lam: Partition) -> np.ndarray:
-    """Read-only matrix of the k-cycle (0 1 ... k-1) on [lam], memoized; it
-    is the identity for no k >= 2.
-
-    The cycle is s_1 s_2 ... s_{k-1}, multiplied right to left: the
-    products, in order, that the tests' ``represent`` oracle takes along
-    its bubble-sort word (k-1, ..., 2, 1), so the two agree bit for bit."""
-    generators = _young_orthogonal_rep(lam).generators
-    mat = generators[-1] if generators else np.ones((1, 1))  # k = 1: the identity
-    for gen in reversed(generators[:-1]):
-        mat = gen @ mat
-    mat.setflags(write=False)
-    return mat
+    return RepMatrixSet(shape=lam, generators=tuple(generators), basis=basis,
+                        contents=contents, moves=tuple(map(tuple, moves)))
 
 
 # ---------------------------------------------------------------------------

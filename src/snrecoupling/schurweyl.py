@@ -23,8 +23,9 @@ oracle ``hs_norm_via_schurweyl``), a second route to what
 ``recoupling_tensor`` computes.
 
 ball_sum_projector materializes one ball sum as a dense matrix, under
-DENSE_CAP: isotypic_projector is its single-subsystem case, and the tests
-multiply ball sums into dense P~ and Q~ as the independent oracle.
+DENSE_CAP and IMPLICIT_CAP: isotypic_projector is its single-subsystem case,
+and the tests multiply ball sums into dense P~ and Q~ as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ def permutation_index_map(
 
 def isotypic_projector(lam, d: int) -> np.ndarray:
     """Dense group-average projector (dim/k!) sum_pi chi(pi) U(pi) on (C^d)^(x k),
-    k = |lam|, refused above DENSE_CAP."""
+    k = |lam|, refused as ``ball_sum_projector`` is."""
     (lam,) = check_labels(lam)
-    return ball_sum_projector([lam], (d,), sum(lam), "A")
+    return _dense_ball_sum([lam], tensor_shape((d,)), sum(lam), [True])
 
 
 def projected_trace(lam, rho: DensityMatrix) -> float:
@@ -144,16 +145,22 @@ def ball_sum_projector(
     active ones: "AB" acts on the AB pairs of every copy and as identity on
     the C digits.  The per-permutation coefficients are summed over the
     labels first, so the result is a single dense matrix however many labels
-    the ball contains.
+    the ball contains.  Refused, before any permutation is listed, above
+    DENSE_CAP rows and above IMPLICIT_CAP permutations k! summed over.
     """
-    dims = tensor_shape(dims)
+    dims, k = tensor_shape(dims), check_int(k, "k")
     names = "ABC"[: len(dims)]
     if not group or not set(group) <= set(names):
         raise ValidationError(f"group {group!r} is not a set of the subsystems {names}")
-    active = [name in group for name in names]
+    return _dense_ball_sum(_check_ball(labels, k), dims, k, [name in group for name in names])
+
+
+def _dense_ball_sum(labels, dims: tuple[int, ...], k: int, active) -> np.ndarray:
+    """``ball_sum_projector`` of checked labels, dims and k, on the `active` subsystems."""
     total = math.prod(dims) ** k
     check_cap("dense ball projector dimension", total, DENSE_CAP)
-    coeffs = _ball_coefficients(_check_ball(labels, k), k)
+    check_cap("k! permutations of a dense ball sum", math.factorial(k), IMPLICIT_CAP)
+    coeffs = _ball_coefficients(labels, k)
     mat = np.zeros((total, total))
     cols = np.arange(total)
     for perm, c in zip(all_permutations(k), coeffs):

@@ -52,8 +52,10 @@ from snrecoupling.repsym import (
     young_orthogonal_rep,
 )
 from snrecoupling.schurweyl import (
+    _perm_classes,
     _sk_tables,
     ball_sum_projector,
+    isotypic_projector,
     projected_trace,
     tripartite_elements,
 )
@@ -305,6 +307,27 @@ def test_dense_cap(size, data):
         mp.setattr(schurweyl, "DENSE_CAP", total)
         mat = ball_sum_projector([lam], dims, k, "ABC"[: len(dims)])
         assert mat.shape == (total, total)
+
+
+@pytest.mark.parametrize("build", [
+    isotypic_projector,
+    lambda lam, d: ball_sum_projector([lam], (d,), sum(lam), "A"),
+], ids=["isotypic_projector", "ball_sum_projector"])
+def test_permutation_cap(build):
+    # The dense builders walk the k! permutations of S_k, which DENSE_CAP
+    # does not bound: 2^12 is DENSE_CAP and 1^10 is 1.  Above IMPLICIT_CAP
+    # they are refused before _perm_classes lists a permutation.
+    misses = _perm_classes.cache_info().misses
+    for lam, d in [((12,), 2), ((10,), 1)]:
+        with pytest.raises(ResourceLimitError, match=r"k! permutations"):
+            build(lam, d)
+    assert _perm_classes.cache_info().misses == misses
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schurweyl, "IMPLICIT_CAP", math.factorial(5) - 1)
+        with pytest.raises(ResourceLimitError):
+            build((3, 2), 1)
+        mp.setattr(schurweyl, "IMPLICIT_CAP", math.factorial(5))
+        assert build((3, 2), 1).shape == (1, 1)
 
 
 @CAP_SETTINGS

@@ -22,10 +22,9 @@ from snrecoupling.combinatorics import (
     weyl_dimension,
     _addable_contents,
     _class_size,
-    _tableau_contents,
-    _tableau_moves,
 )
 from snrecoupling.errors import ValidationError
+from snrecoupling.repsym import _young_orthogonal_rep
 from oracles import adjacent_word, conjugate_partition
 
 
@@ -296,7 +295,9 @@ class TestTableaux:
         for k in range(1, 9):
             for lam in enumerate_partitions(k):
                 words = []
-                for tab, cont in zip(standard_tableaux(lam), _tableau_contents(lam)):
+                rep = _young_orthogonal_rep(lam)
+                assert rep.basis == standard_tableaux(lam)
+                for tab, cont in zip(rep.basis, rep.contents):
                     word = [0] * k
                     expected = [0] * (k + 1)
                     for i, row in enumerate(tab):
@@ -314,7 +315,7 @@ class TestTableaux:
             for lam in enumerate_partitions(k):
                 tableaux = standard_tableaux(lam)
                 for t, tab in enumerate(tableaux):
-                    moves = _tableau_moves(lam)[t]
+                    moves = _young_orthogonal_rep(lam).moves[t]
                     assert len(moves) == k and moves[0] == -1
                     for i in range(1, k):
                         swapped = tuple(

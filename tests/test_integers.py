@@ -63,6 +63,7 @@ ENTRIES = {
     "tripartite_elements-dims": (
         lambda n: tripartite_elements(*[[(2,)]] * 6, (n, 2, 2), 2).pq, 2),
     "ball_sum_projector": (lambda n: ball_sum_projector([(2,)], (n,), 2, "A"), 2),
+    "ball_sum_projector-k": (lambda n: ball_sum_projector([(2,)], (2,), n, "A"), 2),
     "permutation_index_map": (lambda n: permutation_index_map((1, 0), (n,), 2, (True,)), 2),
     "cmd_spectrum_estimation": (lambda n: cmd_spectrum_estimation(QUBIT, n).to_json_lines(), 3),
     "cmd_ssa_scan": (lambda n: cmd_ssa_scan(n, 0).to_json_lines(), 2),

@@ -10,7 +10,6 @@ import pytest
 
 from snrecoupling.combinatorics import (
     _addable_contents,
-    _tableau_moves,
     all_permutations,
     enumerate_partitions,
     sk_dimension,
@@ -27,7 +26,7 @@ from snrecoupling.intertwiner import (
     cg_isometries,
     kronecker_coefficient,
 )
-from snrecoupling.repsym import young_orthogonal_rep
+from snrecoupling.repsym import _young_orthogonal_rep, young_orthogonal_rep
 from snrecoupling.tensorlinalg import fix_vector_sign, orthonormal_nullspace
 import oracles
 from oracles import bend_and_compare, represent
@@ -301,21 +300,26 @@ def test_projector_pivot_ignores_roundoff_ties():
         assert np.abs(intertwiner._projector_columns(q + bump, g) - cols).max() < 1e-12
 
 
-def test_solver_path_does_not_import_numpy_random():
+def cold_run(code: str) -> list[str]:
+    """The words `code` prints, run in a fresh interpreter with cold memos."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_solver_path_does_not_import_numpy_random():
     code = (
         "import sys\n"
         "from snrecoupling.recoupling import full_recoupling_unitary\n"
         "full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert cold_run(code) == ["False"]
 
 
 # k = 6 triples where the last generator equation of nullspace_oracle leaves
@@ -493,8 +497,6 @@ class TestOneSignedTensor:
 
     def test_cold_unitary_k6_signs_six_solves(self):
         # 13 ordered triples: 6 canonical solves, 7 axis permutations of them
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
         code = (
             "from collections import Counter\n"
             "import numpy as np\n"
@@ -513,12 +515,29 @@ class TestOneSignedTensor:
             "full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))\n"
             "print(calls['fix_vector_sign'], calls['_check_full_permutation'], calls['eye'])\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["6", "13", "0"]
+        assert cold_run(code) == ["6", "13", "0"]
+
+
+def test_cold_unitary_k6_builds_one_table_per_shape():
+    # The 5 shapes of the unitary's triples each get one Young table, which
+    # the solves, their plans and their self-checks read, and each table
+    # builds its k-cycle once, on the first self-check that needs it.
+    code = (
+        "from collections import Counter\n"
+        "from snrecoupling import repsym\n"
+        "from snrecoupling.recoupling import full_recoupling_unitary\n"
+        "cycles = Counter()\n"
+        "cycle = vars(repsym.RepMatrixSet)['cycle']\n"
+        "real = cycle.func\n"
+        "def counted(rep):\n"
+        "    cycles[rep.shape] += 1\n"
+        "    return real(rep)\n"
+        "cycle.func = counted\n"
+        "full_recoupling_unitary((4, 2), (4, 2), (4, 2), (3, 3))\n"
+        "info = repsym._young_orthogonal_rep.cache_info()\n"
+        "print(info.misses, info.currsize, len(cycles), *set(cycles.values()))\n"
+    )
+    assert cold_run(code) == ["5", "5", "5", "1"]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -530,7 +549,7 @@ def test_shape_plan_matches_the_tableaux(k):
             {e: col - row for row, entries in enumerate(tab) for col, e in enumerate(entries)}
             for tab in tableaux
         ]
-        moves = _tableau_moves(lam)
+        moves = _young_orthogonal_rep(lam).moves
         reached = {0}
         for src, dst, i, d, norm in steps:
             assert src in reached and dst not in reached

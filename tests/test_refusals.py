@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from snrecoupling.errors import ResourceLimitError, check_cap
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "snrecoupling"
 MODULES = sorted(SRC.glob("*.py"))
 
@@ -84,3 +86,29 @@ def test_a_hand_written_refusal_is_reported():
     assert stray_raises(source) == [4, 7]
     assert defined_caps(source) == {"DENSE_CAP"} and checked_caps(source) == set()
     assert checked_caps("check_cap('dimension', n, DENSE_CAP)\n") == {"DENSE_CAP"}
+
+
+class Label:
+    """A label that counts how often it is formatted."""
+
+    def __init__(self):
+        self.formats = 0
+
+    def __format__(self, spec):
+        self.formats += 1
+        return "(2, 1)"
+
+
+def test_check_cap_formats_only_when_it_refuses():
+    # memo hits of the solver pass check_cap on every call, so a call that
+    # does not refuse must not build its message
+    label = Label()
+    check_cap("entries for {}", 4, 4, label)
+    assert label.formats == 0
+    with pytest.raises(ResourceLimitError) as refused:
+        check_cap("entries for {}", 5, 4, label)
+    assert str(refused.value) == "entries for (2, 1): 5 exceeds cap 4" and label.formats == 1
+    # and no call site formats its message itself
+    whats = [node.args[0] for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_cap"]
+    assert len(whats) >= 10 and not any(isinstance(w, ast.JoinedStr) for w in whats)

@@ -17,7 +17,6 @@ from snrecoupling import repsym
 from snrecoupling.errors import ResourceLimitError
 from snrecoupling.repsym import (
     _character_row,
-    _cycle_matrix,
     _young_orthogonal_rep,
     character,
     young_orthogonal_rep,
@@ -131,8 +130,9 @@ class TestRepresent:
     def test_cycle_matrix_is_the_represented_k_cycle_bit_for_bit(self, k):
         cycle = tuple(range(1, k)) + (0,)
         for lam in enumerate_partitions(k):
-            mat = _cycle_matrix(lam)
-            expected = represent(_young_orthogonal_rep(lam), cycle)
+            rep = _young_orthogonal_rep(lam)
+            mat = rep.cycle
+            expected = represent(rep, cycle)
             assert mat.tobytes() == expected.tobytes() and mat.shape == expected.shape
             assert not mat.flags.writeable
 

@@ -21,6 +21,7 @@ from snrecoupling.intertwiner import cg_isometries, kronecker_coefficient
 from snrecoupling.quantumstates import sample_hs_random, state_to_json
 from snrecoupling.recoupling import column_swap_check, full_recoupling_unitary, recoupling_tensor
 from snrecoupling.repsym import character, young_orthogonal_rep
+from snrecoupling.schurweyl import isotypic_projector
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "snrecoupling"
 # the label checks, and the public functions that run them
@@ -139,6 +140,14 @@ def test_overlap_checks_its_six_labels_once(monkeypatch, tmp_path):
             "--out", str(tmp_path / "out.json")]
     assert cli.main(argv) == 0
     assert callers == {"check_labels": 6}
+
+
+def test_isotypic_projector_checks_its_label_once(monkeypatch):
+    # the two dense builders share one private builder of checked labels
+    # (2 calls when isotypic_projector went through ball_sum_projector)
+    callers = count_calls(monkeypatch)
+    isotypic_projector((2, 1), 2)
+    assert callers == {"check_labels": 1}
 
 
 def test_ball_distances_do_not_revalidate(monkeypatch):
