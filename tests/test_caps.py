@@ -315,10 +315,12 @@ def test_dense_cap(size, data):
 ], ids=["isotypic_projector", "ball_sum_projector"])
 def test_permutation_cap(build):
     # The dense builders walk the k! permutations of S_k, which DENSE_CAP
-    # does not bound: 2^12 is DENSE_CAP and 1^10 is 1.  Above IMPLICIT_CAP
-    # they are refused before _perm_classes lists a permutation.
+    # does not bound: 1^10 is 1 and 2^12 is DENSE_CAP.  Above IMPLICIT_CAP
+    # they are refused before _perm_classes lists a permutation.  The 10!
+    # case comes first: without the cap it fails after 3.6M permutations,
+    # before the 479M of 12! are listed.
     misses = _perm_classes.cache_info().misses
-    for lam, d in [((12,), 2), ((10,), 1)]:
+    for lam, d in [((10,), 1), ((12,), 2)]:
         with pytest.raises(ResourceLimitError, match=r"k! permutations"):
             build(lam, d)
     assert _perm_classes.cache_info().misses == misses

@@ -144,7 +144,6 @@ def test_overlap_checks_its_six_labels_once(monkeypatch, tmp_path):
 
 def test_isotypic_projector_checks_its_label_once(monkeypatch):
     # the two dense builders share one private builder of checked labels
-    # (2 calls when isotypic_projector went through ball_sum_projector)
     callers = count_calls(monkeypatch)
     isotypic_projector((2, 1), 2)
     assert callers == {"check_labels": 1}
