@@ -9,18 +9,18 @@ permuting exactly the digits of those subsystems across copies.
 
 Every ball projector is a class-function sum of such permutations, with the
 coefficients of _ball_coefficients, so the products P~, Q~ and P~ Q~ are
-elements of the group algebra of S_k x S_k x S_k.  tripartite_elements is the
-one builder of these products, as (k!, k!, k!) coefficient arrays.
-overlap_trace pairs them with tr(U(g) rho^(x k)), which permutation_traces
-evaluates once per orbit of simultaneous conjugation; the overlap
-certificate and the ``overlap`` CLI command take this route, and no
-operator on (C^{abc})^(x k) is formed on it.  The certificate's recoupling
-norms come from the same tables: _recoupling_character_sum is the exact
-integer character sum over S_k^3 of which hs^2 is a multiple, so the
-certificate solves no intertwiner and decides zero blocks by S == 0.  The
-tests read the recoupling norms off the Fourier blocks of P~ Q~ (their
-oracle ``hs_norm_via_schurweyl``), a second route to what
-``recoupling_tensor`` computes.
+elements of the group algebra of S_k x S_k x S_k.  tripartite_elements is
+the one builder of these products, as one value per orbit of simultaneous
+conjugation, under which all of them are invariant.  overlap_trace pairs
+them with tr(U(g) rho^(x k)), which permutation_traces evaluates on the same
+orbits; the overlap certificate and the ``overlap`` CLI command take this
+route, and no operator on (C^{abc})^(x k) is formed on it.  The
+certificate's recoupling norms come from the same tables:
+_recoupling_character_sum is the exact integer character sum over S_k^3 of
+which hs^2 is a multiple, so the certificate solves no intertwiner and
+decides zero blocks by S == 0.  The tests read the recoupling norms off the
+Fourier blocks of P~ Q~ (their oracle ``hs_norm_via_schurweyl``), a second
+route to what ``recoupling_tensor`` computes.
 
 ball_sum_projector materializes one ball sum as a dense matrix, under
 DENSE_CAP and IMPLICIT_CAP: isotypic_projector is its single-subsystem case,
@@ -187,9 +187,10 @@ def trace_with_tensor_power(mat: np.ndarray, rho: np.ndarray, k: int) -> complex
 # ---------------------------------------------------------------------------
 # the group algebra of S_k x S_k x S_k
 #
-# An element is a real array x of shape (k!, k!, k!) indexed by
-# (sigma_A, sigma_B, sigma_C) in all_permutations(k) order; it stands for the
-# operator sum_g x[g] U(g) with U(g) = U_A(sigma_A) U_B(sigma_B) U_C(sigma_C).
+# An element sum_g x[g] U(g) with U(g) = U_A(sigma_A) U_B(sigma_B) U_C(sigma_C)
+# is stored as x_o, one real value per orbit o of simultaneous conjugation in
+# _sk_tables(k).reps order, since every element formed here is invariant under
+# it: x[tables.orbit] is the (k!, k!, k!) array over (sigma_A, sigma_B, sigma_C).
 # Under permutation_index_map's convention U(pi) U(tau) = U(pi o tau), with
 # (pi o tau)[t] = pi[tau[t]], so operator products are group-algebra products.
 
@@ -199,13 +200,19 @@ class _SkTables(NamedTuple):
     mul: np.ndarray  # mul[i, j] = index of perms[i] o perms[j]
     inv: np.ndarray  # inv[i] = index of perms[i]^-1
     orbit: np.ndarray  # (k!, k!, k!): orbit number under simultaneous conjugation
-    reps: tuple[tuple[int, int, int], ...]  # one element of each orbit
-    class_first: np.ndarray  # class_first[c] = index of the first permutation in class c
+    reps: np.ndarray  # (orbits, 3): the permutation indices of the first element of each orbit
+    sizes: np.ndarray  # sizes[o] = number of elements of orbit o
+    passes: dict[tuple[int, ...], np.ndarray]  # per group of GROUPS[3:], see _sk_tables
 
 
 @cache
 def _sk_tables(k: int) -> _SkTables:
-    """Multiplication table of S_k and the conjugation orbits of S_k^3, on first use."""
+    """Multiplication table of S_k and the conjugation orbits of S_k^3, on first use.
+
+    passes[axes][o, j] is the orbit of rep_o o perms[j]^-1 on the subsystems
+    `axes`, so for a ball factor S = sum_pi c(pi) U(pi) on them, a class
+    function c, and an invariant x, x S is the invariant x[passes[axes]] @ c.
+    """
     perms = tuple(all_permutations(k))
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
@@ -216,36 +223,25 @@ def _sk_tables(k: int) -> _SkTables:
         conj[:, :, None, None] * n * n + conj[:, None, :, None] * n + conj[:, None, None, :]
     )
     first, orbit = np.unique(flat.min(axis=0), return_inverse=True)
-    reps = tuple(zip(*(idx.tolist() for idx in np.unravel_index(first, (n, n, n)))))
-    class_first = np.unique(_perm_classes(k), return_index=True)[1]
-    return _SkTables(perms, mul, inv, orbit.reshape(n, n, n), reps, class_first)
+    orbit = orbit.reshape(n, n, n)
+    reps = np.stack(np.unravel_index(first, (n, n, n)), axis=1)
+    passes = {
+        axes: orbit[tuple(mul[reps[:, s, None], inv] if s in axes else reps[:, s, None]
+                          for s in range(3))]
+        for axes in GROUPS[3:]
+    }
+    return _SkTables(perms, mul, inv, orbit, reps, np.bincount(orbit.ravel()), passes)
 
 
 def _check_algebra_size(dims: Sequence[int], k: int) -> int:
-    """k as an int, refused before allocating: (k!)^3 coefficients per element
+    """k as an int, refused before allocating: (k!)^3 entries of the orbit table
     and prod(dims)^k iterations per einsum in permutation_traces."""
     k = check_int(k, "k")
-    check_cap("(k!)^3 coefficients of a group-algebra element", math.factorial(k) ** 3,
+    check_cap("(k!)^3 entries of the S_k^3 orbit table", math.factorial(k) ** 3,
               IMPLICIT_CAP)
     check_cap("prod(dims)^k steps of a permutation-trace einsum", math.prod(dims) ** k,
               IMPLICIT_CAP)
     return k
-
-
-def _times_ball(
-    x: np.ndarray, coeffs: np.ndarray, axes: tuple[int, ...], tables: _SkTables
-) -> np.ndarray:
-    """x S for the ball factor S = sum_pi c(pi) U(pi) on the subsystems `axes`.
-
-    (x S)[h] = sum_pi c(pi) x[h o pi^-1 on `axes`]: one gather through the
-    multiplication table per permutation with c(pi) != 0.
-    """
-    every = np.arange(x.shape[0])
-    out = np.zeros_like(x)
-    for j in np.flatnonzero(coeffs):
-        moved = tables.mul[:, tables.inv[j]]
-        out += coeffs[j] * x[np.ix_(*(moved if ax in axes else every for ax in range(3)))]
-    return out
 
 
 class TripartiteElements(NamedTuple):
@@ -268,14 +264,15 @@ def tripartite_elements(
 
     - S_alpha, S_beta, S_gamma are class functions of one factor, so sums of
       distinct central primitive idempotents: abc commutes with every U(g),
-      absorbs a repeated S_alpha or S_gamma, and is the outer product of the
-      three coefficient vectors;
+      absorbs a repeated S_alpha or S_gamma, and is the product of the three
+      coefficient vectors;
     - S_mu and S_nu are invariant under simultaneous conjugation, so they
       commute with S_lam; S_lam and S_mu are idempotent.
 
     Hence P~ = abc S_lam S_nu, Q~ = abc S_lam S_mu and P~ Q~ = P~ S_mu.  Each
-    array has (k!)^3 entries whatever the local dimensions; `dims` enters
-    only the size check, which also covers permutation_traces on `dims`.
+    is one value per orbit of simultaneous conjugation, whatever the local
+    dimensions; `dims` enters only the size check, which also covers
+    permutation_traces on `dims`.
     """
     k = _check_algebra_size(tensor_shape(dims), k)
     balls = (alphas, betas, gammas, mus, nus, lams)
@@ -286,40 +283,52 @@ def _tripartite_elements(balls, k: int) -> TripartiteElements:
     """``tripartite_elements`` of six checked balls and a k checked by _check_algebra_size."""
     tables = _sk_tables(k)
     c_a, c_b, c_c, c_mu, c_nu, c_lam = (_ball_coefficients(labels, k) for labels in balls)
-    on_ab, on_bc, on_abc = GROUPS[3:]
-    abc = c_a[:, None, None] * c_b[None, :, None] * c_c[None, None, :]
-    x = _times_ball(abc, c_lam, on_abc, tables)
-    p_tilde = _times_ball(x, c_nu, on_bc, tables)
-    return TripartiteElements(
-        p_tilde=p_tilde,
-        q_tilde=_times_ball(x, c_mu, on_ab, tables),
-        pq=_times_ball(p_tilde, c_mu, on_ab, tables),
-    )
+    on_ab, on_bc, on_abc = (tables.passes[axes] for axes in GROUPS[3:])
+    abc = c_a[tables.reps[:, 0]] * c_b[tables.reps[:, 1]] * c_c[tables.reps[:, 2]]
+    x = abc[on_abc] @ c_lam
+    p_tilde = x[on_bc] @ c_nu
+    return TripartiteElements(p_tilde, x[on_ab] @ c_mu, p_tilde[on_ab] @ c_mu)
 
 
 def permutation_traces(rho: DensityMatrix, k: int) -> np.ndarray:
-    """f(g) = tr(U(g) rho^(x k)) for every g in S_k^3, as a (k!, k!, k!) array.
+    """f(g) = tr(U(g) rho^(x k)) for every orbit of simultaneous conjugation of
+    S_k^3, in _sk_tables(k).reps order.
 
     rho^(x k) commutes with the diagonal action of S_k, so f is constant on
-    the orbits of simultaneous conjugation; one einsum over the k copies of
-    rho, reshaped to (a, b, c, a, b, c), evaluates each orbit.  Copy t pairs
+    the orbits; one einsum over the k copies of rho, reshaped to
+    (a, b, c, a, b, c), evaluates each at its representative.  Copy t pairs
     its row digits with the column digits of copy sigma_X^-1(t) on every
-    subsystem X.
+    subsystem X.  Where that copy is t itself the pairing is a partial trace,
+    taken once per set of such subsystems, so the einsum runs only over the
+    digits that pass between copies.  A copy paired with itself on all three
+    contributes tr rho, which validation lets differ from 1 by TRACE_TOL.
     """
     if len(rho.dims) != 3:
         raise ValidationError("permutation traces need a tripartite state")
     k = _check_algebra_size(rho.dims, k)
     tables = _sk_tables(k)
     tens = rho.matrix.reshape(tuple(rho.dims) * 2)
+    # reduced[mask] traces rho over the subsystems s with bit s of mask set
+    reduced = [
+        np.einsum(tens, [0, 1, 2] + [s if mask >> s & 1 else 3 + s for s in range(3)],
+                  [s for s in range(3) if not mask >> s & 1]
+                  + [3 + s for s in range(3) if not mask >> s & 1])
+        for mask in range(8)
+    ]
     vals = np.empty(len(tables.reps), dtype=complex)
-    for o, g in enumerate(tables.reps):
+    for o, g in enumerate(tables.reps.tolist()):
         inverses = [tables.perms[tables.inv[i]] for i in g]
-        operands = []
+        value, operands = 1.0, []
         for t in range(k):
-            cols = [3 * inverses[s][t] + s for s in range(3)]
-            operands.extend([tens, [3 * t, 3 * t + 1, 3 * t + 2] + cols])
-        vals[o] = np.einsum(*operands, [])
-    return vals[tables.orbit]
+            moving = [s for s in range(3) if inverses[s][t] != t]
+            if not moving:
+                value = value * reduced[7]
+                continue
+            cols = [3 * inverses[s][t] + s for s in moving]
+            operands.extend([reduced[7 - sum(1 << s for s in moving)],
+                             [3 * t + s for s in moving] + cols])
+        vals[o] = value * np.einsum(*operands, []) if operands else value
+    return vals
 
 
 class OverlapTraces(NamedTuple):
@@ -329,11 +338,11 @@ class OverlapTraces(NamedTuple):
 
 
 def overlap_trace(elements: TripartiteElements, rho: DensityMatrix, k: int) -> OverlapTraces:
-    """tr(P~ Q~ rho^(x k)) plus the two marginal traces: each is <x, f> with
-    f = permutation_traces(rho, k)."""
-    f = permutation_traces(rho, k)
+    """tr(P~ Q~ rho^(x k)) plus the two marginal traces: each is
+    sum_o |o| x_o f_o with f = permutation_traces(rho, k)."""
+    f = _sk_tables(k).sizes * permutation_traces(rho, k)
     t_pq, t_p, t_q = (
-        complex(np.sum(x * f)) for x in (elements.pq, elements.p_tilde, elements.q_tilde)
+        complex(x @ f) for x in (elements.pq, elements.p_tilde, elements.q_tilde)
     )
     return OverlapTraces(t_pq=t_pq, t_p=t_p.real, t_q=t_q.real)
 
@@ -348,20 +357,6 @@ def _perm_characters(lam: Partition) -> np.ndarray:
     row = np.array(_character_row(lam), dtype=np.int64)[_perm_classes(sum(lam))]
     row.setflags(write=False)
     return row
-
-
-@cache
-def _beta_gamma_stack(beta: Partition, gamma: Partition) -> np.ndarray:
-    """|class of sigma| chi_beta(sigma tau pi) chi_gamma(tau pi), a (p(k), k!, k!)
-    int64 array over sigma the first permutation of each class and tau, pi in S_k."""
-    tables = _sk_tables(sum(beta))
-    sizes = np.array([size for _, size in conjugacy_classes(sum(beta))], dtype=np.int64)
-    tau_pi = tables.mul
-    sigma_tau_pi = tables.mul[tables.class_first][:, tau_pi]
-    stack = (sizes[:, None, None] * _perm_characters(beta)[sigma_tau_pi]
-             * _perm_characters(gamma)[tau_pi])
-    stack.setflags(write=False)
-    return stack
 
 
 def _recoupling_character_sum(alpha, beta, gamma, mu, nu, lam) -> int:
@@ -381,18 +376,23 @@ def _recoupling_character_sum(alpha, beta, gamma, mu, nu, lam) -> int:
     ABC), and each leaf is read at the targets above it: alpha at sigma pi (i,
     then j and l), beta at sigma tau pi (i, k, then j and l), gamma at tau pi.
     The summand is invariant under conjugating sigma, tau and pi together,
-    so sigma runs over one permutation per class, weighted by the class
-    size: p(k) k!^2 terms, 2,880 at k = 4.  S >= 0, and a block is zero
-    exactly when S == 0.  The int64 sum is exact at k <= 6 (|chi| <= 16).
+    so it is read once per orbit of _sk_tables, weighted by the orbit size.
+    S >= 0, and a block is zero exactly when S == 0.
+
+    It runs where _check_algebra_size admits k, k <= 4 under IMPLICIT_CAP:
+    _sk_tables ranks (k!)^4 conjugation codes, 1.66 GB at k = 5.  There
+    |chi| <= 3, so the int64 sum of |o| |summand| is at most 3^6 (k!)^3 <
+    2^24, exact.
     """
     tables = _sk_tables(sum(alpha))
-    total = int(np.einsum(
-        "s,sp,p,t,stp->",
-        _perm_characters(mu)[tables.class_first],
-        _perm_characters(alpha)[tables.mul[tables.class_first]],
-        _perm_characters(lam),
-        _perm_characters(nu),
-        _beta_gamma_stack(beta, gamma),
-    ))
+    sigma, tau, pi = tables.reps.T
+    tau_pi = tables.mul[tau, pi]
+    summand = (
+        _perm_characters(mu)[sigma] * _perm_characters(nu)[tau] * _perm_characters(lam)[pi]
+        * _perm_characters(alpha)[tables.mul[sigma, pi]]
+        * _perm_characters(beta)[tables.mul[sigma, tau_pi]]
+        * _perm_characters(gamma)[tau_pi]
+    )
+    total = int(tables.sizes @ summand)
     assert total >= 0, (alpha, beta, gamma, mu, nu, lam)
     return total

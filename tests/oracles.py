@@ -15,7 +15,9 @@ start with ``test_``); test modules import it as ``oracles``, since
 - ``exact_hs_squared``: the squared recoupling norm as an exact rational,
   from characters alone;
 - ``ball_coefficients_per_permutation``: the coefficients of a ball sum of
-  isotypic projectors, looked up by the cycle type of every permutation.
+  isotypic projectors, looked up by the cycle type of every permutation;
+- ``_times_ball``: a ball factor applied to a full (k!, k!, k!) group-algebra
+  array, one gather per permutation, where the package passes orbit vectors.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from snrecoupling.combinatorics import (
 from snrecoupling.errors import ValidationError
 from snrecoupling.intertwiner import cg_isometries
 from snrecoupling.repsym import RepMatrixSet, _character_row, _young_orthogonal_rep
-from snrecoupling.schurweyl import tripartite_elements
+from snrecoupling.schurweyl import _sk_tables, _SkTables, tripartite_elements
 from snrecoupling.tensorlinalg import hs_norm
 
 
@@ -56,6 +58,23 @@ def ball_coefficients_per_permutation(labels: Sequence[Partition], k: int) -> np
         for c, (t, _) in enumerate(conjugacy_classes(k))
     }
     return np.array([by_type[perm_cycle_type(p)] for p in all_permutations(k)])
+
+
+def _times_ball(
+    x: np.ndarray, coeffs: np.ndarray, axes: tuple[int, ...], tables: _SkTables
+) -> np.ndarray:
+    """x S for the ball factor S = sum_pi c(pi) U(pi) on the subsystems `axes`,
+    with x a (k!, k!, k!) array indexed by (sigma_A, sigma_B, sigma_C).
+
+    (x S)[h] = sum_pi c(pi) x[h o pi^-1 on `axes`]: one gather through the
+    multiplication table per permutation with c(pi) != 0.
+    """
+    every = np.arange(x.shape[0])
+    out = np.zeros_like(x)
+    for j in np.flatnonzero(coeffs):
+        moved = tables.mul[:, tables.inv[j]]
+        out += coeffs[j] * x[np.ix_(*(moved if ax in axes else every for ax in range(3)))]
+    return out
 
 
 def conjugate_partition(lam: Sequence[int]) -> Partition:
@@ -142,7 +161,8 @@ def hs_norm_via_schurweyl(
     dim[lam] * dim V^a_alpha * dim V^b_beta * dim V^c_gamma tensored with the
     recoupling block, so dividing its HS norm by the square root of that
     dimension recovers the block's norm.  Both norms of P~ Q~ come from the
-    Fourier blocks of the group-algebra element tripartite_elements returns;
+    Fourier blocks of the group-algebra element tripartite_elements returns,
+    expanded from its orbits to all of S_k^3;
     no operator on (C^{abc})^(x k), intertwiner or Kronecker coefficient is
     involved.  Also returns the operator norm of P~ Q~ for the norm sandwich.
     """
@@ -154,7 +174,7 @@ def hs_norm_via_schurweyl(
         raise ValidationError(
             "row counts must fit the local dimensions for the tensor-power route"
         )
-    pq = tripartite_elements(*([l] for l in labels), dims, k).pq
+    pq = tripartite_elements(*([l] for l in labels), dims, k).pq[_sk_tables(k).orbit]
     raw_hs, raw_op = _fourier_norms(pq, dims, k)
     # positive: the row counts fit, so no Weyl dimension vanishes
     factor = (

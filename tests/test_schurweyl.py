@@ -9,6 +9,7 @@ import pytest
 from snrecoupling import schurweyl
 from snrecoupling.combinatorics import (
     all_permutations,
+    conjugacy_classes,
     enumerate_partitions,
     perm_inverse,
     sk_dimension,
@@ -18,6 +19,7 @@ from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.experiments import _ball, cmd_overlap_certificate
 from snrecoupling.intertwiner import kronecker_coefficient
 from snrecoupling.quantumstates import (
+    GROUPS,
     DensityMatrix,
     maximally_mixed,
     pure_state,
@@ -27,9 +29,9 @@ from snrecoupling.quantumstates import (
 from snrecoupling.recoupling import _label_permutation, recoupling_tensor
 from snrecoupling.schurweyl import (
     _ball_coefficients,
+    _perm_classes,
     _recoupling_character_sum,
     _sk_tables,
-    _times_ball,
     ball_sum_projector,
     isotypic_projector,
     overlap_trace,
@@ -42,6 +44,7 @@ from snrecoupling.schurweyl import (
 from snrecoupling.tensorlinalg import hs_norm
 from oracles import (
     _fourier_norms,
+    _times_ball,
     ball_coefficients_per_permutation,
     exact_hs_squared,
     hs_norm_via_schurweyl,
@@ -358,7 +361,8 @@ class TestFourierNorms:
     """HS and op norms of P~ Q~ from its Fourier blocks against the dense oracle."""
 
     def assert_norms_match_dense(self, balls, dims, k):
-        got = _fourier_norms(tripartite_elements(*balls, dims, k).pq, dims, k)
+        pq = tripartite_elements(*balls, dims, k).pq[_sk_tables(k).orbit]
+        got = _fourier_norms(pq, dims, k)
         p_op, q_op = tripartite_projectors(*balls, dims, k)
         pq = p_op @ q_op
         assert got[0] == pytest.approx(hs_norm(pq), abs=1e-12), balls
@@ -524,7 +528,7 @@ class TestGroupAlgebraRoute:
         balls = certificate_balls(rho, 4, 1.0)
         got = tripartite_elements(*balls, rho.dims, 4)
         for name, g, w in zip(got._fields, got, literal_chain(balls, 4)):
-            assert np.abs(g - w).max() <= 1e-15, name
+            assert np.abs(g[_sk_tables(4).orbit] - w).max() <= 1e-15, name
 
     def test_repeated_ball_labels_rejected(self):
         # a repeated label makes the ball factor twice a projector, not an idempotent
@@ -552,11 +556,46 @@ class TestGroupAlgebraRoute:
         for _ in range(k - 1):
             power = np.kron(power, rho.matrix)
         rows = np.arange(power.shape[0])
-        f = permutation_traces(rho, k)
+        f = permutation_traces(rho, k)[_sk_tables(k).orbit]
         perms = _sk_tables(k).perms
         for idx in product(range(len(perms)), repeat=3):
             y = index_map_of([perms[i] for i in idx], dims, k)
             assert abs(f[idx] - power[rows, y].sum()) < 1e-14, idx
+
+    def test_orbit_traces_keep_the_trace_of_rho(self):
+        # validation admits |tr rho - 1| <= TRACE_TOL: a copy paired with
+        # itself on A, B and C contributes tr rho, not 1
+        base = sample_hs_random((2, 2, 3), seed=24)
+        rho = DensityMatrix(dims=base.dims, matrix=base.matrix * (1 + 5e-11))
+        trace = np.trace(rho.matrix)
+        assert abs(trace - 1) > 4e-11
+        k = 3
+        power = rho.matrix
+        for _ in range(k - 1):
+            power = np.kron(power, rho.matrix)
+        rows = np.arange(power.shape[0])
+        tables = _sk_tables(k)
+        f = permutation_traces(rho, k)
+        for o, g in enumerate(tables.reps):
+            want = power[rows, index_map_of([tables.perms[i] for i in g], rho.dims, k)].sum()
+            assert abs(f[o] - want) <= 1e-14 * abs(want), o
+        assert tuple(tables.reps[0]) == (0, 0, 0)
+        assert abs(f[0] - trace**3) <= 1e-14 * abs(trace**3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_orbit_passes_match_the_full_coordinate_passes(self, k):
+        tables = _sk_tables(k)
+        n = len(tables.perms)
+        assert tables.sizes.sum() == n**3
+        assert np.array_equal(tables.orbit[tuple(tables.reps.T)], np.arange(len(tables.reps)))
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal(len(tables.reps))
+        for axes in GROUPS[3:]:
+            # any class function, not only a ball's coefficients
+            coeffs = rng.standard_normal(len(conjugacy_classes(k)))[_perm_classes(k)]
+            want = _times_ball(x[tables.orbit], coeffs, axes, tables)
+            got = x[tables.passes[axes]] @ coeffs
+            assert np.abs(got[tables.orbit] - want).max() < 1e-12, axes
 
     def test_cap_rejects_before_building(self):
         before = _sk_tables.cache_info().currsize
@@ -610,12 +649,9 @@ def character_sum_mismatches(tuples):
 @pytest.fixture
 def cold_character_sums():
     """Empty the memos of the character-sum route before and after the test."""
-    memos = (schurweyl._perm_characters, schurweyl._beta_gamma_stack)
-    for memo in memos:
-        memo.cache_clear()
+    schurweyl._perm_characters.cache_clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    schurweyl._perm_characters.cache_clear()
 
 
 class TestCharacterSumNorms:
