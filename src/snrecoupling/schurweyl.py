@@ -299,35 +299,34 @@ def permutation_traces(rho: DensityMatrix, k: int) -> np.ndarray:
     (a, b, c, a, b, c), evaluates each at its representative.  Copy t pairs
     its row digits with the column digits of copy sigma_X^-1(t) on every
     subsystem X.  Where that copy is t itself the pairing is a partial trace,
-    taken once per set of such subsystems, so the einsum runs only over the
-    digits that pass between copies.  A copy paired with itself on all three
-    contributes tr rho, which validation lets differ from 1 by TRACE_TOL.
+    taken once per set of such subsystems and kept as axes of length 1, so
+    the einsum runs only over the digits that pass between copies.  A copy
+    paired with itself on all three is the factor tr rho, which validation
+    lets differ from 1 by TRACE_TOL.
     """
     if len(rho.dims) != 3:
         raise ValidationError("permutation traces need a tripartite state")
     k = _check_algebra_size(rho.dims, k)
     tables = _sk_tables(k)
-    tens = rho.matrix.reshape(tuple(rho.dims) * 2)
+    dims = tuple(rho.dims)
+    tens = rho.matrix.reshape(dims * 2)
     # reduced[mask] traces rho over the subsystems s with bit s of mask set
-    reduced = [
-        np.einsum(tens, [0, 1, 2] + [s if mask >> s & 1 else 3 + s for s in range(3)],
-                  [s for s in range(3) if not mask >> s & 1]
-                  + [3 + s for s in range(3) if not mask >> s & 1])
-        for mask in range(8)
-    ]
-    vals = np.empty(len(tables.reps), dtype=complex)
-    for o, g in enumerate(tables.reps.tolist()):
-        inverses = [tables.perms[tables.inv[i]] for i in g]
-        value, operands = 1.0, []
+    reduced = []
+    for mask in range(8):
+        keep = [s for s in range(3) if not mask >> s & 1]
+        part = np.einsum(tens, [0, 1, 2] + [3 + s if s in keep else s for s in range(3)],
+                         keep + [3 + s for s in keep])
+        reduced.append(part.reshape([d if s % 3 in keep else 1 for s, d in enumerate(dims * 2)]))
+    source = np.array(tables.perms)[tables.inv][tables.reps]  # [o, s, t] = sigma_s^-1(t)
+    # bit s of masks[o][t] is set where copy t pairs with itself on subsystem s
+    masks = ((source == np.arange(k)) << np.arange(3)[:, None]).sum(axis=1).tolist()
+    cols = (3 * source + np.arange(3)[:, None]).transpose(0, 2, 1).tolist()
+    vals = np.empty(len(masks), dtype=complex)
+    for o, (mask, col) in enumerate(zip(masks, cols)):
+        operands = []
         for t in range(k):
-            moving = [s for s in range(3) if inverses[s][t] != t]
-            if not moving:
-                value = value * reduced[7]
-                continue
-            cols = [3 * inverses[s][t] + s for s in moving]
-            operands.extend([reduced[7 - sum(1 << s for s in moving)],
-                             [3 * t + s for s in moving] + cols])
-        vals[o] = value * np.einsum(*operands, []) if operands else value
+            operands += [reduced[mask[t]], [3 * t, 3 * t + 1, 3 * t + 2] + col[t]]
+        vals[o] = np.einsum(*operands, [])
     return vals
 
 
