@@ -361,8 +361,8 @@ class TestFourierNorms:
     """HS and op norms of P~ Q~ from its Fourier blocks against the dense oracle."""
 
     def assert_norms_match_dense(self, balls, dims, k):
-        pq = tripartite_elements(*balls, dims, k).pq[_sk_tables(k).orbit]
-        got = _fourier_norms(pq, dims, k)
+        x = tripartite_elements(*balls, dims, k).pq[_sk_tables(k).orbit]
+        got = _fourier_norms(x, dims, k)
         p_op, q_op = tripartite_projectors(*balls, dims, k)
         pq = p_op @ q_op
         assert got[0] == pytest.approx(hs_norm(pq), abs=1e-12), balls
