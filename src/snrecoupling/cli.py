@@ -66,16 +66,17 @@ def parse_seed(text: str) -> int:
     return seed
 
 
-def parse_labels(text: str, expected: int):
+def parse_labels(text: str):
+    """The six labels alpha/beta/gamma/mu/nu/lambda of --labels."""
     pieces = [p for p in text.split("/") if p.strip()]
-    if len(pieces) != expected:
-        raise ValidationError(f"expected {expected} labels, got {len(pieces)} in {text!r}")
+    if len(pieces) != 6:
+        raise ValidationError(f"expected 6 labels, got {len(pieces)} in {text!r}")
     return tuple(parse_ints(p, "partition") for p in pieces)
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
-    """The one writer: ``lines`` go to ``out`` (stdout when absent or "-") as they
-    come.  An unwritable file raises ValidationError; a failed command leaves none."""
+    """The one writer, called by ``main``: ``lines`` go to ``out`` (stdout when absent or
+    "-") as they come.  An unwritable file raises ValidationError; a failed command leaves none."""
     to_file = out and out != "-"
     try:
         with open(out, "w") if to_file else contextlib.nullcontext(sys.stdout) as stream:
@@ -84,52 +85,37 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         raise ValidationError(f"cannot write {out if to_file else 'stdout'}: {exc}") from exc
 
 
-def _emit_report(report: ExperimentReport, args) -> int:
-    csv = getattr(args, "format", "json") == "csv"  # only spectrum-estimation has --format
-    _emit([report.to_csv() if csv else report.to_json_lines()], args.out)
-    return 0 if report.passed else 1
+def _report(report: ExperimentReport, csv: bool = False) -> tuple:
+    """A report's JSON lines (or CSV), and exit code 0 when it passed, else 1."""
+    return [report.to_csv() if csv else report.to_json_lines()], 0 if report.passed else 1
 
 
-def _cmd_char(args) -> int:
+def _cmd_char(args) -> tuple:
     value = character(parse_ints(args.lam, "partition"), parse_ints(args.cycle_type, "partition"))
-    _emit([f"{value}\n"], args.out)
-    return 0
+    return [f"{value}\n"], 0
 
 
-def _cmd_kron(args) -> int:
+def _cmd_kron(args) -> tuple:
     triple = (parse_ints(p, "partition") for p in (args.alpha, args.beta, args.lam))
-    value = kronecker_coefficient(*triple)
-    _emit([f"{value}\n"], args.out)
-    return 0
+    return [f"{kronecker_coefficient(*triple)}\n"], 0
 
 
-def _cmd_cg(args) -> int:
+def _cmd_cg(args) -> tuple:
     alpha, beta, lam = (parse_ints(p, "partition") for p in (args.alpha, args.beta, args.lam))
     maps = cg_isometries(alpha, beta, lam)
-    payload = {
-        "alpha": list(alpha),
-        "beta": list(beta),
-        "lambda": list(lam),
-        "count": len(maps),
-        "maps": maps.tolist(),
-    }
-    _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
-    return 0
+    payload = {"alpha": list(alpha), "beta": list(beta), "lambda": list(lam),
+               "count": len(maps), "maps": maps.tolist()}
+    return [json.dumps(payload, sort_keys=True) + "\n"], 0
 
 
-def _cmd_recoupling(args) -> int:
-    tensor = recoupling_tensor(*parse_labels(args.labels, 6))
-    payload = {
-        "labels": [list(l) for l in tensor.labels],
-        "block_shape": list(tensor.block_shape),
-        "entries": tensor.entries.tolist(),
-        "hs": tensor.hs,
-    }
-    _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
-    return 0
+def _cmd_recoupling(args) -> tuple:
+    tensor = recoupling_tensor(*parse_labels(args.labels))
+    payload = {"labels": [list(l) for l in tensor.labels], "block_shape": list(tensor.block_shape),
+               "entries": tensor.entries.tolist(), "hs": tensor.hs}
+    return [json.dumps(payload, sort_keys=True) + "\n"], 0
 
 
-def _cmd_scan_recoupling(args) -> int:
+def _cmd_scan_recoupling(args) -> tuple:
     """One JSON line per six-tuple, written as soon as it is computed: the
     scan holds no line but the current one, and a refusal (exit 3) leaves
     the lines before it in the output."""
@@ -139,74 +125,65 @@ def _cmd_scan_recoupling(args) -> int:
         "swap_bl_residual": column_swap_check(*labels).residual,
         "swap_ag_residual": column_swap_check_ag(*labels).residual,
     } for labels in product(enumerate_partitions(args.k, args.max_rows), repeat=6))
-    _emit((json.dumps(r, sort_keys=True) + "\n" for r in records), args.out)
-    return 0
+    return (json.dumps(r, sort_keys=True) + "\n" for r in records), 0
 
 
-def _cmd_spectrum_estimation(args) -> int:
-    return _emit_report(cmd_spectrum_estimation(load_state(args.rho), args.k_max, args.delta), args)
+def _cmd_spectrum_estimation(args) -> tuple:
+    report = cmd_spectrum_estimation(load_state(args.rho), args.k_max, args.delta)
+    return _report(report, args.format == "csv")
 
 
-def _cmd_overlap(args) -> int:
+def _cmd_overlap(args) -> tuple:
     rho = load_state(args.rho)
     if len(rho.dims) != 3:
         raise ValidationError("overlap needs a tripartite state")
-    labels = check_labels(*parse_labels(args.labels, 6))
+    labels = check_labels(*parse_labels(args.labels))
     k = _check_algebra_size(rho.dims, sum(labels[0]))
     elements = _tripartite_elements([[l] for l in labels], k)
     traces = overlap_trace(elements, rho, k)
-    payload = {
-        "t_pq": [traces.t_pq.real, traces.t_pq.imag],
-        "t_p": traces.t_p,
-        "t_q": traces.t_q,
-    }
-    _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
-    return 0
+    payload = {"t_pq": [traces.t_pq.real, traces.t_pq.imag], "t_p": traces.t_p, "t_q": traces.t_q}
+    return [json.dumps(payload, sort_keys=True) + "\n"], 0
 
 
-def _cmd_overlap_certificate(args) -> int:
-    return _emit_report(cmd_overlap_certificate(load_state(args.rho), args.k, args.delta), args)
+def _cmd_overlap_certificate(args) -> tuple:
+    return _report(cmd_overlap_certificate(load_state(args.rho), args.k, args.delta))
 
 
-def _cmd_fuzz(args) -> int:
-    return _emit_report(cmd_overlap_bound_fuzz(args.n, args.seed), args)
+def _cmd_fuzz(args) -> tuple:
+    return _report(cmd_overlap_bound_fuzz(args.n, args.seed))
 
 
-def _cmd_dimension_ratio(args) -> int:
+def _cmd_dimension_ratio(args) -> tuple:
     ks = parse_ints(args.k_list, "k list")
-    return _emit_report(cmd_dimension_ratio(load_state(args.rho), ks), args)
+    return _report(cmd_dimension_ratio(load_state(args.rho), ks))
 
 
-def _cmd_converse(args) -> int:
+def _cmd_converse(args) -> tuple:
     spectra = spectra_from_json(load_json(args.spectra))
-    ks = range(args.k_min, args.k_max + 1)
-    return _emit_report(cmd_converse_probe(spectra, ks), args)
+    return _report(cmd_converse_probe(spectra, range(args.k_min, args.k_max + 1)))
 
 
-def _cmd_ssa_scan(args) -> int:
-    return _emit_report(cmd_ssa_scan(args.n, args.seed), args)
+def _cmd_ssa_scan(args) -> tuple:
+    return _report(cmd_ssa_scan(args.n, args.seed))
 
 
-def _cmd_validate_state(args) -> int:
+def _cmd_validate_state(args) -> tuple:
     """Residuals of the matrix as written in the file, not of the one the state stores."""
     try:
         rho = load_state(args.state)
     except ValidationError as exc:
-        _emit([json.dumps({"valid": False, "reason": str(exc)}) + "\n"], args.out)
-        return 1
-    _emit([json.dumps({"valid": True, **rho.residuals}, sort_keys=True) + "\n"], args.out)
-    return 0
+        return [json.dumps({"valid": False, "reason": str(exc)}) + "\n"], 1
+    return [json.dumps({"valid": True, **rho.residuals}, sort_keys=True) + "\n"], 0
 
 
-def _cmd_sample_state(args) -> int:
+def _cmd_sample_state(args) -> tuple:
     rho = sample_hs_random(parse_ints(args.dims, "dimensions"), args.seed)
-    _emit([json.dumps(state_to_json(rho)) + "\n"], args.out)
-    return 0
+    return [json.dumps(state_to_json(rho)) + "\n"], 0
 
 
 class Command(NamedTuple):
     help: str
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[argparse.Namespace], tuple[Iterable[str], int]]  # lines for main, exit code
     arguments: tuple = ()
 
 
@@ -303,7 +280,9 @@ def main(argv=None) -> int:
         build_parser().parse_args(argv)  # prints the help or an error, and exits
     args = build_parser(argv[0]).parse_args(argv[1:])
     try:
-        return COMMANDS[argv[0]].handler(args)
+        lines, code = COMMANDS[argv[0]].handler(args)
+        _emit(lines, args.out)
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,23 +62,12 @@ class ExperimentReport:
     passed: bool = True
 
     def to_json_lines(self) -> str:
-        lines = []
-        header = {
-            "record": "header",
-            "experiment": self.experiment,
-            "schema_version": SCHEMA_VERSION,
-            "parameters": self.parameters,
-        }
-        lines.append(json.dumps(header, sort_keys=True))
-        for item in self.items:
-            lines.append(json.dumps({"record": "item", **item}, sort_keys=True))
-        lines.append(
-            json.dumps(
-                {"record": "summary", "passed": self.passed, **self.summary},
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines) + "\n"
+        """A header record, one record per item and a summary record, one JSON line each."""
+        header = {"record": "header", "experiment": self.experiment,
+                  "schema_version": SCHEMA_VERSION, "parameters": self.parameters}
+        summary = {"record": "summary", "passed": self.passed, **self.summary}
+        records = [header, *({"record": "item", **item} for item in self.items), summary]
+        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
     def to_csv(self) -> str:
         """The items only, one row each under a header: "" for no items.  The
@@ -88,8 +78,7 @@ class ExperimentReport:
         fields = list(dict.fromkeys(key for item in self.items for key in item))
         writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
-        for item in self.items:
-            writer.writerow({k: item.get(k, "") for k in fields})
+        writer.writerows(self.items)
         return buf.getvalue()
 
 
@@ -99,6 +88,13 @@ def _l1_distance(lam: Partition, r: np.ndarray) -> float:
     diff[: len(lam)] = np.asarray(lam, dtype=float) / sum(lam)
     diff[: r.size] -= r
     return float(np.abs(diff).sum())
+
+
+def _check_delta(delta) -> None:
+    """The one check of a ball radius: a finite non-negative real number, not a bool."""
+    if isinstance(delta, bool) or not (
+            isinstance(delta, numbers.Real) and math.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and non-negative, got {delta!r}")
 
 
 def _in_ball(dist: float, delta: float) -> bool:
@@ -178,8 +174,7 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
     nor counted in ``nonzero_tuple_count`` or ``sum_hs``.
     """
     k = check_int(k, "k")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValidationError(f"delta must be finite and non-negative, got {delta}")
+    _check_delta(delta)
     if len(rho.dims) != 3:
         raise ValidationError("certificate needs a tripartite state")
     balls = [_ball(k, r, delta, n) for r, n in zip(spectra_tuple(rho), group_dims(rho.dims))]
@@ -276,57 +271,35 @@ def cmd_spectrum_estimation(rho: DensityMatrix, k_max: int, delta: float = 0.3) 
     """
     if len(rho.dims) != 1:
         raise ValidationError("spectrum estimation needs a single-system state")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValidationError(f"delta must be finite and non-negative, got {delta}")
+    _check_delta(delta)
     k_max, d = check_int(k_max, "k_max"), rho.dims[0]
     if d > 4:
         raise ValidationError("supported range is d <= 4")
     check_cap("k_max of the S_k whose conjugacy classes a character sum runs over", k_max, K_MAX)
     r = rho.spectrum()
 
-    items = []
-    traces: dict[tuple[int, Partition], tuple[float, float]] = {}  # (trace, l1 distance)
-    tails = []
+    items, tails = [], []
     for k in range(1, k_max + 1):
-        tail = 0.0
-        for lam in enumerate_partitions(k, d):
-            tr = projected_trace(lam, rho)
-            dist = _l1_distance(lam, r)
-            traces[(k, lam)] = tr, dist
-            items.append(
-                {
-                    "k": k,
-                    "lam": list(lam),
-                    "trace": float(tr),
-                    "l1_dist": float(dist),
-                    "gaussian_bound": float(math.exp(-k * dist**2 / 2)),
-                }
-            )
-            if not _in_ball(dist, delta):
-                tail += tr
-        tails.append(tail)
-
+        rows = [(lam, projected_trace(lam, rho), _l1_distance(lam, r))
+                for lam in enumerate_partitions(k, d)]
+        items += [{"k": k, "lam": list(lam), "trace": float(tr), "l1_dist": float(dist),
+                   "gaussian_bound": float(math.exp(-k * dist**2 / 2))} for lam, tr, dist in rows]
+        tails.append(sum(tr for _, tr, dist in rows if not _in_ball(dist, delta)))
     gate_tail = tails[-1] <= TAIL_BOUND
 
-    window = range(max(1, k_max - 9), k_max + 1)
+    # a direction fixes the lower rows lam[1:] and grows the first row; its group
+    # holds the rate diagnostic of its window items with positive trace, in k order
+    groups: dict[tuple[int, ...], list[float]] = {}
+    for item in items:
+        if item["k"] > k_max - 10 and item["trace"] > 0:
+            groups.setdefault(tuple(item["lam"][1:]), []).append(
+                math.log(item["trace"]) + item["k"] * item["l1_dist"] ** 2 / 2)
     directions = []
     for lam_top in enumerate_partitions(k_max, d):
-        rest = lam_top[1:]
-        seq = []
-        for k in window:
-            first = k - sum(rest)
-            if first < (rest[0] if rest else 1):
-                continue
-            lam = (first,) + rest
-            tr, dist = traces[(k, lam)]
-            if tr <= 0:
-                continue
-            seq.append((k, math.log(tr) + k * dist**2 / 2))
-        incs = [seq[i + 1][1] - seq[i][1] for i in range(len(seq) - 1)]
-        mono = all(incs[i + 1] <= incs[i] + GATE_SLACK for i in range(len(incs) - 1))
-        directions.append(
-            {"direction": list(lam_top), "points": len(seq), "monotone": mono}
-        )
+        seq = groups.get(lam_top[1:], [])
+        incs = [b - a for a, b in zip(seq, seq[1:])]
+        mono = all(b <= a + GATE_SLACK for a, b in zip(incs, incs[1:]))
+        directions.append({"direction": list(lam_top), "points": len(seq), "monotone": mono})
     gate_rate = all(direction["monotone"] for direction in directions)
 
     return ExperimentReport(
@@ -355,7 +328,8 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
     """
     if len(rho.dims) != 3:
         raise ValidationError("dimension ratio needs a tripartite state")
-    k_values = [check_int(k, "k values", 2) for k in k_values]
+    k_values = ([check_int(k, "k values", 2) for k in k_values]
+                if isinstance(k_values, Iterable) else [])
     if not k_values:
         raise ValidationError("dimension ratio needs a non-empty list of k values")
     _, b, _, ab, bc, abc = group_dims(rho.dims)
@@ -368,13 +342,8 @@ def cmd_dimension_ratio(rho: DensityMatrix, k_values: Sequence[int]) -> Experime
         mu, nu, beta, lam = (
             _round_marginal(r, k) for r in (spectra.r_ab, spectra.r_bc, spectra.r_b, spectra.r_abc)
         )
-        log2 = math.log(2.0)
-        g_k = (
-            log_sk_dimension(mu)
-            + log_sk_dimension(nu)
-            - log_sk_dimension(beta)
-            - log_sk_dimension(lam)
-        ) / (k * log2)
+        g_k = (log_sk_dimension(mu) + log_sk_dimension(nu) - log_sk_dimension(beta)
+               - log_sk_dimension(lam)) / (k * math.log(2.0))
         err = abs(g_k - gap)
         bound = big_c * math.log2(k) / k
         items.append(
@@ -416,7 +385,7 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
     if lengths != group_dims(dims):
         raise ValidationError(f"r_ab, r_bc, r_abc have lengths {lengths[3:]}, not ab, bc, abc "
                               f"for the lengths (a, b, c) = {dims} of r_a, r_b, r_c")
-    if not k_values:
+    if not isinstance(k_values, Iterable) or not k_values:
         raise ValidationError("the converse probe needs a non-empty list of k values")
     items = []
     for k in k_values:

@@ -17,7 +17,10 @@ start with ``test_``); test modules import it as ``oracles``, since
 - ``ball_coefficients_per_permutation``: the coefficients of a ball sum of
   isotypic projectors, looked up by the cycle type of every permutation;
 - ``_times_ball``: a ball factor applied to a full (k!, k!, k!) group-algebra
-  array, one gather per permutation, where the package passes orbit vectors.
+  array, one gather per permutation, where the package passes orbit vectors;
+- ``rate_directions``: the spectrum-estimation rate gate, each direction's
+  diagrams rebuilt from its lower rows and looked up in a table of traces,
+  where the package groups its items by their lower rows.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from snrecoupling.combinatorics import (
     weyl_dimension,
 )
 from snrecoupling.errors import ValidationError
+from snrecoupling.experiments import GATE_SLACK
 from snrecoupling.intertwiner import cg_isometries
 from snrecoupling.repsym import RepMatrixSet, _character_row, _young_orthogonal_rep
 from snrecoupling.schurweyl import _sk_tables, _SkTables, tripartite_elements
@@ -284,3 +288,33 @@ def exact_hs_squared(alpha, beta, gamma, mu, nu, lam) -> Fraction:
         total += size * c_mu[s] * int(c_nu @ (beta_stp * gamma_tp) @ pi_weight)
     dims = _sk_dimension(labels[3]) * _sk_dimension(labels[4])
     return Fraction(dims * total, math.factorial(k) ** 3)
+
+
+def rate_directions(items: Sequence[dict], k_max: int, d: int) -> list[dict]:
+    """The ``rate_directions`` of a spectrum-estimation report, from its items.
+
+    For each diagram of k_max boxes in at most d rows, in
+    ``enumerate_partitions`` order, the diagrams of k > k_max - 10 boxes with
+    the same lower rows are rebuilt as (k - sum(rest),) + rest and looked up
+    in a (k, lam) table; those with a positive trace give the points
+    log(trace) + k dist^2 / 2, whose increments must not increase (up to
+    ``GATE_SLACK``).
+    """
+    traces = {(item["k"], tuple(item["lam"])): (item["trace"], item["l1_dist"])
+              for item in items}
+    directions = []
+    for lam_top in enumerate_partitions(k_max, d):
+        rest = lam_top[1:]
+        seq = []
+        for k in range(max(1, k_max - 9), k_max + 1):
+            first = k - sum(rest)
+            if first < (rest[0] if rest else 1):
+                continue
+            tr, dist = traces[(k, (first,) + rest)]
+            if tr <= 0:
+                continue
+            seq.append((k, math.log(tr) + k * dist**2 / 2))
+        incs = [seq[i + 1][1] - seq[i][1] for i in range(len(seq) - 1)]
+        mono = all(incs[i + 1] <= incs[i] + GATE_SLACK for i in range(len(incs) - 1))
+        directions.append({"direction": list(lam_top), "points": len(seq), "monotone": mono})
+    return directions

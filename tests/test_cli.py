@@ -58,10 +58,10 @@ class TestParsing:
             assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_labels(self):
-        labels = parse_labels("2,1/2,1/3/3/2,1/2,1", 6)
+        labels = parse_labels("2,1/2,1/3/3/2,1/2,1")
         assert labels[2] == (3,)
-        with pytest.raises(ValidationError):
-            parse_labels("2,1/3", 6)
+        with pytest.raises(ValidationError, match="expected 6 labels, got 2"):
+            parse_labels("2,1/3")
 
 
 class TestParserTable:
