@@ -385,13 +385,13 @@ def cmd_converse_probe(spectra: SpectraTuple, k_values: Sequence[int]) -> Experi
     if lengths != group_dims(dims):
         raise ValidationError(f"r_ab, r_bc, r_abc have lengths {lengths[3:]}, not ab, bc, abc "
                               f"for the lengths (a, b, c) = {dims} of r_a, r_b, r_c")
-    if not isinstance(k_values, Iterable) or not k_values:
-        raise ValidationError("the converse probe needs a non-empty list of k values")
     items = []
-    for k in k_values:
+    for k in k_values if isinstance(k_values, Iterable) else ():
         k = check_int(k, "k values")
         labels = [_round_marginal(r, k) for r in spectra]
         items.append({"k": k, **_labels_record(labels), "hs": recoupling_tensor(*labels).hs})
+    if not items:
+        raise ValidationError("the converse probe needs a non-empty list of k values")
 
     return ExperimentReport(
         experiment="converse_probe",

@@ -404,6 +404,12 @@ class TestConverseProbe:
         with pytest.raises(ValidationError, match="non-empty list of k values"):
             cmd_converse_probe(spectra_tuple(maximally_mixed((2, 2, 2))), 3)
 
+    def test_takes_a_numpy_array_of_k_values(self):
+        # as cmd_dimension_ratio does; the truth test of the array raised ValueError
+        spectra = spectra_tuple(maximally_mixed((2, 2, 2)))
+        assert (cmd_converse_probe(spectra, np.array([2, 3])).to_json_lines()
+                == cmd_converse_probe(spectra, [2, 3]).to_json_lines())
+
     def test_rejects_large_k(self):
         # the caps of recoupling_tensor decide which k is too large: k = 8
         # fits them here, and K_MAX refuses every k above 30
