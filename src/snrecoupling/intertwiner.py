@@ -12,11 +12,11 @@ basis-independent.
 The bases come from the Gelfand-Tsetlin structure of Young's orthogonal form
 (Vershik-Okounkov): the images of the first standard tableau T1 of [lam]
 span the joint eigenspace of the Jucys-Murphy elements on [alpha] (x) [beta]
-at T1's contents, and Young's step carries them to every other tableau.
+at T1's contents, and Young's step carries them to every other tableau,
+each from the tableau at its first descent (``RepMatrixSet.descents``).
 That eigenspace is cut out by polynomial projectors, since on it each X_{j+1}
 can only take the contents of the cells addable to the shape of T1's entries
-1..j; those contents, and the order of Young's steps, are planned once per
-shape.  Each unordered label set is solved and signed once, in the
+1..j.  Each unordered label set is solved and signed once, in the
 orientation with the smallest pair product dim[alpha]*dim[beta]: the label
 of largest dimension is the target.  Every other orientation, the
 tensor-factor swap included, is an exact axis permutation of that one signed
@@ -166,46 +166,12 @@ def _solve_cg(alpha: Partition, beta: Partition, lam: Partition) -> np.ndarray:
     return maps
 
 
-@cache  # one plan per shape, built on the first solve onto it
-def _shape_plan(lam: Partition) -> tuple[tuple, tuple]:
-    """What a Jucys-Murphy solve onto [lam] needs of lam alone: (factors, steps).
-
-    ``factors[j - 2]`` is (c, others) for X_{j+1}, j = 2..k-1: T1's content
-    of j+1 and the other contents addable to the shape of T1's entries
-    1..j.  ``steps`` are Young's steps from T1 in breadth-first order,
-    (src, dst, i, d, sqrt(1 - 1/d^2)): tableau dst is s_{i+1} applied to
-    tableau src, at axial distance d; they reach every other tableau once.
-    """
-    rep = _young_orthogonal_rep(lam)
-    first, c1 = rep.basis[0], rep.contents[0]
-    factors = []
-    for j in range(2, sum(lam)):
-        prefix = [m for m in (sum(e <= j for e in row) for row in first) if m]
-        factors.append(
-            (c1[j + 1], tuple(c for c in _addable_contents(prefix) if c != c1[j + 1]))
-        )
-    steps = []
-    order = [0]
-    seen = [True] + [False] * (rep.dim - 1)
-    for t in order:
-        cont = rep.contents[t]
-        for i, nxt in enumerate(rep.moves[t]):
-            if nxt < 0 or seen[nxt]:
-                continue
-            seen[nxt] = True
-            order.append(nxt)
-            d = cont[i + 1] - cont[i]
-            steps.append((t, nxt, i - 1, d, math.sqrt(1.0 - 1.0 / d**2)))
-    assert len(order) == rep.dim
-    return tuple(factors), tuple(steps)
-
-
 def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
     """The g intertwiners [lam] -> [alpha] (x) [beta] as a (g, da*db, dl) stack."""
     dl = rep_l.dim
     n = rep_a.dim * rep_b.dim
     pairs = list(zip(rep_a.generators, rep_b.generators))
-    factors, steps = _shape_plan(rep_l.shape)
+    first, c1 = rep_l.basis[0], rep_l.contents[0]
 
     # Young's orthogonal form is Gelfand-Tsetlin adapted: v_T is the joint
     # eigenvector of the Jucys-Murphy elements X_j = sum_{i<j} (i j) with
@@ -218,8 +184,7 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
     # the joint eigenspace of X_2..X_j at T1's contents, X_{j+1} has as its
     # only eigenvalues the contents of the cells addable to the shape of
     # T1's entries 1..j (Vershik-Okounkov), so the polynomial
-    # prod_{c' != c} (X_{j+1} - c') / (c - c') projects onto content c.
-    # Those contents depend on lam alone and come from its memoized plan.
+    # prod_{c' != c} (X_{j+1} - c') / (c - c') projects onto c = c_T1(j+1).
     # The product starts at its first factor (X_3 has one for every lam),
     # so no identity is formed or multiplied.
     # Each G_j is a symmetric involution and each X_j symmetric, so
@@ -228,22 +193,25 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
     # range of the projector is read off by pivoted Cholesky, whose pivot is
     # the first index within PIVOT_TIE_RTOL of the largest residual: the
     # diagonal repeats values, and roundoff must not choose among them.
-    if not factors:
+    if rep_l.k < 3:
         span = np.ones((1, 1))  # every irrep of S_1, S_2 is one-dimensional, and g = 1
     else:
         a, b = pairs[0]
         x_diag = (a.diagonal()[:, None] * b.diagonal()).reshape(n)
-        keep = np.flatnonzero(x_diag == rep_l.contents[0][2])
+        keep = np.flatnonzero(x_diag == c1[2])
         m = len(keep)
         x_j = np.diag(x_diag)
         q = None
-        for j, (c, others) in enumerate(factors, start=2):
+        for j in range(2, rep_l.k):
             a, b = pairs[j - 1]
             y = _apply_pair(a, b, x_j)
             y.flat[:: n + 1] += 1.0  # (G X)^T has the diagonal of G X
             x_j = _apply_pair(a, b, y.T)
             x_keep = x_j.take(keep, 0).take(keep, 1)
-            for other in others:
+            c = c1[j + 1]
+            # T1's rows hold consecutive entries; count those <= j in each
+            prefix = [min(len(row), j + 1 - row[0]) for row in first if row[0] <= j]
+            for other in (x for x in _addable_contents(prefix) if x != c):
                 if q is None:
                     q = x_keep.copy()
                     q.flat[:: m + 1] -= other
@@ -257,11 +225,15 @@ def _jucys_murphy_stack(rep_a, rep_b, rep_l, g: int) -> np.ndarray:
 
     # Young's step from T to s_i T (axial distance d = c_T(i+1) - c_T(i)):
     # phi(v_{s_i T}) = (G_i phi(v_T) - phi(v_T) / d) / sqrt(1 - 1/d^2).
+    # Tableau t > 0 comes from src = s_i T_t, i its first descent: src is earlier.
     images = np.empty((dl, n, g))
     images[0] = span
-    for src, dst, i, d, norm in steps:
-        a, b = pairs[i]
-        images[dst] = (_apply_pair(a, b, images[src]) - images[src] / d) / norm
+    for t in range(1, dl):
+        i = rep_l.descents[t]
+        src = rep_l.moves[t][i]
+        d = rep_l.contents[src][i + 1] - rep_l.contents[src][i]
+        a, b = pairs[i - 1]
+        images[t] = (_apply_pair(a, b, images[src]) - images[src] / d) / math.sqrt(1.0 - 1.0 / d**2)
     return images.transpose(2, 1, 0)
 
 

@@ -43,8 +43,9 @@ class RepMatrixSet:
     tableau t, and ``moves[t][i]`` is the index of s_i T_t, tableau t with
     the entries i and i+1 exchanged, or -1 when the two share a row or a
     column (axial distance +-1), so that s_i T_t is not standard; index 0
-    of both is a pad (0 and -1).  ``generators[i-1]`` represents the
-    adjacent transposition s_i = (i, i+1) in this basis.
+    of both is a pad (0 and -1).  ``descents[t]`` is the first i with i+1 in
+    a higher row than i (0 for T1, which has none): s_i T_t has a smaller row
+    word, so ``0 <= moves[t][i] < t``.  ``generators[i-1]`` represents s_i.
     """
 
     shape: Partition
@@ -52,6 +53,7 @@ class RepMatrixSet:
     basis: tuple
     contents: tuple[tuple[int, ...], ...]
     moves: tuple[tuple[int, ...], ...]
+    descents: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -93,6 +95,7 @@ def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
     basis, contents = _tableaux_and_contents(lam)
     index = {cont: t for t, cont in enumerate(contents)}
     moves = [[-1] * k for _ in basis]
+    descents = [0] * len(basis)
     generators = []
     for i in range(1, k):
         mat = np.zeros((len(basis),) * 2)
@@ -103,10 +106,13 @@ def _young_orthogonal_rep(lam: Partition) -> RepMatrixSet:
             if abs(d) >= 2:  # s_i T is standard: the tableau of the exchanged contents
                 moves[t][i] = index[cont[:i] + (cont[i + 1], cont[i]) + cont[i + 2:]]
                 mat[moves[t][i], t] = math.sqrt(1.0 - 1.0 / d**2)
+                if d > 0 and not descents[t]:  # i+1 is in a higher row than i
+                    descents[t] = i
         mat.setflags(write=False)
         generators.append(mat)
     return RepMatrixSet(shape=lam, generators=tuple(generators), basis=basis,
-                        contents=contents, moves=tuple(map(tuple, moves)))
+                        contents=contents, moves=tuple(map(tuple, moves)),
+                        descents=tuple(descents))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -520,7 +520,7 @@ class TestOneSignedTensor:
 
 def test_cold_unitary_k6_builds_one_table_per_shape():
     # The 5 shapes of the unitary's triples each get one Young table, which
-    # the solves, their plans and their self-checks read, and each table
+    # the solves (their descents included) and their self-checks read, and each table
     # builds its k-cycle once, on the first self-check that needs it.
     code = (
         "from collections import Counter\n"
@@ -542,30 +542,65 @@ def test_cold_unitary_k6_builds_one_table_per_shape():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_shape_plan_matches_the_tableaux(k):
+    # What a solve plans from the shape alone is read from its table: each
+    # tableau's first descent, and T1's contents against the addable cells.
     for lam in enumerate_partitions(k):
-        factors, steps = intertwiner._shape_plan(lam)
+        rep = _young_orthogonal_rep(lam)
         tableaux = standard_tableaux(lam)
+        assert rep.basis == tableaux
+        rows = [{e: r for r, entries in enumerate(tab) for e in entries} for tab in tableaux]
         contents = [
             {e: col - row for row, entries in enumerate(tab) for col, e in enumerate(entries)}
             for tab in tableaux
         ]
-        moves = _young_orthogonal_rep(lam).moves
-        reached = {0}
-        for src, dst, i, d, norm in steps:
-            assert src in reached and dst not in reached
-            assert moves[src][i + 1] == dst
-            assert d == contents[src][i + 2] - contents[src][i + 1]
-            assert norm == math.sqrt(1.0 - 1.0 / d**2)
-            reached.add(dst)
-        assert reached == set(range(len(tableaux)))
+        for t, row in enumerate(rows):
+            # a descent i has i + 1 in a higher row than i; T1 has none
+            descents = [i for i in range(1, k) if row[i + 1] < row[i]]
+            assert rep.descents[t] == (descents[0] if descents else 0)
+            assert bool(descents) == (t > 0)
+            if descents:
+                i = descents[0]
+                assert 0 <= rep.moves[t][i] < t
+                assert abs(contents[t][i + 1] - contents[t][i]) >= 2
+            # each step removes one inversion of the row word
+            word = [row[e] for e in range(1, k + 1)]
+            inversions = sum(a > b for a, b in combinations(word, 2))
+            steps, src = 0, t
+            while src:
+                src = rep.moves[src][rep.descents[src]]
+                steps += 1
+            assert steps == inversions
         first = tableaux[0]
-        expected = []
         for j in range(2, k):
             prefix = [m for m in (len([e for e in row if e <= j]) for row in first) if m]
-            c = contents[0][j + 1]
-            assert c in _addable_contents(prefix)
-            expected.append((c, tuple(a for a in _addable_contents(prefix) if a != c)))
-        assert factors == tuple(expected)
+            assert contents[0][j + 1] in _addable_contents(prefix)
+
+
+def test_last_descents_carry_the_first_column_to_every_column():
+    # A second route for Young's step: from the images of T1 alone, reach
+    # each tableau from its last descent instead of its first, with the
+    # generator pairs as explicit Kronecker products.
+    checked = 0
+    for k in range(1, 6):
+        for triple in product(enumerate_partitions(k), repeat=3):
+            if intertwiner._canonical_orientation(triple) != triple:
+                continue
+            if not kronecker_coefficient(*triple):
+                continue
+            maps = cg_isometries(*triple)
+            rep_a, rep_b, rep_l = (_young_orthogonal_rep(p) for p in triple)
+            images = np.empty_like(maps)
+            images[:, :, 0] = maps[:, :, 0]
+            for t in range(1, rep_l.dim):
+                i = max(i for i in range(1, k) if 0 <= rep_l.moves[t][i] < t)
+                src = rep_l.moves[t][i]
+                d = rep_l.contents[src][i + 1] - rep_l.contents[src][i]
+                pair = np.kron(rep_a.generators[i - 1], rep_b.generators[i - 1])
+                step = pair @ images[:, :, src].T - images[:, :, src].T / d
+                images[:, :, t] = (step / math.sqrt(1.0 - 1.0 / d**2)).T
+            assert np.abs(images - maps).max() < 1e-12, triple
+            checked += 1
+    assert checked == 63  # 1, 2, 5, 15 and 40 at k = 1..5
 
 
 class TestEighOracle:
