@@ -28,7 +28,6 @@ from .combinatorics import (
     round_spectrum,
 )
 from .errors import ValidationError, check_cap, check_int
-from .intertwiner import _kronecker_coefficient
 from .quantumstates import (
     DensityMatrix,
     SpectraTuple,
@@ -39,9 +38,9 @@ from .quantumstates import (
     ssa_gap,
     weak_mono_gap,
 )
-from .recoupling import VERTICES, recoupling_tensor
+from .recoupling import recoupling_tensor
 from .schurweyl import (
-    _recoupling_character_sum,
+    _recoupling_character_sums,
     overlap_trace,
     projected_trace,
     tripartite_elements,
@@ -130,22 +129,6 @@ def _labels_record(labels: Sequence[Partition]) -> dict[str, list[int]]:
     return {name: list(lam) for name, lam in zip(LABELS, labels)}
 
 
-def _admissible_tuples(balls: Sequence[list[Partition]]) -> list[tuple[Partition, ...]]:
-    """The tuples (alpha, beta, gamma, mu, nu, lam) of six balls with four
-    non-zero Kronecker coefficients, in the order of their product.
-
-    Every other tuple has an empty recoupling block (hs = 0).  Each vertex of
-    ``recoupling.VERTICES`` is tested at the level of its last label, so no
-    prefix with a zero vertex is extended.  The labels are canonical already.
-    """
-    tuples = [()]
-    for level, ball in enumerate(balls):
-        tuples = [head + (lam,) for head in tuples for lam in ball]
-        for a, b, c in (v for v in VERTICES if max(v) == level):
-            tuples = [t for t in tuples if _kronecker_coefficient(t[a], t[b], t[c])]
-    return tuples
-
-
 def _round_marginal(r, k: int) -> Partition:
     """Diagram of k boxes nearest to a spectrum, after clipping and renormalizing."""
     v = np.clip(np.asarray(r, dtype=float), 0.0, None)
@@ -166,12 +149,13 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
 
         sum_ball hs  >=  |tr(P~ Q~ rho^k)|  >=  tr(P~ rho^k) - sqrt(1 - tr(Q~ rho^k)).
 
-    Each norm comes from characters alone, in the same group algebra:
-    hs = sqrt(dim mu dim nu S / k!^3) with the exact integer S of
-    ``schurweyl._recoupling_character_sum``, so no intertwiner is solved.
-    A block is zero exactly when S == 0, an integer test with no threshold
-    (``recoupling.HS_ZERO`` plays no part); a zero block is neither an item
-    nor counted in ``nonzero_tuple_count`` or ``sum_hs``.
+    Each norm comes from characters alone, in the same group algebra: one
+    product, ``schurweyl._recoupling_character_sums``, gives the exact
+    integer S of every ball tuple and hs = sqrt(dim mu dim nu S / k!^3), so
+    no intertwiner or Kronecker coefficient is computed.  A block is zero
+    exactly when S == 0, with no threshold (``recoupling.HS_ZERO`` plays no
+    part); the items are the other tuples, in the order of the balls'
+    product, and only they count in ``nonzero_tuple_count`` and ``sum_hs``.
     """
     k = check_int(k, "k")
     _check_delta(delta)
@@ -183,10 +167,12 @@ def cmd_overlap_certificate(rho: DensityMatrix, k: int, delta: float) -> Experim
 
     items = []
     cube = math.factorial(k) ** 3
-    for labels in _admissible_tuples(balls):
-        if s := _recoupling_character_sum(*labels):
-            hs = math.sqrt(_sk_dimension(labels[3]) * _sk_dimension(labels[4]) * s / cube)
-            items.append({**_labels_record(labels), "hs": hs})
+    sums = _recoupling_character_sums(balls, k)
+    nonzero = np.nonzero(sums)  # in C order, the order of the product of the balls
+    for index, s in zip(zip(*nonzero), sums[nonzero].tolist()):
+        labels = [ball[i] for ball, i in zip(balls, index)]
+        hs = math.sqrt(_sk_dimension(labels[3]) * _sk_dimension(labels[4]) * s / cube)
+        items.append({**_labels_record(labels), "hs": hs})
     sum_hs = sum(item["hs"] for item in items)
 
     chain_first = sum_hs >= abs(t_pq) - GATE_SLACK

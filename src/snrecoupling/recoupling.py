@@ -48,7 +48,7 @@ COMPOSITE_FLOAT_CAP = 2**28
 # roundoff of up to a few 1e-16 on exactly-zero blocks.  Read by the consumers
 # of this module's blocks (the CLI recoupling and scan-recoupling commands, the
 # converse probe, the column swaps); the overlap certificate decides zeros by
-# an exact integer instead (schurweyl._recoupling_character_sum)
+# an exact integer instead (schurweyl._recoupling_character_sums)
 HS_ZERO = 1e-12
 
 

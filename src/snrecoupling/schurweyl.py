@@ -15,10 +15,11 @@ conjugation, under which all of them are invariant.  overlap_trace pairs
 them with tr(U(g) rho^(x k)), which permutation_traces evaluates on the same
 orbits; the overlap certificate and the ``overlap`` CLI command take this
 route, and no operator on (C^{abc})^(x k) is formed on it.  The
-certificate's recoupling norms come from the same tables:
-_recoupling_character_sum is the exact integer character sum over S_k^3 of
-which hs^2 is a multiple, so the certificate solves no intertwiner and
-decides zero blocks by S == 0.  The tests read the recoupling norms off the
+certificate's recoupling norms come from the same tables: in one integer
+product over the orbits, _recoupling_character_sums gives for every tuple of
+six balls the exact character sum over S_k^3 of which hs^2 is a multiple, so
+the certificate solves no intertwiner and decides zero blocks by S == 0.
+The tests read the recoupling norms off the
 Fourier blocks of P~ Q~ (their oracle ``hs_norm_via_schurweyl``), a second
 route to what ``recoupling_tensor`` computes.
 
@@ -358,14 +359,15 @@ def _perm_characters(lam: Partition) -> np.ndarray:
     return row
 
 
-def _recoupling_character_sum(alpha, beta, gamma, mu, nu, lam) -> int:
-    """The exact integer
+def _recoupling_character_sums(balls, k: int) -> np.ndarray:
+    """The exact integers
 
         S = sum_{sigma, tau, pi} chi_mu(sigma) chi_nu(tau) chi_lam(pi)
                 chi_alpha(sigma pi) chi_beta(sigma tau pi) chi_gamma(tau pi)
 
-    over S_k^3, with hs^2 = dim mu dim nu S / k!^3 for the recoupling block
-    of the six labels (canonical partitions of one k, not re-checked).
+    over S_k^3, one for each tuple of six balls of canonical partitions of k
+    (not re-checked), as an int64 array of the balls' lengths; hs^2 =
+    dim mu dim nu S / k!^3 for the recoupling block of the tuple.
 
     hs^2 = tr(P_mu P_nu P_lam) / dim lam on [alpha] (x) [beta] (x) [gamma],
     and the class-function expansion of the three isotypic projectors
@@ -374,24 +376,26 @@ def _recoupling_character_sum(alpha, beta, gamma, mu, nu, lam) -> int:
     i (on AB), chi_nu(tau) that of k (on BC), chi_lam(pi) that of j and l (on
     ABC), and each leaf is read at the targets above it: alpha at sigma pi (i,
     then j and l), beta at sigma tau pi (i, k, then j and l), gamma at tau pi.
-    The summand is invariant under conjugating sigma, tau and pi together,
-    so it is read once per orbit of _sk_tables, weighted by the orbit size.
-    S >= 0, and a block is zero exactly when S == 0.
+    The summand is invariant under conjugating sigma, tau and pi together, so
+    each label's row A, B, C, M, N, Lam is read once per orbit of _sk_tables,
+    and S = L R^T with L = |o| (A (x) B (x) C) and R = M (x) N (x) Lam.
+    S >= 0, and a block is zero exactly when S == 0; so a tuple with a zero
+    Kronecker coefficient, whose block is empty, has S == 0 with no filter.
 
     It runs where _check_algebra_size admits k, k <= 4 under IMPLICIT_CAP:
     _sk_tables ranks (k!)^4 conjugation codes, 1.66 GB at k = 5.  There
-    |chi| <= 3, so the int64 sum of |o| |summand| is at most 3^6 (k!)^3 <
-    2^24, exact.
+    |chi| <= 3, so every partial sum of the int64 product (numpy's own loop,
+    no BLAS) is at most 3^6 (k!)^3 < 2^24 in size, exact.
     """
-    tables = _sk_tables(sum(alpha))
+    tables = _sk_tables(k)
     sigma, tau, pi = tables.reps.T
     tau_pi = tables.mul[tau, pi]
-    summand = (
-        _perm_characters(mu)[sigma] * _perm_characters(nu)[tau] * _perm_characters(lam)[pi]
-        * _perm_characters(alpha)[tables.mul[sigma, pi]]
-        * _perm_characters(beta)[tables.mul[sigma, tau_pi]]
-        * _perm_characters(gamma)[tau_pi]
-    )
-    total = int(tables.sizes @ summand)
-    assert total >= 0, (alpha, beta, gamma, mu, nu, lam)
-    return total
+    points = (tables.mul[sigma, pi], tables.mul[sigma, tau_pi], tau_pi, sigma, tau, pi)
+    # one (len(ball), orbits) block of rows per ball, 2-D for an empty ball too
+    a, b, c, m, n, lam = (np.array([_perm_characters(l)[at] for l in ball], dtype=np.int64)
+                          .reshape(len(ball), len(pi)) for ball, at in zip(balls, points))
+    left = (tables.sizes * a[:, None, None] * b[:, None] * c).reshape(-1, len(pi))
+    right = (m[:, None, None] * n[:, None] * lam).reshape(-1, len(pi))
+    sums = (left @ right.T).reshape([len(ball) for ball in balls])
+    assert (sums >= 0).all(), balls
+    return sums

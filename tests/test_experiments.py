@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snrecoupling import experiments, intertwiner, recoupling
+from snrecoupling import experiments, intertwiner, recoupling, schurweyl
 from snrecoupling.combinatorics import enumerate_partitions, normalize, round_spectrum
 from snrecoupling.errors import ResourceLimitError, ValidationError
 from snrecoupling.recoupling import recoupling_tensor
@@ -94,7 +94,7 @@ class TestOverlapCertificate:
     @pytest.mark.parametrize(
         "seed,k,delta", [(1, 3, 1.0), (2, 3, 1.0), (3, 3, 1.0), (1, 4, 1.0), (1, 4, 2.0)]
     )
-    def test_admissible_tuples_match_the_product_loop(self, seed, k, delta):
+    def test_items_match_the_product_loop(self, seed, k, delta):
         # two routes: the certificate's character sums against recoupling_tensor
         # and the exact oracle over every tuple of the six balls, in product order
         rho = sample_hs_random((2, 2, 3), seed)
@@ -133,19 +133,46 @@ class TestOverlapCertificate:
                  spectra.r_abc)
         rows = (2, 2, 2, 4, 4, 8)
         balls = {n: experiments._ball(4, r, 2.0, m) for n, r, m in zip(names, radii, rows)}
-        dropped = set(experiments._admissible_tuples(balls.values())) - set(kept)
+        # the tuples with four non-zero Kronecker coefficients, less the items
+        admissible = [labels for labels in product(*balls.values()) if all(
+            intertwiner.kronecker_coefficient(*(labels[x] for x in v)) for v in recoupling.VERTICES)]
+        dropped = set(admissible) - set(kept)
         assert [recoupling_tensor(*labels).hs for labels in dropped] == [0.0] * 8
         for labels in dropped:
             assert exact_hs_squared(*labels) == 0, labels
 
     def test_no_intertwiner_is_solved(self):
+        # nor any Kronecker coefficient computed: the character sums need no filter
         intertwiner._solve_cg.cache_clear()
         recoupling._build_tensor.cache_clear()
+        kron = intertwiner._kronecker_coefficient.cache_info()
         rho = sample_hs_random((2, 2, 2), np.random.default_rng(0))
         for k in (3, 4):
             assert cmd_overlap_certificate(rho, k=k, delta=1.0).items
         assert intertwiner._solve_cg.cache_info().currsize == 0
         assert recoupling._build_tensor.cache_info().currsize == 0
+        after = intertwiner._kronecker_coefficient.cache_info()
+        assert after.hits + after.misses == kron.hits + kron.misses
+
+    def test_every_ball_empty(self):
+        rep = cmd_overlap_certificate(sample_hs_random((2, 2, 3), 1), k=3, delta=0.0)
+        assert rep.items == []
+        assert rep.summary["ball_sizes"] == dict.fromkeys(LABELS, 0)
+        assert rep.summary["ball_tuple_count"] == rep.summary["nonzero_tuple_count"] == 0
+        assert rep.summary["sum_hs"] == 0.0 and rep.passed
+
+    def test_one_empty_ball_among_full_ones(self):
+        # the lam ball is empty and the mu and nu balls are not, so the product
+        # must keep the shape of each ball without reading a label of the empty one
+        rho = sample_hs_random((2, 2, 2), 0)
+        rep = cmd_overlap_certificate(rho, k=3, delta=0.5)
+        assert rep.summary["ball_sizes"] == {"alpha": 1, "beta": 1, "gamma": 1, "mu": 1,
+                                             "nu": 1, "lam": 0}
+        assert rep.items == [] and rep.summary["ball_tuple_count"] == 0
+        assert rep.summary["sum_hs"] == 0.0
+        balls = [experiments._ball(3, r, 0.5, m)
+                 for r, m in zip(spectra_tuple(rho), (2, 2, 2, 4, 4, 8))]
+        assert schurweyl._recoupling_character_sums(balls, 3).shape == (1, 1, 1, 1, 1, 0)
 
     def test_deterministic(self):
         a = cmd_overlap_certificate(maximally_mixed((2, 2, 2)), k=2, delta=1.0)

@@ -26,11 +26,11 @@ from snrecoupling.quantumstates import (
     sample_hs_random,
     spectra_tuple,
 )
-from snrecoupling.recoupling import _label_permutation, recoupling_tensor
+from snrecoupling.recoupling import VERTICES, _label_permutation, recoupling_tensor
 from snrecoupling.schurweyl import (
     _ball_coefficients,
     _perm_classes,
-    _recoupling_character_sum,
+    _recoupling_character_sums,
     _sk_tables,
     ball_sum_projector,
     isotypic_projector,
@@ -634,13 +634,18 @@ def non_empty_tuples(k):
             yield labels
 
 
+def character_sum(labels):
+    """S of one tuple: the product over six one-label balls, read as a Python int."""
+    return int(_recoupling_character_sums([[lam] for lam in labels], sum(labels[0])).item())
+
+
 def character_sum_mismatches(tuples):
     """The tuples whose dim mu dim nu S / k!^3 is not exactly exact_hs_squared."""
     wrong = []
     for labels in tuples:
         k = sum(labels[0])
         dims = sk_dimension(labels[3]) * sk_dimension(labels[4])
-        s = _recoupling_character_sum(*labels)
+        s = character_sum(labels)
         if Fraction(dims * s, math.factorial(k) ** 3) != exact_hs_squared(*labels):
             wrong.append(labels)
     return wrong
@@ -667,10 +672,33 @@ class TestCharacterSumNorms:
         # tetrahedron, not on the vertex order (the images of a non-empty
         # tuple are non-empty, so each is a key of sums)
         images = [_label_permutation(v) for v in permutations(range(4))]
-        sums = {labels: _recoupling_character_sum(*labels)
+        sums = {labels: character_sum(labels)
                 for k in range(1, 5) for labels in non_empty_tuples(k)}
         assert [labels for labels, s in sums.items() for perm in images
                 if sums[tuple(labels[x] for x in perm)] != s] == []
+
+    @pytest.mark.parametrize("k,nonzero,zero_blocks", [(3, 48, 1), (4, 656, 25)])
+    def test_whole_grid_in_one_product(self, k, nonzero, zero_blocks):
+        # every partition of k in all six balls: p(k)^6 tuples (729 and 15,625)
+        # in one call, against the Kronecker coefficients at the four vertices
+        # and the contraction of recoupling_tensor on every tuple
+        parts = enumerate_partitions(k)
+        sums = _recoupling_character_sums([parts] * 6, k)
+        assert sums.shape == (len(parts),) * 6 and sums.dtype == np.int64
+        cube = math.factorial(k) ** 3
+        empty = 0
+        for index in np.ndindex(sums.shape):
+            labels = tuple(parts[i] for i in index)
+            s = int(sums[index])
+            if not all(kronecker_coefficient(*(labels[x] for x in v)) for v in VERTICES):
+                empty += 1
+                assert s == 0, labels
+            hs = recoupling_tensor(*labels).hs
+            assert (hs == 0) == (s == 0), labels
+            dims = sk_dimension(labels[3]) * sk_dimension(labels[4])
+            assert abs(hs**2 - dims * s / cube) <= 1e-14, labels
+        assert np.count_nonzero(sums) == nonzero
+        assert sums.size - empty - nonzero == zero_blocks  # non-empty tuples with S == 0
 
     def test_gate_fails_on_a_mutated_character_row(self, monkeypatch, cold_character_sums):
         # chi_(2,1) at the 3-cycles is -1; make it +1 in the route under test only
