@@ -19,9 +19,9 @@ certificate's recoupling norms come from the same tables: in one integer
 product over the orbits, _recoupling_character_sums gives for every tuple of
 six balls the exact character sum over S_k^3 of which hs^2 is a multiple, so
 the certificate solves no intertwiner and decides zero blocks by S == 0.
-The tests read the recoupling norms off the
-Fourier blocks of P~ Q~ (their oracle ``hs_norm_via_schurweyl``), a second
-route to what ``recoupling_tensor`` computes.
+The tests read the recoupling norms off the Fourier blocks of P~ Q~ (their
+oracle ``hs_norm_via_schurweyl``), a second route to what
+``recoupling_tensor`` computes.
 
 ball_sum_projector materializes one ball sum as a dense matrix, under
 DENSE_CAP and IMPLICIT_CAP: isotypic_projector is its single-subsystem case,
